@@ -1,6 +1,6 @@
 // google-benchmark microbenchmarks backing the paper's complexity claims:
-// GGP O((m+n)^2 sqrt(n)), OGGP O((m+n)^3 sqrt(n)) worst case (our OGGP uses
-// an O(m sqrt(n) log m) bottleneck matching per peel), Hopcroft-Karp
+// GGP O((m+n)^2 sqrt(n)), OGGP O((m+n)^3 sqrt(n)) worst case (our OGGP runs
+// an O(m sqrt(n) log m) bottleneck search per peel), Hopcroft-Karp
 // O(m sqrt(n)), and the regularization transform.
 #include <benchmark/benchmark.h>
 
@@ -28,15 +28,6 @@ void BM_HopcroftKarp(benchmark::State& state) {
   state.SetComplexityN(g.alive_edge_count());
 }
 BENCHMARK(BM_HopcroftKarp)->Range(8, 128)->Complexity(benchmark::oNSquared);
-
-void BM_BottleneckThreshold(benchmark::State& state) {
-  const BipartiteGraph g = make_graph(state.range(0), 1000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bottleneck_maximal_threshold(g).size());
-  }
-  state.SetComplexityN(g.alive_edge_count());
-}
-BENCHMARK(BM_BottleneckThreshold)->Range(8, 128);
 
 void BM_Regularize(benchmark::State& state) {
   const BipartiteGraph g = make_graph(state.range(0), 20);
@@ -68,46 +59,21 @@ void BM_OGGP(benchmark::State& state) {
 }
 BENCHMARK(BM_OGGP)->Range(8, 64)->Complexity();
 
-void BM_OGGP_Warm(benchmark::State& state) {
-  const BipartiteGraph g = make_graph(state.range(0), 20);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        solve_kpbs(g, {5, 1, Algorithm::kOGGP, MatchingEngine::kWarm}).schedule
-            .step_count());
-  }
-  state.SetComplexityN(g.alive_edge_count() + g.left_count() +
-                       g.right_count());
-}
-BENCHMARK(BM_OGGP_Warm)->Range(8, 64)->Complexity();
-
-// Identical workload to BM_OGGP_Warm but with a metrics registry installed
-// (no trace). The delta between the two is the enabled-telemetry overhead
+// Identical workload to BM_OGGP but with a metrics registry installed (no
+// trace). The delta between the two is the enabled-telemetry overhead
 // budget: docs/OBSERVABILITY.md pins it below 5%.
-void BM_OGGP_Warm_Metrics(benchmark::State& state) {
+void BM_OGGP_Metrics(benchmark::State& state) {
   const BipartiteGraph g = make_graph(state.range(0), 20);
   obs::MetricsRegistry registry;
   obs::ScopedTelemetry scoped(&registry, nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        solve_kpbs(g, {5, 1, Algorithm::kOGGP, MatchingEngine::kWarm}).schedule
-            .step_count());
+        solve_kpbs(g, {5, 1, Algorithm::kOGGP}).schedule.step_count());
   }
   state.SetComplexityN(g.alive_edge_count() + g.left_count() +
                        g.right_count());
 }
-BENCHMARK(BM_OGGP_Warm_Metrics)->Range(8, 64)->Complexity();
-
-void BM_GGP_Warm(benchmark::State& state) {
-  const BipartiteGraph g = make_graph(state.range(0), 20);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        solve_kpbs(g, {5, 1, Algorithm::kGGP, MatchingEngine::kWarm}).schedule
-            .step_count());
-  }
-  state.SetComplexityN(g.alive_edge_count() + g.left_count() +
-                       g.right_count());
-}
-BENCHMARK(BM_GGP_Warm)->Range(8, 64)->Complexity();
+BENCHMARK(BM_OGGP_Metrics)->Range(8, 64)->Complexity();
 
 void BM_KpbsBatch(benchmark::State& state) {
   std::vector<KpbsRequest> requests;

@@ -152,9 +152,9 @@ int main(int argc, char** argv) {
         matrix.add(e.sender, e.receiver, e.bytes);
       }
       Stopwatch cold_drift_timer;
-      const SolveResult reference = solve_kpbs(
-          matrix.to_graph_bytes(),
-          {drifted.k, drifted.beta, drifted.algorithm, drifted.engine});
+      const SolveResult reference =
+          solve_kpbs(matrix.to_graph_bytes(),
+                     {drifted.k, drifted.beta, drifted.algorithm});
       near_cold_ms += cold_drift_timer.elapsed_ms();
       if (warm.schedule_text != schedule_to_string(reference.schedule)) {
         near_identical = false;

@@ -34,9 +34,9 @@
 //                         thread pool. For the hot instrument/journal seams
 //                         a solve thread crosses thousands of times.
 //   REDIST_NOALLOC        nothing reachable from the annotated function may
-//                         call new/malloc or grow a container; the warm
-//                         peeling inner loop's "no per-probe allocations"
-//                         guarantee, promoted to a build-time invariant.
+//                         call new/malloc or grow a container; keeps the
+//                         peeling inner loop (Hopcroft–Karp augmentation)
+//                         allocation-free as a build-time invariant.
 //   REDIST_ALLOW_BLOCK(reason) / REDIST_ALLOW_ALLOC(reason)
 //                         audited boundary escapes for the two rules above,
 //                         in the style of REDIST_ALLOW_NONDET. The reason is

@@ -16,29 +16,12 @@ std::string algorithm_name(Algorithm a) {
   return "?";
 }
 
-std::string engine_name(MatchingEngine e) {
-  switch (e) {
-    case MatchingEngine::kCold:
-      return "cold";
-    case MatchingEngine::kWarm:
-      return "warm";
-  }
-  return "?";
-}
-
 Algorithm parse_algorithm(const std::string& name) {
   if (name == "ggp" || name == "GGP") return Algorithm::kGGP;
   if (name == "oggp" || name == "OGGP") return Algorithm::kOGGP;
   if (name == "ggp-mw" || name == "GGP-MW") return Algorithm::kGGPMaxWeight;
   throw Error("unknown algorithm '" + name +
               "' (expected ggp, oggp or ggp-mw)");
-}
-
-MatchingEngine parse_matching_engine(const std::string& name) {
-  if (name == "cold") return MatchingEngine::kCold;
-  if (name == "warm") return MatchingEngine::kWarm;
-  throw Error("unknown matching engine '" + name +
-              "' (expected cold or warm)");
 }
 
 SolverOptions solver_options_from_flags(Flags& flags,
@@ -48,8 +31,6 @@ SolverOptions solver_options_from_flags(Flags& flags,
   options.beta = flags.get_int("beta", defaults.beta);
   options.algorithm = parse_algorithm(
       flags.get_string("algo", algorithm_name(defaults.algorithm)));
-  options.engine = parse_matching_engine(
-      flags.get_string("engine", engine_name(defaults.engine)));
   return options;
 }
 

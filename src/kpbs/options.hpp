@@ -31,25 +31,14 @@ enum class Algorithm {
 
 std::string algorithm_name(Algorithm a);
 
-/// Which matching engine drives the WRGP peeling loop. Both engines emit
-/// bit-identical schedules (the warm engine's searches are replayed
-/// canonically at their optima); kWarm is simply faster on large instances.
-enum class MatchingEngine {
-  kCold,  ///< every peeling step solves its matchings from scratch
-  kWarm,  ///< PeelingContext persists matching/weight state across steps
-};
-
-std::string engine_name(MatchingEngine e);
-
 /// Everything a K-PBS solve needs besides the demand graph. Aggregate on
-/// purpose: call sites write solve_kpbs(g, {k, beta, algorithm, engine})
-/// or name the fields they care about.
+/// purpose: call sites write solve_kpbs(g, {k, beta, algorithm}) or name
+/// the fields they care about.
 struct SolverOptions {
   int k = 1;           ///< simultaneous communications (clamped to
                        ///< [1, min(n1, n2)] like the solvers always did)
   Weight beta = 1;     ///< per-step setup cost, same units as edge weights
   Algorithm algorithm = Algorithm::kOGGP;
-  MatchingEngine engine = MatchingEngine::kWarm;
   /// Flight-recorder identity (obs/journal.hpp): 0 (the default) makes
   /// solve_kpbs allocate a fresh process-unique ID; callers that own a
   /// larger causal unit (batch requests, robust socket runs re-solving
@@ -58,10 +47,11 @@ struct SolverOptions {
   std::uint64_t solve_id = 0;
   /// Optional cross-instance warm seed for the first OGGP bottleneck search
   /// (PeelingContext::seed) — typically the warm_handle a previous solve of
-  /// a near-identical instance exported. Seeds only shortcut feasibility
-  /// probes; every step's final matching is canonically replayed, so any
-  /// seed (even one from an unrelated instance) leaves the schedule
-  /// bit-identical. Ignored by kCold and non-OGGP solves.
+  /// a near-identical instance exported. The search keeps only the seed
+  /// edges that form a matching of its graph, seeds only shortcut
+  /// feasibility probes, and every step's final matching is canonically
+  /// replayed, so any seed (even one from an unrelated instance) leaves the
+  /// schedule bit-identical. Ignored by non-OGGP solves.
   std::shared_ptr<const Matching> warm_seed = nullptr;
 };
 
@@ -73,19 +63,18 @@ struct SolveResult {
   double evaluation_ratio = 1.0;  ///< cost / lower bound (>= 1)
   double solve_ms = 0.0;          ///< wall clock, Stopwatch timebase
   std::uint64_t solve_id = 0;     ///< the journal ID this solve ran under
-  /// First peel step's matching of the regularized instance (warm OGGP
-  /// solves only, null otherwise) — feed it to SolverOptions::warm_seed of
+  /// First peel step's matching of the regularized instance (OGGP solves
+  /// only, null otherwise) — feed it to SolverOptions::warm_seed of
   /// a near-identical instance to warm its first bottleneck search. Shared
   /// so caches can hand the same immutable handle to many solves.
   std::shared_ptr<const Matching> warm_handle = nullptr;
 };
 
-/// Parsers shared by the CLI, benchmarks and tests (the one place the
-/// --algo/--engine vocabularies are spelled out).
+/// Parser shared by the CLI, benchmarks and tests (the one place the
+/// --algo vocabulary is spelled out).
 Algorithm parse_algorithm(const std::string& name);
-MatchingEngine parse_matching_engine(const std::string& name);
 
-/// Reads --k, --beta, --algo and --engine (each optional, falling back to
+/// Reads --k, --beta and --algo (each optional, falling back to
 /// `defaults`) — the single flag surface for every solver entry point.
 SolverOptions solver_options_from_flags(Flags& flags,
                                         const SolverOptions& defaults = {});

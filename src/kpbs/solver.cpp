@@ -21,54 +21,38 @@
 namespace redist {
 
 namespace {
-PerfectMatchingStrategy strategy_for(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::kOGGP:
-      return PerfectMatchingStrategy(bottleneck_perfect_matching);
-    case Algorithm::kGGPMaxWeight:
-      return PerfectMatchingStrategy(max_weight_perfect_matching);
-    case Algorithm::kGGP:
-      break;
-  }
-  return PerfectMatchingStrategy(arbitrary_perfect_matching);
-}
-
 std::vector<PeelStep> peel_regularized(
-    BipartiteGraph& j, Algorithm algorithm, MatchingEngine engine,
+    BipartiteGraph& j, Algorithm algorithm,
     const std::shared_ptr<const Matching>& warm_seed,
     std::shared_ptr<const Matching>* warm_handle) {
-  // kGGPMaxWeight is Hungarian-based and has no warm path; run it cold.
-  if (engine == MatchingEngine::kWarm &&
-      algorithm != Algorithm::kGGPMaxWeight) {
-    PeelingContext ctx;
-    // Cross-instance seeding only helps (and is only sound to export) on
-    // the bottleneck path: GGP's arbitrary matchings must stay bit-equal to
-    // max_matching(g), which depends on the greedy start.
-    if (algorithm == Algorithm::kOGGP && warm_seed != nullptr &&
-        !warm_seed->edges.empty()) {
-      ctx.seed(*warm_seed);
-      obs::MetricsRegistry* const metrics = obs::metrics();
-      if (metrics != nullptr) metrics->counter("kpbs.warm_seed.installed").add();
-    }
-    std::vector<PeelStep> steps =
-        wrgp_peel_warm(j,
-                       algorithm == Algorithm::kOGGP ? WarmStrategy::kBottleneck
-                                                     : WarmStrategy::kArbitrary,
-                       ctx);
-    // Export the first step's matching as the instance's warm handle: two
-    // near-identical demands diverge least before any peeling, so their
-    // first bottleneck searches are the ones a shared seed accelerates.
-    if (warm_handle != nullptr && algorithm == Algorithm::kOGGP &&
-        !steps.empty()) {
-      *warm_handle = std::make_shared<const Matching>(steps.front().matching);
-    }
-    return steps;
+  // GGP-MW is the Hungarian ablation: a from-scratch matching per step.
+  if (algorithm == Algorithm::kGGPMaxWeight) {
+    return wrgp_peel(j, PerfectMatchingStrategy(max_weight_perfect_matching));
   }
-  return wrgp_peel(j, strategy_for(algorithm));
+  const bool bottleneck = algorithm == Algorithm::kOGGP;
+  PeelingContext ctx;
+  // Cross-instance seeding only helps (and is only sound to export) on the
+  // bottleneck path: GGP's arbitrary matchings must stay bit-equal to
+  // max_matching(g), which depends on the greedy start.
+  if (bottleneck && warm_seed != nullptr && !warm_seed->edges.empty()) {
+    ctx.seed(*warm_seed);
+    obs::MetricsRegistry* const metrics = obs::metrics();
+    if (metrics != nullptr) metrics->counter("kpbs.warm_seed.installed").add();
+  }
+  std::vector<PeelStep> steps = wrgp_peel_warm(
+      j, bottleneck ? WarmStrategy::kBottleneck : WarmStrategy::kArbitrary,
+      ctx);
+  // Export the first step's matching as the instance's warm handle: two
+  // near-identical demands diverge least before any peeling, so their
+  // first bottleneck searches are the ones a shared seed accelerates.
+  if (warm_handle != nullptr && bottleneck && !steps.empty()) {
+    *warm_handle = std::make_shared<const Matching>(steps.front().matching);
+  }
+  return steps;
 }
 
 Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
-                        Algorithm algorithm, MatchingEngine engine,
+                        Algorithm algorithm,
                         const std::shared_ptr<const Matching>& warm_seed,
                         std::shared_ptr<const Matching>* warm_handle) {
   REDIST_CHECK_MSG(beta >= 0, "negative beta");
@@ -82,19 +66,12 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
   obs::TraceSpan solve_span(obs::trace(), "solve_kpbs");
   if (solve_span) {
     solve_span.arg("algo", std::string_view(algorithm_name(algorithm)));
-    solve_span.arg("engine", std::string_view(engine_name(engine)));
     solve_span.arg("k", k);
     solve_span.arg("beta", beta);
     solve_span.arg("nodes", demand.left_count() + demand.right_count());
     solve_span.arg("edges", demand.alive_edge_count());
   }
-  if (metrics != nullptr) {
-    metrics->counter("kpbs.solve.count").add();
-    metrics
-        ->counter(engine == MatchingEngine::kWarm ? "kpbs.solve.engine_warm"
-                                                  : "kpbs.solve.engine_cold")
-        .add();
-  }
+  if (metrics != nullptr) metrics->counter("kpbs.solve.count").add();
 
   // Step 1 — beta-normalization. All weights are expressed in units of
   // beta (rounded up); beta in {0, 1} degenerates to the raw weights.
@@ -112,7 +89,7 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
   // Step 2 — regularize; Step 3 — peel.
   Regularized reg = regularize(normalized, k);
   const std::vector<PeelStep> peels =
-      peel_regularized(reg.graph, algorithm, engine, warm_seed, warm_handle);
+      peel_regularized(reg.graph, algorithm, warm_seed, warm_handle);
 
   // Step 4 — extract real communications with realized amounts.
   {
@@ -178,7 +155,7 @@ SolveResult solve_kpbs(const BipartiteGraph& demand,
   const Stopwatch timer;
   result.schedule =
       solve_schedule(demand, options.k, options.beta, options.algorithm,
-                     options.engine, options.warm_seed, &result.warm_handle);
+                     options.warm_seed, &result.warm_handle);
   result.solve_ms = timer.elapsed_ms();
   result.lower_bound = kpbs_lower_bound(demand, options.k, options.beta);
   const double bound = result.lower_bound.value_double();

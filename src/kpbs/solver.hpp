@@ -23,8 +23,9 @@ REDIST_LAYER("kpbs");
 namespace redist {
 
 /// Solves K-PBS on `demand` under `options` (see kpbs/options.hpp).
-/// `options.k` is clamped to [1, min(n1, n2)]; kGGPMaxWeight has no warm
-/// path (Hungarian-based) and always runs cold. The returned schedule
+/// `options.k` is clamped to [1, min(n1, n2)]. GGP and OGGP peel through a
+/// PeelingContext; kGGPMaxWeight runs the Hungarian strategy from scratch
+/// every step. The returned schedule
 /// satisfies validate_schedule(), and the result carries the lower bound,
 /// evaluation ratio and solve latency alongside it.
 REDIST_DETERMINISTIC

@@ -1,7 +1,5 @@
 #include "kpbs/wrgp.hpp"
 
-#include "matching/bottleneck.hpp"
-#include "matching/hopcroft_karp.hpp"
 #include "matching/peeling_context.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -13,14 +11,6 @@
 #endif
 
 namespace redist {
-
-Matching arbitrary_perfect_matching(const BipartiteGraph& g) {
-  return max_matching(g);
-}
-
-Matching bottleneck_perfect_matching(const BipartiteGraph& g) {
-  return bottleneck_perfect_threshold(g);
-}
 
 std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
                                 const PerfectMatchingStrategy& strategy,
@@ -102,12 +92,6 @@ std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, WarmStrategy strategy,
   return wrgp_peel(g, pick,
                    [&ctx](const BipartiteGraph& residual, const Matching& m,
                           Weight amount) { ctx.before_peel(residual, m, amount); });
-}
-
-std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g,
-                                     WarmStrategy strategy) {
-  PeelingContext ctx;
-  return wrgp_peel_warm(g, strategy, ctx);
 }
 
 }  // namespace redist

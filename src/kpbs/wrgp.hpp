@@ -8,11 +8,11 @@
 // weight-regular, so a perfect matching exists at every iteration (Hall);
 // at least one edge dies per iteration, bounding steps by the edge count.
 //
-// Two drivers share the loop: wrgp_peel with a from-scratch strategy per
-// step (the reference path), and wrgp_peel_warm, which threads a
-// PeelingContext through the steps so matching state, the distinct-weight
-// ledger and solver buffers persist across steps. Both emit bit-identical
-// step sequences for the same input.
+// wrgp_peel runs the loop with any matching strategy (solve_kpbs passes
+// the Hungarian one for the GGP-MW ablation). wrgp_peel_warm is the GGP and
+// OGGP path: it threads a PeelingContext through the steps so matching
+// state, the distinct-weight ledger and solver buffers persist across
+// steps.
 #pragma once
 
 #include <functional>
@@ -47,12 +47,6 @@ using PerfectMatchingStrategy =
 using PeelObserver =
     std::function<void(const BipartiteGraph&, const Matching&, Weight)>;
 
-/// Built-in strategies.
-REDIST_DETERMINISTIC
-Matching arbitrary_perfect_matching(const BipartiteGraph& g);
-REDIST_DETERMINISTIC
-Matching bottleneck_perfect_matching(const BipartiteGraph& g);
-
 /// Peels `g` (mutated in place down to empty). Throws if `g` is not
 /// weight-regular with equal sides, or if a strategy ever fails to return a
 /// perfect matching (which would indicate a broken strategy, not bad input).
@@ -67,17 +61,11 @@ enum class WarmStrategy {
   kBottleneck,  ///< OGGP: bottleneck matchings, warm-seeded binary search
 };
 
-/// Peels `g` with warm-started matchings: step-for-step identical to
-/// wrgp_peel with the corresponding built-in strategy, but reusing matching
-/// and weight state across steps via `ctx`. `ctx` must be fresh (or have
-/// last been used on this same peeling sequence).
+/// Peels `g` with PeelingContext matchings, reusing matching and weight
+/// state across steps via `ctx`. `ctx` must be fresh (or have last been
+/// used on this same peeling sequence, or only seeded).
 REDIST_DETERMINISTIC
 std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, WarmStrategy strategy,
                                      PeelingContext& ctx);
-
-/// Convenience overload owning a fresh context.
-REDIST_DETERMINISTIC
-std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g,
-                                     WarmStrategy strategy);
 
 }  // namespace redist

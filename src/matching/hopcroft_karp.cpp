@@ -18,34 +18,32 @@ HopcroftKarp::HopcroftKarp(const BipartiteGraph& g, std::vector<char> mask) {
 }
 
 void HopcroftKarp::rebind(const BipartiteGraph& g, std::vector<char> mask) {
+  REDIST_CHECK_MSG(
+      mask.empty() || mask.size() == static_cast<std::size_t>(g.edge_count()),
+      "edge mask size mismatch");
   mask_ = std::move(mask);
-  rebind_shared_mask(g, mask_.empty() ? nullptr : &mask_);
+  min_weight_ = 0;
+  reset(g);
 }
 
-void HopcroftKarp::rebind_shared_mask(const BipartiteGraph& g,
-                                      const std::vector<char>* mask) {
+void HopcroftKarp::rebind_threshold(const BipartiteGraph& g,
+                                    Weight min_weight) {
+  mask_.clear();
+  min_weight_ = min_weight;
+  reset(g);
+}
+
+void HopcroftKarp::reset(const BipartiteGraph& g) {
   g_ = &g;
-  mask_view_ = mask;
-  min_weight_ = 0;
-  REDIST_CHECK_MSG(
-      mask_view_ == nullptr ||
-          mask_view_->size() == static_cast<std::size_t>(g.edge_count()),
-      "edge mask size mismatch");
   match_left_.assign(static_cast<std::size_t>(g.left_count()), kNoEdge);
   match_right_.assign(static_cast<std::size_t>(g.right_count()), kNoEdge);
   dist_.assign(static_cast<std::size_t>(g.left_count()), kInf);
 }
 
-void HopcroftKarp::rebind_threshold(const BipartiteGraph& g,
-                                    Weight min_weight) {
-  rebind_shared_mask(g, nullptr);
-  min_weight_ = min_weight;
-}
-
 bool HopcroftKarp::edge_usable(EdgeId e) const {
   if (!g_->alive(e)) return false;
   if (min_weight_ > 0 && g_->edge(e).weight < min_weight_) return false;
-  return mask_view_ == nullptr || (*mask_view_)[static_cast<std::size_t>(e)];
+  return mask_.empty() || mask_[static_cast<std::size_t>(e)];
 }
 
 bool HopcroftKarp::bfs_layers() {

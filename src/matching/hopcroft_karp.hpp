@@ -36,17 +36,10 @@ class HopcroftKarp {
   /// constructing a fresh solver (all matching state is reset).
   void rebind(const BipartiteGraph& g, std::vector<char> mask = {});
 
-  /// Like rebind, but the mask is borrowed, not owned: the caller keeps
-  /// `mask` alive and unchanged for the duration of the next solve. Lets a
-  /// peeling loop refill one threshold mask instead of reallocating per
-  /// probe. `mask` may be nullptr (no restriction).
-  void rebind_shared_mask(const BipartiteGraph& g,
-                          const std::vector<char>* mask);
-
   /// Re-binds restricting to alive edges of weight >= `min_weight` — the
   /// bottleneck search's subgraph, expressed as an O(1) predicate instead
-  /// of an O(m) mask fill per probe. Equivalent to a mask built by
-  /// fill_mask_at_least: identical edge set, identical matchings.
+  /// of an O(m) mask fill per probe. Equivalent to a mask of exactly those
+  /// edges: identical edge set, identical matchings.
   void rebind_threshold(const BipartiteGraph& g, Weight min_weight);
 
   /// Computes a maximum matching from a greedy seed. Deterministic: a given
@@ -70,12 +63,13 @@ class HopcroftKarp {
   }
 
  private:
+  void reset(const BipartiteGraph& g);
   Matching augment_to_maximum();
   bool bfs_layers();
-  /// The warm peeling inner loop: every probe of the bottleneck binary
-  /// search augments through here, and the "no per-probe allocations"
-  /// guarantee of PeelingContext depends on it staying allocation-free
-  /// (`noalloc` analyzer rule).
+  /// The peeling inner loop: every probe of the bottleneck binary search
+  /// augments through here, so it must stay allocation-free (`noalloc`
+  /// analyzer rule). A probe's remaining allocations are per phase (the
+  /// BFS queue) and per solve (the returned Matching).
   REDIST_NOALLOC
   bool dfs_augment(NodeId left);
   REDIST_NOALLOC
@@ -88,9 +82,8 @@ class HopcroftKarp {
   obs::MetricsRegistry* metrics_src_ = nullptr;
   obs::Counter* phases_counter_ = nullptr;
   obs::Counter* paths_counter_ = nullptr;
-  std::vector<char> mask_;                  // owned mask storage
-  const std::vector<char>* mask_view_ = nullptr;  // active mask (may borrow)
-  Weight min_weight_ = 0;                   // threshold restriction (0 = off)
+  std::vector<char> mask_;           // edge mask (empty = no restriction)
+  Weight min_weight_ = 0;            // threshold restriction (0 = off)
   std::vector<EdgeId> match_left_;   // left node -> matched edge id
   std::vector<EdgeId> match_right_;  // right node -> matched edge id
   std::vector<int> dist_;            // BFS layer per left node

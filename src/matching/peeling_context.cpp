@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "matching/bottleneck.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -10,10 +9,47 @@
 
 namespace redist {
 
+namespace {
+
+// The edges of a seed() that can seed a search over `g`: ids that name
+// alive edges, each kept only if neither endpoint is claimed by an earlier
+// kept edge. The result is a matching of `g`.
+Matching usable_seed(const BipartiteGraph& g, const Matching& seed) {
+  std::vector<char> left_used(static_cast<std::size_t>(g.left_count()), 0);
+  std::vector<char> right_used(static_cast<std::size_t>(g.right_count()), 0);
+  Matching kept;
+  for (EdgeId e : seed.edges) {
+    if (e < 0 || e >= g.edge_count() || !g.alive(e)) continue;
+    const Edge& edge = g.edge(e);
+    char& left = left_used[static_cast<std::size_t>(edge.left)];
+    char& right = right_used[static_cast<std::size_t>(edge.right)];
+    if (left != 0 || right != 0) continue;
+    left = right = 1;
+    kept.edges.push_back(e);
+  }
+  return kept;
+}
+
+#ifdef REDIST_VALIDATE
+// Distinct alive-edge weights, ascending: the recomputation the ledger is
+// cross-checked against.
+std::vector<Weight> distinct_alive_weights(const BipartiteGraph& g) {
+  std::vector<Weight> out;
+  for (EdgeId e = 0; e < g.edge_count(); ++e) {
+    if (g.alive(e)) out.push_back(g.edge(e).weight);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+#endif
+
+}  // namespace
+
 Matching PeelingContext::arbitrary_perfect(const BipartiteGraph& g) {
   // GGP's matching must stay bit-identical to max_matching(g), whose result
   // depends on the greedy seed — so no warm seed here, only buffer reuse.
-  hk_.rebind_shared_mask(g, nullptr);
+  hk_.rebind(g);
   last_ = hk_.solve();
   return last_;
 }
@@ -33,18 +69,14 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   ws_.reserve(weight_count_.size());
   for (const auto& entry : weight_count_) ws_.push_back(entry.first);
 #ifdef REDIST_VALIDATE
-  {
-    std::vector<Weight> recomputed;
-    distinct_alive_weights(g, recomputed);
-    REDIST_CHECK_MSG(ws_ == recomputed,
-                     "peeling context weight ledger out of sync");
-  }
+  REDIST_CHECK_MSG(ws_ == distinct_alive_weights(g),
+                   "peeling context weight ledger out of sync");
 #endif
   REDIST_CHECK_MSG(!ws_.empty(), "bottleneck: target unreachable");
 
-  // Binary search for the optimal threshold, landing on the same index the
-  // cold search finds: feasibility at a threshold is a property of the
-  // graph alone, not of how a probe computes its maximum matching. Three
+  // Binary search for the optimal threshold, landing on the same index a
+  // from-scratch search finds: feasibility at a threshold is a property of
+  // the graph alone, not of how a probe computes its maximum matching. Three
   // warm shortcuts make the probes cheap:
   //  * the probe at ws_[0] is skipped — WRGP residuals are weight-regular,
   //    so a perfect matching always exists there (Hall); the canonical
@@ -63,17 +95,17 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
 
   std::size_t lo = 0;
   std::size_t hi = ws_.size() - 1;
-  Matching cur = last_;
+  // `cur` must be a matching of `g` for the seed-hit count below to mean
+  // anything: the previous step's matching is one (same graph, peeled), a
+  // cross-instance seed is filtered into one.
+  Matching cur = seed_pending_ ? usable_seed(g, last_) : last_;
+  seed_pending_ = false;
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo + 1) / 2;
     obs::TraceSpan probe_span(obs::trace(), "bottleneck.probe");
     if (probe_counter != nullptr) probe_counter->add();
     std::size_t surviving = 0;
     for (EdgeId e : cur.edges) {
-      // A cross-instance seed (PeelingContext::seed) may carry edge ids
-      // from a near-identical graph; ids out of range here simply do not
-      // survive (solve_seeded applies the same tolerance).
-      if (e < 0 || e >= g.edge_count()) continue;
       if (g.alive(e) && g.edge(e).weight >= ws_[mid]) ++surviving;
     }
     if (surviving >= target) {  // seed already perfect at this threshold
@@ -103,9 +135,9 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
     }
   }
 
-  // Canonical replay: a greedy-seeded run at the optimal threshold is the
-  // exact computation the cold path performs last, so the returned matching
-  // (not just its bottleneck value) matches bottleneck_perfect_threshold.
+  // Canonical replay: a greedy-seeded run at the optimal threshold, so the
+  // returned matching (not just its bottleneck value) depends on the
+  // residual graph alone — the matching a from-scratch search returns.
   obs::TraceSpan replay_span(obs::trace(), "bottleneck.replay");
   if (replay_span) replay_span.arg("threshold", ws_[lo]);
   hk_.rebind_threshold(g, ws_[lo]);
@@ -148,7 +180,7 @@ void PeelingContext::ensure_ledger(const BipartiteGraph& g) {
   obs::MetricsRegistry* const metrics = obs::metrics();
   if (tracking_weights_) {
     // Ledger carried over from the previous step: the O(m log m) rebuild
-    // below was avoided — the whole point of the warm engine.
+    // below was avoided.
     if (metrics != nullptr) metrics->counter("warm.ledger.hits").add();
     obs::journal_record(obs::JournalEventKind::kLedgerHit);
     return;

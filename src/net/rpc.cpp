@@ -127,21 +127,6 @@ std::uint8_t encode_algorithm(Algorithm a) {
   throw Error("rpc: unencodable algorithm");
 }
 
-MatchingEngine decode_engine(std::uint8_t raw) {
-  switch (raw) {
-    case 0:
-      return MatchingEngine::kCold;
-    case 1:
-      return MatchingEngine::kWarm;
-    default:
-      throw Error("rpc: unknown engine code " + std::to_string(raw));
-  }
-}
-
-std::uint8_t encode_engine(MatchingEngine e) {
-  return e == MatchingEngine::kWarm ? 1 : 0;
-}
-
 }  // namespace
 
 void encode_hello(std::vector<char>& out, std::uint32_t version) {
@@ -160,7 +145,6 @@ void encode_solve_request(std::vector<char>& out, const SolveRequest& req) {
   put<std::int32_t>(out, req.k);
   put<std::int64_t>(out, req.beta);
   put<std::uint8_t>(out, encode_algorithm(req.algorithm));
-  put<std::uint8_t>(out, encode_engine(req.engine));
   put<std::int32_t>(out, req.senders);
   put<std::int32_t>(out, req.receivers);
   REDIST_CHECK_MSG(
@@ -181,7 +165,6 @@ SolveRequest decode_solve_request(const std::vector<char>& payload) {
   req.k = r.get<std::int32_t>("request.k");
   req.beta = r.get<std::int64_t>("request.beta");
   req.algorithm = decode_algorithm(r.get<std::uint8_t>("request.algorithm"));
-  req.engine = decode_engine(r.get<std::uint8_t>("request.engine"));
   req.senders = r.get<std::int32_t>("request.senders");
   req.receivers = r.get<std::int32_t>("request.receivers");
   if (req.k < 1) throw Error("rpc: request.k must be >= 1");

@@ -1,8 +1,8 @@
-// redist.rpc.v1 — the versioned wire schema of the scheduler daemon.
+// redist.rpc.v2 — the versioned wire schema of the scheduler daemon.
 //
 // Before this schema the repo's socket entry points each improvised their
 // own ad-hoc line or struct format (the introspection endpoint's bare
-// lines, the mpilite mesh's raw rank integers). rpc.v1 gives solve traffic
+// lines, the mpilite mesh's raw rank integers). rpc.v2 gives solve traffic
 // a typed, versioned contract instead:
 //
 //  * every payload rides the existing length-prefixed frame of
@@ -22,7 +22,7 @@
 // Deprecation path for the bare-line forms: the introspection endpoint
 // (obs/introspect.hpp) keeps accepting its one-line "statusz" requests —
 // they are a human/debug surface, not solve traffic — but new machine
-// clients must speak rpc.v1; docs/SERVICE.md documents the window after
+// clients must speak rpc.v2; docs/SERVICE.md documents the window after
 // which bare-line solve submission (never shipped) stays unsupported and
 // any future introspection-over-rpc migration would bump
 // kRpcProtocolVersion.
@@ -41,8 +41,9 @@ REDIST_LAYER("net");
 namespace redist::rpc {
 
 /// Protocol generation. Bump on any incompatible wire change; the
-/// handshake rejects mismatches with kVersionMismatch.
-inline constexpr std::uint32_t kRpcProtocolVersion = 1;
+/// handshake rejects mismatches with kVersionMismatch. Version 2 dropped
+/// the matching-engine byte version 1 carried after the algorithm code.
+inline constexpr std::uint32_t kRpcProtocolVersion = 2;
 
 /// Frame tags (the u32 tag slot of net/message.hpp frames).
 enum class RpcTag : std::uint32_t {
@@ -79,7 +80,6 @@ struct SolveRequest {
   std::int32_t k = 1;            ///< SolverOptions::k
   Weight beta = 1;               ///< SolverOptions::beta
   Algorithm algorithm = Algorithm::kOGGP;
-  MatchingEngine engine = MatchingEngine::kWarm;
   NodeId senders = 0;    ///< cluster C1 size
   NodeId receivers = 0;  ///< cluster C2 size
   std::vector<TrafficEntry> entries;  ///< non-zero matrix entries

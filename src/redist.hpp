@@ -27,7 +27,6 @@
 #include "graph/graphio.hpp"
 #include "graph/traffic_matrix.hpp"
 
-#include "matching/bottleneck.hpp"
 #include "matching/edge_coloring.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/hungarian.hpp"

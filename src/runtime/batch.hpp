@@ -3,8 +3,8 @@
 // The serving shape behind "schedule redistributions for millions of users":
 // each request is an isolated (demand graph, SolverOptions) instance; a
 // worker pool fans them out across cores. Determinism is preserved —
-// results are positionally identical to a sequential solve_kpbs loop, and
-// the warm engine's bit-identical guarantee applies per instance.
+// results are positionally identical to a sequential solve_kpbs loop, since
+// every instance peels through its own PeelingContext.
 //
 // Lives in src/runtime (not src/kpbs): fan-out over the ThreadPool is a
 // runtime concern, and keeping it here keeps the include-graph layering DAG

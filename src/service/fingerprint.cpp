@@ -45,7 +45,6 @@ CanonicalInstance canonicalize(const TrafficMatrix& m,
   instance.k = options.k;
   instance.beta = options.beta;
   instance.algorithm = options.algorithm;
-  instance.engine = options.engine;
   const auto nonzeros = static_cast<std::size_t>(m.nonzero_count());
   instance.positions.reserve(nonzeros);
   instance.weights.reserve(nonzeros);
@@ -75,7 +74,6 @@ InstanceFingerprint fingerprint_instance(const CanonicalInstance& instance) {
   mix_both(static_cast<std::uint64_t>(instance.k));
   mix_both(static_cast<std::uint64_t>(instance.beta));
   mix_both(static_cast<std::uint64_t>(instance.algorithm));
-  mix_both(static_cast<std::uint64_t>(instance.engine));
   for (std::uint64_t position : instance.positions) mix_both(position);
   for (Bytes bytes : instance.weights) {
     full.mix(static_cast<std::uint64_t>(bytes));

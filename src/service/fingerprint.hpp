@@ -4,9 +4,9 @@
 // their schedules are guaranteed bit-identical, so the cache keys on the
 // canonical form of everything the solver consumes: cluster sizes, the
 // non-zero traffic entries in row-major order (entry order on the wire is
-// irrelevant — the TrafficMatrix canonicalizes), k, beta, algorithm and
-// engine. Nothing else (request ids, client identity, wall clock) may leak
-// in, or identical instances would stop deduplicating.
+// irrelevant — the TrafficMatrix canonicalizes), k, beta and algorithm.
+// Nothing else (request ids, client identity, wall clock) may leak in, or
+// identical instances would stop deduplicating.
 //
 // Fingerprints are FNV-1a 64-bit hashes of that canonical form, used to
 // index the cache; every exact hit is then *verified* against the stored
@@ -40,7 +40,6 @@ struct CanonicalInstance {
   std::int32_t k = 1;
   Weight beta = 1;
   Algorithm algorithm = Algorithm::kOGGP;
-  MatchingEngine engine = MatchingEngine::kWarm;
   std::vector<std::uint64_t> positions;  ///< i * receivers + j of non-zeros
   std::vector<Bytes> weights;            ///< byte counts, aligned 1:1
 
@@ -51,8 +50,7 @@ struct CanonicalInstance {
   bool same_shape(const CanonicalInstance& other) const {
     return senders == other.senders && receivers == other.receivers &&
            k == other.k && beta == other.beta &&
-           algorithm == other.algorithm && engine == other.engine &&
-           positions == other.positions;
+           algorithm == other.algorithm && positions == other.positions;
   }
 
   /// Sum of |weights[i] - other.weights[i]|; requires same_shape(other).

@@ -197,7 +197,6 @@ rpc::SolveResponse SchedulerService::serve_solve(
   options.k = request.k;
   options.beta = request.beta;
   options.algorithm = request.algorithm;
-  options.engine = request.engine;
 
   CanonicalInstance instance = canonicalize(matrix, options);
   const InstanceFingerprint fp = fingerprint_instance(instance);

@@ -1,6 +1,6 @@
 // SchedulerService — the long-lived scheduler daemon (ROADMAP north star).
 //
-// Accepts rpc.v1 connections (net/rpc.hpp) on an ephemeral loopback port
+// Accepts rpc.v2 connections (net/rpc.hpp) on an ephemeral loopback port
 // and serves K-PBS solves from a warm cache:
 //
 //   accept thread ──► ThreadPool ──► per-connection handler

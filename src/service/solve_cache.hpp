@@ -10,8 +10,8 @@
 //    solver. Bit-identical by construction: it IS the bytes of the
 //    original solve.
 //  * near miss — no full match, but some entry shares the shape
-//    fingerprint (same pattern, k, beta, algorithm, engine — only byte
-//    counts differ). The nearest such entry by L1 weight distance donates
+//    fingerprint (same pattern, k, beta, algorithm — only byte counts
+//    differ). The nearest such entry by L1 weight distance donates
 //    its warm handle (the first peel step's matching), which seeds the
 //    fresh solve's first bottleneck search (SolverOptions::warm_seed).
 //    Schedules stay bit-identical to an unseeded solve — seeds only

@@ -101,25 +101,17 @@ TEST(KpbsBatch, MatchesSequentialSolveAtEveryThreadCount) {
   std::vector<Schedule> reference;
   reference.reserve(requests.size());
   for (const KpbsRequest& r : requests) {
-    SolverOptions cold = r.options;
-    cold.engine = MatchingEngine::kCold;
-    reference.push_back(solve_kpbs(r.demand, cold).schedule);
+    reference.push_back(solve_kpbs(r.demand, r.options).schedule);
   }
   for (const int threads : {1, 2, 4}) {
-    for (const MatchingEngine engine :
-         {MatchingEngine::kCold, MatchingEngine::kWarm}) {
-      std::vector<KpbsRequest> engined = requests;
-      for (KpbsRequest& r : engined) r.options.engine = engine;
-      BatchOptions options;
-      options.threads = threads;
-      const std::vector<SolveResult> batch =
-          solve_kpbs_batch(engined, options);
-      ASSERT_EQ(batch.size(), requests.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        expect_equal_schedules(reference[i], batch[i].schedule, i);
-        EXPECT_GE(batch[i].evaluation_ratio, 1.0) << "instance " << i;
-        EXPECT_GE(batch[i].solve_ms, 0.0) << "instance " << i;
-      }
+    BatchOptions options;
+    options.threads = threads;
+    const std::vector<SolveResult> batch = solve_kpbs_batch(requests, options);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_equal_schedules(reference[i], batch[i].schedule, i);
+      EXPECT_GE(batch[i].evaluation_ratio, 1.0) << "instance " << i;
+      EXPECT_GE(batch[i].solve_ms, 0.0) << "instance " << i;
     }
   }
 }

@@ -1,4 +1,7 @@
-#include "matching/bottleneck.hpp"
+// The test oracle's two bottleneck algorithms (tests/oracle): the threshold
+// search and the paper's Figure 6 must agree with each other and with
+// exhaustive search.
+#include "oracle/bottleneck_oracle.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +19,7 @@ TEST(Bottleneck, PrefersHeavyPerfectMatching) {
   g.add_edge(1, 1, 1);
   g.add_edge(0, 1, 5);
   g.add_edge(1, 0, 4);
-  const Matching m = bottleneck_perfect_threshold(g);
+  const Matching m = oracle::bottleneck_perfect_threshold(g);
   EXPECT_TRUE(is_perfect_matching(g, m));
   EXPECT_EQ(min_weight(g, m), 4);
 }
@@ -26,7 +29,7 @@ TEST(Bottleneck, ForcedLightEdge) {
   BipartiteGraph g(2, 2);
   g.add_edge(0, 0, 1);
   g.add_edge(1, 1, 9);
-  const Matching m = bottleneck_perfect_threshold(g);
+  const Matching m = oracle::bottleneck_perfect_threshold(g);
   EXPECT_EQ(min_weight(g, m), 1);
 }
 
@@ -34,19 +37,19 @@ TEST(Bottleneck, PerfectThrowsWhenNoneExists) {
   BipartiteGraph g(2, 2);
   g.add_edge(0, 0, 1);
   g.add_edge(1, 0, 1);  // right node 1 unreachable
-  EXPECT_THROW(bottleneck_perfect_threshold(g), Error);
+  EXPECT_THROW(oracle::bottleneck_perfect_threshold(g), Error);
 }
 
 TEST(Bottleneck, PerfectRequiresEqualSides) {
   BipartiteGraph g(1, 2);
   g.add_edge(0, 0, 1);
-  EXPECT_THROW(bottleneck_perfect_threshold(g), Error);
+  EXPECT_THROW(oracle::bottleneck_perfect_threshold(g), Error);
 }
 
 TEST(Bottleneck, MaximalOnEmptyGraph) {
   BipartiteGraph g(2, 2);
-  EXPECT_TRUE(bottleneck_maximal_threshold(g).empty());
-  EXPECT_TRUE(bottleneck_maximal_incremental(g).empty());
+  EXPECT_TRUE(oracle::bottleneck_maximal_threshold(g).empty());
+  EXPECT_TRUE(oracle::bottleneck_maximal_incremental(g).empty());
 }
 
 TEST(Bottleneck, MaximalKeepsMaximumCardinality) {
@@ -56,7 +59,7 @@ TEST(Bottleneck, MaximalKeepsMaximumCardinality) {
   g.add_edge(0, 0, 9);
   g.add_edge(0, 1, 2);
   g.add_edge(1, 0, 2);
-  const Matching m = bottleneck_maximal_threshold(g);
+  const Matching m = oracle::bottleneck_maximal_threshold(g);
   EXPECT_EQ(m.size(), 2u);
   EXPECT_EQ(min_weight(g, m), 2);
 }
@@ -68,7 +71,7 @@ TEST(Bottleneck, IncrementalMatchesFigureSixSemantics) {
   g.add_edge(2, 2, 1);
   g.add_edge(2, 1, 7);
   g.add_edge(1, 2, 6);
-  const Matching m = bottleneck_maximal_incremental(g);
+  const Matching m = oracle::bottleneck_maximal_incremental(g);
   EXPECT_EQ(m.size(), 3u);
   // Best perfect matching avoiding the weight-1 edge: 10, 7, 6 -> min 6.
   EXPECT_EQ(min_weight(g, m), 6);
@@ -87,8 +90,8 @@ TEST_P(BottleneckRandom, ThresholdAndIncrementalAgree) {
     config.max_edges = 20;
     config.max_weight = 12;
     const BipartiteGraph g = random_bipartite(rng, config);
-    const Matching a = bottleneck_maximal_threshold(g);
-    const Matching b = bottleneck_maximal_incremental(g);
+    const Matching a = oracle::bottleneck_maximal_threshold(g);
+    const Matching b = oracle::bottleneck_maximal_incremental(g);
     ASSERT_TRUE(is_matching(g, a));
     ASSERT_TRUE(is_matching(g, b));
     const std::size_t target = max_matching_size(g);
@@ -113,7 +116,7 @@ TEST(Bottleneck, OptimalityAgainstExhaustiveSearch) {
     config.max_weight = 8;
     const BipartiteGraph g = random_bipartite(rng, config);
     const std::size_t target = max_matching_size(g);
-    const Matching best = bottleneck_maximal_threshold(g);
+    const Matching best = oracle::bottleneck_maximal_threshold(g);
 
     // Exhaustive: enumerate matchings via bitmask over edges.
     const std::vector<EdgeId> edges = g.alive_edges();

@@ -152,7 +152,7 @@ TEST(Cli, SolveWritesMetricsAndTrace) {
                 .status,
             0);
   const CommandResult solve =
-      run_cli("solve --in=" + graph + " --k=3 --engine=warm --quiet" +
+      run_cli("solve --in=" + graph + " --k=3 --quiet" +
               " --metrics-out=" + metrics + " --trace-out=" + trace);
   ASSERT_EQ(solve.status, 0) << solve.output;
   EXPECT_NE(solve.output.find("metrics written to"), std::string::npos);

@@ -230,7 +230,7 @@ TEST(ParserFuzz, MalformedScenariosThrowError) {
 }
 
 // ---------------------------------------------------------------------------
-// rpc.v1 binary codecs (net/rpc.hpp): the daemon decodes these payloads
+// rpc.v2 binary codecs (net/rpc.hpp): the daemon decodes these payloads
 // straight off untrusted sockets, so every decoder must be total — any
 // byte sequence either decodes to an in-domain struct or throws
 // redist::Error. Crashing, hanging or over-reading is a security bug.
@@ -271,8 +271,6 @@ rpc::SolveRequest random_solve_request(Rng& rng) {
   req.beta = rng.uniform_int(0, 5);
   req.algorithm = rng.uniform_int(0, 1) == 0 ? Algorithm::kOGGP
                                              : Algorithm::kGGP;
-  req.engine = rng.uniform_int(0, 1) == 0 ? MatchingEngine::kWarm
-                                          : MatchingEngine::kCold;
   req.senders = static_cast<NodeId>(rng.uniform_int(1, 12));
   req.receivers = static_cast<NodeId>(rng.uniform_int(1, 12));
   const int entries = static_cast<int>(rng.uniform_int(0, 20));
@@ -297,7 +295,6 @@ TEST_P(ParserFuzz, RpcSolveRequestRoundTripIsIdentity) {
     ASSERT_EQ(parsed.k, req.k);
     ASSERT_EQ(parsed.beta, req.beta);
     ASSERT_EQ(parsed.algorithm, req.algorithm);
-    ASSERT_EQ(parsed.engine, req.engine);
     ASSERT_EQ(parsed.senders, req.senders);
     ASSERT_EQ(parsed.receivers, req.receivers);
     ASSERT_EQ(parsed.entries.size(), req.entries.size());

@@ -4,8 +4,8 @@
 // builtin scenario matrix) whose exact GGP/OGGP step counts and costs were captured
 // from the reference solver. Any change to normalization, regularization,
 // peeling order, matching tie-breaking, or extraction that alters a single
-// schedule shows up here as an exact-value diff — for the cold engine and,
-// because the warm engine must be bit-identical, for the warm engine too.
+// schedule shows up here as an exact-value diff — for solve_kpbs and for
+// the test oracle (tests/oracle), which must agree byte for byte.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -14,6 +14,7 @@
 #include "graph/graphio.hpp"
 #include "kpbs/regularize.hpp"
 #include "kpbs/solver.hpp"
+#include "oracle/bottleneck_oracle.hpp"
 
 #ifndef REDIST_TEST_DATA_DIR
 #error "REDIST_TEST_DATA_DIR must point at tests/data"
@@ -32,7 +33,7 @@ struct GoldenCase {
   Weight oggp_cost;
 };
 
-// Captured from the reference (cold) solver; see the generation parameters
+// Captured from the reference solver; see the generation parameters
 // in docs/PERF.md. golden_01 is a deliberate degenerate corner (one edge).
 constexpr GoldenCase kGolden[] = {
     {"golden_01.graph", 3, 1, 1, 3, 1, 3},
@@ -62,18 +63,29 @@ BipartiteGraph load_golden(const std::string& file) {
   return read_graph(in);
 }
 
-class GoldenMakespans : public ::testing::TestWithParam<MatchingEngine> {};
+// Which solver produces the schedule: the test oracle's from-scratch
+// ("cold") search, or solve_kpbs's warm-started peeling engine.
+enum class SolvePath { kOracle, kProduction };
+
+Schedule solve_with(SolvePath path, const BipartiteGraph& g,
+                    const GoldenCase& c, Algorithm algo) {
+  return path == SolvePath::kOracle
+             ? oracle::solve(g, c.k, c.beta, algo)
+             : solve_kpbs(g, {c.k, c.beta, algo}).schedule;
+}
+
+class GoldenMakespans : public ::testing::TestWithParam<SolvePath> {};
 
 TEST_P(GoldenMakespans, ExactStepCountsAndCosts) {
-  const MatchingEngine engine = GetParam();
+  const SolvePath path = GetParam();
   for (const GoldenCase& c : kGolden) {
     const BipartiteGraph g = load_golden(c.file);
-    const Schedule ggp = solve_kpbs(g, {c.k, c.beta, Algorithm::kGGP, engine}).schedule;
+    const Schedule ggp = solve_with(path, g, c, Algorithm::kGGP);
     EXPECT_EQ(ggp.step_count(), c.ggp_steps) << c.file << " (ggp)";
     EXPECT_EQ(ggp.cost(c.beta), c.ggp_cost) << c.file << " (ggp)";
     validate_schedule(g, ggp, clamp_k(g, c.k));
 
-    const Schedule oggp = solve_kpbs(g, {c.k, c.beta, Algorithm::kOGGP, engine}).schedule;
+    const Schedule oggp = solve_with(path, g, c, Algorithm::kOGGP);
     EXPECT_EQ(oggp.step_count(), c.oggp_steps) << c.file << " (oggp)";
     EXPECT_EQ(oggp.cost(c.beta), c.oggp_cost) << c.file << " (oggp)";
     validate_schedule(g, oggp, clamp_k(g, c.k));
@@ -90,10 +102,11 @@ TEST(GoldenMakespans, OggpNeverWorseThanGgpOnCorpus) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, GoldenMakespans,
-                         ::testing::Values(MatchingEngine::kCold,
-                                           MatchingEngine::kWarm),
-                         [](const ::testing::TestParamInfo<MatchingEngine>& i) {
-                           return engine_name(i.param);
+                         ::testing::Values(SolvePath::kOracle,
+                                           SolvePath::kProduction),
+                         [](const ::testing::TestParamInfo<SolvePath>& i) {
+                           return i.param == SolvePath::kOracle ? "cold"
+                                                                : "warm";
                          });
 
 }  // namespace

@@ -182,7 +182,7 @@ TEST(Introspect, FullStackDoesNotChangeSchedules) {
     config.max_weight = 20;
     return random_bipartite(rng, config);
   }();
-  const SolverOptions options{4, 1, Algorithm::kOGGP, MatchingEngine::kWarm};
+  const SolverOptions options{4, 1, Algorithm::kOGGP};
   const Schedule plain = solve_kpbs(g, options).schedule;
 
   Schedule instrumented;

@@ -56,7 +56,7 @@ RobustnessOptions fast_robustness() {
   r.enabled = true;
   r.io_timeout_ms = 500;
   r.max_reschedules = 3;
-  r.resolve = SolverOptions{2, 1, Algorithm::kOGGP, MatchingEngine::kWarm};
+  r.resolve = SolverOptions{2, 1, Algorithm::kOGGP};
   r.connect_retry.base_delay_ms = 1;
   r.connect_retry.max_delay_ms = 4;
   r.attempt_backoff.base_delay_ms = 1;

@@ -1,4 +1,4 @@
-// rpc.v1 over real loopback sockets: the Hello/HelloAck version handshake,
+// rpc.v2 over real loopback sockets: the Hello/HelloAck version handshake,
 // typed solve round-trips through ClientSession, first-class error
 // responses (bad requests, version mismatches) that keep the connection
 // usable, and the remote shutdown frame. Codec domain validation is also
@@ -36,20 +36,14 @@ rpc::SolveRequest small_request(std::uint64_t request_id) {
   return req;
 }
 
-TEST(Rpc, AlgorithmAndEngineCodesRoundTrip) {
+TEST(Rpc, AlgorithmCodesRoundTrip) {
   for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP,
                                Algorithm::kGGPMaxWeight}) {
-    for (const MatchingEngine engine :
-         {MatchingEngine::kCold, MatchingEngine::kWarm}) {
-      rpc::SolveRequest req = small_request(7);
-      req.algorithm = algo;
-      req.engine = engine;
-      std::vector<char> wire;
-      rpc::encode_solve_request(wire, req);
-      const rpc::SolveRequest parsed = rpc::decode_solve_request(wire);
-      EXPECT_EQ(parsed.algorithm, algo);
-      EXPECT_EQ(parsed.engine, engine);
-    }
+    rpc::SolveRequest req = small_request(7);
+    req.algorithm = algo;
+    std::vector<char> wire;
+    rpc::encode_solve_request(wire, req);
+    EXPECT_EQ(rpc::decode_solve_request(wire).algorithm, algo);
   }
 }
 
@@ -133,19 +127,26 @@ TEST(Rpc, HandshakeAndSolveRoundTripOverSocket) {
 
 TEST(Rpc, VersionMismatchAnswersTypedErrorAtConnectTime) {
   service::SchedulerService daemon;
-  TcpStream stream = TcpStream::connect_loopback(daemon.port());
-  stream.set_io_timeout_ms(5000);
+  // Version 1 carried a matching-engine byte in every solve request; a v1
+  // client must be turned away, as must one from the future.
+  ASSERT_EQ(rpc::kRpcProtocolVersion, 2u);
+  for (const std::uint32_t version : {1u, rpc::kRpcProtocolVersion + 41}) {
+    TcpStream stream = TcpStream::connect_loopback(daemon.port());
+    stream.set_io_timeout_ms(5000);
 
-  std::vector<char> hello;
-  rpc::encode_hello(hello, rpc::kRpcProtocolVersion + 41);
-  send_message(stream, static_cast<std::uint32_t>(rpc::RpcTag::kHello),
-               hello.data(), hello.size());
+    std::vector<char> hello;
+    rpc::encode_hello(hello, version);
+    send_message(stream, static_cast<std::uint32_t>(rpc::RpcTag::kHello),
+                 hello.data(), hello.size());
 
-  std::vector<char> payload;
-  const std::uint32_t tag = recv_message(stream, payload);
-  ASSERT_EQ(tag, static_cast<std::uint32_t>(rpc::RpcTag::kError));
-  const rpc::ErrorResponse err = rpc::decode_error_response(payload);
-  EXPECT_EQ(err.code, rpc::RpcErrorCode::kVersionMismatch);
+    std::vector<char> payload;
+    const std::uint32_t tag = recv_message(stream, payload);
+    ASSERT_EQ(tag, static_cast<std::uint32_t>(rpc::RpcTag::kError))
+        << "version " << version;
+    const rpc::ErrorResponse err = rpc::decode_error_response(payload);
+    EXPECT_EQ(err.code, rpc::RpcErrorCode::kVersionMismatch)
+        << "version " << version;
+  }
   daemon.stop();
 }
 

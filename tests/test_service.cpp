@@ -83,8 +83,7 @@ TEST(SolveCacheTest, ExactHitIsBitIdenticalToTheOriginalSolve) {
   // Ground truth: the daemon's answer must equal a direct library solve of
   // the same instance, byte for byte.
   const SolveResult direct =
-      solve_kpbs(graph_of_request(req),
-                 {req.k, req.beta, req.algorithm, req.engine});
+      solve_kpbs(graph_of_request(req), {req.k, req.beta, req.algorithm});
   EXPECT_EQ(cold.schedule_text, schedule_to_string(direct.schedule));
   EXPECT_EQ(cold.lb_min_steps, direct.lower_bound.min_steps);
   EXPECT_EQ(cold.lb_num, direct.lower_bound.min_transmission.num());
@@ -129,7 +128,7 @@ TEST(SolveCacheTest, FingerprintSeparatesShapeFromWeights) {
   TrafficMatrix m(3, 3);
   m.add(0, 1, 100);
   m.add(2, 0, 50);
-  const SolverOptions options{4, 1, Algorithm::kOGGP, MatchingEngine::kWarm};
+  const SolverOptions options{4, 1, Algorithm::kOGGP};
 
   TrafficMatrix drifted(3, 3);
   drifted.add(0, 1, 120);  // same positions, different volumes
@@ -193,8 +192,7 @@ TEST(SolveCacheTest, WarmNearMissMatchesColdSolveOnGoldenCorpus) {
 
     const BipartiteGraph drifted_graph = graph_of_request(drifted);
     const SolveResult cold = solve_kpbs(
-        drifted_graph,
-        {drifted.k, drifted.beta, drifted.algorithm, drifted.engine});
+        drifted_graph, {drifted.k, drifted.beta, drifted.algorithm});
     EXPECT_EQ(warm.schedule_text, schedule_to_string(cold.schedule)) << file;
 
     const Schedule schedule = schedule_from_string(warm.schedule_text);
@@ -229,7 +227,7 @@ TEST(SolveCacheTest, WarmNearMissMatchesColdSolveOnGoldenCorpus) {
 }
 
 TEST(SolveCacheTest, LfuEvictionDropsTheColdestEntry) {
-  const SolverOptions options{2, 1, Algorithm::kOGGP, MatchingEngine::kWarm};
+  const SolverOptions options{2, 1, Algorithm::kOGGP};
   // Three single-entry instances with distinct *positions* (distinct
   // shapes), so lookups of an evicted one report a clean miss.
   TrafficMatrix m1(4, 4), m2(4, 4), m3(4, 4);
@@ -262,7 +260,7 @@ TEST(SolveCacheTest, LfuEvictionDropsTheColdestEntry) {
 }
 
 TEST(SolveCacheTest, NearMissPrefersTheNearestShapeSibling) {
-  const SolverOptions options{2, 1, Algorithm::kOGGP, MatchingEngine::kWarm};
+  const SolverOptions options{2, 1, Algorithm::kOGGP};
   TrafficMatrix base(3, 3);
   base.add(0, 0, 100);
   base.add(1, 2, 100);

@@ -1,8 +1,8 @@
 // Tests for the unified SolverOptions/SolveResult surface (kpbs/options):
 // SolveResult's derived fields against their first-principles definitions,
-// equivalence of the deprecated positional overload with the new one, the
-// shared --algo/--engine parsers, and the single flag surface used by the
-// CLI and benchmarks.
+// agreement with the test oracle through the options surface, the shared
+// --algo parser, and the single flag surface used by the CLI and
+// benchmarks.
 #include "kpbs/options.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "common/rng.hpp"
 #include "kpbs/lower_bound.hpp"
 #include "kpbs/solver.hpp"
+#include "oracle/bottleneck_oracle.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {
@@ -47,12 +48,12 @@ TEST(SolverOptions, DefaultsAreWarmOggp) {
   EXPECT_EQ(options.k, 1);
   EXPECT_EQ(options.beta, 1);
   EXPECT_EQ(options.algorithm, Algorithm::kOGGP);
-  EXPECT_EQ(options.engine, MatchingEngine::kWarm);
+  EXPECT_EQ(options.warm_seed, nullptr);
 }
 
 TEST(SolverOptions, SolveResultFieldsMatchFirstPrinciples) {
   const BipartiteGraph g = demo_graph();
-  const SolverOptions options{2, 3, Algorithm::kOGGP, MatchingEngine::kWarm};
+  const SolverOptions options{2, 3, Algorithm::kOGGP};
   const SolveResult result = solve_kpbs(g, options);
   validate_schedule(g, result.schedule, options.k);
 
@@ -78,9 +79,9 @@ TEST(SolverOptions, EmptyDemandHasUnitRatio) {
 }
 
 // The positional overload is gone (deprecation window closed). This pins
-// what replaced the old equivalence check: the engine field of
-// SolverOptions is the only remaining axis the positional API ever
-// defaulted differently, and cold/warm stay bit-identical through it.
+// what replaced the old equivalence check: its (k, beta, algorithm)
+// arguments live in SolverOptions, and solving through them yields the
+// test oracle's schedule.
 TEST(SolverOptions, RemovedPositionalOverloadSemanticsLiveInOptions) {
   Rng rng(2026);
   RandomGraphConfig config;
@@ -92,11 +93,8 @@ TEST(SolverOptions, RemovedPositionalOverloadSemanticsLiveInOptions) {
     const BipartiteGraph g = random_bipartite(rng, config);
     const int k = static_cast<int>(rng.uniform_int(1, 6));
     for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
-      const Schedule cold =
-          solve_kpbs(g, {k, 1, algo, MatchingEngine::kCold}).schedule;
-      const Schedule warm =
-          solve_kpbs(g, {k, 1, algo, MatchingEngine::kWarm}).schedule;
-      expect_identical_schedules(cold, warm);
+      expect_identical_schedules(oracle::solve(g, k, 1, algo),
+                                 solve_kpbs(g, {k, 1, algo}).schedule);
     }
   }
 }
@@ -110,12 +108,12 @@ TEST(SolverOptions, WarmAndColdEnginesAgreeThroughOptions) {
   config.max_weight = 25;
   for (int trial = 0; trial < 25; ++trial) {
     const BipartiteGraph g = random_bipartite(rng, config);
-    SolverOptions options{3, 2, Algorithm::kOGGP, MatchingEngine::kWarm};
+    const SolverOptions options{3, 2, Algorithm::kOGGP};
     const SolveResult warm = solve_kpbs(g, options);
-    options.engine = MatchingEngine::kCold;
-    const SolveResult cold = solve_kpbs(g, options);
-    expect_identical_schedules(warm.schedule, cold.schedule);
-    EXPECT_DOUBLE_EQ(warm.evaluation_ratio, cold.evaluation_ratio);
+    const Schedule cold = oracle::solve(g, 3, 2, Algorithm::kOGGP);
+    expect_identical_schedules(warm.schedule, cold);
+    EXPECT_DOUBLE_EQ(warm.evaluation_ratio,
+                     evaluation_ratio(g, cold, options.k, options.beta));
   }
 }
 
@@ -129,15 +127,6 @@ TEST(SolverOptions, AlgorithmParserCoversTheCliVocabulary) {
   EXPECT_THROW(parse_algorithm("simulated-annealing"), Error);
 }
 
-TEST(SolverOptions, EngineParserRoundTripsNames) {
-  EXPECT_EQ(parse_matching_engine("cold"), MatchingEngine::kCold);
-  EXPECT_EQ(parse_matching_engine("warm"), MatchingEngine::kWarm);
-  for (const MatchingEngine e : {MatchingEngine::kCold, MatchingEngine::kWarm}) {
-    EXPECT_EQ(parse_matching_engine(engine_name(e)), e);
-  }
-  EXPECT_THROW(parse_matching_engine("lukewarm"), Error);
-}
-
 Flags make_flags(std::initializer_list<const char*> args) {
   std::vector<const char*> argv{"prog"};
   argv.insert(argv.end(), args.begin(), args.end());
@@ -146,23 +135,20 @@ Flags make_flags(std::initializer_list<const char*> args) {
 
 TEST(SolverOptions, FlagsFallBackToCallerDefaults) {
   Flags flags = make_flags({});
-  const SolverOptions defaults{4, 2, Algorithm::kGGP, MatchingEngine::kCold};
+  const SolverOptions defaults{4, 2, Algorithm::kGGP};
   const SolverOptions parsed = solver_options_from_flags(flags, defaults);
   EXPECT_EQ(parsed.k, 4);
   EXPECT_EQ(parsed.beta, 2);
   EXPECT_EQ(parsed.algorithm, Algorithm::kGGP);
-  EXPECT_EQ(parsed.engine, MatchingEngine::kCold);
 }
 
 TEST(SolverOptions, FlagsOverrideEveryField) {
-  Flags flags = make_flags(
-      {"--k=7", "--beta=5", "--algo=ggp-mw", "--engine=warm"});
+  Flags flags = make_flags({"--k=7", "--beta=5", "--algo=ggp-mw"});
   const SolverOptions parsed = solver_options_from_flags(
-      flags, SolverOptions{1, 1, Algorithm::kGGP, MatchingEngine::kCold});
+      flags, SolverOptions{1, 1, Algorithm::kGGP});
   EXPECT_EQ(parsed.k, 7);
   EXPECT_EQ(parsed.beta, 5);
   EXPECT_EQ(parsed.algorithm, Algorithm::kGGPMaxWeight);
-  EXPECT_EQ(parsed.engine, MatchingEngine::kWarm);
 }
 
 TEST(SolverOptions, FlagsRejectUnknownAlgorithm) {

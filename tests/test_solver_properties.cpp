@@ -135,26 +135,22 @@ TEST(SolverProperties, StepCountWithinPeelingBound) {
     const std::size_t bound = reg.graph.alive_edge_count();
 
     for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
-      for (const MatchingEngine engine :
-           {MatchingEngine::kCold, MatchingEngine::kWarm}) {
-        const Schedule s = solve_kpbs(g, {k, beta, algo, engine}).schedule;
-        ASSERT_LE(s.step_count(), bound)
-            << algorithm_name(algo) << "/" << engine_name(engine)
-            << " trial=" << trial << " k=" << k << " beta=" << beta;
-        if (beta > 0) {
-          const LowerBound lb = kpbs_lower_bound(g, k, beta);
-          ASSERT_LE(Rational(static_cast<Weight>(s.step_count()) * beta),
-                    Rational(2) * lb.value())
-              << algorithm_name(algo) << " trial=" << trial;
-        }
+      const Schedule s = solve_kpbs(g, {k, beta, algo}).schedule;
+      ASSERT_LE(s.step_count(), bound)
+          << algorithm_name(algo) << " trial=" << trial << " k=" << k
+          << " beta=" << beta;
+      if (beta > 0) {
+        const LowerBound lb = kpbs_lower_bound(g, k, beta);
+        ASSERT_LE(Rational(static_cast<Weight>(s.step_count()) * beta),
+                  Rational(2) * lb.value())
+            << algorithm_name(algo) << " trial=" << trial;
       }
     }
   }
 }
 
 // The paper's bounds hold per instance, not per distribution — so every
-// adversarial family in the scenario matrix must satisfy them too, on both
-// matching engines. Sizes are scaled down hard; the full-size instances run
+// adversarial family in the scenario matrix must satisfy them too. Sizes are scaled down hard; the full-size instances run
 // in tools/redist_sweep.
 class ScenarioFamilyProperties
     : public ::testing::TestWithParam<const char*> {};
@@ -171,25 +167,21 @@ TEST_P(ScenarioFamilyProperties, TwoApproximationHoldsAcrossTheFamily) {
     if (w.demand.alive_edge_count() == 0) continue;
     const LowerBound lb = kpbs_lower_bound(w.demand, spec.k, spec.beta);
     for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
-      for (const MatchingEngine engine :
-           {MatchingEngine::kCold, MatchingEngine::kWarm}) {
-        const Schedule s =
-            solve_kpbs(w.demand, {spec.k, spec.beta, algo, engine}).schedule;
-        ASSERT_NO_THROW(
-            validate_schedule(w.demand, s, clamp_k(w.demand, spec.k)))
-            << spec.name << "/" << algorithm_name(algo) << "/"
-            << engine_name(engine) << " trial=" << trial;
-        const Rational cost(s.cost(spec.beta));
-        ASSERT_LE(cost, Rational(2) * lb.value())
-            << spec.name << "/" << algorithm_name(algo)
-            << " cost=" << s.cost(spec.beta) << " trial=" << trial;
-        ASSERT_GE(cost, lb.value()) << spec.name << " trial=" << trial;
-        ASSERT_LE(s.max_step_width(),
-                  static_cast<std::size_t>(clamp_k(w.demand, spec.k)))
-            << spec.name << " trial=" << trial;
-        ASSERT_EQ(s.total_amount(), w.demand.total_weight())
-            << spec.name << " trial=" << trial;
-      }
+      const Schedule s =
+          solve_kpbs(w.demand, {spec.k, spec.beta, algo}).schedule;
+      ASSERT_NO_THROW(
+          validate_schedule(w.demand, s, clamp_k(w.demand, spec.k)))
+          << spec.name << "/" << algorithm_name(algo) << " trial=" << trial;
+      const Rational cost(s.cost(spec.beta));
+      ASSERT_LE(cost, Rational(2) * lb.value())
+          << spec.name << "/" << algorithm_name(algo)
+          << " cost=" << s.cost(spec.beta) << " trial=" << trial;
+      ASSERT_GE(cost, lb.value()) << spec.name << " trial=" << trial;
+      ASSERT_LE(s.max_step_width(),
+                static_cast<std::size_t>(clamp_k(w.demand, spec.k)))
+          << spec.name << " trial=" << trial;
+      ASSERT_EQ(s.total_amount(), w.demand.total_weight())
+          << spec.name << " trial=" << trial;
     }
   }
 }

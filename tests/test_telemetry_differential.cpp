@@ -1,6 +1,6 @@
 // Telemetry must be observation-only: installing a metrics registry and a
-// trace session cannot change a single byte of any schedule, for either
-// matching engine or any algorithm. This pins the "differential" half of
+// trace session cannot change a single byte of any schedule, for any
+// algorithm. This pins the "differential" half of
 // the observability contract (docs/OBSERVABILITY.md); the exporters are
 // covered by test_obs_metrics / test_obs_trace.
 #include <gtest/gtest.h>
@@ -49,22 +49,18 @@ void expect_identical(const Schedule& a, const Schedule& b,
 TEST(TelemetryDifferential, MetricsAndTracingDoNotChangeSchedules) {
   for (const Algorithm algo :
        {Algorithm::kGGP, Algorithm::kOGGP, Algorithm::kGGPMaxWeight}) {
-    for (const MatchingEngine engine :
-         {MatchingEngine::kCold, MatchingEngine::kWarm}) {
-      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-        const BipartiteGraph g = instance(seed);
-        const Schedule plain = solve_kpbs(g, {5, 2, algo, engine}).schedule;
-        Schedule instrumented;
-        {
-          obs::MetricsRegistry registry;
-          obs::TraceSession session;
-          obs::ScopedTelemetry scoped(&registry, &session);
-          instrumented = solve_kpbs(g, {5, 2, algo, engine}).schedule;
-        }
-        expect_identical(plain, instrumented,
-                         algorithm_name(algo) + "/" + engine_name(engine) +
-                             " seed " + std::to_string(seed));
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const BipartiteGraph g = instance(seed);
+      const Schedule plain = solve_kpbs(g, {5, 2, algo}).schedule;
+      Schedule instrumented;
+      {
+        obs::MetricsRegistry registry;
+        obs::TraceSession session;
+        obs::ScopedTelemetry scoped(&registry, &session);
+        instrumented = solve_kpbs(g, {5, 2, algo}).schedule;
       }
+      expect_identical(plain, instrumented,
+                       algorithm_name(algo) + " seed " + std::to_string(seed));
     }
   }
 }
@@ -75,10 +71,9 @@ TEST(TelemetryDifferential, WarmOggpRecordsExpectedInstruments) {
   obs::TraceSession session;
   {
     obs::ScopedTelemetry scoped(&registry, &session);
-    solve_kpbs(g, {5, 1, Algorithm::kOGGP, MatchingEngine::kWarm}).schedule;
+    solve_kpbs(g, {5, 1, Algorithm::kOGGP}).schedule;
   }
   EXPECT_EQ(registry.counter("kpbs.solve.count").value(), 1u);
-  EXPECT_EQ(registry.counter("kpbs.solve.engine_warm").value(), 1u);
   EXPECT_EQ(registry.counter("regularize.calls").value(), 1u);
   EXPECT_GT(registry.counter("wrgp.steps").value(), 0u);
   EXPECT_GT(registry.counter("bottleneck.probes").value(), 0u);
@@ -102,28 +97,12 @@ TEST(TelemetryDifferential, WarmOggpRecordsExpectedInstruments) {
   }
 }
 
-TEST(TelemetryDifferential, ColdOggpRecordsProbesWithoutWarmInstruments) {
-  const BipartiteGraph g = instance(9);
-  obs::MetricsRegistry registry;
-  {
-    obs::ScopedTelemetry scoped(&registry, nullptr);
-    solve_kpbs(g, {5, 1, Algorithm::kOGGP, MatchingEngine::kCold}).schedule;
-  }
-  EXPECT_EQ(registry.counter("kpbs.solve.engine_cold").value(), 1u);
-  EXPECT_GT(registry.counter("bottleneck.probes").value(), 0u);
-  EXPECT_EQ(registry.counter("warm.ledger.hits").value(), 0u);
-  EXPECT_EQ(registry.counter("warm.ledger.misses").value(), 0u);
-  EXPECT_EQ(registry.counter("warm.seed.hits").value(), 0u);
-  EXPECT_EQ(registry.counter("warm.seed.misses").value(), 0u);
-}
-
 TEST(TelemetryDifferential, BatchWithTelemetryMatchesSequentialPlain) {
   std::vector<KpbsRequest> requests;
   for (std::uint64_t seed = 11; seed <= 14; ++seed) {
     KpbsRequest request;
     request.demand = instance(seed);
-    request.options = SolverOptions{4, 1, Algorithm::kOGGP,
-                                    MatchingEngine::kWarm};
+    request.options = SolverOptions{4, 1, Algorithm::kOGGP};
     requests.push_back(std::move(request));
   }
   std::vector<Schedule> plain;

@@ -4,6 +4,7 @@
 
 #include "common/rng.hpp"
 #include "matching/hungarian.hpp"
+#include "oracle/bottleneck_oracle.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {
@@ -12,19 +13,19 @@ namespace {
 TEST(Wrgp, RejectsUnequalSides) {
   BipartiteGraph g(1, 2);
   g.add_edge(0, 0, 1);
-  EXPECT_THROW(wrgp_peel(g, arbitrary_perfect_matching), Error);
+  EXPECT_THROW(wrgp_peel(g, oracle::arbitrary_perfect_matching), Error);
 }
 
 TEST(Wrgp, RejectsIrregularGraph) {
   BipartiteGraph g(2, 2);
   g.add_edge(0, 0, 3);
   g.add_edge(1, 1, 4);
-  EXPECT_THROW(wrgp_peel(g, arbitrary_perfect_matching), Error);
+  EXPECT_THROW(wrgp_peel(g, oracle::arbitrary_perfect_matching), Error);
 }
 
 TEST(Wrgp, EmptyGraphPeelsToNothing) {
   BipartiteGraph g(0, 0);
-  EXPECT_TRUE(wrgp_peel(g, arbitrary_perfect_matching).empty());
+  EXPECT_TRUE(wrgp_peel(g, oracle::arbitrary_perfect_matching).empty());
 }
 
 TEST(Wrgp, SinglePermutationPeelsInOneStep) {
@@ -32,7 +33,7 @@ TEST(Wrgp, SinglePermutationPeelsInOneStep) {
   g.add_edge(0, 1, 5);
   g.add_edge(1, 2, 5);
   g.add_edge(2, 0, 5);
-  const auto steps = wrgp_peel(g, arbitrary_perfect_matching);
+  const auto steps = wrgp_peel(g, oracle::arbitrary_perfect_matching);
   ASSERT_EQ(steps.size(), 1u);
   EXPECT_EQ(steps[0].amount, 5);
   EXPECT_EQ(steps[0].matching.size(), 3u);
@@ -47,7 +48,7 @@ TEST(Wrgp, PaperFigureFourShape) {
   g.add_edge(1, 1, 3);
   g.add_edge(0, 1, 7);
   g.add_edge(1, 0, 7);
-  const auto steps = wrgp_peel(g, arbitrary_perfect_matching);
+  const auto steps = wrgp_peel(g, oracle::arbitrary_perfect_matching);
   ASSERT_EQ(steps.size(), 2u);
   Weight total = 0;
   for (const auto& s : steps) total += s.amount;
@@ -63,7 +64,7 @@ TEST(Wrgp, PreemptionSplitsUnevenEdges) {
   g.add_edge(0, 1, 3);
   g.add_edge(1, 0, 3);
   g.add_edge(1, 1, 5);
-  const auto steps = wrgp_peel(g, arbitrary_perfect_matching);
+  const auto steps = wrgp_peel(g, oracle::arbitrary_perfect_matching);
   EXPECT_TRUE(g.empty());
   Weight total = 0;
   for (const auto& s : steps) total += s.amount;
@@ -86,7 +87,7 @@ TEST_P(WrgpRandom, PeelsRegularGraphsCompletely) {
     ASSERT_TRUE(g.is_weight_regular(&c));
     const EdgeId m_before = g.alive_edge_count();
 
-    const auto steps = wrgp_peel(g, arbitrary_perfect_matching);
+    const auto steps = wrgp_peel(g, oracle::arbitrary_perfect_matching);
     EXPECT_TRUE(g.empty());
     // Step amounts sum to the regular weight (each node busy every step).
     Weight total = 0;
@@ -109,8 +110,8 @@ TEST_P(WrgpRandom, BottleneckStrategyNeverMoreStepsOnPermutationStacks) {
     const NodeId n = static_cast<NodeId>(rng.uniform_int(3, 10));
     BipartiteGraph g1 = random_weight_regular(rng, n, 3, 1, 20);
     BipartiteGraph g2 = g1;  // deep copy
-    const auto arbitrary = wrgp_peel(g1, arbitrary_perfect_matching);
-    const auto bottleneck = wrgp_peel(g2, bottleneck_perfect_matching);
+    const auto arbitrary = wrgp_peel(g1, oracle::arbitrary_perfect_matching);
+    const auto bottleneck = wrgp_peel(g2, oracle::bottleneck_perfect_matching);
     Weight ta = 0;
     Weight tb = 0;
     for (const auto& s : arbitrary) ta += s.amount;
@@ -127,8 +128,8 @@ TEST(Wrgp, AllThreeStrategiesPeelTheSameRegularGraph) {
   Weight c = 0;
   ASSERT_TRUE(base.is_weight_regular(&c));
   for (const PerfectMatchingStrategy& strategy :
-       {PerfectMatchingStrategy(arbitrary_perfect_matching),
-        PerfectMatchingStrategy(bottleneck_perfect_matching),
+       {PerfectMatchingStrategy(oracle::arbitrary_perfect_matching),
+        PerfectMatchingStrategy(oracle::bottleneck_perfect_matching),
         PerfectMatchingStrategy(max_weight_perfect_matching)}) {
     BipartiteGraph g = base;
     const auto steps = wrgp_peel(g, strategy);

@@ -5,15 +5,12 @@
 //             [--min-weight=1] [--max-weight=20]
 //       Writes a random instance in the graph text format.
 //   solve     --in=FILE [--k=4] [--beta=1] [--algo=oggp|ggp|ggp-mw]
-//             [--engine=warm|cold] [--out=FILE] [--quiet]
-//             [--metrics-out=FILE] [--trace-out=FILE]
+//             [--out=FILE] [--quiet] [--metrics-out=FILE] [--trace-out=FILE]
 //       Solves K-PBS, validates the result, prints schedule + stats, and
-//       optionally writes the schedule in the schedule text format. The
-//       warm engine (default) reuses matching state across peeling steps;
-//       both engines emit identical schedules (see docs/PERF.md).
+//       optionally writes the schedule in the schedule text format.
 //   batch     --in=FILE[,FILE...] [--k=4] [--beta=1] [--algo=oggp]
-//             [--engine=warm|cold] [--threads=0] [--repeat=1]
-//             [--metrics-out=FILE] [--trace-out=FILE]
+//             [--threads=0] [--repeat=1] [--metrics-out=FILE]
+//             [--trace-out=FILE]
 //       Solves every instance concurrently on a worker pool (0 threads =
 //       hardware concurrency) and prints a per-instance summary table plus
 //       aggregate throughput.
@@ -53,7 +50,7 @@
 //             [--port-file=FILE] [--journal-out=FILE]
 //             [--journal-capacity=8192]
 //       Runs the long-lived scheduler daemon (service/scheduler_service):
-//       accepts rpc.v1 solve requests on an ephemeral loopback port,
+//       accepts rpc.v2 solve requests on an ephemeral loopback port,
 //       answers from the fingerprint-keyed warm solve cache, and enforces
 //       lock-free token-bucket admission. --linger-ms=0 (default) runs
 //       until a client sends the rpc shutdown frame; positive values bound
@@ -62,9 +59,8 @@
 //       so wrapper scripts never race a half-written file. See
 //       docs/SERVICE.md.
 //   submit    --port=P --in=FILE[,FILE...] [--repeat=1] [--k=4] [--beta=1]
-//             [--algo=oggp] [--engine=warm|cold] [--timeout-ms=5000]
-//             [--shutdown] [--quiet]
-//       Submits graphs to a live daemon over rpc.v1 (one connection, one
+//             [--algo=oggp] [--timeout-ms=5000] [--shutdown] [--quiet]
+//       Submits graphs to a live daemon over rpc.v2 (one connection, one
 //       request per graph per repeat) and prints each response's cache
 //       provenance (cold | cache_hit | warm_near_miss), service time and
 //       quality ratio. --shutdown sends the shutdown frame after the last
@@ -87,11 +83,10 @@ namespace {
 
 using namespace redist;
 
-// All solver subcommands share the --k/--beta/--algo/--engine surface via
+// All solver subcommands share the --k/--beta/--algo surface via
 // solver_options_from_flags (kpbs/options.hpp); the CLI's historical
 // defaults differ from the library's only in k.
-const SolverOptions kCliDefaults{4, 1, Algorithm::kOGGP,
-                                 MatchingEngine::kWarm};
+const SolverOptions kCliDefaults{4, 1, Algorithm::kOGGP};
 
 std::vector<std::string> split_list(const std::string& value) {
   std::vector<std::string> parts;
@@ -250,9 +245,8 @@ int cmd_batch(Flags& flags) {
                      Table::fmt(results[i].solve_ms, 3)});
   }
   summary.print(std::cout);
-  std::cout << algorithm_name(solver.algorithm) << "/"
-            << engine_name(solver.engine) << ": "
-            << results.size() << " instances in "
+  std::cout << algorithm_name(solver.algorithm) << ": " << results.size()
+            << " instances in "
             << Table::fmt(seconds * 1e3, 2) << " ms ("
             << Table::fmt(static_cast<double>(results.size()) /
                               std::max(seconds, 1e-9),
@@ -584,7 +578,7 @@ int cmd_submit(Flags& flags) {
   const std::vector<std::string> paths = split_list(in);
   if (paths.empty()) throw Error("submit requires at least one graph file");
 
-  // One rpc.v1 request per graph, reused across repeats: repeats after the
+  // One rpc.v2 request per graph, reused across repeats: repeats after the
   // first should come back as cache hits, which is the whole point.
   std::vector<rpc::SolveRequest> requests;
   requests.reserve(paths.size());
@@ -594,7 +588,6 @@ int cmd_submit(Flags& flags) {
     request.k = solver.k;
     request.beta = solver.beta;
     request.algorithm = solver.algorithm;
-    request.engine = solver.engine;
     request.senders = g.left_count();
     request.receivers = g.right_count();
     for (EdgeId e = 0; e < g.edge_count(); ++e) {

@@ -122,9 +122,8 @@ AlgoRow run_algorithm(const std::string& name, const ScenarioSpec& spec,
       if (preemptive) {
         const Algorithm algo =
             name == "GGP" ? Algorithm::kGGP : Algorithm::kOGGP;
-        schedule = solve_kpbs(pool[i].demand,
-                              {spec.k, spec.beta, algo, MatchingEngine::kWarm})
-                       .schedule;
+        schedule =
+            solve_kpbs(pool[i].demand, {spec.k, spec.beta, algo}).schedule;
       } else {
         schedule = list_schedule(pool[i].demand, spec.k);
       }
@@ -158,9 +157,7 @@ NetsimRow run_netsim(const ScenarioSpec& spec, const ScenarioWorkload& w) {
       static_cast<double>(spec.k) * t_bps,
       static_cast<double>(spec.beta), w.t1_scale, w.t2_scale);
   const Schedule schedule =
-      solve_kpbs(w.demand,
-                 {spec.k, spec.beta, Algorithm::kOGGP, MatchingEngine::kWarm})
-          .schedule;
+      solve_kpbs(w.demand, {spec.k, spec.beta, Algorithm::kOGGP}).schedule;
   row.scheduled_seconds =
       execute_schedule_heterogeneous(
           platform, w.traffic, schedule,
@@ -182,9 +179,7 @@ BatchRow run_batch(const ScenarioSpec& spec,
   for (const ScenarioWorkload& w : pool) {
     KpbsRequest request;
     request.demand = w.demand;
-    request.options =
-        SolverOptions{spec.k, spec.beta, Algorithm::kOGGP,
-                      MatchingEngine::kWarm};
+    request.options = SolverOptions{spec.k, spec.beta, Algorithm::kOGGP};
     requests.push_back(std::move(request));
   }
   BatchOptions sequential;
@@ -221,9 +216,7 @@ RobustRow run_fault_storm(const ScenarioSpec& spec,
   config.burst_bytes = 8192;
   const double bytes_per_unit = static_cast<double>(spec.bytes_per_unit);
   const Schedule schedule =
-      solve_kpbs(w.demand,
-                 {spec.k, spec.beta, Algorithm::kOGGP, MatchingEngine::kWarm})
-          .schedule;
+      solve_kpbs(w.demand, {spec.k, spec.beta, Algorithm::kOGGP}).schedule;
 
   const SocketRunResult clean =
       socket_scheduled(config, w.traffic, schedule, bytes_per_unit);
@@ -232,9 +225,7 @@ RobustRow run_fault_storm(const ScenarioSpec& spec,
   robustness.enabled = true;
   robustness.io_timeout_ms = 500;
   robustness.max_reschedules = 3;
-  robustness.resolve =
-      SolverOptions{spec.k, spec.beta, Algorithm::kOGGP,
-                    MatchingEngine::kWarm};
+  robustness.resolve = SolverOptions{spec.k, spec.beta, Algorithm::kOGGP};
   robustness.connect_retry.base_delay_ms = 1;
   robustness.connect_retry.max_delay_ms = 4;
   robustness.attempt_backoff.base_delay_ms = 1;
