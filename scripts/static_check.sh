@@ -2,14 +2,14 @@
 # Single entry point for every static gate (docs/STATIC_ANALYSIS.md).
 #
 #   scripts/static_check.sh               # run all stages, skip missing tools
-#   scripts/static_check.sh lint tidy     # run named stages, fail if missing
+#   scripts/static_check.sh analyze tidy  # run named stages, fail if missing
 #
 # Stages:
-#   lint           build + run tools/redist_lint over src/ tools/ bench/
 #   analyze        build + run tools/redist_analyze over every TU in the
 #                  build's compile_commands.json, against the contract
 #                  baseline (determinism/purity reachability, layering
-#                  DAG, contract drift, deprecated APIs)
+#                  DAG, contract drift, lock order, and the per-file lint
+#                  rules over src/ tools/ bench/)
 #   thread-safety  clang -fsyntax-only -Werror=thread-safety over the
 #                  annotated dirs (src/runtime, src/obs, src/mpilite,
 #                  src/robust)
@@ -25,7 +25,7 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="${BUILD_DIR:-${ROOT}/build}"
-ALL_STAGES=(lint analyze thread-safety tidy cppcheck scan-build format)
+ALL_STAGES=(analyze thread-safety tidy cppcheck scan-build format)
 STRICT=1
 FAILED=0
 
@@ -71,14 +71,6 @@ ensure_compile_commands() {
     note "  cmake -S ${ROOT} -B ${BUILD_DIR}"
     exit 1
   fi
-}
-
-stage_lint() {
-  command -v cmake >/dev/null || { missing_tool cmake; return; }
-  ensure_build
-  cmake --build "${BUILD_DIR}" --target redist_lint -j >/dev/null
-  "${BUILD_DIR}/tools/redist_lint" --root="${ROOT}" src tools bench
-  note "ok: redist_lint clean"
 }
 
 stage_analyze() {
@@ -143,7 +135,6 @@ stage_format() {
 
 for stage in "$@"; do
   case "${stage}" in
-    lint) stage_lint ;;
     analyze) stage_analyze ;;
     thread-safety) stage_thread_safety ;;
     tidy) stage_tidy ;;

@@ -89,7 +89,7 @@ double Rng::normal(double mean, double stddev) {
     s = u * u + v * v;
     // Marsaglia polar rejection: s == 0.0 is the exact degenerate sample
     // (log(0) below), not a tolerance question.
-    // redist-lint: allow(float-eq)
+    // redist-analyze: allow(float-eq) exact degenerate sample
   } while (s >= 1.0 || s == 0.0);
   const double factor = std::sqrt(-2.0 * std::log(s) / s);
   cached_normal_ = v * factor;

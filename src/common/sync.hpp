@@ -239,7 +239,7 @@ class REDIST_CAPABILITY("mutex") Mutex {
  private:
   // The one std::mutex the mutex-guard lint rule permits: this is the
   // annotated wrapper itself.
-  std::mutex mu_;  // redist-lint: allow(mutex-guard) annotation wrapper
+  std::mutex mu_;  // redist-analyze: allow(mutex-guard) annotation wrapper
 #if REDIST_LOCK_RANK_CHECKS
   const int rank_ = 0;  // 0 = unranked: tracked but never order-checked
 #endif
@@ -296,7 +296,7 @@ class CondVar {
  private:
   // Permitted raw member: the wrapper that makes condvars annotation-aware.
   std::condition_variable_any
-      cv_;  // redist-lint: allow(mutex-guard) annotation wrapper
+      cv_;  // redist-analyze: allow(mutex-guard) annotation wrapper
 };
 
 }  // namespace redist

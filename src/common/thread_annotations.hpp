@@ -13,8 +13,8 @@
 // The analysis only understands annotated mutex types, so lock-protected
 // code uses the redist::Mutex / MutexLock / CondVar wrappers from
 // common/sync.hpp rather than std::mutex directly — a rule enforced by
-// tools/redist_lint (mutex-guard). Conventions are documented in
-// docs/STATIC_ANALYSIS.md.
+// the mutex-guard rule of tools/redist_analyze. Conventions are documented
+// in docs/STATIC_ANALYSIS.md.
 //
 // Caveat worth knowing when reading annotated code: the analysis assumes
 // constructors and destructors run single-threaded, so member

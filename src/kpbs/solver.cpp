@@ -161,7 +161,7 @@ SolveResult solve_kpbs(const BipartiteGraph& demand,
   const double bound = result.lower_bound.value_double();
   // The lower bound is a ratio of exact integers; it is 0.0 only when the
   // integer numerator is zero, so exact comparison is the correct guard.
-  // redist-lint: allow(float-eq)
+  // redist-analyze: allow(float-eq) zero only for a zero numerator
   const bool zero_bound = bound == 0.0;
   result.evaluation_ratio =
       zero_bound
@@ -185,7 +185,7 @@ double evaluation_ratio(const Schedule& s, const LowerBound& lower_bound,
   const double bound = lower_bound.value_double();
   // The lower bound is a ratio of exact integers; it is 0.0 only when the
   // integer numerator is zero, so exact comparison is the correct guard.
-  // redist-lint: allow(float-eq)
+  // redist-analyze: allow(float-eq) zero only for a zero numerator
   if (bound == 0.0) return 1.0;
   return static_cast<double>(s.cost(beta)) / bound;
 }

@@ -74,7 +74,7 @@ class Mesh {
     // read side by the reader_active hand-off below (exactly one thread
     // reads the wire at a time, with recv_mutex released during the read).
     // That protocol spans two capabilities, which is beyond GUARDED_BY.
-    TcpStream stream;  // redist-lint: allow(mutex-guard) duplex protocol
+    TcpStream stream;  // redist-analyze: allow(mutex-guard) duplex protocol
     // send() holds the write token through the shaper (TokenBucket — now
     // lock-free, so no ordering edge) and the fault-injection seams,
     // hence the declared ordering.

@@ -165,7 +165,8 @@ class ThreadPool {
   std::deque<QueuedJob> queue_ REDIST_GUARDED_BY(pool_mutex_);
   // Written only by the constructor, joined only by the destructor (both
   // single-threaded by contract).
-  std::vector<std::thread> workers_;  // redist-lint: allow(mutex-guard)
+  // redist-analyze: allow(mutex-guard) touched only by the ctor and dtor
+  std::vector<std::thread> workers_;
   int active_ REDIST_GUARDED_BY(pool_mutex_) = 0;
   bool stopping_ REDIST_GUARDED_BY(pool_mutex_) = false;
 };

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <ctime>
 #include <map>
+#include <random>
 #include <unordered_map>
 #include <vector>
 
@@ -11,6 +13,18 @@ namespace {
 
 // MUST FIRE: reached from deterministic_entry, uses the C RNG.
 int noisy_helper() { return rand(); }
+
+// MUST FIRE: reached from deterministic_entry, reads the calendar clock.
+int stamp_helper() {
+  std::time_t now = 0;
+  std::tm parts{};
+  localtime_r(&now, &parts);
+  return parts.tm_hour;
+}
+
+// MUST FIRE: reached from deterministic_entry, a standard engine instead of
+// the seeded redist::Rng.
+int engine_helper() { return static_cast<int>(std::knuth_b(1)()); }
 
 int quiet_helper() { return 7; }
 
@@ -21,7 +35,9 @@ int pool_helper() { return rand(); }
 
 }  // namespace
 
-int deterministic_entry(int n) { return n + noisy_helper(); }
+int deterministic_entry(int n) {
+  return n + noisy_helper() + stamp_helper() + engine_helper();
+}
 
 int deterministic_guarded(int n) {
   return n + quiet_helper() + pool_helper();

@@ -1,8 +1,11 @@
 // Tests for tools/analyze: every rule is pinned by a must-fire and a
 // near-miss fixture under tests/analyze/<case>/ (each case is a miniature
 // repo root that load_closure walks), plus in-memory cases for drift,
-// rule filtering, and the golden report format.
+// rule filtering, the golden report format, and the per-file lint rules'
+// scoping, suppressions and lexer regressions.
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -45,8 +48,8 @@ bool mentions(const Finding& f, const std::string& needle) {
 TEST(Analyze, DeterminismReachabilityFiresThroughCallChain) {
   const auto r = analyze_fixture("det", {"src/kpbs/det.cpp"});
   const auto det = by_rule(r, "determinism");
-  ASSERT_EQ(det.size(), 3u) << redist::analyze::format_report(r.findings);
-  // All three sinks live in the .cpp; messages attribute root and chain.
+  ASSERT_EQ(det.size(), 5u) << redist::analyze::format_report(r.findings);
+  // All five sinks live in the .cpp; messages attribute root and chain.
   for (const auto& f : det) EXPECT_EQ(f.file, "src/kpbs/det.cpp");
 
   const auto rng = std::find_if(det.begin(), det.end(), [](const Finding& f) {
@@ -55,6 +58,14 @@ TEST(Analyze, DeterminismReachabilityFiresThroughCallChain) {
   ASSERT_NE(rng, det.end());
   EXPECT_TRUE(mentions(*rng, "noisy_helper"));
   EXPECT_TRUE(mentions(*rng, "deterministic_entry"));
+
+  // Both tools' sink tables, merged: a calendar-clock read and a standard
+  // engine fire the contract rule too, not just rand().
+  for (const char* sink : {"wall clock 'localtime_r'", "RNG 'knuth_b'"}) {
+    EXPECT_TRUE(std::any_of(det.begin(), det.end(), [&](const Finding& f) {
+      return mentions(f, sink);
+    })) << sink;
+  }
 
   EXPECT_TRUE(std::any_of(det.begin(), det.end(), [](const Finding& f) {
     return f.message.find("unordered-container iteration") !=
@@ -65,9 +76,14 @@ TEST(Analyze, DeterminismReachabilityFiresThroughCallChain) {
   }));
 
   // Near misses: the ALLOW_NONDET boundary, the unannotated helper, the
-  // std::map loop, stable_sort, and the integer comparator stay silent —
-  // so determinism is the only rule with findings at all.
-  EXPECT_EQ(r.findings.size(), det.size())
+  // std::map loop, stable_sort, and the integer comparator stay silent for
+  // determinism. The per-file rules see every sink token, reachable or
+  // not: all three rand() calls, the engine and the clock read.
+  const auto nondet = by_rule(r, "no-nondeterminism");
+  const auto clock = by_rule(r, "wallclock");
+  EXPECT_EQ(nondet.size(), 4u) << redist::analyze::format_report(nondet);
+  EXPECT_EQ(clock.size(), 1u) << redist::analyze::format_report(clock);
+  EXPECT_EQ(r.findings.size(), det.size() + nondet.size() + clock.size())
       << redist::analyze::format_report(r.findings);
 }
 
@@ -344,7 +360,7 @@ TEST(Analyze, RuleListingCoversEveryRule) {
   for (const auto& id : redist::analyze::rule_ids()) {
     EXPECT_FALSE(redist::analyze::rule_description(id).empty()) << id;
   }
-  EXPECT_EQ(redist::analyze::rule_ids().size(), 11u);
+  EXPECT_EQ(redist::analyze::rule_ids().size(), 16u);
 }
 
 TEST(Analyze, TusFromCompileCommandsStripsRootAndForeignEntries) {
@@ -353,6 +369,20 @@ TEST(Analyze, TusFromCompileCommandsStripsRootAndForeignEntries) {
   const std::vector<std::string> expected = {"src/kpbs/det.cpp",
                                              "tools/analyze/core.cpp"};
   EXPECT_EQ(tus, expected);
+}
+
+TEST(Analyze, TusFromCompileCommandsAcceptsRelativeRoot) {
+  // CMake writes absolute paths; the documented `--root=.` must match them.
+  const std::string db =
+      ::testing::TempDir() + "/relative_root_compile_commands.json";
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::ofstream(db) << "[{\"file\": \""
+                    << (cwd / "src/kpbs/a.cpp").generic_string()
+                    << "\"},\n {\"file\": \"/elsewhere/b.cpp\"}]\n";
+  const std::vector<std::string> expected = {"src/kpbs/a.cpp"};
+  EXPECT_EQ(redist::analyze::tus_from_compile_commands(db, "."), expected);
+  EXPECT_EQ(redist::analyze::tus_from_compile_commands(db, "./src/.."),
+            expected);
 }
 
 TEST(Analyze, LoadClosureChasesQuotedIncludes) {
@@ -380,6 +410,236 @@ TEST(Analyze, GoldenReportFormat) {
       "solve_kpbs(graph, k, beta, ...) was removed in favor of "
       "solve_kpbs(graph, SolverOptions{...}); the old overload must not "
       "be reintroduced\n");
+}
+
+// ---------------------------------------------------------------------------
+// Per-file lint rules
+// ---------------------------------------------------------------------------
+
+const std::vector<std::string> kLintRules = {
+    "no-nondeterminism", "float-eq", "telemetry-guard", "mutex-guard",
+    "wallclock"};
+
+std::string rule_file_stem(const std::string& rule) {
+  std::string stem = rule;
+  std::replace(stem.begin(), stem.end(), '-', '_');
+  return stem;
+}
+
+Options only(const std::vector<std::string>& rules) {
+  Options options;
+  options.rules = rules;
+  return options;
+}
+
+/// Lint fixtures sit at tests/analyze/<rule>/src/kpbs/, inside every lint
+/// rule's path scope.
+std::vector<Finding> lint_fixture(const std::string& dir,
+                                  const std::string& file,
+                                  const Options& options) {
+  return analyze_fixture(dir, {"src/kpbs/" + file}, options).findings;
+}
+
+std::vector<Finding> lint_source(
+    const std::string& path, const std::string& content,
+    const std::vector<std::string>& rules = kLintRules) {
+  return redist::analyze::run_analysis({{path, content}}, only(rules))
+      .findings;
+}
+
+class LintFixtures : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LintFixtures, MustFireFixtureFires) {
+  const std::string rule = GetParam();
+  const auto findings =
+      lint_fixture(rule_file_stem(rule), "fail.cpp", only({rule}));
+  ASSERT_FALSE(findings.empty()) << "fixture for " << rule << " is silent";
+  for (const Finding& f : findings) EXPECT_EQ(f.rule, rule);
+}
+
+TEST_P(LintFixtures, NearMissFixtureStaysClean) {
+  const std::string rule = GetParam();
+  const auto findings =
+      lint_fixture(rule_file_stem(rule), "pass.cpp", only({rule}));
+  EXPECT_TRUE(findings.empty()) << redist::analyze::format_report(findings);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllRules, LintFixtures,
+                         ::testing::ValuesIn(kLintRules),
+                         [](const auto& info) {
+                           return rule_file_stem(info.param);
+                         });
+
+TEST(LintRules, RegistryIsComplete) {
+  const auto& ids = redist::analyze::rule_ids();
+  for (const std::string& id : kLintRules) {
+    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end()) << id;
+    EXPECT_FALSE(redist::analyze::rule_description(id).empty()) << id;
+  }
+}
+
+TEST(LintSuppression, DirectivesNeutralizeFindings) {
+  const auto findings =
+      lint_fixture("wallclock", "suppressed.cpp", only({"wallclock"}));
+  EXPECT_TRUE(findings.empty()) << redist::analyze::format_report(findings);
+}
+
+TEST(LintSuppression, DirectiveOnlyCoversAdjacentLine) {
+  const auto findings = lint_source(
+      "src/kpbs/f.cpp",
+      "// redist-analyze: allow(wallclock) covers next line only\n"
+      "long a() { return time(nullptr); }\n"
+      "long b() { return time(nullptr); }\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+TEST(LintSuppression, TrailingDirectiveDoesNotBlanketTheNextLine) {
+  // A trailing allow on one member must not swallow a finding on the
+  // member declared directly below it.
+  const auto findings = lint_source(
+      "src/runtime/x.hpp",
+      "class C {\n"
+      "  Mutex mu_;\n"
+      "  Engine eng_;  // redist-analyze: allow(mutex-guard) ctor-only\n"
+      "  int active_ = 0;\n"
+      "};\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 4);
+}
+
+TEST(LintSuppression, WrongRuleIdDoesNotSuppress) {
+  const auto findings = lint_source(
+      "src/kpbs/f.cpp",
+      "// redist-analyze: allow(float-eq) wrong rule\n"
+      "long a() { return time(nullptr); }\n");
+  EXPECT_EQ(findings.size(), 1u);
+}
+
+// Seeding rand() into the solver must fail the run.
+TEST(LintScoping, RandInSolverFires) {
+  const auto findings =
+      lint_source("src/kpbs/solver.cpp", "int jitter() { return rand(); }\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-nondeterminism");
+}
+
+TEST(LintScoping, TestsAreOutsideNondeterminismScope) {
+  EXPECT_TRUE(
+      lint_source("tests/test_foo.cpp", "int jitter() { return rand(); }\n")
+          .empty());
+}
+
+TEST(LintScoping, RngImplementationIsExempt) {
+  EXPECT_TRUE(lint_source("src/common/rng.hpp",
+                          "struct S { int x = mt19937_size; };\n"
+                          "int mt19937;\n")
+                  .empty());
+}
+
+TEST(LintScoping, StopwatchOwnsTheWallClock) {
+  const std::string src = "long f() { return time(nullptr); }\n";
+  EXPECT_TRUE(lint_source("src/common/stopwatch.hpp", src).empty());
+  EXPECT_EQ(lint_source("src/common/stopwatch.cpp", src).size(), 1u);
+}
+
+// Deleting a GUARDED_BY from an annotated class must fail the run.
+TEST(LintMutexGuard, RemovingGuardedByFires) {
+  EXPECT_TRUE(lint_source("src/runtime/x.hpp",
+                          "class C {\n"
+                          "  Mutex mu_;\n"
+                          "  long total_ REDIST_GUARDED_BY(mu_) = 0;\n"
+                          "};\n")
+                  .empty());
+  const auto findings = lint_source("src/runtime/x.hpp",
+                                    "class C {\n"
+                                    "  Mutex mu_;\n"
+                                    "  long total_ = 0;\n"
+                                    "};\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "mutex-guard");
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+// Every Mutex under src/ carries REDIST_LOCK_RANK(n); its argument list
+// must not make the member read as a method and hide the class's locks.
+TEST(LintMutexGuard, RankedMutexStillRequiresGuards) {
+  const auto findings = lint_source("src/runtime/x.hpp",
+                                    "class C {\n"
+                                    "  Mutex mu_ REDIST_LOCK_RANK(10);\n"
+                                    "  long total_ = 0;\n"
+                                    "};\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].line, 3);
+}
+
+TEST(LintMutexGuard, ConstAtomicAndReferencesAreExemptByDefault) {
+  EXPECT_TRUE(lint_source("src/runtime/x.hpp",
+                          "class C {\n"
+                          "  Mutex mu_;\n"
+                          "  const int capacity_ = 4;\n"
+                          "  std::atomic<bool> done_{false};\n"
+                          "  Engine& engine_;\n"
+                          "  static int instances;\n"
+                          "};\n")
+                  .empty());
+}
+
+TEST(LintFloatEq, NullptrComparisonIsNotAFloatCompare) {
+  EXPECT_TRUE(
+      lint_source("src/kpbs/x.cpp",
+                  "bool f(double* solve_ms) { return solve_ms != nullptr; }\n")
+          .empty());
+}
+
+TEST(LintTokenizer, StringsCommentsAndPreprocessorAreInvisible) {
+  EXPECT_TRUE(lint_source("src/kpbs/x.cpp",
+                          "#include <random>  // mt19937 lives here\n"
+                          "const char* kName = \"mt19937\";\n"
+                          "/* rand() in a block comment */\n"
+                          "int f() { return 0; }\n")
+                  .empty());
+}
+
+// A line comment with a trailing backslash splices the next source line
+// into the comment; trigger tokens there are comment text.
+TEST(LintTokenizer, CommentLineContinuationStaysComment) {
+  EXPECT_TRUE(lint_source("src/kpbs/x.cpp",
+                          "// continues onto the next line \\\n"
+                          "   rand() mt19937 system_clock\n"
+                          "#define X 1 // so does a directive's \\\n"
+                          "   rand() localtime_r\n"
+                          "int f() { return 0; }\n")
+                  .empty());
+}
+
+// A block comment opened on a preprocessor line swallows its continuation
+// lines instead of leaking them into the token stream.
+TEST(LintTokenizer, BlockCommentOpenedOnPreprocessorLine) {
+  EXPECT_TRUE(lint_source("src/kpbs/x.cpp",
+                          "#define BANNER /* spans lines\n"
+                          "  rand() mt19937 gettimeofday\n"
+                          "*/ 1\n"
+                          "int g() { return BANNER; }\n")
+                  .empty());
+}
+
+// ...while a quoted "/*" on a preprocessor line must NOT open a comment:
+// the code after it is still analyzed (the rand() below has to fire).
+TEST(LintTokenizer, QuotedCommentOpenerOnPreprocessorLineIsInert) {
+  const auto findings = lint_source("src/kpbs/x.cpp",
+                                    "#define P \"/*\"\n"
+                                    "int h() { return rand(); }\n");
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0].rule, "no-nondeterminism");
+  EXPECT_EQ(findings[0].line, 2);
+}
+
+// The full trap corpus (strings + comments stuffed with trigger tokens)
+// must stay clean under every rule.
+TEST(LintTokenizer, TrapFixtureStaysCleanUnderAllRules) {
+  const auto findings = lint_fixture("tokenizer", "traps.cpp", Options{});
+  EXPECT_TRUE(findings.empty()) << redist::analyze::format_report(findings);
 }
 
 }  // namespace

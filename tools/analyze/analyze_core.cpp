@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <deque>
+#include <filesystem>
 #include <functional>
 #include <fstream>
 #include <map>
@@ -34,7 +35,8 @@ struct IncludeEdge {
 };
 
 struct AllowDirective {
-  int line = 0;
+  int first_line = 0;
+  int last_line = 0;  // inclusive
   std::string rule;
 };
 
@@ -49,18 +51,22 @@ bool is_ident_start(char c) {
 }
 bool is_ident_char(char c) { return is_ident_start(c) || (c >= '0' && c <= '9'); }
 
-// `// redist-analyze: allow(rule-id) reason` — same grammar as redist_lint's
-// suppressions, with our own tool name so the two passes never mask each
-// other's findings.
-void harvest_allows(const std::string& comment, int line,
+// `// redist-analyze: allow(rule-id) reason`. A standalone
+// comment covers its own line(s) plus the line below; a trailing comment
+// (code before it on the same line) covers only its own line, so it cannot
+// blanket the next declaration.
+void harvest_allows(const std::string& comment, int first_line,
+                    int last_line, bool standalone,
                     std::vector<AllowDirective>& out) {
+  const int cover_to = standalone ? last_line + 1 : last_line;
   std::size_t at = 0;
   while ((at = comment.find("redist-analyze:", at)) != std::string::npos) {
     std::size_t open = comment.find("allow(", at);
     if (open == std::string::npos) break;
     std::size_t close = comment.find(')', open);
     if (close == std::string::npos) break;
-    out.push_back({line, comment.substr(open + 6, close - open - 6)});
+    out.push_back(
+        {first_line, cover_to, comment.substr(open + 6, close - open - 6)});
     at = close;
   }
 }
@@ -128,26 +134,32 @@ Lexed lex(const std::string& src) {
     if (c == '/' && i + 1 < n && src[i + 1] == '/') {
       std::size_t stop = i + 2;
       const int start_line = line;
+      const bool standalone =
+          out.tokens.empty() || out.tokens.back().line != start_line;
       while (stop < n && src[stop] != '\n') ++stop;
       while (stop < n && stop > 0 && src[stop - 1] == '\\') {
         ++line;
         ++stop;
         while (stop < n && src[stop] != '\n') ++stop;
       }
-      harvest_allows(src.substr(i, stop - i), start_line, out.allows);
+      harvest_allows(src.substr(i, stop - i), start_line, line, standalone,
+                     out.allows);
       i = stop;
       continue;
     }
     // Block comment.
     if (c == '/' && i + 1 < n && src[i + 1] == '*') {
       const int start_line = line;
+      const bool standalone =
+          out.tokens.empty() || out.tokens.back().line != start_line;
       std::size_t stop = i + 2;
       while (stop + 1 < n && !(src[stop] == '*' && src[stop + 1] == '/')) {
         if (src[stop] == '\n') ++line;
         ++stop;
       }
       stop = (stop + 1 < n) ? stop + 2 : n;
-      harvest_allows(src.substr(i, stop - i), start_line, out.allows);
+      harvest_allows(src.substr(i, stop - i), start_line, line, standalone,
+                     out.allows);
       i = stop;
       continue;
     }
@@ -196,7 +208,11 @@ Lexed lex(const std::string& src) {
           continue;
         }
         if (src[j] == '/' && j + 1 < n && src[j + 1] == '/') {
-          while (j < n && src[j] != '\n') ++j;
+          // Runs to the first newline not spliced by a backslash.
+          while (j < n && (src[j] != '\n' || src[j - 1] == '\\')) {
+            if (src[j] == '\n') ++line;
+            ++j;
+          }
           break;
         }
         if (src[j] == '/' && j + 1 < n && src[j + 1] == '*') {
@@ -206,7 +222,8 @@ Lexed lex(const std::string& src) {
             if (src[stop] == '\n') ++line;
             ++stop;
           }
-          harvest_allows(src.substr(j, stop + 2 - j), open_line, out.allows);
+          harvest_allows(src.substr(j, stop + 2 - j), open_line, line,
+                         /*standalone=*/false, out.allows);
           j = (stop + 1 < n) ? stop + 2 : n;
           continue;
         }
@@ -219,12 +236,6 @@ Lexed lex(const std::string& src) {
 
     at_line_start = false;
 
-    // Raw string literal (R"..."), possibly behind an encoding prefix.
-    if (c == 'R' && i + 1 < n && src[i + 1] == '"') {
-      out.tokens.push_back({"", line, 's'});
-      i = consume_raw_string(src, i + 1, line);
-      continue;
-    }
     if (c == '"') {
       std::string text;
       const int start_line = line;
@@ -246,14 +257,30 @@ Lexed lex(const std::string& src) {
     if (is_ident_start(c)) {
       std::size_t j = i;
       while (j < n && is_ident_char(src[j])) ++j;
-      out.tokens.push_back({src.substr(i, j - i), line, 'i'});
+      std::string ident = src.substr(i, j - i);
+      // Raw string literal: R"delim(...)delim", possibly behind an encoding
+      // prefix (LR, uR, UR, u8R).
+      if (j < n && src[j] == '"' &&
+          (ident == "R" || ident == "LR" || ident == "uR" || ident == "UR" ||
+           ident == "u8R")) {
+        out.tokens.push_back({"", line, 's'});
+        i = consume_raw_string(src, j, line);
+        continue;
+      }
+      out.tokens.push_back({std::move(ident), line, 'i'});
       i = j;
       continue;
     }
-    if (c >= '0' && c <= '9') {
-      std::size_t j = i;
+    // Numbers, as preprocessing numbers: hex, floats, exponents with signs,
+    // digit separators and suffixes all stay one token.
+    if ((c >= '0' && c <= '9') ||
+        (c == '.' && i + 1 < n && src[i + 1] >= '0' && src[i + 1] <= '9')) {
+      std::size_t j = i + 1;
       while (j < n && (is_ident_char(src[j]) || src[j] == '.' ||
-                       src[j] == '\'')) {
+                       src[j] == '\'' ||
+                       ((src[j] == '+' || src[j] == '-') &&
+                        std::string_view("eEpP").find(src[j - 1]) !=
+                            std::string_view::npos))) {
         ++j;
       }
       out.tokens.push_back({src.substr(i, j - i), line, 'n'});
@@ -393,8 +420,9 @@ std::size_t match_brace(const std::vector<Token>& t, std::size_t open) {
   return t.size();
 }
 
+/// Punctuation test: string literals keep their text, so kind matters.
 bool tok_is(const std::vector<Token>& t, std::size_t i, const char* text) {
-  return i < t.size() && t[i].text == text;
+  return i < t.size() && t[i].kind == 'p' && t[i].text == text;
 }
 
 /// Finds function *definitions* (name, parens, body) in one file. A
@@ -494,22 +522,51 @@ void index_contracts(const std::string& path, const std::vector<Token>& toks,
 // Determinism / purity sinks
 // ---------------------------------------------------------------------------
 
+// One table per sink category, shared by the reachability rules
+// (determinism, purity) and the per-file lint rules (no-nondeterminism,
+// wallclock).
+
 const std::unordered_set<std::string>& rng_idents() {
   static const std::unordered_set<std::string> k = {
-      "rand",          "srand",        "rand_r",
-      "drand48",       "lrand48",      "mrand48",
-      "random_device", "mt19937",      "mt19937_64",
-      "minstd_rand",   "minstd_rand0", "default_random_engine",
+      "rand",          "srand",         "rand_r",
+      "drand48",       "lrand48",       "mrand48",
+      "random_device", "mt19937",       "mt19937_64",
+      "minstd_rand",   "minstd_rand0",  "default_random_engine",
+      "knuth_b",       "ranlux24",      "ranlux48",
       "random_shuffle"};
   return k;
 }
 
-const std::unordered_set<std::string>& wallclock_idents() {
+/// Reads of the calendar clock. Monotonic clocks are not listed: the
+/// Stopwatch timebase, the token bucket and the tracer use them
+/// legitimately, so only the reachability rules add them
+/// (monotonic_clock_idents).
+const std::unordered_set<std::string>& system_clock_idents() {
   static const std::unordered_set<std::string> k = {
-      "system_clock", "steady_clock",  "high_resolution_clock",
-      "gettimeofday", "clock_gettime", "timespec_get",
-      "localtime",    "gmtime",        "ctime"};
+      "system_clock", "gettimeofday", "clock_gettime", "ntp_gettime",
+      "localtime",    "localtime_r",  "gmtime",        "gmtime_r",
+      "ctime",        "strftime",     "timespec_get"};
   return k;
+}
+
+const std::unordered_set<std::string>& monotonic_clock_idents() {
+  static const std::unordered_set<std::string> k = {"steady_clock",
+                                                    "high_resolution_clock"};
+  return k;
+}
+
+/// `.x` or `->x`: a member access, never a free-function sink.
+bool is_member(const std::vector<Token>& toks, std::size_t i) {
+  return i > 0 && toks[i - 1].kind == 'p' &&
+         (toks[i - 1].text == "." || toks[i - 1].text == ">");
+}
+
+/// A system-clock identifier, or a direct (non-member) time()/clock() call.
+bool is_system_clock_read(const std::vector<Token>& toks, std::size_t i) {
+  const std::string& t = toks[i].text;
+  if (system_clock_idents().count(t)) return true;
+  return (t == "time" || t == "clock") && tok_is(toks, i + 1, "(") &&
+         !is_member(toks, i);
 }
 
 const std::unordered_set<std::string>& thread_identity_idents() {
@@ -545,20 +602,14 @@ std::vector<Sink> body_sinks(const std::vector<Token>& toks,
   for (std::size_t i = begin; i < end && i < toks.size(); ++i) {
     const Token& t = toks[i];
     if (t.kind != 'i') continue;
-    const bool member =
-        i > begin && toks[i - 1].kind == 'p' &&
-        (toks[i - 1].text == "." || toks[i - 1].text == ">");
+    const bool member = is_member(toks, i);
 
     if (rng_idents().count(t.text)) {
       sinks.push_back({t.text, t.line, "RNG"});
       continue;
     }
-    if (wallclock_idents().count(t.text)) {
-      sinks.push_back({t.text, t.line, "wall clock"});
-      continue;
-    }
-    if ((t.text == "time" || t.text == "clock") && tok_is(toks, i + 1, "(") &&
-        !member) {
+    if (is_system_clock_read(toks, i) ||
+        monotonic_clock_idents().count(t.text)) {
       sinks.push_back({t.text, t.line, "wall clock"});
       continue;
     }
@@ -1588,6 +1639,310 @@ void check_reachability(Analysis& a, const std::string& rule) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Lint layer: per-file token rules
+// ---------------------------------------------------------------------------
+
+/// A lint rule's path scope. Tests and examples may use clocks and ad-hoc
+/// randomness; the RNG and Stopwatch implementations own their sinks.
+bool lint_in_scope(const std::string& rule, const std::string& path) {
+  const bool src = path.rfind("src/", 0) == 0;
+  const bool tools = path.rfind("tools/", 0) == 0;
+  const bool bench = path.rfind("bench/", 0) == 0;
+  if (rule == "no-nondeterminism")
+    return (src && path.rfind("src/common/rng.", 0) != 0) || tools || bench;
+  if (rule == "telemetry-guard") return src || tools || bench;
+  if (rule == "wallclock")
+    return (src && path != "src/common/stopwatch.hpp") || tools;
+  return src || tools;  // float-eq, mutex-guard
+}
+
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+void lint_nondeterminism(Analysis& a, const std::string& path,
+                         const std::vector<Token>& toks) {
+  for (const Token& t : toks) {
+    if (t.kind != 'i' || !rng_idents().count(t.text)) continue;
+    a.add(path, t.line, "no-nondeterminism",
+          "nondeterminism source '" + t.text +
+              "' in solver code; schedules must be replayable — draw from "
+              "a seeded redist::Rng (common/rng.hpp) instead");
+  }
+}
+
+void lint_wallclock(Analysis& a, const std::string& path,
+                    const std::vector<Token>& toks) {
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    if (toks[i].kind != 'i' || !is_system_clock_read(toks, i)) continue;
+    a.add(path, toks[i].line, "wallclock",
+          "wall-clock read '" + toks[i].text +
+              "' outside common/stopwatch.hpp; benchmarks and traces must "
+              "share the Stopwatch steady timebase");
+  }
+}
+
+bool is_float_literal(const Token& t) {
+  if (t.kind != 'n') return false;
+  if (t.text.size() > 1 && t.text[0] == '0' &&
+      (t.text[1] == 'x' || t.text[1] == 'X')) {
+    return false;  // hex
+  }
+  return t.text.find_first_of(".eE") != std::string::npos;
+}
+
+/// Identifier names that are doubles by repo convention (weights and
+/// costs are integral; these are the floating spellings that show up at
+/// the schedule-quality seams).
+bool double_valued_name(const Token& t) {
+  if (t.kind != 'i') return false;
+  const std::string& n = t.text;
+  return ends_with(n, "_bps") || ends_with(n, "_ms") ||
+         ends_with(n, "_seconds") || ends_with(n, "_ratio") ||
+         ends_with(n, "_double") || n == "ratio" || n == "seconds" ||
+         n == "bps" || n == "elapsed";
+}
+
+void lint_float_eq(Analysis& a, const std::string& path,
+                   const std::vector<Token>& toks) {
+  // The lexer emits operators one character at a time: `==` is `=` `=`
+  // and `!=` is `!` `=`.
+  for (std::size_t i = 1; i + 2 < toks.size(); ++i) {
+    if (!(tok_is(toks, i, "=") || tok_is(toks, i, "!")) ||
+        !tok_is(toks, i + 1, "=")) {
+      continue;
+    }
+    const Token& lhs = toks[i - 1];
+    const Token& rhs = toks[i + 2];
+    if (lhs.kind == 'i' && lhs.text == "operator") continue;
+    // Pointer null checks on double-valued names are not float compares.
+    if (lhs.text == "nullptr" || rhs.text == "nullptr" ||
+        lhs.text == "NULL" || rhs.text == "NULL") {
+      continue;
+    }
+    const Token* culprit = nullptr;
+    for (const Token* t : {&lhs, &rhs}) {
+      if (!culprit && (is_float_literal(*t) || double_valued_name(*t)))
+        culprit = t;
+    }
+    if (!culprit) continue;
+    a.add(path, toks[i].line, "float-eq",
+          "floating-point '" + toks[i].text + "=' against '" +
+              culprit->text +
+              "'; schedule costs/weights compare exactly only as integers "
+              "— use a tolerance or integer units");
+  }
+}
+
+void lint_telemetry_guard(Analysis& a, const std::string& path,
+                          const std::vector<Token>& toks) {
+  // obs : : (metrics|trace) ( ) - >
+  for (std::size_t i = 3; i + 4 < toks.size(); ++i) {
+    const std::string& sink = toks[i].text;
+    if (toks[i].kind != 'i' || (sink != "metrics" && sink != "trace"))
+      continue;
+    if (toks[i - 3].kind != 'i' || toks[i - 3].text != "obs" ||
+        !tok_is(toks, i - 2, ":") || !tok_is(toks, i - 1, ":") ||
+        !tok_is(toks, i + 1, "(") || !tok_is(toks, i + 2, ")") ||
+        !tok_is(toks, i + 3, "-") || !tok_is(toks, i + 4, ">")) {
+      continue;
+    }
+    a.add(path, toks[i].line, "telemetry-guard",
+          "obs::" + sink +
+              "()-> dereferences the telemetry sink without a null guard; "
+              "bind it to a pointer and branch (nullptr = telemetry off)");
+  }
+}
+
+// mutex-guard: a structural pass over class bodies.
+
+/// Declaration annotations whose argument list must not read as a
+/// function's parameter list (`Mutex mu_ REDIST_LOCK_RANK(10);` is a
+/// member, not a method).
+bool is_guard_macro(const std::string& name) {
+  return name.rfind("REDIST_", 0) == 0 &&
+         (ends_with(name, "GUARDED_BY") || name == "REDIST_CAPABILITY" ||
+          name == "REDIST_ACQUIRED_BEFORE" ||
+          name == "REDIST_ACQUIRED_AFTER" || name == "REDIST_LOCK_RANK");
+}
+
+struct MemberDecl {
+  std::vector<const Token*> tokens;  // annotation macros removed
+  bool guarded = false;
+  bool has_parens = false;  // top-level parens at angle depth 0: a function
+};
+
+std::size_t lint_class_body(Analysis& a, const std::string& path,
+                            const std::vector<Token>& toks, std::size_t begin,
+                            const std::string& class_name);
+
+/// If toks[i] opens a class/struct definition, checks its body and returns
+/// the index just past it; otherwise returns i + 1.
+std::size_t lint_maybe_class(Analysis& a, const std::string& path,
+                             const std::vector<Token>& toks, std::size_t i) {
+  const Token& t = toks[i];
+  if (t.kind != 'i' || (t.text != "class" && t.text != "struct")) return i + 1;
+  // `template <class T>` parameters are not class definitions.
+  if (tok_is(toks, i - 1, "<") || tok_is(toks, i - 1, ",")) return i + 1;
+  // Find the body '{' (skipping attribute-macro parens); a ';' first means
+  // a forward declaration.
+  std::string name;
+  int paren = 0;
+  std::size_t j = i + 1;
+  for (; j < toks.size(); ++j) {
+    if (tok_is(toks, j, "(")) ++paren;
+    if (tok_is(toks, j, ")")) --paren;
+    if (paren != 0) continue;
+    if (tok_is(toks, j, ";")) return j + 1;
+    if (tok_is(toks, j, "{")) break;
+    if (toks[j].kind == 'i' && name.empty() && !is_guard_macro(toks[j].text) &&
+        toks[j].text != "final" && toks[j].text != "REDIST_SCOPED_CAPABILITY")
+      name = toks[j].text;
+  }
+  if (j >= toks.size()) return i + 1;
+  return lint_class_body(a, path, toks, j + 1, name.empty() ? "<anon>" : name);
+}
+
+std::size_t lint_class_body(Analysis& a, const std::string& path,
+                            const std::vector<Token>& toks, std::size_t begin,
+                            const std::string& class_name) {
+  std::vector<MemberDecl> members;
+  MemberDecl current;
+  int angle = 0;
+  auto flush = [&] {
+    if (!current.tokens.empty()) members.push_back(std::move(current));
+    current = MemberDecl{};
+    angle = 0;
+  };
+  std::size_t i = begin;
+  while (i < toks.size()) {
+    const Token& t = toks[i];
+    if (tok_is(toks, i, "}")) {
+      flush();
+      ++i;
+      break;
+    }
+    if (t.kind == 'i' &&
+        (t.text == "public" || t.text == "private" || t.text == "protected") &&
+        tok_is(toks, i + 1, ":")) {
+      flush();
+      i += 2;
+      continue;
+    }
+    // Nested class/struct definition: recurse, then skip its trailing ';'.
+    if (t.kind == 'i' && (t.text == "class" || t.text == "struct") &&
+        current.tokens.empty()) {
+      i = lint_maybe_class(a, path, toks, i);
+      if (tok_is(toks, i, ";")) ++i;
+      continue;
+    }
+    if (t.kind == 'i' && is_guard_macro(t.text) && tok_is(toks, i + 1, "(")) {
+      if (ends_with(t.text, "GUARDED_BY")) current.guarded = true;
+      i = match_paren(toks, i + 1) + 1;
+      continue;
+    }
+    if (tok_is(toks, i, "<")) ++angle;
+    if (tok_is(toks, i, ">") && angle > 0) --angle;
+    if (tok_is(toks, i, "(") && angle == 0) current.has_parens = true;
+    // A function body is skipped wholesale; an initializer brace is
+    // consumed into the declaration, whose ';' still follows.
+    if (tok_is(toks, i, "{")) {
+      i = match_brace(toks, i) + 1;
+      if (current.has_parens) {
+        if (tok_is(toks, i, ";")) ++i;
+        current = MemberDecl{};
+        angle = 0;
+      }
+      continue;
+    }
+    if (tok_is(toks, i, ";")) {
+      flush();
+      ++i;
+      continue;
+    }
+    current.tokens.push_back(&t);
+    ++i;
+  }
+
+  static const std::unordered_set<std::string> kSkippedHeads = {
+      "using",    "typedef", "friend",   "static", "template",
+      "operator", "enum",    "explicit", "virtual"};
+  static const std::unordered_set<std::string> kRawSync = {
+      "mutex",         "shared_mutex",       "recursive_mutex",
+      "timed_mutex",   "condition_variable", "condition_variable_any"};
+  bool has_mutex_member = false;
+  std::vector<const Token*> unguarded;
+  for (const MemberDecl& m : members) {
+    if (m.has_parens || kSkippedHeads.count(m.tokens.front()->text)) continue;
+    bool exempt = m.guarded;  // const, atomic, reference or sync-typed
+    bool sync_type = false;
+    bool reference = false;
+    bool raw_sync = false;
+    const Token* name = nullptr;
+    for (std::size_t k = 0; k < m.tokens.size(); ++k) {
+      const Token& tk = *m.tokens[k];
+      if (tk.kind == 'p' && tk.text == "=") break;  // default initializer
+      if (tk.text == "const" || tk.text == "constexpr" || tk.text == "atomic")
+        exempt = true;
+      if (tk.kind == 'p' && tk.text == "&") reference = true;
+      if (tk.text == "Mutex" || tk.text == "CondVar" || tk.text == "MutexLock")
+        sync_type = true;
+      if (kRawSync.count(tk.text) && k > 0 && m.tokens[k - 1]->text == ":")
+        raw_sync = true;
+      if (tk.kind == 'i') name = &tk;
+    }
+    if (name == nullptr) continue;
+    if (raw_sync) {
+      a.add(path, name->line, "mutex-guard",
+            "raw std:: synchronization member '" + name->text + "' in '" +
+                class_name +
+                "'; use redist::Mutex/CondVar (common/sync.hpp) so clang "
+                "thread-safety analysis can track it");
+    } else if (sync_type && !reference) {
+      has_mutex_member = true;
+    } else if (!exempt && !reference && !sync_type) {
+      unguarded.push_back(name);
+    }
+  }
+  if (has_mutex_member) {
+    for (const Token* name : unguarded) {
+      a.add(path, name->line, "mutex-guard",
+            "member '" + name->text + "' of Mutex-holding class '" +
+                class_name +
+                "' has no REDIST_GUARDED_BY; annotate it, make it "
+                "const/atomic, or add an allow with a reason");
+    }
+  }
+  return i;
+}
+
+void lint_mutex_guard(Analysis& a, const std::string& path,
+                      const std::vector<Token>& toks) {
+  for (std::size_t i = 0; i < toks.size();)
+    i = lint_maybe_class(a, path, toks, i);
+}
+
+/// Runs every enabled lint rule over each source inside its path scope.
+void check_lint(Analysis& a) {
+  using Rule = void (*)(Analysis&, const std::string&,
+                        const std::vector<Token>&);
+  static const std::vector<std::pair<std::string, Rule>> kRules = {
+      {"no-nondeterminism", lint_nondeterminism},
+      {"float-eq", lint_float_eq},
+      {"telemetry-guard", lint_telemetry_guard},
+      {"mutex-guard", lint_mutex_guard},
+      {"wallclock", lint_wallclock}};
+  for (std::size_t s = 0; s < a.sources.size(); ++s) {
+    const std::string& path = a.sources[s].path;
+    for (const auto& [rule, run] : kRules) {
+      if (a.enabled(rule) && lint_in_scope(rule, path))
+        run(a, path, a.lexed[s].tokens);
+    }
+  }
+}
+
 /// The sorted one-line-per-contract inventory `--write-baseline` persists.
 std::string contract_inventory(const Analysis& a) {
   std::set<std::string> lines;
@@ -1682,8 +2037,8 @@ void apply_suppressions(Analysis& a) {
   std::set<std::tuple<std::string, int, std::string>> allowed;
   for (std::size_t i = 0; i < a.sources.size(); ++i) {
     for (const auto& d : a.lexed[i].allows) {
-      allowed.emplace(a.sources[i].path, d.line, d.rule);
-      allowed.emplace(a.sources[i].path, d.line + 1, d.rule);
+      for (int line = d.first_line; line <= d.last_line; ++line)
+        allowed.emplace(a.sources[i].path, line, d.rule);
     }
   }
   a.findings.erase(
@@ -1705,7 +2060,9 @@ const std::vector<std::string>& rule_ids() {
       "determinism",    "purity",          "layering",
       "include-cycle",  "layer-tag",       "contract-drift",
       "deprecated-api", "lock-transition", "lock-rank",
-      "noblock",        "noalloc"};
+      "noblock",        "noalloc",         "no-nondeterminism",
+      "float-eq",       "telemetry-guard", "mutex-guard",
+      "wallclock"};
   return ids;
 }
 
@@ -1745,7 +2102,23 @@ std::string rule_description(const std::string& id) {
        "REDIST_ALLOW_BLOCK(reason) marks an audited boundary"},
       {"noalloc",
        "no new/malloc/container growth reachable from a REDIST_NOALLOC "
-       "function; REDIST_ALLOW_ALLOC(reason) marks an audited boundary"}};
+       "function; REDIST_ALLOW_ALLOC(reason) marks an audited boundary"},
+      {"no-nondeterminism",
+       "no rand()/std::random_device/std::mt19937/... in src/, tools/ or "
+       "bench/ (src/common/rng.* excepted); use the seeded redist::Rng"},
+      {"float-eq",
+       "no ==/!= against float literals or double-valued cost names in "
+       "src/ or tools/; schedule costs compare exactly only as integers"},
+      {"telemetry-guard",
+       "never dereference obs::metrics()/obs::trace() inline in src/, "
+       "tools/ or bench/; bind to a pointer and null-check"},
+      {"mutex-guard",
+       "no raw std::mutex members in src/ or tools/ (use redist::Mutex), and "
+       "every mutable member of a Mutex-holding class needs "
+       "REDIST_GUARDED_BY"},
+      {"wallclock",
+       "no calendar-clock reads (system_clock/time()/localtime_r/...) in "
+       "src/ or tools/ outside common/stopwatch.hpp; use redist::Stopwatch"}};
   auto it = descriptions.find(id);
   return it == descriptions.end() ? std::string() : it->second;
 }
@@ -1775,6 +2148,7 @@ AnalysisResult run_analysis(const std::vector<SourceFile>& sources,
     if (a.enabled("noblock")) check_noblock(a, la);
   }
   if (a.enabled("noalloc")) check_noalloc(a);
+  check_lint(a);
 
   AnalysisResult result;
   result.contracts = contract_inventory(a);
@@ -1809,9 +2183,15 @@ std::vector<std::string> tus_from_compile_commands(
   buf << in.rdbuf();
   const std::string json = buf.str();
 
-  const std::string prefix = root.empty() || root.back() == '/'
-                                 ? root
-                                 : root + "/";
+  // The database holds absolute paths, so a relative root ("." in the
+  // documented invocation) must be made absolute before prefix matching.
+  const std::string abs_root =
+      root.empty() ? root
+                   : std::filesystem::absolute(root).lexically_normal()
+                         .generic_string();
+  const std::string prefix = abs_root.empty() || abs_root.back() == '/'
+                                 ? abs_root
+                                 : abs_root + "/";
   std::set<std::string> tus;
   std::size_t at = 0;
   while ((at = json.find("\"file\"", at)) != std::string::npos) {

@@ -1,16 +1,17 @@
-// redist_analyze — semantic static analysis over the whole program.
+// redist_analyze — the repo's one static-analysis pass.
 //
-// Where tools/redist_lint checks one file at a time at the token level,
-// this pass is driven by compile_commands.json: it lexes every translation
-// unit the build actually compiles, follows quoted includes to closure,
-// and builds two whole-program structures —
+// Driven by compile_commands.json: it lexes every translation unit the
+// build actually compiles, follows quoted includes to closure, and checks
+// three structures over that one input —
 //
 //   * an include graph (file- and module-level), checked against the
-//     architecture's layering DAG, and
+//     architecture's layering DAG,
 //   * a per-TU symbol/call index, over which the contract annotations of
 //     src/common/contract_annotations.hpp (REDIST_DETERMINISTIC,
 //     REDIST_PURE, REDIST_ALLOW_NONDET, REDIST_LAYER) are enforced by
-//     reachability.
+//     reachability, and
+//   * each file's token stream, for the per-file lint rules, each applied
+//     only inside its path scope.
 //
 // Rules (ids are stable; used in suppressions, fixtures and CI output):
 //   determinism     nothing reachable from a REDIST_DETERMINISTIC function
@@ -47,10 +48,25 @@
 //   noalloc         no new/malloc/container growth reachable from a
 //                   REDIST_NOALLOC function; REDIST_ALLOW_ALLOC(reason)
 //                   marks an audited boundary
+// Per-file lint rules (path scope in brackets):
+//   no-nondeterminism  any RNG identifier, annotated or not — randomness
+//                      flows through the seeded redist::Rng [src/ except
+//                      src/common/rng.*, tools/, bench/]
+//   float-eq           ==/!= where an operand is a float literal or a
+//                      conventionally-double name (ratio/seconds/_ms/...)
+//                      [src/, tools/]
+//   telemetry-guard    obs::metrics()->… / obs::trace()->… dereferenced
+//                      without a null check [src/, tools/, bench/]
+//   mutex-guard        raw std::mutex members, and unannotated mutable
+//                      members of a class that holds a Mutex/CondVar
+//                      [src/, tools/]
+//   wallclock          calendar-clock reads (system_clock, time(),
+//                      localtime_r, ...) [src/ except
+//                      src/common/stopwatch.hpp, tools/]
 //
-// Suppression: `// redist-analyze: allow(rule-id) <reason>` on the same
-// line or the line directly above the finding (same grammar as
-// redist_lint). Like the lint pass, this is a token-level analysis — the
+// Suppression: `// redist-analyze: allow(rule-id) <reason>`. A standalone
+// comment covers its own line and the line below; a trailing comment
+// covers only its own line. This is a token-level analysis — the
 // container toolchain has no libclang — so constructors invoked without
 // parentheses and calls through function pointers are invisible to the
 // call index; rules are scoped to patterns that are unambiguous at the
