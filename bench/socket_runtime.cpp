@@ -1,7 +1,6 @@
 // Real-TCP miniature of the Section 5.2 experiment: brute force vs
 // GGP/OGGP over actual loopback sockets with token-bucket NIC shaping.
-// Complements bench/live_runtime (in-process fabric) and figs 10/11
-// (fluid model with explicit TCP pathology knobs).
+// Complements figs 10/11 (fluid model with explicit TCP pathology knobs).
 //
 //   ./socket_runtime [--k=2] [--nodes=3] [--points=2] [--seed=1] [--csv]
 #include "bench_util.hpp"
@@ -21,7 +20,7 @@ int main(int argc, char** argv) {
       "Socket runtime (real loopback TCP)",
       "brute force vs GGP/OGGP wall-clock, k=" + std::to_string(k),
       "byte-exact verified delivery over genuine kernel TCP; loopback has "
-      "no loss, so as with live_runtime expect scheduled within tens of "
+      "no loss, so expect scheduled within tens of "
       "percent of brute force rather than ahead of it");
 
   SocketClusterConfig config;

@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -14,7 +18,6 @@
 #include "common/stopwatch.hpp"
 #include "kpbs/solver.hpp"
 #include "obs/journal.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -28,63 +31,32 @@ constexpr std::uint32_t kDataTag = 0xDA7A0000;
 
 using PairKey = std::pair<NodeId, NodeId>;
 
-// Deterministic payload byte for position `index` of pair (i, j); both ends
-// derive it independently so the receiver can verify content, not just
-// byte counts.
-inline char pattern_byte(NodeId i, NodeId j, Bytes index) {
-  return static_cast<char>((static_cast<Bytes>(i) * 131 +
-                            static_cast<Bytes>(j) * 31 + index) &
-                           0xFF);
-}
+// Pair (i, j)'s payload is a deterministic byte stream that both ends
+// derive independently, so the receiver verifies content, not just byte
+// counts, and a recovery attempt can resume it at any offset. Byte `index`
+// is (131 i + 31 j + index) mod 256: the stream repeats every 256 bytes, so
+// one block plus one period holds every kPatternBlock-byte window.
+constexpr std::size_t kPatternBlock = 4096;
 
-// Checksum of the pattern stream over [offset, offset + bytes) — recovery
-// attempts resume mid-stream, so verification must be range-addressable.
-std::uint64_t expected_checksum_range(NodeId i, NodeId j, Bytes offset,
-                                      Bytes bytes) {
-  std::uint64_t sum = 0;
-  for (Bytes b = 0; b < bytes; ++b) {
-    sum += static_cast<unsigned char>(pattern_byte(i, j, offset + b));
-  }
-  return sum;
-}
-
-std::uint64_t expected_checksum(NodeId i, NodeId j, Bytes bytes) {
-  return expected_checksum_range(i, j, 0, bytes);
-}
-
-// Per-pair sequence of message sizes (both sides compute it identically).
-std::map<PairKey, std::vector<Bytes>> piece_plan(
-    const TrafficMatrix& traffic, const Schedule* schedule,
-    double bytes_per_time_unit) {
-  std::map<PairKey, std::vector<Bytes>> plan;
-  std::map<PairKey, Bytes> remaining;
-  for (NodeId i = 0; i < traffic.senders(); ++i) {
-    for (NodeId j = 0; j < traffic.receivers(); ++j) {
-      if (traffic.at(i, j) > 0) remaining[{i, j}] = traffic.at(i, j);
+class Pattern {
+ public:
+  Pattern(NodeId i, NodeId j) {
+    for (std::size_t k = 0; k < bytes_.size(); ++k) {
+      bytes_[k] = static_cast<char>(
+          (static_cast<std::size_t>(i) * 131 +
+           static_cast<std::size_t>(j) * 31 + k) &
+          0xFF);
     }
   }
-  if (schedule == nullptr) {  // brute force: one message per pair
-    for (const auto& [pair, bytes] : remaining) plan[pair] = {bytes};
-    return plan;
+
+  /// The stream from position `index` on, valid for kPatternBlock bytes.
+  const char* at(Bytes index) const {
+    return bytes_.data() + static_cast<std::size_t>(index % 256);
   }
-  for (const Step& step : schedule->steps()) {
-    for (const Communication& c : step.comms) {
-      auto it = remaining.find({c.sender, c.receiver});
-      if (it == remaining.end()) continue;
-      const double want =
-          static_cast<double>(c.amount) * bytes_per_time_unit;
-      const Bytes send = std::min<Bytes>(
-          it->second, static_cast<Bytes>(std::llround(want)));
-      if (send <= 0) continue;
-      plan[{c.sender, c.receiver}].push_back(send);
-      it->second -= send;
-      if (it->second == 0) remaining.erase(it);
-    }
-  }
-  // Rounding slack (rare): flush as one extra trailing piece per pair.
-  for (const auto& [pair, bytes] : remaining) plan[pair].push_back(bytes);
-  return plan;
-}
+
+ private:
+  std::array<char, kPatternBlock + 256> bytes_;
+};
 
 struct Shapers {
   std::vector<std::unique_ptr<TokenBucket>> out;  // per sender
@@ -92,8 +64,6 @@ struct Shapers {
   std::unique_ptr<TokenBucket> backbone;
 
   Shapers(const SocketClusterConfig& config, NodeId n1, NodeId n2) {
-    REDIST_CHECK(config.card_out_bps > 0 && config.card_in_bps > 0 &&
-                 config.backbone_bps > 0 && config.chunk_bytes > 0);
     for (NodeId i = 0; i < n1; ++i) {
       out.push_back(std::make_unique<TokenBucket>(config.card_out_bps,
                                                   config.burst_bytes));
@@ -107,50 +77,15 @@ struct Shapers {
   }
 };
 
-// Receiver-side drain: one thread per sender with traffic, each receiving
-// the planned number of messages and tallying bytes + checksum.
-void run_receiver(Communicator& comm, NodeId receiver_index, NodeId n1,
-                  const std::map<PairKey, std::vector<Bytes>>& plan,
-                  const SocketClusterConfig& config, Shapers& shapers,
-                  std::atomic<Bytes>& delivered,
-                  std::atomic<bool>& verified) {
-  std::vector<std::thread> drains;
-  for (NodeId i = 0; i < n1; ++i) {
-    const auto it = plan.find({i, receiver_index});
-    if (it == plan.end()) continue;
-    const std::vector<Bytes>& pieces = it->second;
-    drains.emplace_back([&, i, pieces]() {
-      Bytes got = 0;
-      std::uint64_t checksum = 0;
-      for (std::size_t p = 0; p < pieces.size(); ++p) {
-        const std::vector<char> payload = comm.recv(
-            static_cast<int>(i), kDataTag,
-            {shapers.in[static_cast<std::size_t>(receiver_index)].get()},
-            config.chunk_bytes);
-        for (char ch : payload) {
-          checksum += static_cast<unsigned char>(ch);
-        }
-        got += static_cast<Bytes>(payload.size());
-      }
-      Bytes want = 0;
-      for (Bytes piece : pieces) want += piece;
-      if (got != want ||
-          checksum != expected_checksum(i, receiver_index, want)) {
-        verified.store(false);
-      }
-      delivered.fetch_add(got);
-    });
-  }
-  for (std::thread& t : drains) t.join();
-}
-
 void send_piece(Communicator& comm, NodeId sender_index, NodeId receiver,
                 NodeId n1, Bytes offset, Bytes bytes,
                 const SocketClusterConfig& config, Shapers& shapers) {
+  const Pattern pattern(sender_index, receiver);
   std::vector<char> payload(static_cast<std::size_t>(bytes));
-  for (Bytes b = 0; b < bytes; ++b) {
-    payload[static_cast<std::size_t>(b)] =
-        pattern_byte(sender_index, receiver, offset + b);
+  for (std::size_t b = 0; b < payload.size(); b += kPatternBlock) {
+    std::memcpy(payload.data() + b,
+                pattern.at(offset + static_cast<Bytes>(b)),
+                std::min(kPatternBlock, payload.size() - b));
   }
   comm.send(static_cast<int>(n1 + receiver), kDataTag, payload.data(),
             payload.size(),
@@ -159,223 +94,162 @@ void send_piece(Communicator& comm, NodeId sender_index, NodeId receiver,
             config.chunk_bytes);
 }
 
-// Per-sender step list: step -> (receiver, offset, bytes). Offsets are
-// relative to the start of this plan's stream (the robust path adds the
-// ledger base when resuming). For brute force there is a single implicit
-// step with all pieces.
-struct Piece {
-  NodeId receiver;
-  Bytes offset;
-  Bytes bytes;
-};
-
-std::vector<std::vector<std::vector<Piece>>> layout_sender_steps(
-    NodeId n1, const Schedule* schedule,
-    const std::map<PairKey, std::vector<Bytes>>& plan,
-    std::size_t& step_count) {
-  step_count = 1;
-  std::vector<std::vector<std::vector<Piece>>> sender_steps(
-      static_cast<std::size_t>(n1));
-  if (schedule == nullptr) {
-    for (auto& steps : sender_steps) steps.resize(1);
-    for (const auto& [pair, pieces] : plan) {
-      sender_steps[static_cast<std::size_t>(pair.first)][0].push_back(
-          Piece{pair.second, 0, pieces[0]});
-    }
-    return sender_steps;
-  }
-  std::map<PairKey, Bytes> offset;
-  // Re-walk the schedule to lay pieces into steps (same clipping order
-  // as piece_plan).
-  std::map<PairKey, std::size_t> consumed;
-  step_count = schedule->step_count();
-  for (auto& steps : sender_steps) steps.resize(step_count + 1);
-  for (std::size_t s = 0; s < schedule->step_count(); ++s) {
-    for (const Communication& c : schedule->steps()[s].comms) {
-      const PairKey key{c.sender, c.receiver};
-      auto it = plan.find(key);
-      if (it == plan.end()) continue;
-      const std::size_t idx = consumed[key];
-      if (idx >= it->second.size()) continue;
-      const Bytes bytes = it->second[idx];
-      sender_steps[static_cast<std::size_t>(c.sender)][s].push_back(
-          Piece{c.receiver, offset[key], bytes});
-      offset[key] += bytes;
-      consumed[key] = idx + 1;
-    }
-  }
-  // Trailing flush pieces (rounding slack) go into the extra step.
-  bool tail_used = false;
-  for (const auto& [key, pieces] : plan) {
-    const std::size_t done = consumed[key];
-    Bytes off = offset[key];
-    for (std::size_t p = done; p < pieces.size(); ++p) {
-      sender_steps[static_cast<std::size_t>(key.first)][step_count]
-          .push_back(Piece{key.second, off, pieces[p]});
-      off += pieces[p];
-      tail_used = true;
-    }
-  }
-  step_count += tail_used ? 1 : 0;
-  for (auto& steps : sender_steps) steps.resize(step_count);
-  return sender_steps;
-}
-
-SocketRunResult run(const SocketClusterConfig& config,
-                    const TrafficMatrix& traffic, const Schedule* schedule,
-                    double bytes_per_time_unit) {
-  const NodeId n1 = traffic.senders();
-  const NodeId n2 = traffic.receivers();
-  const std::map<PairKey, std::vector<Bytes>> plan =
-      piece_plan(traffic, schedule, bytes_per_time_unit);
-
-  std::size_t step_count = 1;
-  std::vector<std::vector<std::vector<Piece>>> sender_steps =
-      layout_sender_steps(n1, schedule, plan, step_count);
-
-  Mesh mesh(static_cast<int>(n1 + n2));
-  Shapers shapers(config, n1, n2);
-  std::atomic<Bytes> delivered{0};
-  std::atomic<bool> verified{true};
-  std::atomic<double> elapsed{0.0};
-
-  std::vector<int> sender_group;
-  for (NodeId i = 0; i < n1; ++i) sender_group.push_back(static_cast<int>(i));
-
-  run_ranks(mesh, [&](Communicator& comm) {
-    const int r = comm.rank();
-    comm.barrier();  // synchronized start
-    Stopwatch watch;
-    if (r < static_cast<int>(n1)) {
-      const auto& steps = sender_steps[static_cast<std::size_t>(r)];
-      if (schedule == nullptr) {
-        // Brute force: one thread per outgoing flow, all at once.
-        std::vector<std::thread> flows;
-        for (const Piece& piece : steps[0]) {
-          flows.emplace_back([&, piece]() {
-            send_piece(comm, static_cast<NodeId>(r), piece.receiver, n1,
-                       piece.offset, piece.bytes, config, shapers);
-          });
-        }
-        for (std::thread& t : flows) t.join();
-      } else {
-        for (const auto& step : steps) {
-          for (const Piece& piece : step) {  // at most one piece (1-port)
-            send_piece(comm, static_cast<NodeId>(r), piece.receiver, n1,
-                       piece.offset, piece.bytes, config, shapers);
-          }
-          comm.barrier(sender_group);  // the paper's inter-step barrier
-        }
-      }
-    } else {
-      run_receiver(comm, static_cast<NodeId>(r) - n1, n1, plan, config,
-                   shapers, delivered, verified);
-    }
-    comm.barrier();  // synchronized finish
-    if (r == 0) elapsed.store(watch.elapsed_seconds());
-  });
-
-  SocketRunResult result;
-  result.seconds = elapsed.load();
-  result.bytes_delivered = delivered.load();
-  result.steps = (schedule == nullptr) ? (plan.empty() ? 0 : 1) : step_count;
-  result.verified = verified.load() && result.bytes_delivered ==
-                                           traffic.total();
-  return result;
-}
-
-// ---------------------------------------------------------------------------
-// Robust path: attempt runner + residual re-solve loop.
-
-// Receiver-side drain with a per-pair delivery ledger. Each drain thread
-// owns exactly one ledger slot (its pair), updated only after a message is
-// fully received and pattern-verified, so a failed attempt leaves behind
-// the precise resume offset for its pair. A verification failure is
-// unrecoverable (retransmission cannot unconsume wrong bytes) and clears
-// `checksum_ok`.
-void run_robust_receiver(Communicator& comm, NodeId receiver_index,
-                         NodeId n1,
-                         const std::map<PairKey, std::vector<Bytes>>& plan,
-                         const SocketClusterConfig& config, Shapers& shapers,
-                         const std::map<PairKey, Bytes>& base,
-                         std::map<PairKey, Bytes>& ledger,
-                         std::atomic<bool>& checksum_ok) {
-  std::vector<std::thread> drains;
-  std::vector<std::exception_ptr> drain_errors;
-  std::vector<NodeId> drain_senders;
-  for (NodeId i = 0; i < n1; ++i) {
-    if (plan.find({i, receiver_index}) != plan.end()) {
-      drain_senders.push_back(i);
-    }
-  }
-  drain_errors.resize(drain_senders.size());
-  // Drain threads inherit the robust run's solve ID so their journal
-  // events (socket faults, retries) join the run in forensic dumps.
+// Runs body(0 .. n-1) on n threads under the caller's solve ID (the
+// thread_local scope does not cross thread spawns by itself, and socket
+// fault events must join the run in forensic dumps), then rethrows the
+// first failure.
+void run_threads(std::size_t n,
+                 const std::function<void(std::size_t)>& body) {
   const std::uint64_t run_id = obs::SolveIdScope::current();
-  for (std::size_t d = 0; d < drain_senders.size(); ++d) {
-    const NodeId i = drain_senders[d];
-    const std::vector<Bytes>& pieces = plan.at({i, receiver_index});
-    drains.emplace_back([&, d, i, pieces, run_id]() {
-      const obs::SolveIdScope drain_scope(run_id);
+  std::vector<std::exception_ptr> errors(n);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < n; ++t) {
+    threads.emplace_back([&, t, run_id]() {
+      const obs::SolveIdScope scope(run_id);
       try {
-        Bytes offset = base.at({i, receiver_index});
-        Bytes& slot = ledger.at({i, receiver_index});
-        for (const Bytes piece : pieces) {
-          const std::vector<char> payload = comm.recv(
-              static_cast<int>(i), kDataTag,
-              {shapers.in[static_cast<std::size_t>(receiver_index)].get()},
-              config.chunk_bytes);
-          std::uint64_t checksum = 0;
-          for (char ch : payload) {
-            checksum += static_cast<unsigned char>(ch);
-          }
-          if (static_cast<Bytes>(payload.size()) != piece ||
-              checksum != expected_checksum_range(i, receiver_index, offset,
-                                                  piece)) {
-            checksum_ok.store(false);
-            throw Error("pattern verification failed");
-          }
-          offset += piece;
-          slot = offset;
-        }
+        body(t);
       } catch (...) {
-        drain_errors[d] = std::current_exception();
+        errors[t] = std::current_exception();
       }
     });
   }
-  for (std::thread& t : drains) t.join();
-  for (const auto& e : drain_errors) {
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }
 }
 
-struct AttemptOutcome {
-  bool failed = false;          ///< any rank raised
-  std::size_t steps = 0;        ///< planned steps of this attempt
-  std::uint64_t connect_retries = 0;
+struct Piece {
+  NodeId receiver;
+  Bytes offset;  ///< relative to this attempt's stream start for the pair
+  Bytes bytes;
 };
 
-// One barrier-stepped pass over `residual` under `schedule`, resuming each
-// pair's pattern stream at the ledger offset. A fresh mesh per attempt:
-// recovery re-establishes every link (exercising connect retry), and armed
-// idle deadlines turn a dead rank into TimeoutErrors on its peers instead
-// of a hang.
+// Which messages one attempt sends: pieces[pair] is the pair's message
+// sizes in send order (the receiver's view), sender_steps[i][s] sender i's
+// messages in step s.
+struct Layout {
+  std::map<PairKey, std::vector<Bytes>> pieces;
+  std::vector<std::vector<std::vector<Piece>>> sender_steps;
+  std::size_t steps = 0;
+};
+
+// Lays `traffic` into the steps of `schedule` (amounts in time units worth
+// `bytes_per_time_unit` bytes, clipped to the matrix). Whatever the
+// schedule leaves over goes into one extra trailing step: for brute force
+// (no schedule) that is every flow, for a schedule only rounding slack.
+Layout layout_sender_steps(const TrafficMatrix& traffic,
+                           const Schedule* schedule,
+                           double bytes_per_time_unit) {
+  std::map<PairKey, Bytes> remaining;
+  for (NodeId i = 0; i < traffic.senders(); ++i) {
+    for (NodeId j = 0; j < traffic.receivers(); ++j) {
+      if (traffic.at(i, j) > 0) remaining[{i, j}] = traffic.at(i, j);
+    }
+  }
+  const std::size_t planned =
+      schedule == nullptr ? 0 : schedule->step_count();
+  Layout layout;
+  layout.sender_steps.assign(static_cast<std::size_t>(traffic.senders()),
+                             std::vector<std::vector<Piece>>(planned + 1));
+  std::map<PairKey, Bytes> offset;
+  const auto lay = [&](std::size_t s, const PairKey& key, Bytes bytes) {
+    Bytes& off = offset[key];
+    layout.sender_steps[static_cast<std::size_t>(key.first)][s].push_back(
+        Piece{key.second, off, bytes});
+    layout.pieces[key].push_back(bytes);
+    off += bytes;
+  };
+  for (std::size_t s = 0; s < planned; ++s) {
+    std::set<NodeId> busy;
+    for (const Communication& c : schedule->steps()[s].comms) {
+      REDIST_CHECK_MSG(busy.insert(c.sender).second,
+                       "1-port violation in step " << s);
+      const auto it = remaining.find({c.sender, c.receiver});
+      if (it == remaining.end()) continue;
+      const double want =
+          static_cast<double>(c.amount) * bytes_per_time_unit;
+      const Bytes send = std::min<Bytes>(
+          it->second, static_cast<Bytes>(std::llround(want)));
+      if (send <= 0) continue;
+      lay(s, it->first, send);
+      it->second -= send;
+      if (it->second == 0) remaining.erase(it);
+    }
+  }
+  for (const auto& [key, bytes] : remaining) lay(planned, key, bytes);
+  layout.steps = planned + (remaining.empty() ? 0 : 1);
+  for (auto& steps : layout.sender_steps) steps.resize(layout.steps);
+  return layout;
+}
+
+// Receiver-side drain with a per-pair delivery ledger: one thread per
+// sender with traffic. Each drain thread owns exactly one ledger slot (its
+// pair), updated only after a message is fully received and
+// pattern-verified, so a failed attempt leaves behind the precise resume
+// offset for its pair. A verification failure is unrecoverable
+// (retransmission cannot unconsume wrong bytes) and clears `pattern_ok`.
+void run_receiver(Communicator& comm, NodeId receiver_index, NodeId n1,
+                  const Layout& layout, const SocketClusterConfig& config,
+                  Shapers& shapers, const std::map<PairKey, Bytes>& base,
+                  std::map<PairKey, Bytes>& ledger,
+                  std::atomic<bool>& pattern_ok) {
+  std::vector<NodeId> senders;
+  for (NodeId i = 0; i < n1; ++i) {
+    if (layout.pieces.count({i, receiver_index}) != 0) senders.push_back(i);
+  }
+  run_threads(senders.size(), [&](std::size_t d) {
+    const NodeId i = senders[d];
+    const PairKey key{i, receiver_index};
+    const Pattern pattern(i, receiver_index);
+    Bytes offset = base.at(key);
+    Bytes& slot = ledger.at(key);
+    for (const Bytes piece : layout.pieces.at(key)) {
+      const std::vector<char> payload = comm.recv(
+          static_cast<int>(i), kDataTag,
+          {shapers.in[static_cast<std::size_t>(receiver_index)].get()},
+          config.chunk_bytes);
+      bool intact = static_cast<Bytes>(payload.size()) == piece;
+      for (std::size_t b = 0; intact && b < payload.size();
+           b += kPatternBlock) {
+        intact = std::memcmp(payload.data() + b,
+                             pattern.at(offset + static_cast<Bytes>(b)),
+                             std::min(kPatternBlock, payload.size() - b)) ==
+                 0;
+      }
+      if (!intact) {
+        pattern_ok.store(false);
+        throw Error("pattern verification failed");
+      }
+      offset += piece;
+      slot = offset;
+    }
+  });
+}
+
+struct AttemptOutcome {
+  std::exception_ptr error;  ///< first rank failure, null on success
+  std::uint64_t connect_retries = 0;
+  double started_s = -1;   ///< run clock at the start barrier, -1 if missed
+  double finished_s = -1;  ///< run clock at the finish barrier, -1 if missed
+};
+
+// One pass over `residual`, resuming each pair's pattern stream at the
+// ledger offset. Brute force (`stepped` false) starts every flow of a
+// sender at once; otherwise senders walk the steps with one synchronous
+// communication each and a barrier between steps. A fresh mesh per
+// attempt: recovery re-establishes every link (exercising connect retry),
+// and armed idle deadlines turn a dead rank into TimeoutErrors on its
+// peers instead of a hang.
 AttemptOutcome run_attempt(const SocketClusterConfig& config,
                            const TrafficMatrix& residual,
-                           const Schedule* schedule,
-                           double bytes_per_time_unit,
+                           const Layout& layout, bool stepped,
                            const MeshOptions& mesh_options,
+                           const Stopwatch& clock,
                            std::map<PairKey, Bytes>& ledger,
-                           std::atomic<bool>& checksum_ok) {
+                           std::atomic<bool>& pattern_ok) {
   const NodeId n1 = residual.senders();
   const NodeId n2 = residual.receivers();
-  const std::map<PairKey, std::vector<Bytes>> plan =
-      piece_plan(residual, schedule, bytes_per_time_unit);
-
-  AttemptOutcome outcome;
-  std::vector<std::vector<std::vector<Piece>>> sender_steps =
-      layout_sender_steps(n1, schedule, plan, outcome.steps);
-
   // Resume offsets: snapshot before the attempt so senders read stable
   // values while receiver drains advance the live ledger.
   const std::map<PairKey, Bytes> base = ledger;
@@ -386,33 +260,41 @@ AttemptOutcome run_attempt(const SocketClusterConfig& config,
   std::vector<int> sender_group;
   for (NodeId i = 0; i < n1; ++i) sender_group.push_back(static_cast<int>(i));
 
-  // Rank threads inherit the caller's solve ID (the robust run's ID); the
-  // thread_local scope does not cross thread spawns by itself.
+  AttemptOutcome outcome;
   const std::uint64_t run_id = obs::SolveIdScope::current();
   const std::vector<std::exception_ptr> errors =
       run_ranks_collect(mesh, [&, run_id](Communicator& comm) {
         const obs::SolveIdScope rank_scope(run_id);
         const int r = comm.rank();
         comm.barrier();  // synchronized start
+        if (r == 0) outcome.started_s = clock.elapsed_seconds();
         if (r < static_cast<int>(n1)) {
+          const NodeId me = static_cast<NodeId>(r);
+          const auto send = [&](const Piece& piece) {
+            send_piece(comm, me, piece.receiver, n1,
+                       base.at({me, piece.receiver}) + piece.offset,
+                       piece.bytes, config, shapers);
+          };
           for (const auto& step :
-               sender_steps[static_cast<std::size_t>(r)]) {
-            for (const Piece& piece : step) {  // at most one piece (1-port)
-              send_piece(comm, static_cast<NodeId>(r), piece.receiver, n1,
-                         base.at({static_cast<NodeId>(r), piece.receiver}) +
-                             piece.offset,
-                         piece.bytes, config, shapers);
+               layout.sender_steps[static_cast<std::size_t>(me)]) {
+            if (!stepped) {
+              // Brute force: one thread per outgoing flow, all at once.
+              run_threads(step.size(),
+                          [&](std::size_t p) { send(step[p]); });
+              continue;
             }
+            for (const Piece& piece : step) send(piece);
             comm.barrier(sender_group);  // the paper's inter-step barrier
           }
         } else {
-          run_robust_receiver(comm, static_cast<NodeId>(r) - n1, n1, plan,
-                              config, shapers, base, ledger, checksum_ok);
+          run_receiver(comm, static_cast<NodeId>(r) - n1, n1, layout,
+                       config, shapers, base, ledger, pattern_ok);
         }
         comm.barrier();  // synchronized finish
+        if (r == 0) outcome.finished_s = clock.elapsed_seconds();
       });
   for (const auto& e : errors) {
-    if (e) outcome.failed = true;
+    if (e && !outcome.error) outcome.error = e;
   }
   outcome.connect_retries = mesh.connect_retries();
   return outcome;
@@ -424,34 +306,34 @@ Bytes ledger_total(const std::map<PairKey, Bytes>& ledger) {
   return total;
 }
 
-}  // namespace
-
-SocketRunResult socket_bruteforce(const SocketClusterConfig& config,
-                                  const TrafficMatrix& traffic) {
-  return run(config, traffic, nullptr, 1.0);
-}
-
-SocketRunResult socket_scheduled(const SocketClusterConfig& config,
-                                 const TrafficMatrix& traffic,
-                                 const Schedule& schedule,
-                                 double bytes_per_time_unit) {
-  REDIST_CHECK(bytes_per_time_unit > 0);
-  return run(config, traffic, &schedule, bytes_per_time_unit);
-}
-
-SocketRunResult socket_scheduled(const SocketClusterConfig& config,
-                                 const TrafficMatrix& traffic,
-                                 const Schedule& schedule,
-                                 double bytes_per_time_unit,
-                                 const RobustnessOptions& robustness) {
-  if (!robustness.enabled) {
-    return socket_scheduled(config, traffic, schedule, bytes_per_time_unit);
-  }
-  REDIST_CHECK(bytes_per_time_unit > 0);
+// Config errors are the caller's, so they throw here, once, instead of
+// failing every attempt.
+void check_options(const SocketClusterConfig& config,
+                   double bytes_per_time_unit,
+                   const RobustnessOptions& robustness) {
+  REDIST_CHECK_MSG(config.card_out_bps > 0 && config.card_in_bps > 0 &&
+                       config.backbone_bps > 0,
+                   "card and backbone rates must be positive");
+  REDIST_CHECK_MSG(config.chunk_bytes > 0 && config.burst_bytes > 0,
+                   "chunk and burst sizes must be positive");
+  REDIST_CHECK_MSG(bytes_per_time_unit > 0,
+                   "bytes_per_time_unit must be positive");
+  if (!robustness.enabled) return;
   REDIST_CHECK_MSG(robustness.io_timeout_ms > 0,
                    "robust mode needs a positive io_timeout_ms");
   REDIST_CHECK_MSG(robustness.max_reschedules >= 0,
                    "negative reschedule budget");
+}
+
+// The one real-byte executor: attempts over a fresh mesh until everything
+// is delivered or the reschedule budget runs out. Without robustness that
+// is one attempt with no idle deadline whose first rank error is
+// rethrown.
+SocketRunResult run(const SocketClusterConfig& config,
+                    const TrafficMatrix& traffic, const Schedule* schedule,
+                    double bytes_per_time_unit,
+                    const RobustnessOptions& robustness) {
+  check_options(config, bytes_per_time_unit, robustness);
 
   obs::MetricsRegistry* const metrics = obs::metrics();
   obs::TraceSpan run_span(obs::trace(), "socket.robust");
@@ -467,8 +349,10 @@ SocketRunResult socket_scheduled(const SocketClusterConfig& config,
   const obs::SolveIdScope run_scope(run_id);
 
   MeshOptions mesh_options;
-  mesh_options.io_timeout_ms = robustness.io_timeout_ms;
-  mesh_options.connect_retry = robustness.connect_retry;
+  if (robustness.enabled) {
+    mesh_options.io_timeout_ms = robustness.io_timeout_ms;
+    mesh_options.connect_retry = robustness.connect_retry;
+  }
 
   // Delivery ledger: absolute delivered bytes per pair, carried across
   // attempts. Entries exist for every pair with traffic so drain threads
@@ -480,41 +364,55 @@ SocketRunResult socket_scheduled(const SocketClusterConfig& config,
     }
   }
 
-  std::atomic<bool> checksum_ok{true};
+  std::atomic<bool> pattern_ok{true};
   SocketRunResult result;
   result.run_id = run_id;
-  const Stopwatch watch;
+  // `seconds` runs from the first attempt's start barrier to the last
+  // attempt's finish barrier: the first mesh wiring is set-up, while
+  // re-wiring, backoff and re-solve in later attempts are recovery.
+  const Stopwatch clock;
+  double started_s = -1;
+  double finished_s = -1;
   Rng backoff_rng(robustness.attempt_backoff.seed);
 
   TrafficMatrix residual = traffic;
   Schedule recovery;
-  const Schedule* current = &schedule;
+  const Schedule* current = schedule;
 
-  const int max_attempts = 1 + robustness.max_reschedules;
+  const int max_attempts =
+      robustness.enabled ? 1 + robustness.max_reschedules : 1;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     result.attempts = attempt;
+    const Layout layout =
+        layout_sender_steps(residual, current, bytes_per_time_unit);
     AttemptOutcome outcome;
     {
       obs::TraceSpan attempt_span(obs::trace(), "socket.robust.attempt");
       if (attempt_span) attempt_span.arg("attempt", attempt);
       obs::journal_record(obs::JournalEventKind::kAttemptBegin, attempt);
       try {
-        outcome = run_attempt(config, residual, current, bytes_per_time_unit,
-                              mesh_options, ledger, checksum_ok);
+        outcome = run_attempt(config, residual, layout, current != nullptr,
+                              mesh_options, clock, ledger, pattern_ok);
       } catch (const Error&) {
         // Mesh wiring failed outright (connect retries exhausted, accept
-        // deadline): treat as a failed attempt with nothing delivered.
-        outcome.failed = true;
+        // deadline): a failed attempt with nothing delivered.
+        outcome.error = std::current_exception();
       }
-      if (attempt_span) attempt_span.arg("failed", outcome.failed);
+      const bool failed = outcome.error != nullptr;
+      if (attempt_span) attempt_span.arg("failed", failed);
       obs::journal_record(obs::JournalEventKind::kAttemptEnd, attempt,
-                          outcome.failed ? 1 : 0,
+                          failed ? 1 : 0,
                           static_cast<double>(ledger_total(ledger)));
     }
-    result.steps += outcome.steps;
+    if (outcome.error && !robustness.enabled) {
+      std::rethrow_exception(outcome.error);
+    }
+    if (attempt == 1) started_s = outcome.started_s;
+    finished_s = outcome.finished_s;
+    result.steps += layout.steps;
     result.link_retries += outcome.connect_retries;
-    if (!checksum_ok.load()) break;  // wrong bytes cannot be retransmitted
-    if (!outcome.failed || ledger_total(ledger) == traffic.total()) break;
+    if (!pattern_ok.load()) break;  // wrong bytes cannot be retransmitted
+    if (!outcome.error || ledger_total(ledger) == traffic.total()) break;
     if (attempt == max_attempts) break;
 
     // Backoff, then rebuild the residual matrix from the ledger and
@@ -541,14 +439,6 @@ SocketRunResult socket_scheduled(const SocketClusterConfig& config,
     if (metrics != nullptr) metrics->counter("robust.run.reschedules").add();
     obs::journal_record(obs::JournalEventKind::kRecoverySpliced, attempt,
                         static_cast<std::int64_t>(demand.edge_count()));
-    obs::log_event(obs::LogLevel::kWarn, "robust.socket", "recovery spliced",
-                   {obs::log_field("attempt", attempt),
-                    obs::log_field("residual_pairs",
-                                   static_cast<std::int64_t>(
-                                       demand.edge_count())),
-                    obs::log_field("delivered",
-                                   static_cast<std::int64_t>(
-                                       ledger_total(ledger)))});
 
     // Forensic artifact: after a splice, persist the flight recorder so
     // the fault storm that forced this recovery can be reconstructed even
@@ -567,10 +457,11 @@ SocketRunResult socket_scheduled(const SocketClusterConfig& config,
     }
   }
 
-  result.seconds = watch.elapsed_seconds();
+  result.seconds = (finished_s >= 0 ? finished_s : clock.elapsed_seconds()) -
+                   std::max(started_s, 0.0);
   result.bytes_delivered = ledger_total(ledger);
   result.verified =
-      checksum_ok.load() && result.bytes_delivered == traffic.total();
+      pattern_ok.load() && result.bytes_delivered == traffic.total();
   if (metrics != nullptr) {
     metrics->counter("robust.run.attempts")
         .add(static_cast<std::uint64_t>(result.attempts));
@@ -586,6 +477,29 @@ SocketRunResult socket_scheduled(const SocketClusterConfig& config,
     run_span.arg("verified", result.verified);
   }
   return result;
+}
+
+}  // namespace
+
+SocketRunResult socket_bruteforce(const SocketClusterConfig& config,
+                                  const TrafficMatrix& traffic) {
+  return run(config, traffic, nullptr, 1.0, RobustnessOptions{});
+}
+
+SocketRunResult socket_scheduled(const SocketClusterConfig& config,
+                                 const TrafficMatrix& traffic,
+                                 const Schedule& schedule,
+                                 double bytes_per_time_unit) {
+  return run(config, traffic, &schedule, bytes_per_time_unit,
+             RobustnessOptions{});
+}
+
+SocketRunResult socket_scheduled(const SocketClusterConfig& config,
+                                 const TrafficMatrix& traffic,
+                                 const Schedule& schedule,
+                                 double bytes_per_time_unit,
+                                 const RobustnessOptions& robustness) {
+  return run(config, traffic, &schedule, bytes_per_time_unit, robustness);
 }
 
 }  // namespace redist

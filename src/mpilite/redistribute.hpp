@@ -10,16 +10,19 @@
 //    take place in each step for each sender".
 //
 // Ranks 0..n1-1 are the sender cluster C1, ranks n1..n1+n2-1 the receiver
-// cluster C2. Receivers verify delivered byte counts and a pattern checksum
-// per sender before reporting success.
-// Partial-failure recovery (the robust overload of socket_scheduled): when
-// an attempt fails mid-flight — a reset link, a stalled peer tripping the
-// idle deadline — receivers keep a per-pair delivery ledger at
-// completed-message granularity. The runtime rebuilds the residual traffic
-// matrix from the ledger, re-solves it with the K-PBS solver, and splices
-// the recovery schedule into a fresh attempt (new mesh, senders resuming
-// the pattern stream at the receiver-reported offsets) until everything is
-// delivered or the reschedule budget runs out.
+// cluster C2. Receivers compare every delivered byte with the pair's
+// deterministic pattern stream before reporting success.
+//
+// All three entry points run one attempt runner: an attempt wires a fresh
+// mesh and sends over it, brute force or barrier-stepped. With robustness
+// enabled (the recovering overload of socket_scheduled) a failed attempt —
+// a reset link, a stalled peer tripping the idle deadline — is followed by
+// another: receivers keep a per-pair delivery ledger at completed-message
+// granularity, and the runtime rebuilds the residual traffic matrix from
+// it, re-solves it with the K-PBS solver, and splices the recovery schedule
+// into a fresh attempt (senders resuming the pattern stream at the
+// receiver-reported offsets) until everything is delivered or the
+// reschedule budget runs out.
 #pragma once
 
 #include "common/contract_annotations.hpp"
@@ -42,7 +45,8 @@ struct SocketClusterConfig {
 };
 
 /// Robustness knobs for the recovering socket_scheduled overload. Disabled
-/// by default: the legacy path runs byte-identically to the seed code.
+/// by default: one attempt, no idle deadline and the first rank error
+/// rethrown, exactly what the other entry points do.
 struct RobustnessOptions {
   bool enabled = false;
   /// Idle deadline on every link socket and on accept during wiring; must
@@ -72,14 +76,16 @@ struct SocketRunResult {
   Bytes bytes_delivered = 0;
   std::size_t steps = 0;
   bool verified = false;
-  int attempts = 1;        ///< redistribution attempts run (robust path)
+  int attempts = 1;        ///< redistribution attempts run
   int reschedules = 0;     ///< residual re-solves spliced in
   std::uint64_t link_retries = 0;  ///< connect retries across all meshes
   std::uint64_t run_id = 0;  ///< flight-recorder solve ID of this run
   std::string journal_dump_path;  ///< recovery dump, "" when none written
 };
 
-/// All flows at once over the socket mesh.
+/// All flows at once over the socket mesh. Every entry point throws
+/// redist::Error on an invalid config, a schedule that breaks the 1-port
+/// rule, or (unless recovering) a rank's failure.
 SocketRunResult socket_bruteforce(const SocketClusterConfig& config,
                                   const TrafficMatrix& traffic);
 
@@ -92,7 +98,7 @@ SocketRunResult socket_scheduled(const SocketClusterConfig& config,
 
 /// Recovering variant: with robustness.enabled, failed attempts are
 /// followed by residual re-solve + splice (see file header); with it
-/// disabled this is exactly the legacy overload.
+/// disabled this is exactly the overload above.
 SocketRunResult socket_scheduled(const SocketClusterConfig& config,
                                  const TrafficMatrix& traffic,
                                  const Schedule& schedule,

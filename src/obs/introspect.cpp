@@ -7,7 +7,6 @@
 #include "common/stopwatch.hpp"
 #include "obs/export.hpp"
 #include "obs/journal.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -98,10 +97,8 @@ void IntrospectionServer::serve() {
       handle_connection(listener_.accept());
     } catch (const TimeoutError&) {
       // Accept poll expired — loop to re-check the stop flag.
-    } catch (const Error& e) {
+    } catch (const Error&) {
       // A broken connection must not kill the serving thread.
-      log_event(LogLevel::kWarn, "obs.introspect", "connection error",
-                {log_field("error", e.what())});
     }
   }
 }
@@ -122,11 +119,6 @@ void IntrospectionServer::handle_connection(TcpStream stream) {
   const std::string target = parse_target(line);
   const Response response = respond(target);
   requests_.fetch_add(1, std::memory_order_relaxed);
-  log_event(LogLevel::kDebug, "obs.introspect", "request",
-            {log_field("target", target),
-             log_field(
-                 "status",
-                 static_cast<std::int64_t>(response.status))});
 
   std::ostringstream os;
   os << "HTTP/1.0 " << response.status << " " << status_reason(response.status)

@@ -18,7 +18,6 @@
 #include "obs/export.hpp"
 #include "obs/introspect.hpp"
 #include "obs/journal.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
@@ -64,7 +63,6 @@
 #include "netsim/platform.hpp"
 
 #include "runtime/batch.hpp"
-#include "runtime/engine.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/token_bucket.hpp"
 
