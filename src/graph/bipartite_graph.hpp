@@ -45,6 +45,9 @@ class BipartiteGraph {
 
   const Edge& edge(EdgeId e) const { return edges_[check_edge(e)]; }
   bool alive(EdgeId e) const { return edges_[check_edge(e)].weight > 0; }
+  /// Every edge, indexed by id (dead ones included): an unchecked view for
+  /// whole-graph scans in hot loops.
+  const std::vector<Edge>& edges() const { return edges_; }
 
   /// Decreases the residual weight of an alive edge by `delta`
   /// (0 < delta <= weight). The edge dies when it reaches zero.

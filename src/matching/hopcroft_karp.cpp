@@ -1,7 +1,6 @@
 #include "matching/hopcroft_karp.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <limits>
 
 #include "obs/telemetry.hpp"
@@ -13,66 +12,74 @@ namespace {
 constexpr int kInf = std::numeric_limits<int>::max();
 }  // namespace
 
-HopcroftKarp::HopcroftKarp(const BipartiteGraph& g, std::vector<char> mask) {
-  rebind(g, std::move(mask));
+HopcroftKarp::HopcroftKarp(const BipartiteGraph& g,
+                           const std::vector<char>& mask) {
+  rebind(g, mask);
 }
 
-void HopcroftKarp::rebind(const BipartiteGraph& g, std::vector<char> mask) {
+void HopcroftKarp::rebind(const BipartiteGraph& g,
+                          const std::vector<char>& mask) {
   REDIST_CHECK_MSG(
       mask.empty() || mask.size() == static_cast<std::size_t>(g.edge_count()),
       "edge mask size mismatch");
-  mask_ = std::move(mask);
-  min_weight_ = 0;
-  reset(g);
+  bind(g, 1, mask);
 }
 
 void HopcroftKarp::rebind_threshold(const BipartiteGraph& g,
                                     Weight min_weight) {
-  mask_.clear();
-  min_weight_ = min_weight;
-  reset(g);
+  bind(g, std::max<Weight>(min_weight, 1), {});
 }
 
-void HopcroftKarp::reset(const BipartiteGraph& g) {
+void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
+                        const std::vector<char>& mask) {
   g_ = &g;
-  match_left_.assign(static_cast<std::size_t>(g.left_count()), kNoEdge);
-  match_right_.assign(static_cast<std::size_t>(g.right_count()), kNoEdge);
-  dist_.assign(static_cast<std::size_t>(g.left_count()), kInf);
-}
-
-bool HopcroftKarp::edge_usable(EdgeId e) const {
-  if (!g_->alive(e)) return false;
-  if (min_weight_ > 0 && g_->edge(e).weight < min_weight_) return false;
-  return mask_.empty() || mask_[static_cast<std::size_t>(e)];
+  const std::vector<Edge>& edges = g.edges();
+  usable_.resize(edges.size());
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    usable_[e] = static_cast<char>(edges[e].weight >= min_weight &&
+                                   (mask.empty() || mask[e] != 0));
+  }
+  // Each left node's usable edges, in its adjacency order: the BFS and DFS
+  // scan them exactly as a filtered walk of edges_of_left would.
+  const auto n_left = static_cast<std::size_t>(g.left_count());
+  arc_begin_.resize(n_left + 1);
+  arcs_.clear();
+  for (std::size_t v = 0; v < n_left; ++v) {
+    arc_begin_[v] = arcs_.size();
+    for (EdgeId e : g.edges_of_left(static_cast<NodeId>(v))) {
+      if (usable_[static_cast<std::size_t>(e)] != 0) {
+        arcs_.push_back(Arc{e, edges[static_cast<std::size_t>(e)].right});
+      }
+    }
+  }
+  arc_begin_[n_left] = arcs_.size();
+  match_left_.assign(n_left, kNoEdge);
+  mate_of_right_.assign(static_cast<std::size_t>(g.right_count()), kNoNode);
+  dist_.assign(n_left, kInf);
+  queue_.reserve(n_left);
 }
 
 bool HopcroftKarp::bfs_layers() {
-  std::deque<NodeId> queue;
-  for (NodeId v = 0; v < g_->left_count(); ++v) {
-    if (match_left_[static_cast<std::size_t>(v)] == kNoEdge) {
-      dist_[static_cast<std::size_t>(v)] = 0;
-      queue.push_back(v);
+  queue_.clear();
+  for (std::size_t v = 0; v < match_left_.size(); ++v) {
+    if (match_left_[v] == kNoEdge) {
+      dist_[v] = 0;
+      queue_.push_back(static_cast<NodeId>(v));
     } else {
-      dist_[static_cast<std::size_t>(v)] = kInf;
+      dist_[v] = kInf;
     }
   }
   bool found_free_right = false;
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    for (EdgeId e : g_->edges_of_left(u)) {
-      if (!edge_usable(e)) continue;
-      const NodeId r = g_->edge(e).right;
-      const EdgeId back = match_right_[static_cast<std::size_t>(r)];
-      if (back == kNoEdge) {
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    const auto u = static_cast<std::size_t>(queue_[head]);
+    for (std::size_t a = arc_begin_[u]; a < arc_begin_[u + 1]; ++a) {
+      const NodeId next =
+          mate_of_right_[static_cast<std::size_t>(arcs_[a].right)];
+      if (next == kNoNode) {
         found_free_right = true;
-      } else {
-        const NodeId next = g_->edge(back).left;
-        if (dist_[static_cast<std::size_t>(next)] == kInf) {
-          dist_[static_cast<std::size_t>(next)] =
-              dist_[static_cast<std::size_t>(u)] + 1;
-          queue.push_back(next);
-        }
+      } else if (dist_[static_cast<std::size_t>(next)] == kInf) {
+        dist_[static_cast<std::size_t>(next)] = dist_[u] + 1;
+        queue_.push_back(next);
       }
     }
   }
@@ -80,26 +87,18 @@ bool HopcroftKarp::bfs_layers() {
 }
 
 bool HopcroftKarp::dfs_augment(NodeId left) {
-  for (EdgeId e : g_->edges_of_left(left)) {
-    if (!edge_usable(e)) continue;
-    const NodeId r = g_->edge(e).right;
-    const EdgeId back = match_right_[static_cast<std::size_t>(r)];
-    bool reachable;
-    if (back == kNoEdge) {
-      reachable = true;
-    } else {
-      const NodeId next = g_->edge(back).left;
-      reachable = dist_[static_cast<std::size_t>(next)] ==
-                      dist_[static_cast<std::size_t>(left)] + 1 &&
-                  dfs_augment(next);
-    }
-    if (reachable) {
-      match_left_[static_cast<std::size_t>(left)] = e;
-      match_right_[static_cast<std::size_t>(r)] = e;
+  const auto l = static_cast<std::size_t>(left);
+  for (std::size_t a = arc_begin_[l]; a < arc_begin_[l + 1]; ++a) {
+    const Arc arc = arcs_[a];
+    const NodeId next = mate_of_right_[static_cast<std::size_t>(arc.right)];
+    if (next == kNoNode ||
+        (dist_[static_cast<std::size_t>(next)] == dist_[l] + 1 &&
+         dfs_augment(next))) {
+      match(left, arc.edge, arc.right);
       return true;
     }
   }
-  dist_[static_cast<std::size_t>(left)] = kInf;  // dead end; prune
+  dist_[l] = kInf;  // dead end; prune
   return false;
 }
 
@@ -135,8 +134,7 @@ Matching HopcroftKarp::augment_to_maximum() {
     if (paths == 0) break;
   }
   Matching result;
-  for (NodeId v = 0; v < g_->left_count(); ++v) {
-    const EdgeId e = match_left_[static_cast<std::size_t>(v)];
+  for (const EdgeId e : match_left_) {
     if (e != kNoEdge) result.edges.push_back(e);
   }
   return result;
@@ -145,42 +143,47 @@ Matching HopcroftKarp::augment_to_maximum() {
 Matching HopcroftKarp::solve() {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::solve before rebind");
   // Seed with a greedy matching: cheap and typically covers most vertices.
-  // Same edge-id scan order as greedy_matching, but honoring the active
-  // mask/threshold restriction via edge_usable.
-  for (EdgeId e = 0; e < g_->edge_count(); ++e) {
-    if (!edge_usable(e)) continue;
-    const Edge& edge = g_->edge(e);
-    const auto l = static_cast<std::size_t>(edge.left);
-    const auto r = static_cast<std::size_t>(edge.right);
-    if (match_left_[l] != kNoEdge || match_right_[r] != kNoEdge) continue;
-    match_left_[l] = e;
-    match_right_[r] = e;
+  // Same edge-id scan order as greedy_matching, restricted to the usable
+  // edges of the last rebind.
+  const std::vector<Edge>& edges = g_->edges();
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (usable_[e] == 0) continue;
+    const Edge& edge = edges[e];
+    if (match_left_[static_cast<std::size_t>(edge.left)] != kNoEdge ||
+        mate_of_right_[static_cast<std::size_t>(edge.right)] != kNoNode) {
+      continue;
+    }
+    match(edge.left, static_cast<EdgeId>(e), edge.right);
   }
   return augment_to_maximum();
 }
 
 Matching HopcroftKarp::solve_seeded(const Matching& seed) {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::solve before rebind");
+  const std::vector<Edge>& edges = g_->edges();
   for (EdgeId e : seed.edges) {
-    if (e < 0 || e >= g_->edge_count() || !edge_usable(e)) continue;
-    const Edge& edge = g_->edge(e);
-    const auto l = static_cast<std::size_t>(edge.left);
-    const auto r = static_cast<std::size_t>(edge.right);
-    if (match_left_[l] != kNoEdge || match_right_[r] != kNoEdge) continue;
-    match_left_[l] = e;
-    match_right_[r] = e;
+    if (e < 0 || static_cast<std::size_t>(e) >= edges.size() ||
+        usable_[static_cast<std::size_t>(e)] == 0) {
+      continue;
+    }
+    const Edge& edge = edges[static_cast<std::size_t>(e)];
+    if (match_left_[static_cast<std::size_t>(edge.left)] != kNoEdge ||
+        mate_of_right_[static_cast<std::size_t>(edge.right)] != kNoNode) {
+      continue;
+    }
+    match(edge.left, e, edge.right);
   }
   return augment_to_maximum();
 }
 
-Matching max_matching(const BipartiteGraph& g, std::vector<char> mask) {
-  HopcroftKarp solver(g, std::move(mask));
+Matching max_matching(const BipartiteGraph& g, const std::vector<char>& mask) {
+  HopcroftKarp solver(g, mask);
   return solver.solve();
 }
 
 std::size_t max_matching_size(const BipartiteGraph& g,
-                              std::vector<char> mask) {
-  return max_matching(g, std::move(mask)).size();
+                              const std::vector<char>& mask) {
+  return max_matching(g, mask).size();
 }
 
 }  // namespace redist
