@@ -76,8 +76,13 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
 
   // Binary search for the optimal threshold, landing on the same index a
   // from-scratch search finds: feasibility at a threshold is a property of
-  // the graph alone, not of how a probe computes its maximum matching. Three
-  // warm shortcuts make the probes cheap:
+  // the graph alone, not of how a probe computes its maximum matching. Four
+  // warm shortcuts make the search cheap:
+  //  * `hi` is capped at the largest weight <= the previous step's
+  //    bottleneck b, and probed first. The cap cannot cut off the optimum:
+  //    any perfect matching M' of the peeled residual was a perfect
+  //    matching before the peel, with weights at least as large, so
+  //    min'(M') <= min(M') <= b;
   //  * the probe at ws_[0] is skipped — WRGP residuals are weight-regular,
   //    so a perfect matching always exists there (Hall); the canonical
   //    replay below still hard-checks it;
@@ -95,13 +100,22 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
 
   std::size_t lo = 0;
   std::size_t hi = ws_.size() - 1;
+  bool probe_hi_first = last_bottleneck_ > 0;
+  if (probe_hi_first) {
+    const auto above =
+        std::upper_bound(ws_.begin(), ws_.end(), last_bottleneck_);
+    hi = above == ws_.begin()
+             ? 0
+             : static_cast<std::size_t>(above - ws_.begin()) - 1;
+  }
   // `cur` must be a matching of `g` for the seed-hit count below to mean
   // anything: the previous step's matching is one (same graph, peeled), a
   // cross-instance seed is filtered into one.
   Matching cur = seed_pending_ ? usable_seed(g, last_) : last_;
   seed_pending_ = false;
   while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
+    const std::size_t mid = probe_hi_first ? hi : lo + (hi - lo + 1) / 2;
+    probe_hi_first = false;
     obs::TraceSpan probe_span(obs::trace(), "bottleneck.probe");
     if (probe_counter != nullptr) probe_counter->add();
     std::size_t surviving = 0;
@@ -151,6 +165,22 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   REDIST_CHECK_MSG(min_weight(g, result) == ws_[lo],
                    "warm bottleneck value diverged from threshold "
                        << ws_[lo]);
+#ifdef REDIST_VALIDATE
+  // Bottleneck-optimality certificate. The capped search never probes above
+  // the previous bottleneck, so check here that the threshold it settled on
+  // respects the cap and that the next distinct weight has no perfect
+  // matching.
+  REDIST_CHECK_MSG(last_bottleneck_ == 0 || ws_[lo] <= last_bottleneck_,
+                   "bottleneck " << ws_[lo] << " exceeds the previous step's "
+                                 << last_bottleneck_);
+  if (lo + 1 < ws_.size()) {
+    hk_.rebind_threshold(g, ws_[lo + 1]);
+    REDIST_CHECK_MSG(hk_.solve().size() < target,
+                     "bottleneck " << ws_[lo] << " is not optimal: threshold "
+                                   << ws_[lo + 1] << " has a perfect matching");
+  }
+#endif
+  last_bottleneck_ = ws_[lo];
   if (search_span) {
     search_span.arg("distinct_weights", ws_.size());
     search_span.arg("bottleneck", ws_[lo]);

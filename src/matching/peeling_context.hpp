@@ -10,13 +10,20 @@
 //    O(|M| log d) per step, so the sorted distinct-weight array of the
 //    bottleneck search is rebuilt by traversal instead of an O(m log m)
 //    sort, and shrinks as weights are consumed;
+//  * the previous step's bottleneck, which caps the next step's search:
+//    peeling only lowers weights, so a step's optimal bottleneck never
+//    exceeds the previous one. The search probes the cap first and only
+//    binary-searches below it when that probe fails;
 //  * the previous step's matching, used to warm-seed every feasibility
 //    probe of the binary search (solve_seeded) — probes only decide
 //    feasibility, which is a property of the graph, not of the matching
 //    found, so warm seeds cannot change the search outcome;
 //  * one rebindable Hopcroft–Karp solver and one distinct-weight buffer,
-//    reused across probes and steps. Probes still allocate a little: the
-//    solver's BFS queue and the Matching each solve returns.
+//    reused across probes and steps. The only allocation a probe makes is
+//    the Matching its solve returns.
+//
+// A context follows one graph through its peel: the ledger and the cap are
+// both carried over from the previous step of that graph.
 //
 // Canonical replay: once the binary search lands on the optimal threshold,
 // the step's matching is produced by a greedy-seeded Hopcroft–Karp run at
@@ -48,8 +55,9 @@ class PeelingContext {
 
   /// Perfect matching maximizing the minimum edge weight (the OGGP
   /// strategy): the greedy-seeded Hopcroft–Karp matching at the optimal
-  /// threshold, found by a binary search warm-started from the previous
-  /// step. Throws if no perfect matching exists; requires equal side sizes.
+  /// threshold, found by a search capped at the previous step's bottleneck
+  /// and warm-started from its matching. Throws if no perfect matching
+  /// exists; requires equal side sizes.
   REDIST_DETERMINISTIC
   Matching bottleneck_perfect(const BipartiteGraph& g);
 
@@ -70,6 +78,7 @@ class PeelingContext {
   void seed(Matching m) {
     last_ = std::move(m);
     seed_pending_ = true;
+    last_bottleneck_ = 0;
   }
 
   /// The last matching this context produced — the warm handle a solve
@@ -85,6 +94,7 @@ class PeelingContext {
   std::map<Weight, EdgeId> weight_count_;  // alive residual weight multiset
   bool tracking_weights_ = false;        // ledger initialized (OGGP path)
   bool seed_pending_ = false;            // last_ is an unchecked seed()
+  Weight last_bottleneck_ = 0;           // previous step's bottleneck; 0 = none
 };
 
 }  // namespace redist

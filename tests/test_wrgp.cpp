@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
+#include "kpbs/regularize.hpp"
 #include "matching/hungarian.hpp"
+#include "matching/peeling_context.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "oracle/bottleneck_oracle.hpp"
 #include "workload/random_graphs.hpp"
+#include "workload/scenario.hpp"
 
 namespace redist {
 namespace {
@@ -137,6 +144,36 @@ TEST(Wrgp, AllThreeStrategiesPeelTheSameRegularGraph) {
     Weight total = 0;
     for (const auto& s : steps) total += s.amount;
     EXPECT_EQ(total, c);  // transmission is strategy-independent
+  }
+}
+
+// Peeling only lowers weights, so a step's bottleneck never exceeds the
+// previous one, and the warm search caps itself there: on a sparse_giant
+// instance most steps settle with the single probe at the cap.
+TEST(PeelingContext, SearchIsBoundedByPreviousBottleneck) {
+  const std::vector<ScenarioSpec> specs = builtin_scenarios(1.0 / 32);
+  const auto spec = std::find_if(
+      specs.begin(), specs.end(),
+      [](const ScenarioSpec& s) { return s.name == "sparse_giant"; });
+  ASSERT_NE(spec, specs.end());
+  Regularized reg = regularize(materialize_scenario(*spec).demand, spec->k);
+
+  obs::MetricsRegistry registry;
+  std::vector<PeelStep> steps;
+  {
+    const obs::ScopedTelemetry scope(&registry, nullptr);
+    PeelingContext ctx;
+    steps = wrgp_peel_warm(reg.graph, WarmStrategy::kBottleneck, ctx);
+  }
+  ASSERT_FALSE(steps.empty());
+  const std::uint64_t peel_steps = registry.counter("wrgp.steps").value();
+  const std::uint64_t probes = registry.counter("bottleneck.probes").value();
+  ASSERT_EQ(peel_steps, steps.size());
+  EXPECT_LE(static_cast<double>(probes) / static_cast<double>(peel_steps),
+            2.0)
+      << probes << " probes over " << peel_steps << " steps";
+  for (std::size_t s = 1; s < steps.size(); ++s) {
+    EXPECT_LE(steps[s].amount, steps[s - 1].amount) << "step " << s;
   }
 }
 
