@@ -33,16 +33,20 @@ void HopcroftKarp::rebind_threshold(const BipartiteGraph& g,
 void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
                         const std::vector<char>& mask) {
   g_ = &g;
+  min_weight_ = min_weight;
   const std::vector<Edge>& edges = g.edges();
   usable_.resize(edges.size());
+  usable_ids_.clear();
   for (std::size_t e = 0; e < edges.size(); ++e) {
     usable_[e] = static_cast<char>(edges[e].weight >= min_weight &&
                                    (mask.empty() || mask[e] != 0));
+    if (usable_[e] != 0) usable_ids_.push_back(static_cast<EdgeId>(e));
   }
   // Each left node's usable edges, in its adjacency order: the BFS and DFS
   // scan them exactly as a filtered walk of edges_of_left would.
   const auto n_left = static_cast<std::size_t>(g.left_count());
-  arc_begin_.resize(n_left + 1);
+  arc_begin_.resize(n_left);
+  arc_end_.resize(n_left);
   arcs_.clear();
   for (std::size_t v = 0; v < n_left; ++v) {
     arc_begin_[v] = arcs_.size();
@@ -51,12 +55,32 @@ void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
         arcs_.push_back(Arc{e, edges[static_cast<std::size_t>(e)].right});
       }
     }
+    arc_end_[v] = arcs_.size();
   }
-  arc_begin_[n_left] = arcs_.size();
   match_left_.assign(n_left, kNoEdge);
   mate_of_right_.assign(static_cast<std::size_t>(g.right_count()), kNoNode);
   dist_.assign(n_left, kInf);
   queue_.reserve(n_left);
+}
+
+void HopcroftKarp::drop_dead(const std::vector<EdgeId>& dead) {
+  REDIST_CHECK_MSG(g_ != nullptr && min_weight_ == 1,
+                   "HopcroftKarp::drop_dead needs a threshold-1 bind");
+  for (EdgeId e : dead) {
+    REDIST_CHECK_MSG(!g_->alive(e), "drop_dead: edge " << e << " is alive");
+    usable_[static_cast<std::size_t>(e)] = 0;
+    const auto u = static_cast<std::size_t>(g_->edge(e).left);
+    std::size_t kept = arc_begin_[u];
+    for (std::size_t a = arc_begin_[u]; a < arc_end_[u]; ++a) {
+      if (arcs_[a].edge != e) arcs_[kept++] = arcs_[a];
+    }
+    arc_end_[u] = kept;
+  }
+  std::erase_if(usable_ids_, [this](EdgeId e) {
+    return usable_[static_cast<std::size_t>(e)] == 0;
+  });
+  std::fill(match_left_.begin(), match_left_.end(), kNoEdge);
+  std::fill(mate_of_right_.begin(), mate_of_right_.end(), kNoNode);
 }
 
 bool HopcroftKarp::bfs_layers() {
@@ -72,7 +96,7 @@ bool HopcroftKarp::bfs_layers() {
   bool found_free_right = false;
   for (std::size_t head = 0; head < queue_.size(); ++head) {
     const auto u = static_cast<std::size_t>(queue_[head]);
-    for (std::size_t a = arc_begin_[u]; a < arc_begin_[u + 1]; ++a) {
+    for (std::size_t a = arc_begin_[u]; a < arc_end_[u]; ++a) {
       const NodeId next =
           mate_of_right_[static_cast<std::size_t>(arcs_[a].right)];
       if (next == kNoNode) {
@@ -88,7 +112,7 @@ bool HopcroftKarp::bfs_layers() {
 
 bool HopcroftKarp::dfs_augment(NodeId left) {
   const auto l = static_cast<std::size_t>(left);
-  for (std::size_t a = arc_begin_[l]; a < arc_begin_[l + 1]; ++a) {
+  for (std::size_t a = arc_begin_[l]; a < arc_end_[l]; ++a) {
     const Arc arc = arcs_[a];
     const NodeId next = mate_of_right_[static_cast<std::size_t>(arc.right)];
     if (next == kNoNode ||
@@ -144,16 +168,15 @@ Matching HopcroftKarp::solve() {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::solve before rebind");
   // Seed with a greedy matching: cheap and typically covers most vertices.
   // Same edge-id scan order as greedy_matching, restricted to the usable
-  // edges of the last rebind.
+  // edges of the snapshot.
   const std::vector<Edge>& edges = g_->edges();
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    if (usable_[e] == 0) continue;
-    const Edge& edge = edges[e];
+  for (const EdgeId e : usable_ids_) {
+    const Edge& edge = edges[static_cast<std::size_t>(e)];
     if (match_left_[static_cast<std::size_t>(edge.left)] != kNoEdge ||
         mate_of_right_[static_cast<std::size_t>(edge.right)] != kNoNode) {
       continue;
     }
-    match(edge.left, static_cast<EdgeId>(e), edge.right);
+    match(edge.left, e, edge.right);
   }
   return augment_to_maximum();
 }

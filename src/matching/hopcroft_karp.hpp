@@ -14,7 +14,8 @@
 // permitted by the mask) into a flat per-left-node arc list, kept in each
 // node's adjacency order, so the BFS and DFS walk contiguous arrays and
 // never see an unusable edge. The snapshot is not refreshed: a caller that
-// changes the graph's weights must rebind before solving again.
+// changes the graph's weights must rebind before solving again; drop_dead()
+// is the one exception.
 #pragma once
 
 #include <vector>
@@ -49,6 +50,12 @@ class HopcroftKarp {
   /// per probe. Equivalent to a mask of exactly those edges: identical edge
   /// set, identical matchings. Snapshots like rebind().
   void rebind_threshold(const BipartiteGraph& g, Weight min_weight);
+
+  /// Removes the arcs of `dead` from a rebind() snapshot, keeping each
+  /// node's other arcs in order, and resets the matching. If weights only
+  /// fell since that rebind and `dead` names every edge that died, the
+  /// result equals a fresh rebind() with the same mask.
+  void drop_dead(const std::vector<EdgeId>& dead);
 
   /// Computes a maximum matching from a greedy seed. Deterministic: a given
   /// (graph, mask) pair always yields the same matching.
@@ -101,8 +108,11 @@ class HopcroftKarp {
   obs::MetricsRegistry* metrics_src_ = nullptr;
   obs::Counter* phases_counter_ = nullptr;
   obs::Counter* paths_counter_ = nullptr;
-  std::vector<char> usable_;            // edge id -> usable at last rebind
-  std::vector<std::size_t> arc_begin_;  // left node -> first arc (CSR)
+  Weight min_weight_ = 1;               // threshold of the last bind
+  std::vector<char> usable_;            // edge id -> usable in the snapshot
+  std::vector<EdgeId> usable_ids_;      // usable edge ids, ascending
+  std::vector<std::size_t> arc_begin_;  // left node -> first arc
+  std::vector<std::size_t> arc_end_;    // left node -> one past its last arc
   std::vector<Arc> arcs_;               // usable edges, grouped by left node
   std::vector<EdgeId> match_left_;      // left node -> matched edge id
   std::vector<NodeId> mate_of_right_;   // right node -> matched left node
