@@ -1,6 +1,7 @@
 #include "matching/peeling_context.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -48,10 +49,20 @@ std::vector<Weight> distinct_alive_weights(const BipartiteGraph& g) {
 
 Matching PeelingContext::arbitrary_perfect(const BipartiteGraph& g) {
   // GGP's matching must stay bit-identical to max_matching(g), whose result
-  // depends on the greedy seed — so no warm seed here, only buffer reuse.
-  hk_.rebind(g);
-  last_ = hk_.solve();
-  return last_;
+  // depends on the greedy seed — so no warm seed here. Only the edges that
+  // died leave GGP's usable set, so dropping their arcs is the rebind.
+  if (ggp_snapshot_) {
+    hk_.drop_dead(dead_);
+  } else {
+    hk_.rebind(g);
+  }
+  ggp_snapshot_ = true;
+  Matching result = hk_.solve();
+#ifdef REDIST_VALIDATE
+  REDIST_CHECK_MSG(result.edges == max_matching(g).edges,
+                   "kept Hopcroft-Karp snapshot diverged from a fresh bind");
+#endif
+  return result;
 }
 
 Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
@@ -60,37 +71,33 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   const auto target = static_cast<std::size_t>(g.left_count());
   if (target == 0) return Matching{};
 
+  ggp_snapshot_ = false;
   obs::MetricsRegistry* const metrics = obs::metrics();
   obs::TraceSpan search_span(obs::trace(), "bottleneck.search.warm");
   ensure_ledger(g);
-
-  // Ascending distinct residual weights, by ledger traversal (no sort).
-  ws_.clear();
-  ws_.reserve(weight_count_.size());
-  for (const auto& entry : weight_count_) ws_.push_back(entry.first);
 #ifdef REDIST_VALIDATE
   REDIST_CHECK_MSG(ws_ == distinct_alive_weights(g),
                    "peeling context weight ledger out of sync");
 #endif
   REDIST_CHECK_MSG(!ws_.empty(), "bottleneck: target unreachable");
 
-  // Binary search for the optimal threshold, landing on the same index a
-  // from-scratch search finds: feasibility at a threshold is a property of
-  // the graph alone, not of how a probe computes its maximum matching. Four
-  // warm shortcuts make the search cheap:
+  // Binary search over the ledger for the optimal threshold, landing on the
+  // same index a from-scratch search finds: feasibility at a threshold is a
+  // property of the graph alone, not of how a probe computes its maximum
+  // matching. Four shortcuts make the search cheap:
   //  * `hi` is capped at the largest weight <= the previous step's
   //    bottleneck b, and probed first. The cap cannot cut off the optimum:
   //    any perfect matching M' of the peeled residual was a perfect
   //    matching before the peel, with weights at least as large, so
-  //    min'(M') <= min(M') <= b;
+  //    min'(M') <= min(M') <= b. The cap probe is the canonical greedy run,
+  //    so when it is feasible it is the step's matching and no replay runs;
   //  * the probe at ws_[0] is skipped — WRGP residuals are weight-regular,
   //    so a perfect matching always exists there (Hall); the canonical
   //    replay below still hard-checks it;
-  //  * a probe whose seed survives the threshold intact is feasible with no
-  //    search at all (the seed is itself a perfect matching of the probe
-  //    subgraph);
-  //  * other probes augment from the seed under an O(1) weight-threshold
-  //    predicate instead of an O(m) mask fill.
+  //  * below the cap, a probe whose seed survives the threshold intact is
+  //    feasible with no search at all (the seed is itself a perfect
+  //    matching of the probe subgraph);
+  //  * other probes augment from the seed instead of a greedy start.
   obs::Counter* const probe_counter =
       metrics != nullptr ? &metrics->counter("bottleneck.probes") : nullptr;
   obs::Counter* const seed_hits =
@@ -100,8 +107,8 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
 
   std::size_t lo = 0;
   std::size_t hi = ws_.size() - 1;
-  bool probe_hi_first = last_bottleneck_ > 0;
-  if (probe_hi_first) {
+  bool probe_cap = last_bottleneck_ > 0;
+  if (probe_cap) {
     const auto above =
         std::upper_bound(ws_.begin(), ws_.end(), last_bottleneck_);
     hi = above == ws_.begin()
@@ -113,16 +120,17 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   // cross-instance seed is filtered into one.
   Matching cur = seed_pending_ ? usable_seed(g, last_) : last_;
   seed_pending_ = false;
+  Matching result;  // the canonical matching at ws_[lo], once it is known
   while (lo < hi) {
-    const std::size_t mid = probe_hi_first ? hi : lo + (hi - lo + 1) / 2;
-    probe_hi_first = false;
+    const bool cap = std::exchange(probe_cap, false);
+    const std::size_t mid = cap ? hi : lo + (hi - lo + 1) / 2;
     obs::TraceSpan probe_span(obs::trace(), "bottleneck.probe");
     if (probe_counter != nullptr) probe_counter->add();
     std::size_t surviving = 0;
     for (EdgeId e : cur.edges) {
       if (g.alive(e) && g.edge(e).weight >= ws_[mid]) ++surviving;
     }
-    if (surviving >= target) {  // seed already perfect at this threshold
+    if (!cap && surviving >= target) {  // seed perfect at this threshold
       if (seed_hits != nullptr) seed_hits->add();
       if (probe_span) {
         probe_span.arg("threshold", ws_[mid]);
@@ -134,7 +142,7 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
     }
     if (seed_misses != nullptr) seed_misses->add();
     hk_.rebind_threshold(g, ws_[mid]);
-    Matching candidate = hk_.solve_seeded(cur);
+    Matching candidate = cap ? hk_.solve() : hk_.solve_seeded(cur);
     const bool feasible = candidate.size() >= target;
     if (probe_span) {
       probe_span.arg("threshold", ws_[mid]);
@@ -143,19 +151,21 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
     }
     if (feasible) {
       lo = mid;
-      cur = std::move(candidate);
+      (cap ? result : cur) = std::move(candidate);
     } else {
       hi = mid - 1;
     }
   }
 
   // Canonical replay: a greedy-seeded run at the optimal threshold, so the
-  // returned matching (not just its bottleneck value) depends on the
-  // residual graph alone — the matching a from-scratch search returns.
-  obs::TraceSpan replay_span(obs::trace(), "bottleneck.replay");
-  if (replay_span) replay_span.arg("threshold", ws_[lo]);
-  hk_.rebind_threshold(g, ws_[lo]);
-  Matching result = hk_.solve();
+  // returned matching depends on the residual graph alone — the matching a
+  // from-scratch search returns. A feasible cap probe already was this run.
+  if (result.size() < target) {
+    obs::TraceSpan replay_span(obs::trace(), "bottleneck.replay");
+    if (replay_span) replay_span.arg("threshold", ws_[lo]);
+    hk_.rebind_threshold(g, ws_[lo]);
+    result = hk_.solve();
+  }
   REDIST_CHECK_MSG(result.size() == target,
                    "no perfect matching exists (size "
                        << result.size() << " of " << target << ")");
@@ -191,18 +201,29 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
 
 void PeelingContext::before_peel(const BipartiteGraph& g, const Matching& m,
                                  Weight amount) {
-  if (!tracking_weights_) return;  // GGP path: ledger never materialized
   REDIST_CHECK(amount > 0);
+  dead_.clear();
   for (EdgeId e : m.edges) {
     const Weight old_weight = g.edge(e).weight;
     REDIST_CHECK_MSG(old_weight >= amount,
                      "peel amount exceeds residual weight");
-    const auto it = weight_count_.find(old_weight);
-    REDIST_CHECK_MSG(it != weight_count_.end() && it->second > 0,
+    if (old_weight == amount) dead_.push_back(e);
+    if (!tracking_weights_) continue;  // GGP path: ledger never materialized
+    auto at = std::lower_bound(ws_.begin(), ws_.end(), old_weight);
+    REDIST_CHECK_MSG(at != ws_.end() && *at == old_weight,
                      "peeling context weight ledger out of sync");
-    if (--(it->second) == 0) weight_count_.erase(it);
+    if (--counts_[static_cast<std::size_t>(at - ws_.begin())] == 0) {
+      counts_.erase(counts_.begin() + (at - ws_.begin()));
+      ws_.erase(at);
+    }
     const Weight new_weight = old_weight - amount;
-    if (new_weight > 0) ++weight_count_[new_weight];
+    if (new_weight == 0) continue;
+    at = std::lower_bound(ws_.begin(), ws_.end(), new_weight);
+    if (at == ws_.end() || *at != new_weight) {
+      counts_.insert(counts_.begin() + (at - ws_.begin()), 0);
+      at = ws_.insert(at, new_weight);
+    }
+    ++counts_[static_cast<std::size_t>(at - ws_.begin())];
   }
 }
 
@@ -221,10 +242,17 @@ void PeelingContext::ensure_ledger(const BipartiteGraph& g) {
   }
   obs::journal_record(obs::JournalEventKind::kLedgerMiss,
                       static_cast<std::int64_t>(g.edge_count()));
-  weight_count_.clear();
+  ws_.clear();
+  counts_.clear();
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (g.alive(e)) ++weight_count_[g.edge(e).weight];
+    if (g.alive(e)) ws_.push_back(g.edge(e).weight);
   }
+  std::sort(ws_.begin(), ws_.end());
+  for (std::size_t i = 0; i < ws_.size(); ++i) {
+    if (i == 0 || ws_[i] != ws_[i - 1]) counts_.push_back(0);
+    ++counts_.back();
+  }
+  ws_.erase(std::unique(ws_.begin(), ws_.end()), ws_.end());
   tracking_weights_ = true;
 }
 

@@ -6,34 +6,35 @@
 // edges the previous step clamped, so almost all of that work is repeated.
 // PeelingContext persists the reusable state:
 //
-//  * a weight ledger (multiset of alive residual weights) updated in
-//    O(|M| log d) per step, so the sorted distinct-weight array of the
-//    bottleneck search is rebuilt by traversal instead of an O(m log m)
-//    sort, and shrinks as weights are consumed;
+//  * a weight ledger: the ascending distinct alive residual weights, which
+//    are the bottleneck search's thresholds, with a parallel count vector.
+//    A peel updates it by binary search, so no step sorts or rebuilds it;
 //  * the previous step's bottleneck, which caps the next step's search:
 //    peeling only lowers weights, so a step's optimal bottleneck never
 //    exceeds the previous one. The search probes the cap first and only
 //    binary-searches below it when that probe fails;
 //  * the previous step's matching, used to warm-seed every feasibility
-//    probe of the binary search (solve_seeded) — probes only decide
-//    feasibility, which is a property of the graph, not of the matching
-//    found, so warm seeds cannot change the search outcome;
-//  * one rebindable Hopcroft–Karp solver and one distinct-weight buffer,
-//    reused across probes and steps. The only allocation a probe makes is
-//    the Matching its solve returns.
+//    probe of the binary search below the cap (solve_seeded) — probes only
+//    decide feasibility, which is a property of the graph, not of the
+//    matching found, so warm seeds cannot change the search outcome;
+//  * one rebindable Hopcroft–Karp solver, reused across probes and steps.
+//    GGP keeps its snapshot: only edges that die leave GGP's usable set,
+//    and before_peel() names them, so the next step drops their arcs
+//    instead of rebinding.
 //
-// A context follows one graph through its peel: the ledger and the cap are
-// both carried over from the previous step of that graph.
+// A context follows one graph through its peel: the ledger, the cap and the
+// GGP snapshot are all carried over from the previous step of that graph.
 //
-// Canonical replay: once the binary search lands on the optimal threshold,
-// the step's matching is produced by a greedy-seeded Hopcroft–Karp run at
-// that threshold, so it depends only on the residual graph and never on
-// the seeds. tests/oracle holds the from-scratch threshold search and the
-// paper's Fig. 6 algorithm; the differential tests check that every step
-// matches them edge for edge and in bottleneck value.
+// Canonical replay: a step's matching is the greedy-seeded Hopcroft–Karp
+// run at the optimal threshold, so it depends only on the residual graph
+// and never on the seeds. A feasible cap probe is that run; otherwise the
+// search below the cap ends by replaying it at the threshold it found.
+// tests/oracle holds the from-scratch threshold search and the paper's
+// Fig. 6 algorithm; the differential tests check that every step matches
+// them edge for edge and in bottleneck value.
 #pragma once
 
-#include <map>
+#include <vector>
 
 #include "common/contract_annotations.hpp"
 #include "graph/bipartite_graph.hpp"
@@ -48,8 +49,8 @@ class PeelingContext {
  public:
   PeelingContext() = default;
 
-  /// Same matching as max_matching(g) (the GGP strategy), with the solver
-  /// buffers reused across steps instead of reallocated.
+  /// Same matching as max_matching(g) (the GGP strategy). After a
+  /// before_peel() the solver's snapshot is kept, minus the edges that died.
   REDIST_DETERMINISTIC
   Matching arbitrary_perfect(const BipartiteGraph& g);
 
@@ -61,9 +62,9 @@ class PeelingContext {
   REDIST_DETERMINISTIC
   Matching bottleneck_perfect(const BipartiteGraph& g);
 
-  /// Records that `amount` is about to be peeled off every edge of `m`.
-  /// Must be called *before* the weights are decreased, once per step, with
-  /// the matching this context returned for the step.
+  /// Records that `amount` is about to be peeled off every edge of `m` (the
+  /// ledger, the edges that die). Must be called *before* the weights drop,
+  /// once per step, with the matching this context returned for the step.
   REDIST_DETERMINISTIC
   void before_peel(const BipartiteGraph& g, const Matching& m, Weight amount);
 
@@ -81,20 +82,18 @@ class PeelingContext {
     last_bottleneck_ = 0;
   }
 
-  /// The last matching this context produced — the warm handle a solve
-  /// exports for future near-miss seeding. Empty before any step.
-  const Matching& last_matching() const { return last_; }
-
  private:
   void ensure_ledger(const BipartiteGraph& g);
 
-  HopcroftKarp hk_;                      // rebindable solver (reused buffers)
-  std::vector<Weight> ws_;               // ascending distinct weights scratch
-  Matching last_;                        // previous step's final matching
-  std::map<Weight, EdgeId> weight_count_;  // alive residual weight multiset
-  bool tracking_weights_ = false;        // ledger initialized (OGGP path)
-  bool seed_pending_ = false;            // last_ is an unchecked seed()
-  Weight last_bottleneck_ = 0;           // previous step's bottleneck; 0 = none
+  HopcroftKarp hk_;                // rebindable solver (reused buffers)
+  std::vector<Weight> ws_;         // ledger: distinct alive weights, ascending
+  std::vector<EdgeId> counts_;     // ledger: alive edges per ws_ entry
+  std::vector<EdgeId> dead_;       // GGP: edges the last peel killed
+  Matching last_;                  // previous step's final matching
+  bool tracking_weights_ = false;  // ledger initialized (OGGP path)
+  bool ggp_snapshot_ = false;      // hk_ holds GGP's bind of this graph
+  bool seed_pending_ = false;      // last_ is an unchecked seed()
+  Weight last_bottleneck_ = 0;     // previous step's bottleneck; 0 = none
 };
 
 }  // namespace redist

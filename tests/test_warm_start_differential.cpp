@@ -9,6 +9,9 @@
 // schedule must not change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "kpbs/regularize.hpp"
 #include "kpbs/solver.hpp"
@@ -165,6 +168,50 @@ TEST(WarmStartDifferential, ArbitraryPeelSequencesIdentical) {
           << "trial " << trial << " step " << s;
     }
   }
+}
+
+// Regularized random demands of up to 1e9 bytes per pair: the weights are
+// mostly distinct and pass 1e9, so almost every peel erases a ledger entry
+// and inserts a new one, and no ledger indexed by weight could hold them.
+TEST(WarmStartDifferential, LargeDistinctWeightsPeelIdentically) {
+  Rng rng(1000000007);
+  RandomGraphConfig config;
+  config.max_left = 10;
+  config.max_right = 10;
+  config.max_edges = 40;
+  config.max_weight = 1'000'000'000;
+  std::size_t edges = 0;
+  std::size_t distinct = 0;
+  Weight heaviest = 0;
+  for (int trial = 0; trial < 25; ++trial) {
+    const BipartiteGraph demand = random_bipartite(rng, config);
+    const int k = static_cast<int>(rng.uniform_int(1, 6));
+    BipartiteGraph oracle_g = regularize(demand, k).graph;
+    BipartiteGraph warm_g = oracle_g;
+    std::vector<Weight> weights;
+    for (const Edge& e : oracle_g.edges()) weights.push_back(e.weight);
+    std::sort(weights.begin(), weights.end());
+    edges += weights.size();
+    distinct += static_cast<std::size_t>(
+        std::unique(weights.begin(), weights.end()) - weights.begin());
+    heaviest = std::max(heaviest, weights.back());
+
+    const auto oracle_steps =
+        wrgp_peel(oracle_g, oracle::bottleneck_perfect_matching);
+    PeelingContext ctx;
+    const auto warm_steps =
+        wrgp_peel_warm(warm_g, WarmStrategy::kBottleneck, ctx);
+
+    ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
+    for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
+      EXPECT_EQ(oracle_steps[s].amount, warm_steps[s].amount)
+          << "trial " << trial << " step " << s;
+      EXPECT_EQ(oracle_steps[s].matching.edges, warm_steps[s].matching.edges)
+          << "trial " << trial << " step " << s;
+    }
+  }
+  EXPECT_GT(2 * distinct, edges);
+  EXPECT_GT(heaviest, 1'000'000'000);
 }
 
 // kGGPMaxWeight bypasses PeelingContext: it peels with the Hungarian

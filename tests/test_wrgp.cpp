@@ -6,6 +6,8 @@
 
 #include "common/rng.hpp"
 #include "kpbs/regularize.hpp"
+#include "kpbs/schedule_io.hpp"
+#include "kpbs/solver.hpp"
 #include "matching/hungarian.hpp"
 #include "matching/peeling_context.hpp"
 #include "obs/metrics.hpp"
@@ -175,6 +177,38 @@ TEST(PeelingContext, SearchIsBoundedByPreviousBottleneck) {
   for (std::size_t s = 1; s < steps.size(); ++s) {
     EXPECT_LE(steps[s].amount, steps[s - 1].amount) << "step " << s;
   }
+}
+
+// OGGP's cap probe is the canonical greedy run at the cap, so when it is
+// feasible it is the step's matching and no replay runs: most sparse_giant
+// steps then run Hopcroft–Karp once. On this instance that takes 3.5
+// phases per step (4.75 with the validate build's optimality certificate);
+// replaying after a feasible cap probe took 5.0 (6.25). The schedule must
+// not move either way.
+TEST(PeelingContext, FeasibleCapProbeIsTheStep) {
+  const std::vector<ScenarioSpec> specs = builtin_scenarios(1.0 / 32);
+  const auto spec = std::find_if(
+      specs.begin(), specs.end(),
+      [](const ScenarioSpec& s) { return s.name == "sparse_giant"; });
+  ASSERT_NE(spec, specs.end());
+  const BipartiteGraph demand = materialize_scenario(*spec).demand;
+
+  obs::MetricsRegistry registry;
+  Schedule schedule;
+  {
+    const obs::ScopedTelemetry scope(&registry, nullptr);
+    schedule =
+        solve_kpbs(demand, {spec->k, spec->beta, Algorithm::kOGGP}).schedule;
+  }
+  const std::uint64_t peel_steps = registry.counter("wrgp.steps").value();
+  const std::uint64_t phases = registry.counter("hk.phases").value();
+  ASSERT_GT(peel_steps, 0u);
+  EXPECT_LE(static_cast<double>(phases) / static_cast<double>(peel_steps),
+            4.9)
+      << phases << " Hopcroft-Karp phases over " << peel_steps << " steps";
+  EXPECT_EQ(schedule_to_string(schedule),
+            schedule_to_string(
+                oracle::solve(demand, spec->k, spec->beta, Algorithm::kOGGP)));
 }
 
 }  // namespace
