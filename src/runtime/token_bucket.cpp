@@ -8,6 +8,21 @@
 
 namespace redist {
 
+namespace {
+
+// How late a sleep_for may wake up on a loaded host. acquire() sleeps only
+// for the part of a wait beyond this slack and re-tries with yield() for
+// the rest. Sleeping through the whole wait would cap a bucket at about one
+// burst per wake-up, far below its rate when a chunk refills in
+// microseconds (1 GB/s cards, 16 KiB chunks).
+constexpr double kWakeSlackSeconds = 150e-6;
+
+// Longest single sleep, so a waiter re-reads a balance that concurrent
+// takers have changed.
+constexpr double kMaxSleepSeconds = 0.05;
+
+}  // namespace
+
 TokenBucket::TokenBucket(double rate_bps, Bytes burst_bytes)
     : rate_bps_(rate_bps),
       burst_(static_cast<double>(burst_bytes)),
@@ -72,15 +87,19 @@ void TokenBucket::acquire(Bytes n) {
   double want = static_cast<double>(n);
   while (want > 0) {
     const double gulp = std::min(want, burst_);
+    // Waiters share nothing but the balance: concurrent acquirers split the
+    // rate by racing each other's try_take, so the bucket's total stays at
+    // its rate but no order among waiters is promised.
     while (!try_take(gulp)) {
       const double deficit =
           gulp - tokens_.load(std::memory_order_relaxed);
       const double wait_seconds = std::max(deficit, 0.0) / rate_bps_;
-      // Sleep outside any shared state so concurrent acquirers can race
-      // for the refill — that race IS the fair sharing between competing
-      // flows.
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          std::clamp(wait_seconds, 50e-6, 0.05)));
+      if (wait_seconds > kWakeSlackSeconds) {
+        std::this_thread::sleep_for(std::chrono::duration<double>(
+            std::min(wait_seconds - kWakeSlackSeconds, kMaxSleepSeconds)));
+      } else {
+        std::this_thread::yield();
+      }
     }
     want -= gulp;
   }

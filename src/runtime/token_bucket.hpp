@@ -18,9 +18,11 @@
 //
 // try_acquire() is wait-free apart from CAS retries and carries
 // REDIST_NOBLOCK — the redist_analyze noblock rule proves it reaches no
-// sleep, poll or lock. acquire() keeps the seed's blocking contract
-// (sleep-and-retry outside any shared state) and is deliberately *not*
-// noblock.
+// sleep, poll or lock. acquire() blocks and is deliberately *not* noblock:
+// it sleeps through all of a wait but a short wake-up slack, then re-tries
+// with yield() until the tokens are there. That way it holds the
+// configured rate whenever a chunk fits in the burst, even when a chunk
+// refills faster than the OS wakes a sleeping thread.
 #pragma once
 
 #include <atomic>
@@ -42,6 +44,7 @@ class TokenBucket {
 
   /// Blocks until `n` tokens are available, then consumes them.
   /// n may exceed the burst size; it is drained in burst-sized gulps.
+  /// Long waits sleep; the last ~150 us of any wait yields instead.
   void acquire(Bytes n);
 
   /// Non-blocking attempt; returns false if fewer than n tokens available

@@ -235,6 +235,26 @@ TEST(SocketRedistribute, ScheduledRespectsRateCeilings) {
   EXPECT_GE(r.seconds, 0.03);
 }
 
+// Loopback-rate shaping with the default chunk and burst: every chunk's
+// wait is shorter than a sleep's wake-up, so the rank and drain threads
+// finish their waits re-trying with yield(). No timing is asserted; the run
+// must deliver every byte.
+TEST(SocketRedistribute, HighRateShapingDelivers) {
+  Rng rng(73);
+  const TrafficMatrix traffic =
+      uniform_all_pairs_traffic(rng, 3, 3, 50000, 200000);
+  SocketClusterConfig config;
+  config.card_out_bps = 1e9;
+  config.card_in_bps = 1e9;
+  config.backbone_bps = 2e9;
+  const double bpu = 50000.0;
+  const BipartiteGraph g = traffic.to_graph(bpu);
+  const Schedule s = solve_kpbs(g, {2, 1, Algorithm::kOGGP}).schedule;
+  const SocketRunResult r = socket_scheduled(config, traffic, s, bpu);
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.bytes_delivered, traffic.total());
+}
+
 // A config error is the caller's: every entry point throws it before any
 // mesh is wired, and the recovering overload does not retry it.
 TEST(SocketRedistribute, InvalidConfigThrowsOnEveryEntryPoint) {

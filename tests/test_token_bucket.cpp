@@ -1,7 +1,9 @@
 #include "runtime/token_bucket.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
@@ -76,6 +78,73 @@ TEST(TokenBucket, ConcurrentAcquirersShareTheRate) {
   const double elapsed = watch.elapsed_seconds();
   EXPECT_GE(elapsed, 0.12);  // 40 KB at 200 KB/s = 0.2 s nominal
   EXPECT_LE(elapsed, 2.0);
+}
+
+// --- Shaper fidelity at loopback rates ----------------------------------
+//
+// A 16 KiB chunk refills in ~8 us at 2e9 B/s and a 32 KiB burst holds
+// ~16 us of rate, both far below a sleep's wake-up delay. Sleeping through
+// such a wait caps a thread at about one burst per wake-up; the bucket must
+// still hold its configured rate.
+
+constexpr double kLoopbackRate = 2e9;
+constexpr Bytes kLoopbackBurst = 32768;
+constexpr Bytes kLoopbackChunk = 16384;
+
+void pull(TokenBucket& bucket, Bytes total) {
+  for (Bytes left = total; left > 0; left -= kLoopbackChunk) {
+    bucket.acquire(std::min(left, kLoopbackChunk));
+  }
+}
+
+double thread_cpu_seconds() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         1e-6 * static_cast<double>(usage.ru_utime.tv_usec +
+                                    usage.ru_stime.tv_usec);
+}
+
+TEST(TokenBucket, HighRateIsNotCappedBySleepGranularity) {
+  // 64 MiB at 2e9 B/s is 33.5 ms nominal. 2047 waits of even 50 us each
+  // would take over 100 ms.
+  TokenBucket bucket(kLoopbackRate, kLoopbackBurst);
+  Stopwatch watch;
+  pull(bucket, Bytes{64} << 20);
+  const double elapsed = watch.elapsed_seconds();
+  EXPECT_GE(elapsed, 0.030);
+  EXPECT_LT(elapsed, 0.080);
+}
+
+TEST(TokenBucket, SharedHighRateBucketHoldsItsRate) {
+  // Two flows through one backbone bucket: 2 x 32 MiB at 2e9 B/s is the
+  // same 33.5 ms nominal as one flow pulling 64 MiB.
+  TokenBucket bucket(kLoopbackRate, kLoopbackBurst);
+  Stopwatch watch;
+  std::thread a([&bucket] { pull(bucket, Bytes{32} << 20); });
+  std::thread b([&bucket] { pull(bucket, Bytes{32} << 20); });
+  a.join();
+  b.join();
+  const double elapsed = watch.elapsed_seconds();
+  EXPECT_GE(elapsed, 0.030);
+  EXPECT_LT(elapsed, 0.080);
+}
+
+TEST(TokenBucket, SlowRateWaitsSleep) {
+  // 100 KB/s, burst + 20 KB in 4 KiB chunks: ~0.2 s of waiting, each wait
+  // ~40 ms. Those waits must sleep, not spin: the thread's CPU time stays
+  // a small share of the wall time.
+  TokenBucket bucket(100e3, 8192);
+  const double cpu_before = thread_cpu_seconds();
+  Stopwatch watch;
+  for (Bytes left = 8192 + 20000; left > 0; left -= 4096) {
+    bucket.acquire(std::min<Bytes>(left, 4096));
+  }
+  const double elapsed = watch.elapsed_seconds();
+  const double cpu = thread_cpu_seconds() - cpu_before;
+  EXPECT_GE(elapsed, 0.15);
+  EXPECT_LE(elapsed, 2.0);
+  EXPECT_LT(cpu, elapsed / 4);
 }
 
 }  // namespace
