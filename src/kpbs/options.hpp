@@ -47,11 +47,11 @@ struct SolverOptions {
   std::uint64_t solve_id = 0;
   /// Optional cross-instance warm seed for the first OGGP bottleneck search
   /// (PeelingContext::seed) — typically the warm_handle a previous solve of
-  /// a near-identical instance exported. The search keeps only the seed
-  /// edges that form a matching of its graph, seeds only shortcut
-  /// feasibility probes, and every step's final matching is canonically
-  /// replayed, so any seed (even one from an unrelated instance) leaves the
-  /// schedule bit-identical. Ignored by non-OGGP solves.
+  /// a near-identical instance exported. The first step's cap probe
+  /// augments from the seed's usable edges, and that step always ends in
+  /// the canonical replay, so any seed (even one from an unrelated
+  /// instance) leaves the schedule bit-identical. Ignored by non-OGGP
+  /// solves.
   std::shared_ptr<const Matching> warm_seed = nullptr;
 };
 

@@ -144,7 +144,7 @@ SolveResult solve_kpbs(const BipartiteGraph& demand,
   SolveResult result;
   // Flight-recorder identity: reuse the caller's ID (batch request, robust
   // run) or allocate a fresh one, and pin it for every seam below — peel
-  // steps, ledger probes and pool events all join on it.
+  // steps, bottleneck probes and pool events all join on it.
   result.solve_id = options.solve_id != 0 ? options.solve_id
                                           : obs::allocate_solve_id();
   const obs::SolveIdScope solve_scope(result.solve_id);

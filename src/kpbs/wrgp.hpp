@@ -10,9 +10,8 @@
 //
 // wrgp_peel runs the loop with any matching strategy (solve_kpbs passes
 // the Hungarian one for the GGP-MW ablation). wrgp_peel_warm is the GGP and
-// OGGP path: it threads a PeelingContext through the steps so matching
-// state, the distinct-weight ledger and solver buffers persist across
-// steps.
+// OGGP path: it threads a PeelingContext through the steps so the
+// previous bottleneck and the solver buffers persist across steps.
 #pragma once
 
 #include <functional>
@@ -58,7 +57,7 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
 /// Warm-start matching selection for wrgp_peel_warm.
 enum class WarmStrategy {
   kArbitrary,   ///< GGP: arbitrary perfect matchings (buffer reuse only)
-  kBottleneck,  ///< OGGP: bottleneck matchings, warm-seeded binary search
+  kBottleneck,  ///< OGGP: bottleneck matchings, cap probe + widest paths
 };
 
 /// Peels `g` with PeelingContext matchings, reusing matching and weight

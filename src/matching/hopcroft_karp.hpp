@@ -7,8 +7,8 @@
 //
 // The solver is rebindable: one instance can be pointed at successive
 // graph/mask pairs, reusing its buffers instead of reallocating.
-// PeelingContext exploits this (plus solve_seeded) to warm-start the
-// bottleneck binary search across WRGP peeling steps.
+// PeelingContext rebinds one instance for every cap probe and replay of a
+// WRGP peel; solve_seeded starts a cap probe from a cross-instance seed.
 //
 // A rebind snapshots the usable edge set (alive, at or above the threshold,
 // permitted by the mask) into a flat per-left-node arc list, kept in each
@@ -94,10 +94,10 @@ class HopcroftKarp {
   }
   Matching augment_to_maximum();
   bool bfs_layers();
-  /// The peeling inner loop: every probe of the bottleneck binary search
-  /// augments through here, so it must stay allocation-free (`noalloc`
-  /// analyzer rule). The only allocation left in a probe is the Matching
-  /// each solve returns; rebinds reuse the snapshot and queue buffers.
+  /// The peeling inner loop: every cap probe and replay augments through
+  /// here, so it must stay allocation-free (`noalloc` analyzer rule). The
+  /// only allocation left in a probe is the Matching each solve returns;
+  /// rebinds reuse the snapshot and queue buffers.
   REDIST_NOALLOC
   bool dfs_augment(NodeId left);
 

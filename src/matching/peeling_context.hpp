@@ -1,39 +1,41 @@
 // The peeling engine behind GGP and OGGP (WRGP's matching selection).
 //
-// A from-scratch OGGP step would re-sort the distinct residual weights and
-// restart Hopcroft–Karp from a greedy seed for every probe of the
-// bottleneck binary search. But consecutive WRGP steps differ only by the
-// edges the previous step clamped, so almost all of that work is repeated.
-// PeelingContext persists the reusable state:
+// Consecutive WRGP steps differ only by the edges the previous step
+// clamped, so a from-scratch bottleneck search per step repeats almost all
+// of its work. PeelingContext persists the reusable state:
 //
-//  * a weight ledger: the ascending distinct alive residual weights, which
-//    are the bottleneck search's thresholds, with a parallel count vector.
-//    A peel updates it by binary search, so no step sorts or rebuilds it;
 //  * the previous step's bottleneck, which caps the next step's search:
 //    peeling only lowers weights, so a step's optimal bottleneck never
-//    exceeds the previous one. The search probes the cap first and only
-//    binary-searches below it when that probe fails;
-//  * the previous step's matching, used to warm-seed every feasibility
-//    probe of the binary search below the cap (solve_seeded) — probes only
-//    decide feasibility, which is a property of the graph, not of the
-//    matching found, so warm seeds cannot change the search outcome;
-//  * one rebindable Hopcroft–Karp solver, reused across probes and steps.
-//    GGP keeps its snapshot: only edges that die leave GGP's usable set,
-//    and before_peel() names them, so the next step drops their arcs
-//    instead of rebinding.
+//    exceeds the previous one;
+//  * one rebindable Hopcroft–Karp solver, reused across steps. GGP keeps
+//    its snapshot: only edges that die leave GGP's usable set, and
+//    before_peel() names them, so the next step drops their arcs instead
+//    of rebinding;
+//  * the widest-path search's buffers (mates, widths, path edges, heap), so
+//    steps after the first allocate nothing there.
 //
-// A context follows one graph through its peel: the ledger, the cap and the
-// GGP snapshot are all carried over from the previous step of that graph.
+// An OGGP step is the paper's Fig. 6 run from the top down: a cap probe, d
+// widest augmenting paths, and a replay. The cap probe is the canonical
+// Hopcroft–Karp run at an upper bound T on the optimum t* (the largest
+// alive weight at or below the previous bottleneck; on the first step, the
+// lightest of the nodes' heaviest edges). If it is perfect it is the step.
+// Otherwise its maximum matching has some deficit d, and d widest
+// augmenting paths over all alive edges each lower t to the path's
+// narrowest edge; t ends at t*. O(m√n + d·m log n) per step.
+//
+// A context follows one graph through its peel: the cap and the GGP
+// snapshot are carried over from the previous step of that graph.
 //
 // Canonical replay: a step's matching is the greedy-seeded Hopcroft–Karp
-// run at the optimal threshold, so it depends only on the residual graph
-// and never on the seeds. A feasible cap probe is that run; otherwise the
-// search below the cap ends by replaying it at the threshold it found.
-// tests/oracle holds the from-scratch threshold search and the paper's
-// Fig. 6 algorithm; the differential tests check that every step matches
-// them edge for edge and in bottleneck value.
+// run at the optimal threshold, so it depends only on the residual graph.
+// A perfect cap probe is that run; otherwise the step ends by replaying it
+// at t. tests/oracle holds the from-scratch threshold search and the
+// paper's Fig. 6 algorithm; the differential tests check that every step
+// matches them edge for edge and in bottleneck value.
 #pragma once
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/contract_annotations.hpp"
@@ -56,44 +58,48 @@ class PeelingContext {
 
   /// Perfect matching maximizing the minimum edge weight (the OGGP
   /// strategy): the greedy-seeded Hopcroft–Karp matching at the optimal
-  /// threshold, found by a search capped at the previous step's bottleneck
-  /// and warm-started from its matching. Throws if no perfect matching
-  /// exists; requires equal side sizes.
+  /// threshold, found by a cap probe and widest augmenting paths. Throws if
+  /// no perfect matching exists; requires equal side sizes.
   REDIST_DETERMINISTIC
   Matching bottleneck_perfect(const BipartiteGraph& g);
 
   /// Records that `amount` is about to be peeled off every edge of `m` (the
-  /// ledger, the edges that die). Must be called *before* the weights drop,
-  /// once per step, with the matching this context returned for the step.
+  /// edges that die, for GGP's snapshot). Must be called *before* the
+  /// weights drop, once per step, with the matching this context returned
+  /// for the step.
   REDIST_DETERMINISTIC
   void before_peel(const BipartiteGraph& g, const Matching& m, Weight amount);
 
   /// Installs `m` as the warm seed of the next bottleneck search. Intended
   /// for cross-instance warm starts (the scheduler daemon's near-miss cache
-  /// path, docs/SERVICE.md). That search first drops every seed edge that is
-  /// out of range or dead in its graph, or that shares an endpoint with an
-  /// earlier kept edge, so what remains is a matching and the seed-hit
-  /// shortcut stays sound. Seeds then only shortcut feasibility checks and
-  /// every step's final matching is canonically replayed, so any seed (even
-  /// a nonsense one) leaves schedules bit-identical.
+  /// path, docs/SERVICE.md). The next step's cap probe augments from the
+  /// seed's usable edges instead of a greedy start, and that step always
+  /// ends in the canonical replay, so any seed (even a nonsense one) leaves
+  /// schedules bit-identical.
   void seed(Matching m) {
-    last_ = std::move(m);
-    seed_pending_ = true;
+    seed_ = std::move(m);
     last_bottleneck_ = 0;
   }
 
  private:
-  void ensure_ledger(const BipartiteGraph& g);
+  /// Augments the matching in mate_/owner_ along a widest augmenting path
+  /// over all alive edges, each path's width capped at `t`. Returns the
+  /// path's width, or 0 when no augmenting path exists.
+  REDIST_NOALLOC
+  Weight widest_augment(const BipartiteGraph& g, Weight t);
 
-  HopcroftKarp hk_;                // rebindable solver (reused buffers)
-  std::vector<Weight> ws_;         // ledger: distinct alive weights, ascending
-  std::vector<EdgeId> counts_;     // ledger: alive edges per ws_ entry
-  std::vector<EdgeId> dead_;       // GGP: edges the last peel killed
-  Matching last_;                  // previous step's final matching
-  bool tracking_weights_ = false;  // ledger initialized (OGGP path)
-  bool ggp_snapshot_ = false;      // hk_ holds GGP's bind of this graph
-  bool seed_pending_ = false;      // last_ is an unchecked seed()
-  Weight last_bottleneck_ = 0;     // previous step's bottleneck; 0 = none
+  HopcroftKarp hk_;               // rebindable solver (reused buffers)
+  std::vector<EdgeId> dead_;      // GGP: edges the last peel killed
+  std::optional<Matching> seed_;  // seed() for the next cap probe
+  bool ggp_snapshot_ = false;     // hk_ holds GGP's bind of this graph
+  Weight last_bottleneck_ = 0;    // previous step's bottleneck; 0 = none
+  // Widest-path search state, sized per step and reused.
+  std::vector<EdgeId> mate_;   // left node -> matched edge
+  std::vector<NodeId> owner_;  // right node -> matched left node
+  std::vector<Weight> width_;  // left node -> widest path width reaching it
+  std::vector<EdgeId> via_;    // left node -> edge that path arrived by
+  // Max-heap of (width, left node) with lazy deletion.
+  std::vector<std::pair<Weight, NodeId>> heap_;
 };
 
 }  // namespace redist

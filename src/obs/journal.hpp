@@ -3,9 +3,9 @@
 // Where the metrics registry (obs/metrics.hpp) aggregates and the trace
 // session (obs/trace.hpp) collects unbounded spans, the journal answers the
 // forensic question "what exactly happened around solve #N?": a bounded,
-// always-on ring of typed events (solve begin/end, peel steps, warm-ledger
-// probes, ThreadPool task lifecycle, socket retry/fault/recovery) that can
-// be dumped as versioned JSONL on demand, after a fault-storm recovery
+// always-on ring of typed events (solve begin/end, peel steps, ThreadPool
+// task lifecycle, socket retry/fault/recovery) that can be dumped as
+// versioned JSONL on demand, after a fault-storm recovery
 // (mpilite/redistribute.cpp), or from a fatal-signal handler.
 //
 // Causality: every event carries a solve ID. IDs are allocated from one
@@ -48,8 +48,8 @@ enum class JournalEventKind : std::uint8_t {
   kSolveBegin,       ///< a=nodes per side, b=alive edges
   kSolveEnd,         ///< a=schedule steps, b=schedule cost, v=evaluation ratio
   kPeelStep,         ///< a=step index, b=matched edges, v=peeled amount
-  kLedgerHit,        ///< warm-ledger reuse across peels
-  kLedgerMiss,       ///< ledger (re)built from scratch
+  kLedgerHit,        ///< retired: never recorded (the weight ledger is gone)
+  kLedgerMiss,       ///< retired: never recorded (the weight ledger is gone)
   kPoolEnqueue,      ///< task queued; a=queue depth after enqueue
   kPoolStart,        ///< worker picked task up; v=wait ms
   kPoolFinish,       ///< task returned; v=run ms

@@ -162,8 +162,17 @@ TEST(Cli, SolveWritesMetricsAndTrace) {
   EXPECT_NE(metrics_json.find("\"schema\": \"redist.metrics.v1\""),
             std::string::npos);
   EXPECT_NE(metrics_json.find("\"wrgp.steps\""), std::string::npos);
-  EXPECT_NE(metrics_json.find("\"warm.ledger.hits\""), std::string::npos);
-  EXPECT_NE(metrics_json.find("\"bottleneck.probes\""), std::string::npos);
+  EXPECT_NE(metrics_json.find("\"bottleneck.widest_paths\""),
+            std::string::npos);
+  // One cap probe per OGGP step.
+  const auto counter_value = [&](const std::string& name) -> long long {
+    const std::size_t at = metrics_json.find("\"" + name + "\": ");
+    return at == std::string::npos
+               ? -1
+               : std::atoll(metrics_json.c_str() + at + name.size() + 4);
+  };
+  EXPECT_GT(counter_value("bottleneck.probes"), 0);
+  EXPECT_EQ(counter_value("bottleneck.probes"), counter_value("wrgp.steps"));
 
   const std::string trace_json = slurp(trace);
   EXPECT_NE(trace_json.find("\"traceEvents\""), std::string::npos);

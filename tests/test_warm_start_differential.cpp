@@ -17,6 +17,8 @@
 #include "kpbs/solver.hpp"
 #include "kpbs/wrgp.hpp"
 #include "matching/peeling_context.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "oracle/bottleneck_oracle.hpp"
 #include "validate/schedule_validator.hpp"
 #include "workload/random_graphs.hpp"
@@ -212,6 +214,66 @@ TEST(WarmStartDifferential, LargeDistinctWeightsPeelIdentically) {
   }
   EXPECT_GT(2 * distinct, edges);
   EXPECT_GT(heaviest, 1'000'000'000);
+}
+
+// Widest augmenting paths must land on the oracle's threshold, so the
+// replayed matchings match it edge id for edge id. The demands have
+// parallel edges and random weights up to 3e9, and some cap probe must
+// miss by two or more edges, so one step chains several paths (each path
+// is one bottleneck.widest_paths count).
+TEST(WarmStartDifferential, WidestPathsMatchOracle) {
+  Rng rng(1709);
+  std::size_t parallel = 0;
+  std::uint64_t largest_deficit = 0;
+  Weight heaviest = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto n = static_cast<NodeId>(rng.uniform_int(2, 12));
+    BipartiteGraph demand(n, n);
+    const auto m = rng.uniform_int(n, 4 * static_cast<std::int64_t>(n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      const auto left = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      const auto right = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      for (EdgeId e : demand.edges_of_left(left)) {
+        if (demand.edge(e).right == right) ++parallel;
+      }
+      demand.add_edge(left, right, rng.uniform_int(1, 3'000'000'000));
+    }
+    const int k = static_cast<int>(rng.uniform_int(1, n));
+    BipartiteGraph oracle_g = regularize(demand, k).graph;
+    BipartiteGraph warm_g = oracle_g;
+    for (const Edge& e : oracle_g.edges()) {
+      heaviest = std::max(heaviest, e.weight);
+    }
+
+    const auto oracle_steps =
+        wrgp_peel(oracle_g, oracle::bottleneck_perfect_matching);
+    obs::MetricsRegistry registry;
+    const obs::ScopedTelemetry scope(&registry, nullptr);
+    obs::Counter& widest = registry.counter("bottleneck.widest_paths");
+    PeelingContext ctx;
+    const PerfectMatchingStrategy pick = [&](const BipartiteGraph& g) {
+      const std::uint64_t before = widest.value();
+      Matching picked = ctx.bottleneck_perfect(g);
+      largest_deficit = std::max(largest_deficit, widest.value() - before);
+      return picked;
+    };
+    const PeelObserver peel = [&](const BipartiteGraph& g, const Matching& m,
+                                  Weight amount) {
+      ctx.before_peel(g, m, amount);
+    };
+    const auto warm_steps = wrgp_peel(warm_g, pick, peel);
+
+    ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
+    for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
+      EXPECT_EQ(oracle_steps[s].amount, warm_steps[s].amount)
+          << "trial " << trial << " step " << s;
+      EXPECT_EQ(oracle_steps[s].matching.edges, warm_steps[s].matching.edges)
+          << "trial " << trial << " step " << s;
+    }
+  }
+  EXPECT_GT(parallel, 0u);
+  EXPECT_GT(heaviest, 1'000'000'000);
+  EXPECT_GE(largest_deficit, 2u);
 }
 
 // kGGPMaxWeight bypasses PeelingContext: it peels with the Hungarian

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/rng.hpp"
 #include "kpbs/regularize.hpp"
@@ -209,6 +210,37 @@ TEST(PeelingContext, FeasibleCapProbeIsTheStep) {
   EXPECT_EQ(schedule_to_string(schedule),
             schedule_to_string(
                 oracle::solve(demand, spec->k, spec->beta, Algorithm::kOGGP)));
+}
+
+// OGGP runs exactly one threshold probe per step, at the cap; a failed cap
+// probe is finished by widest augmenting paths, not by further probes. A
+// dense daemon_mix-shape instance (48x48, 1200 pairs, bytes U[1, 1000],
+// k = 8) has many distinct weights, so its cap probes do fail.
+TEST(PeelingContext, OneThresholdProbePerStep) {
+  constexpr NodeId kNodes = 48;
+  Rng rng(2024);
+  std::vector<std::int64_t> pairs(static_cast<std::size_t>(kNodes * kNodes));
+  std::iota(pairs.begin(), pairs.end(), 0);
+  std::shuffle(pairs.begin(), pairs.end(), rng);
+  BipartiteGraph demand(kNodes, kNodes);
+  for (std::size_t i = 0; i < 1200; ++i) {
+    demand.add_edge(static_cast<NodeId>(pairs[i] / kNodes),
+                    static_cast<NodeId>(pairs[i] % kNodes),
+                    rng.uniform_int(1, 1000));
+  }
+
+  obs::MetricsRegistry registry;
+  Schedule schedule;
+  {
+    const obs::ScopedTelemetry scope(&registry, nullptr);
+    schedule = solve_kpbs(demand, {8, 1, Algorithm::kOGGP}).schedule;
+  }
+  const std::uint64_t peel_steps = registry.counter("wrgp.steps").value();
+  ASSERT_GT(peel_steps, 0u);
+  EXPECT_EQ(registry.counter("bottleneck.probes").value(), peel_steps);
+  EXPECT_GT(registry.counter("bottleneck.widest_paths").value(), 0u);
+  EXPECT_EQ(schedule_to_string(schedule),
+            schedule_to_string(oracle::solve(demand, 8, 1, Algorithm::kOGGP)));
 }
 
 }  // namespace
