@@ -1,16 +1,15 @@
-// Scheduler-daemon cache benchmark: cold solve vs exact cache hit vs
-// warm-seeded near miss through SchedulerService::serve_solve. Emits
-// BENCH_service_cache.json (diffed by scripts/bench_diff.py).
+// Scheduler-daemon cache benchmark: cold solve vs exact cache hit through
+// SchedulerService::serve_solve. Emits BENCH_service_cache.json (diffed by
+// scripts/bench_diff.py).
 //
 //   service_cache [--n=48] [--edges=1200] [--max-weight=1000]
 //                 [--instances=6] [--k=8] [--beta=1] [--repeat=5]
 //                 [--out=BENCH_service_cache.json]
 //                 [--check-min-hit-speedup=0]
 //
-// Identity gates run before any timing is reported: every cache hit must
-// replay the cold solve byte-for-byte, and every warm-seeded near-miss
-// solve must match an unseeded solve of the same drifted instance
-// byte-for-byte. --check-min-hit-speedup=X exits nonzero when serving
+// The identity gate runs before any timing is reported: every cache hit
+// must replay the cold solve byte-for-byte. --check-min-hit-speedup=X
+// exits nonzero when serving
 // from cache is not at least X times faster than solving cold (the CI
 // service-smoke gate; the ISSUE floor is 10x).
 #include <algorithm>
@@ -125,50 +124,13 @@ int main(int argc, char** argv) {
       const double ms = timer.elapsed_ms();
       if (r == 0 || ms < hit_ms) hit_ms = ms;
     }
+    daemon.stop();
     if (!hit_identical) {
       std::cerr << "FATAL: cache hit diverged from the original solve\n";
       return 1;
     }
 
-    // Near-miss pass: drift every volume by +1 (same shape) and serve
-    // through the cache (warm-seeded); reference is an unseeded library
-    // solve of the identical drifted instance.
-    bool near_identical = true;
-    std::size_t near_misses = 0;
-    double near_ms = 0;
-    double near_cold_ms = 0;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      rpc::SolveRequest drifted = requests[i];
-      drifted.request_id = 1000 + i;
-      for (rpc::TrafficEntry& e : drifted.entries) e.bytes += 1;
-
-      Stopwatch warm_timer;
-      const rpc::SolveResponse warm = daemon.serve_solve(drifted);
-      near_ms += warm_timer.elapsed_ms();
-      if (warm.served_from == rpc::ServedFrom::kWarmNearMiss) ++near_misses;
-
-      TrafficMatrix matrix(drifted.senders, drifted.receivers);
-      for (const rpc::TrafficEntry& e : drifted.entries) {
-        matrix.add(e.sender, e.receiver, e.bytes);
-      }
-      Stopwatch cold_drift_timer;
-      const SolveResult reference =
-          solve_kpbs(matrix.to_graph_bytes(),
-                     {drifted.k, drifted.beta, drifted.algorithm});
-      near_cold_ms += cold_drift_timer.elapsed_ms();
-      if (warm.schedule_text != schedule_to_string(reference.schedule)) {
-        near_identical = false;
-      }
-    }
-    daemon.stop();
-    if (!near_identical) {
-      std::cerr << "FATAL: warm-seeded near-miss diverged from the "
-                   "unseeded solve\n";
-      return 1;
-    }
-
     const double hit_speedup = hit_ms > 0 ? cold_ms / hit_ms : 0;
-    const double near_speedup = near_ms > 0 ? near_cold_ms / near_ms : 0;
 
     Table table({"path", "total_ms", "per_solve_ms", "speedup_vs_cold"});
     const double count = static_cast<double>(requests.size());
@@ -177,12 +139,7 @@ int main(int argc, char** argv) {
     table.add_row({"cache_hit", Table::fmt(hit_ms, 2),
                    Table::fmt(hit_ms / count, 3),
                    Table::fmt(hit_speedup, 2)});
-    table.add_row({"warm_near_miss", Table::fmt(near_ms, 2),
-                   Table::fmt(near_ms / count, 3),
-                   Table::fmt(near_speedup, 2)});
     table.print(std::cout);
-    std::cout << near_misses << "/" << requests.size()
-              << " drifted instances warm-seeded\n";
 
     std::ofstream os(out);
     if (!os) throw Error("cannot write: " + out);
@@ -196,19 +153,10 @@ int main(int argc, char** argv) {
        << ", \"hit_ms\": " << Table::fmt(hit_ms, 3)
        << ", \"hit_speedup\": " << Table::fmt(hit_speedup, 3)
        << ", \"hit_identical\": " << (hit_identical ? "true" : "false")
-       << ",\n             \"near_miss_ms\": " << Table::fmt(near_ms, 3)
-       << ", \"near_cold_ms\": " << Table::fmt(near_cold_ms, 3)
-       << ", \"near_speedup\": " << Table::fmt(near_speedup, 3)
-       << ", \"near_identical\": " << (near_identical ? "true" : "false")
-       << ", \"near_misses\": " << near_misses << "}\n"
+       << "}\n"
        << "}\n";
     std::cout << "wrote " << out << '\n';
 
-    if (near_misses != requests.size()) {
-      std::cerr << "FATAL: " << (requests.size() - near_misses)
-                << " drifted instance(s) missed the warm path\n";
-      return 1;
-    }
     if (min_hit_speedup > 0 && hit_speedup < min_hit_speedup) {
       std::cerr << "FAIL: cache-hit speedup " << Table::fmt(hit_speedup, 2)
                 << "x below the required " << Table::fmt(min_hit_speedup, 2)

@@ -211,30 +211,21 @@ def diff_warm_start(base_doc, cand_doc, args):
 def diff_service_cache(base_doc, cand_doc, args):
     """Gates for BENCH_service_cache.json (the scheduler-daemon cache).
 
-    The identity flags are correctness, not performance: a cache hit that
-    is not byte-identical to the original solve, or a warm-seeded
-    near-miss that diverges from the unseeded solve, fails outright.
-    Speedups are machine-dependent and gated loosely (the bench's own
+    The identity flag is correctness, not performance: a cache hit that
+    is not byte-identical to the original solve fails outright. The
+    speedup is machine-dependent and gated loosely (the bench's own
     ``--check-min-hit-speedup`` enforces the absolute floor in CI).
     """
     d = Diff()
     base_c = base_doc.get("cache", {})
     cand_c = cand_doc.get("cache", {})
-    for flag in ("hit_identical", "near_identical"):
-        if not cand_c.get(flag, False):
-            d.rows.append((f"cache.{flag}", True, cand_c.get(flag),
-                           None, "FAIL"))
-            d.failures += 1
-    if cand_c.get("near_misses") != base_c.get("near_misses"):
-        d.rows.append(("cache.near_misses", base_c.get("near_misses"),
-                       cand_c.get("near_misses"), None, "FAIL"))
+    if not cand_c.get("hit_identical", False):
+        d.rows.append(("cache.hit_identical", True,
+                       cand_c.get("hit_identical"), None, "FAIL"))
         d.failures += 1
     d.check("cache.hit_speedup", base_c.get("hit_speedup"),
             cand_c.get("hit_speedup"), frac=args.loose_frac,
             higher_is_worse=False)
-    d.check("cache.near_speedup", base_c.get("near_speedup"),
-            cand_c.get("near_speedup"), frac=args.loose_frac,
-            higher_is_worse=False, gated=args.check_timing)
     return d
 
 

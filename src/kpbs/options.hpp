@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "common/contract_annotations.hpp"
@@ -17,7 +16,6 @@
 #include "common/types.hpp"
 #include "kpbs/lower_bound.hpp"
 #include "kpbs/schedule.hpp"
-#include "matching/matching.hpp"
 
 REDIST_LAYER("kpbs");
 
@@ -45,14 +43,6 @@ struct SolverOptions {
   /// residual traffic) pass their own so journal events across layers
   /// join on one ID. Never feeds back into scheduling.
   std::uint64_t solve_id = 0;
-  /// Optional cross-instance warm seed for the first OGGP bottleneck search
-  /// (PeelingContext::seed) — typically the warm_handle a previous solve of
-  /// a near-identical instance exported. The first step's cap probe
-  /// augments from the seed's usable edges, and that step always ends in
-  /// the canonical replay, so any seed (even one from an unrelated
-  /// instance) leaves the schedule bit-identical. Ignored by non-OGGP
-  /// solves.
-  std::shared_ptr<const Matching> warm_seed = nullptr;
 };
 
 /// A solved instance plus the quality/latency facts every caller was
@@ -63,11 +53,6 @@ struct SolveResult {
   double evaluation_ratio = 1.0;  ///< cost / lower bound (>= 1)
   double solve_ms = 0.0;          ///< wall clock, Stopwatch timebase
   std::uint64_t solve_id = 0;     ///< the journal ID this solve ran under
-  /// First peel step's matching of the regularized instance (OGGP solves
-  /// only, null otherwise) — feed it to SolverOptions::warm_seed of
-  /// a near-identical instance to warm its first bottleneck search. Shared
-  /// so caches can hand the same immutable handle to many solves.
-  std::shared_ptr<const Matching> warm_handle = nullptr;
 };
 
 /// Parser shared by the CLI, benchmarks and tests (the one place the

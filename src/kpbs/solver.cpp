@@ -21,40 +21,21 @@
 namespace redist {
 
 namespace {
-std::vector<PeelStep> peel_regularized(
-    BipartiteGraph& j, Algorithm algorithm,
-    const std::shared_ptr<const Matching>& warm_seed,
-    std::shared_ptr<const Matching>* warm_handle) {
+std::vector<PeelStep> peel_regularized(BipartiteGraph& j, Algorithm algorithm) {
   // GGP-MW is the Hungarian ablation: a from-scratch matching per step.
   if (algorithm == Algorithm::kGGPMaxWeight) {
     return wrgp_peel(j, PerfectMatchingStrategy(max_weight_perfect_matching));
   }
-  const bool bottleneck = algorithm == Algorithm::kOGGP;
   PeelingContext ctx;
-  // Cross-instance seeding only helps (and is only sound to export) on the
-  // bottleneck path: GGP's arbitrary matchings must stay bit-equal to
-  // max_matching(g), which depends on the greedy start.
-  if (bottleneck && warm_seed != nullptr && !warm_seed->edges.empty()) {
-    ctx.seed(*warm_seed);
-    obs::MetricsRegistry* const metrics = obs::metrics();
-    if (metrics != nullptr) metrics->counter("kpbs.warm_seed.installed").add();
-  }
-  std::vector<PeelStep> steps = wrgp_peel_warm(
-      j, bottleneck ? WarmStrategy::kBottleneck : WarmStrategy::kArbitrary,
-      ctx);
-  // Export the first step's matching as the instance's warm handle: two
-  // near-identical demands diverge least before any peeling, so their
-  // first bottleneck searches are the ones a shared seed accelerates.
-  if (warm_handle != nullptr && bottleneck && !steps.empty()) {
-    *warm_handle = std::make_shared<const Matching>(steps.front().matching);
-  }
-  return steps;
+  return wrgp_peel_warm(j,
+                        algorithm == Algorithm::kOGGP
+                            ? WarmStrategy::kBottleneck
+                            : WarmStrategy::kArbitrary,
+                        ctx);
 }
 
 Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
-                        Algorithm algorithm,
-                        const std::shared_ptr<const Matching>& warm_seed,
-                        std::shared_ptr<const Matching>* warm_handle) {
+                        Algorithm algorithm) {
   REDIST_CHECK_MSG(beta >= 0, "negative beta");
   Schedule schedule;
   if (demand.empty()) return schedule;
@@ -88,8 +69,7 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
 
   // Step 2 — regularize; Step 3 — peel.
   Regularized reg = regularize(normalized, k);
-  const std::vector<PeelStep> peels =
-      peel_regularized(reg.graph, algorithm, warm_seed, warm_handle);
+  const std::vector<PeelStep> peels = peel_regularized(reg.graph, algorithm);
 
   // Step 4 — extract real communications with realized amounts.
   {
@@ -154,8 +134,7 @@ SolveResult solve_kpbs(const BipartiteGraph& demand,
       static_cast<std::int64_t>(demand.alive_edge_count()));
   const Stopwatch timer;
   result.schedule =
-      solve_schedule(demand, options.k, options.beta, options.algorithm,
-                     options.warm_seed, &result.warm_handle);
+      solve_schedule(demand, options.k, options.beta, options.algorithm);
   result.solve_ms = timer.elapsed_ms();
   result.lower_bound = kpbs_lower_bound(demand, options.k, options.beta);
   const double bound = result.lower_bound.value_double();

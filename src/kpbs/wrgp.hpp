@@ -62,7 +62,7 @@ enum class WarmStrategy {
 
 /// Peels `g` with PeelingContext matchings, reusing matching and weight
 /// state across steps via `ctx`. `ctx` must be fresh (or have last been
-/// used on this same peeling sequence, or only seeded).
+/// used on this same peeling sequence).
 REDIST_DETERMINISTIC
 std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, WarmStrategy strategy,
                                      PeelingContext& ctx);

@@ -8,7 +8,7 @@
 // The solver is rebindable: one instance can be pointed at successive
 // graph/mask pairs, reusing its buffers instead of reallocating.
 // PeelingContext rebinds one instance for every cap probe and replay of a
-// WRGP peel; solve_seeded starts a cap probe from a cross-instance seed.
+// WRGP peel; solve_seeded serves the test oracle's Fig. 6 search.
 //
 // A rebind snapshots the usable edge set (alive, at or above the threshold,
 // permitted by the mask) into a flat per-left-node arc list, kept in each

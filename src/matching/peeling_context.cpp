@@ -86,22 +86,19 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
                             "at or below the cap)");
 
   // Cap probe: the canonical greedy run at T, so a perfect result is the
-  // step's matching. A seed() replaces the greedy start, so that step
-  // always ends in the replay.
-  const bool seeded = seed_.has_value();
+  // step's matching.
   Matching result;
   {
     obs::TraceSpan probe_span(obs::trace(), "bottleneck.probe");
     if (metrics != nullptr) metrics->counter("bottleneck.probes").add();
     hk_.rebind_threshold(g, cap);
-    result = seeded ? hk_.solve_seeded(*seed_) : hk_.solve();
+    result = hk_.solve();
     if (probe_span) {
       probe_span.arg("threshold", cap);
       probe_span.arg("feasible", result.size() == target);
       probe_span.arg("deficit", target - result.size());
     }
   }
-  seed_.reset();
 
   // Widest augmenting paths from the probe's maximum matching of G_T. The
   // matching stays inside G_{t*} (induction on the paths): G_{t*} has a
@@ -126,12 +123,9 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
                                   << d << " of " << target << ")");
       if (widest_counter != nullptr) widest_counter->add();
     }
-  }
-
-  // Canonical replay: a greedy-seeded run at the optimal threshold, so the
-  // returned matching depends on the residual graph alone — the matching a
-  // from-scratch search returns.
-  if (result.size() < target || seeded) {
+    // Canonical replay: a greedy-seeded run at the optimal threshold, so
+    // the returned matching depends on the residual graph alone — the
+    // matching a from-scratch search returns.
     obs::TraceSpan replay_span(obs::trace(), "bottleneck.replay");
     if (replay_span) replay_span.arg("threshold", t);
     hk_.rebind_threshold(g, t);

@@ -34,7 +34,6 @@
 // matches them edge for edge and in bottleneck value.
 #pragma once
 
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -70,17 +69,6 @@ class PeelingContext {
   REDIST_DETERMINISTIC
   void before_peel(const BipartiteGraph& g, const Matching& m, Weight amount);
 
-  /// Installs `m` as the warm seed of the next bottleneck search. Intended
-  /// for cross-instance warm starts (the scheduler daemon's near-miss cache
-  /// path, docs/SERVICE.md). The next step's cap probe augments from the
-  /// seed's usable edges instead of a greedy start, and that step always
-  /// ends in the canonical replay, so any seed (even a nonsense one) leaves
-  /// schedules bit-identical.
-  void seed(Matching m) {
-    seed_ = std::move(m);
-    last_bottleneck_ = 0;
-  }
-
  private:
   /// Augments the matching in mate_/owner_ along a widest augmenting path
   /// over all alive edges, each path's width capped at `t`. Returns the
@@ -88,11 +76,10 @@ class PeelingContext {
   REDIST_NOALLOC
   Weight widest_augment(const BipartiteGraph& g, Weight t);
 
-  HopcroftKarp hk_;               // rebindable solver (reused buffers)
-  std::vector<EdgeId> dead_;      // GGP: edges the last peel killed
-  std::optional<Matching> seed_;  // seed() for the next cap probe
-  bool ggp_snapshot_ = false;     // hk_ holds GGP's bind of this graph
-  Weight last_bottleneck_ = 0;    // previous step's bottleneck; 0 = none
+  HopcroftKarp hk_;             // rebindable solver (reused buffers)
+  std::vector<EdgeId> dead_;    // GGP: edges the last peel killed
+  bool ggp_snapshot_ = false;   // hk_ holds GGP's bind of this graph
+  Weight last_bottleneck_ = 0;  // previous step's bottleneck; 0 = none
   // Widest-path search state, sized per step and reused.
   std::vector<EdgeId> mate_;   // left node -> matched edge
   std::vector<NodeId> owner_;  // right node -> matched left node

@@ -89,7 +89,8 @@ struct SolveRequest {
 enum class ServedFrom : std::uint8_t {
   kCold = 0,          ///< full solve, no cache involvement
   kCacheHit = 1,      ///< exact fingerprint hit, cached result replayed
-  kWarmNearMiss = 2,  ///< solved fresh, warm-seeded from a near-miss entry
+  kWarmNearMiss = 2,  ///< never sent (near misses solve cold); decodable
+                      ///< so rpc.v2 stays unchanged on the wire
 };
 
 const char* served_from_name(ServedFrom s);

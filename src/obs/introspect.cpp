@@ -177,7 +177,6 @@ IntrospectionServer::Response IntrospectionServer::respond(
     // instrument exists in the installed registry (docs/SERVICE.md).
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t cache_near_misses = 0;
     std::uint64_t cache_evictions = 0;
     std::int64_t cache_entries = 0;
     bool have_cache = false;
@@ -200,9 +199,6 @@ IntrospectionServer::Response IntrospectionServer::respond(
         } else if (name == "service.cache.misses") {
           cache_misses = count;
           have_cache = true;
-        } else if (name == "service.cache.near_misses") {
-          cache_near_misses = count;
-          have_cache = true;
         } else if (name == "service.cache.evictions") {
           cache_evictions = count;
           have_cache = true;
@@ -219,7 +215,6 @@ IntrospectionServer::Response IntrospectionServer::respond(
       const std::uint64_t lookups = cache_hits + cache_misses;
       os << ",\"cache\":{\"entries\":" << cache_entries
          << ",\"hits\":" << cache_hits << ",\"misses\":" << cache_misses
-         << ",\"near_misses\":" << cache_near_misses
          << ",\"evictions\":" << cache_evictions << ",\"hit_rate\":"
          << json_number(lookups == 0 ? 0.0
                                      : static_cast<double>(cache_hits) /

@@ -61,7 +61,7 @@ enum class JournalEventKind : std::uint8_t {
   kRpcRequest,       ///< service request decoded; a=rpc tag, b=payload bytes
   kCacheHit,         ///< exact fingerprint hit; a=entry hit count
   kCacheMiss,        ///< no cached entry; a=entries currently cached
-  kCacheWarmSeed,    ///< near-miss warm seed installed; b=L1 weight distance
+  kCacheWarmSeed,    ///< retired: never recorded (the warm seed is gone)
   kCacheEvict,       ///< LFU eviction; a=evicted hit count, b=entries left
 };
 

@@ -1,9 +1,5 @@
 #include "service/fingerprint.hpp"
 
-#include <cstdlib>
-
-#include "common/error.hpp"
-
 namespace redist::service {
 
 namespace {
@@ -25,17 +21,6 @@ struct Fnv {
 };
 
 }  // namespace
-
-std::int64_t CanonicalInstance::weight_distance(
-    const CanonicalInstance& other) const {
-  REDIST_CHECK_MSG(weights.size() == other.weights.size(),
-                   "weight_distance requires same-shape instances");
-  std::int64_t distance = 0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    distance += std::abs(weights[i] - other.weights[i]);
-  }
-  return distance;
-}
 
 CanonicalInstance canonicalize(const TrafficMatrix& m,
                                const SolverOptions& options) {
@@ -63,22 +48,17 @@ CanonicalInstance canonicalize(const TrafficMatrix& m,
 }
 
 InstanceFingerprint fingerprint_instance(const CanonicalInstance& instance) {
-  Fnv full;
-  Fnv shape;
-  const auto mix_both = [&](std::uint64_t value) {
-    full.mix(value);
-    shape.mix(value);
-  };
-  mix_both(static_cast<std::uint64_t>(instance.senders));
-  mix_both(static_cast<std::uint64_t>(instance.receivers));
-  mix_both(static_cast<std::uint64_t>(instance.k));
-  mix_both(static_cast<std::uint64_t>(instance.beta));
-  mix_both(static_cast<std::uint64_t>(instance.algorithm));
-  for (std::uint64_t position : instance.positions) mix_both(position);
+  Fnv fnv;
+  fnv.mix(static_cast<std::uint64_t>(instance.senders));
+  fnv.mix(static_cast<std::uint64_t>(instance.receivers));
+  fnv.mix(static_cast<std::uint64_t>(instance.k));
+  fnv.mix(static_cast<std::uint64_t>(instance.beta));
+  fnv.mix(static_cast<std::uint64_t>(instance.algorithm));
+  for (std::uint64_t position : instance.positions) fnv.mix(position);
   for (Bytes bytes : instance.weights) {
-    full.mix(static_cast<std::uint64_t>(bytes));
+    fnv.mix(static_cast<std::uint64_t>(bytes));
   }
-  return InstanceFingerprint{full.state, shape.state};
+  return fnv.state;
 }
 
 }  // namespace redist::service

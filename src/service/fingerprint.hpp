@@ -1,4 +1,4 @@
-// Canonical instance form + fingerprints for the warm solve cache.
+// Canonical instance form + fingerprint for the solve cache.
 //
 // Two solve requests must answer from the same cache entry exactly when
 // their schedules are guaranteed bit-identical, so the cache keys on the
@@ -8,17 +8,10 @@
 // Nothing else (request ids, client identity, wall clock) may leak in, or
 // identical instances would stop deduplicating.
 //
-// Fingerprints are FNV-1a 64-bit hashes of that canonical form, used to
-// index the cache; every exact hit is then *verified* against the stored
+// The fingerprint is an FNV-1a 64-bit hash of that canonical form, used to
+// index the cache; every hit is then *verified* against the stored
 // CanonicalInstance, so a hash collision degrades to a wasted fresh solve,
 // never to a wrong schedule.
-//
-// Alongside the full fingerprint sits a *shape* fingerprint hashing the
-// same form minus the byte counts. Equal shape + different full is the
-// daemon's near-miss case: the same communication pattern with drifted
-// volumes (the paper's repeated-redistribution setting), which is
-// precisely when a cached warm handle (SolveResult::warm_handle)
-// accelerates the fresh solve.
 #pragma once
 
 #include <cstdint>
@@ -44,23 +37,11 @@ struct CanonicalInstance {
   std::vector<Bytes> weights;            ///< byte counts, aligned 1:1
 
   bool operator==(const CanonicalInstance&) const = default;
-
-  /// True when everything but the byte counts matches — the near-miss
-  /// precondition (aligned weight vectors, comparable L1 distance).
-  bool same_shape(const CanonicalInstance& other) const {
-    return senders == other.senders && receivers == other.receivers &&
-           k == other.k && beta == other.beta &&
-           algorithm == other.algorithm && positions == other.positions;
-  }
-
-  /// Sum of |weights[i] - other.weights[i]|; requires same_shape(other).
-  std::int64_t weight_distance(const CanonicalInstance& other) const;
 };
 
-struct InstanceFingerprint {
-  std::uint64_t full = 0;   ///< shape + byte counts + solver options
-  std::uint64_t shape = 0;  ///< positions + sizes + solver options only
-};
+/// Hash of every CanonicalInstance field: sizes, solver options, positions
+/// and byte counts.
+using InstanceFingerprint = std::uint64_t;
 
 /// Canonicalizes the instance (row-major non-zero scan of `m`).
 CanonicalInstance canonicalize(const TrafficMatrix& m,

@@ -1,6 +1,8 @@
 #include "service/scheduler_service.hpp"
 
+#include <exception>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -175,7 +177,10 @@ void SchedulerService::handle_connection(TcpStream stream) {
         std::vector<char> body;
         rpc::encode_solve_response(body, response);
         send_rpc(stream, rpc::RpcTag::kSolveResponse, body);
-      } catch (const Error& e) {
+      } catch (const std::exception& e) {
+        // Not only redist::Error: a request the decoder accepts can still
+        // be too large to allocate (std::length_error, std::bad_alloc),
+        // and an exception escaping a pool job terminates the daemon.
         send_rpc_error(stream, request.request_id,
                        rpc::RpcErrorCode::kInternal, e.what());
       }
@@ -193,57 +198,33 @@ rpc::SolveResponse SchedulerService::serve_solve(
   for (const rpc::TrafficEntry& entry : request.entries) {
     matrix.add(entry.sender, entry.receiver, entry.bytes);
   }
-  SolverOptions options;
-  options.k = request.k;
-  options.beta = request.beta;
-  options.algorithm = request.algorithm;
+  const SolverOptions options{request.k, request.beta, request.algorithm};
 
   CanonicalInstance instance = canonicalize(matrix, options);
   const InstanceFingerprint fp = fingerprint_instance(instance);
-  SolveCache::Lookup lookup = cache_.lookup(fp, instance);
+  std::optional<CachedSolve> cached = cache_.lookup(fp, instance);
 
   rpc::SolveResponse response;
   response.request_id = request.request_id;
-
-  if (lookup.kind == SolveCache::Lookup::Kind::kHit) {
-    response.served_from = rpc::ServedFrom::kCacheHit;
-    response.solve_id = lookup.solve.solve_id;
-    response.lb_min_steps = lookup.solve.lb_min_steps;
-    response.lb_num = lookup.solve.lb_num;
-    response.lb_den = lookup.solve.lb_den;
-    response.evaluation_ratio = lookup.solve.evaluation_ratio;
-    response.schedule_text = std::move(lookup.solve.schedule_text);
-    response.solve_ms = timer.elapsed_ms();
-    return response;
+  response.served_from = rpc::ServedFrom::kCacheHit;
+  if (!cached) {
+    const SolveResult solved = solve_kpbs(matrix.to_graph_bytes(), options);
+    cached = CachedSolve{
+        .schedule_text = schedule_to_string(solved.schedule),
+        .lb_min_steps = solved.lower_bound.min_steps,
+        .lb_num = solved.lower_bound.min_transmission.num(),
+        .lb_den = solved.lower_bound.min_transmission.den(),
+        .evaluation_ratio = solved.evaluation_ratio,
+        .solve_id = solved.solve_id};
+    cache_.insert_solve(fp, std::move(instance), *cached);
+    response.served_from = rpc::ServedFrom::kCold;
   }
-
-  const bool warm_seeded =
-      lookup.kind == SolveCache::Lookup::Kind::kNearMiss &&
-      lookup.warm_seed != nullptr;
-  if (warm_seeded) options.warm_seed = lookup.warm_seed;
-
-  const BipartiteGraph demand = matrix.to_graph_bytes();
-  const SolveResult solved = solve_kpbs(demand, options);
-
-  CachedSolve cached;
-  cached.schedule_text = schedule_to_string(solved.schedule);
-  cached.lb_min_steps = solved.lower_bound.min_steps;
-  cached.lb_num = solved.lower_bound.min_transmission.num();
-  cached.lb_den = solved.lower_bound.min_transmission.den();
-  cached.evaluation_ratio = solved.evaluation_ratio;
-  cached.solve_id = solved.solve_id;
-  cached.warm_handle = solved.warm_handle;
-
-  response.served_from = warm_seeded ? rpc::ServedFrom::kWarmNearMiss
-                                     : rpc::ServedFrom::kCold;
-  response.solve_id = cached.solve_id;
-  response.lb_min_steps = cached.lb_min_steps;
-  response.lb_num = cached.lb_num;
-  response.lb_den = cached.lb_den;
-  response.evaluation_ratio = cached.evaluation_ratio;
-  response.schedule_text = cached.schedule_text;
-
-  cache_.insert_solve(fp, std::move(instance), std::move(cached));
+  response.solve_id = cached->solve_id;
+  response.lb_min_steps = cached->lb_min_steps;
+  response.lb_num = cached->lb_num;
+  response.lb_den = cached->lb_den;
+  response.evaluation_ratio = cached->evaluation_ratio;
+  response.schedule_text = std::move(cached->schedule_text);
   response.solve_ms = timer.elapsed_ms();
   return response;
 }

@@ -1,7 +1,7 @@
 // SchedulerService — the long-lived scheduler daemon (ROADMAP north star).
 //
 // Accepts rpc.v2 connections (net/rpc.hpp) on an ephemeral loopback port
-// and serves K-PBS solves from a warm cache:
+// and serves K-PBS solves from a cache:
 //
 //   accept thread ──► ThreadPool ──► per-connection handler
 //                                      │  Hello/HelloAck version handshake
@@ -11,7 +11,6 @@
 //                                      │    SolveCache lookup by canonical
 //                                      │    fingerprint (service/fingerprint)
 //                                      │      hit   → cached bytes, no solve
-//                                      │      near  → solve_kpbs warm-seeded
 //                                      │      miss  → solve_kpbs, insert
 //
 // Threading: the accept loop (IntrospectionServer's poll-with-timeout
@@ -83,7 +82,8 @@ class SchedulerService {
 
   /// Serves one already-decoded request — cache lookup, possibly a solve,
   /// cache fill. Exposed for in-process tests (the socket handler calls
-  /// exactly this); throws redist::Error on solver failure.
+  /// exactly this); throws redist::Error on solver failure, and whatever
+  /// the allocator throws for a cluster too large to hold.
   rpc::SolveResponse serve_solve(const rpc::SolveRequest& request);
 
  private:

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/error.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -13,84 +12,44 @@ namespace redist::service {
 SolveCache::SolveCache(std::size_t capacity)
     : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
-SolveCache::Lookup SolveCache::lookup(const InstanceFingerprint& fp,
-                                      const CanonicalInstance& instance) {
-  Lookup result;
+std::optional<CachedSolve> SolveCache::lookup(
+    InstanceFingerprint fp, const CanonicalInstance& instance) {
+  std::optional<CachedSolve> result;
   std::uint64_t hit_count = 0;
   std::size_t cached = 0;
   {
     MutexLock lock(cache_mu);
     cached = entries_.size();
-    const auto it = entries_.find(fp.full);
-    // Exact path: the fingerprint indexes, the canonical form decides — a
-    // 64-bit collision must degrade to a fresh solve, not a wrong answer.
+    const auto it = entries_.find(fp);
+    // The fingerprint indexes, the canonical form decides — a 64-bit
+    // collision must degrade to a fresh solve, not a wrong answer.
     if (it != entries_.end() && it->second.instance == instance) {
-      ++it->second.hits;
-      hit_count = it->second.hits;
-      result.kind = Lookup::Kind::kHit;
-      result.solve = it->second.solve;
-    } else {
-      // Near-miss path: nearest same-shape entry by L1 weight distance.
-      const auto shape_it = shapes_.find(fp.shape);
-      if (shape_it != shapes_.end()) {
-        const Entry* best = nullptr;
-        std::int64_t best_distance = 0;
-        for (std::uint64_t full : shape_it->second) {
-          const auto entry_it = entries_.find(full);
-          REDIST_CHECK_MSG(entry_it != entries_.end(),
-                           "cache shape index out of sync");
-          const Entry& entry = entry_it->second;
-          if (!entry.instance.same_shape(instance)) continue;
-          const std::int64_t distance =
-              entry.instance.weight_distance(instance);
-          if (best == nullptr || distance < best_distance) {
-            best = &entry;
-            best_distance = distance;
-          }
-        }
-        if (best != nullptr) {
-          result.kind = Lookup::Kind::kNearMiss;
-          result.warm_seed = best->solve.warm_handle;
-          result.weight_distance = best_distance;
-        }
-      }
+      hit_count = ++it->second.hits;
+      result = it->second.solve;
     }
   }
 
   obs::MetricsRegistry* const metrics = obs::metrics();
-  switch (result.kind) {
-    case Lookup::Kind::kHit:
-      if (metrics != nullptr) metrics->counter("service.cache.hits").add();
-      obs::journal_record(obs::JournalEventKind::kCacheHit,
-                          static_cast<std::int64_t>(hit_count));
-      break;
-    case Lookup::Kind::kNearMiss:
-      if (metrics != nullptr) {
-        metrics->counter("service.cache.misses").add();
-        metrics->counter("service.cache.near_misses").add();
-      }
-      obs::journal_record(obs::JournalEventKind::kCacheMiss,
-                          static_cast<std::int64_t>(cached));
-      obs::journal_record(obs::JournalEventKind::kCacheWarmSeed, 0,
-                          result.weight_distance);
-      break;
-    case Lookup::Kind::kMiss:
-      if (metrics != nullptr) metrics->counter("service.cache.misses").add();
-      obs::journal_record(obs::JournalEventKind::kCacheMiss,
-                          static_cast<std::int64_t>(cached));
-      break;
+  if (result) {
+    if (metrics != nullptr) metrics->counter("service.cache.hits").add();
+    obs::journal_record(obs::JournalEventKind::kCacheHit,
+                        static_cast<std::int64_t>(hit_count));
+  } else {
+    if (metrics != nullptr) metrics->counter("service.cache.misses").add();
+    obs::journal_record(obs::JournalEventKind::kCacheMiss,
+                        static_cast<std::int64_t>(cached));
   }
   return result;
 }
 
-void SolveCache::insert_solve(const InstanceFingerprint& fp,
-                        CanonicalInstance instance, CachedSolve solve) {
+void SolveCache::insert_solve(InstanceFingerprint fp,
+                              CanonicalInstance instance, CachedSolve solve) {
   bool evicted = false;
   std::uint64_t evicted_hits = 0;
   std::size_t remaining = 0;
   {
     MutexLock lock(cache_mu);
-    if (entries_.count(fp.full) != 0) return;  // benign double-solve race
+    if (entries_.count(fp) != 0) return;  // benign double-solve race
     if (entries_.size() >= capacity_) {
       // LFU scan; O(capacity), and capacity is small (tens of entries).
       // Ties go to the oldest insertion so a stale never-hit entry cannot
@@ -106,20 +65,13 @@ void SolveCache::insert_solve(const InstanceFingerprint& fp,
       }
       evicted = true;
       evicted_hits = victim->second.hits;
-      auto& siblings = shapes_[victim->second.shape];
-      siblings.erase(
-          std::remove(siblings.begin(), siblings.end(), victim->first),
-          siblings.end());
-      if (siblings.empty()) shapes_.erase(victim->second.shape);
       entries_.erase(victim);
     }
     Entry entry;
     entry.instance = std::move(instance);
     entry.solve = std::move(solve);
-    entry.shape = fp.shape;
     entry.inserted = ++tick_;
-    entries_.emplace(fp.full, std::move(entry));
-    shapes_[fp.shape].push_back(fp.full);
+    entries_.emplace(fp, std::move(entry));
     remaining = entries_.size();
   }
 

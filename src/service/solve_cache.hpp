@@ -1,21 +1,12 @@
-// Fingerprint-keyed warm solve cache (LFU) for the scheduler daemon.
+// Fingerprint-keyed solve cache (LFU) for the scheduler daemon.
 //
 // The daemon's request stream is dominated by repetition: iterative codes
-// re-emit identical redistribution patterns (exact hits) or the same
-// pattern with drifted volumes (near misses). The cache exploits both:
-//
-//  * exact hit — the full fingerprint matches and the stored
-//    CanonicalInstance verifies equal; the cached result (schedule text,
-//    lower bound, evaluation ratio) is returned without touching the
-//    solver. Bit-identical by construction: it IS the bytes of the
-//    original solve.
-//  * near miss — no full match, but some entry shares the shape
-//    fingerprint (same pattern, k, beta, algorithm — only byte counts
-//    differ). The nearest such entry by L1 weight distance donates
-//    its warm handle (the first peel step's matching), which seeds the
-//    fresh solve's first bottleneck search (SolverOptions::warm_seed).
-//    Schedules stay bit-identical to an unseeded solve — seeds only
-//    shortcut feasibility probes (matching/peeling_context.hpp).
+// re-emit identical redistribution patterns. A hit — the fingerprint
+// matches and the stored CanonicalInstance verifies equal — returns the
+// cached result (schedule text, lower bound, evaluation ratio) without
+// touching the solver. Bit-identical by construction: it IS the bytes of
+// the original solve. Anything else, a drifted volume included, is a miss
+// and a cold solve.
 //
 // Eviction is LFU: at capacity the entry with the fewest hits goes (ties
 // broken by insertion age, oldest first), on the theory that a pattern
@@ -28,15 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/contract_annotations.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
-#include "matching/matching.hpp"
 #include "service/fingerprint.hpp"
 
 REDIST_LAYER("service");
@@ -52,8 +41,6 @@ struct CachedSolve {
   std::int64_t lb_den = 1;
   double evaluation_ratio = 1.0;
   std::uint64_t solve_id = 0;  ///< journal ID of the original solve
-  /// First peel step's matching (null for non-OGGP/cold solves).
-  std::shared_ptr<const Matching> warm_handle;
 };
 
 class SolveCache {
@@ -65,30 +52,16 @@ class SolveCache {
   SolveCache(const SolveCache&) = delete;
   SolveCache& operator=(const SolveCache&) = delete;
 
-  struct Lookup {
-    enum class Kind {
-      kMiss,      ///< nothing cached for this shape at all
-      kHit,       ///< verified exact match; `solve` is the cached result
-      kNearMiss,  ///< same shape cached; `warm_seed` is the donor's handle
-    };
-    Kind kind = Kind::kMiss;
-    CachedSolve solve;  ///< kHit only
-    std::shared_ptr<const Matching> warm_seed;  ///< kNearMiss only (may be
-                                                ///< null when the donor had
-                                                ///< no handle)
-    std::int64_t weight_distance = 0;  ///< kNearMiss: L1 to the donor
-  };
-
-  /// Looks `instance` up under its fingerprint. Records cache metrics and
-  /// journal events (kCacheHit/kCacheMiss/kCacheWarmSeed) outside the lock.
-  Lookup lookup(const InstanceFingerprint& fp,
-                const CanonicalInstance& instance);
+  /// The cached result for `instance`, or nullopt on a miss. Records cache
+  /// metrics and journal events (kCacheHit/kCacheMiss) outside the lock.
+  std::optional<CachedSolve> lookup(InstanceFingerprint fp,
+                                    const CanonicalInstance& instance);
 
   /// Stores a fresh solve under its fingerprint (no-op when an entry for
-  /// `fp.full` already exists — concurrent solvers of the same instance
-  /// race benignly). Evicts LFU at capacity (kCacheEvict journaled).
+  /// `fp` already exists — concurrent solvers of the same instance race
+  /// benignly). Evicts LFU at capacity (kCacheEvict journaled).
   /// (Deliberately not `insert()`: see entry_count() below.)
-  void insert_solve(const InstanceFingerprint& fp, CanonicalInstance instance,
+  void insert_solve(InstanceFingerprint fp, CanonicalInstance instance,
                     CachedSolve solve);
 
   /// Entries currently cached. (Deliberately not `size()`: the
@@ -101,18 +74,13 @@ class SolveCache {
   struct Entry {
     CanonicalInstance instance;
     CachedSolve solve;
-    std::uint64_t shape = 0;     ///< shape fingerprint (for the index)
     std::uint64_t hits = 0;      ///< LFU frequency
     std::uint64_t inserted = 0;  ///< insertion tick (LFU tie-break)
   };
 
   const std::size_t capacity_;
   mutable Mutex cache_mu REDIST_LOCK_RANK(50);
-  std::unordered_map<std::uint64_t, Entry> entries_
-      REDIST_GUARDED_BY(cache_mu);
-  /// shape fingerprint -> full fingerprints with that shape (near-miss
-  /// candidate index; kept exactly in sync with entries_).
-  std::unordered_map<std::uint64_t, std::vector<std::uint64_t>> shapes_
+  std::unordered_map<InstanceFingerprint, Entry> entries_
       REDIST_GUARDED_BY(cache_mu);
   std::uint64_t tick_ REDIST_GUARDED_BY(cache_mu) = 0;
 };

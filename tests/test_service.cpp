@@ -1,9 +1,10 @@
 // SchedulerService + SolveCache semantics: exact cache hits are
-// bit-identical replays of the original solve, near-miss warm seeding
-// never changes a schedule byte (proven against unseeded cold solves over
+// bit-identical replays of the original solve, a request with drifted
+// volumes is a plain miss solved cold (checked against direct solves over
 // the golden corpus), LFU eviction keeps the hot entries, admission
-// control answers typed rate-limit errors, and a concurrent submit storm
-// over real sockets is data-race-free (the TSan job runs this file).
+// control and unservable requests answer typed errors on a connection
+// that stays usable, and a concurrent submit storm over real sockets is
+// data-race-free (the TSan job runs this file).
 #include "service/scheduler_service.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +26,6 @@
 #include "kpbs/solver.hpp"
 #include "net/client_session.hpp"
 #include "obs/introspect.hpp"
-#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "robust/retry.hpp"
@@ -124,54 +125,49 @@ TEST(SolveCacheTest, EntryOrderDoesNotChangeTheFingerprint) {
   daemon.stop();
 }
 
-TEST(SolveCacheTest, FingerprintSeparatesShapeFromWeights) {
+TEST(SolveCacheTest, FingerprintCoversWeightsOptionsAndPositions) {
   TrafficMatrix m(3, 3);
   m.add(0, 1, 100);
   m.add(2, 0, 50);
   const SolverOptions options{4, 1, Algorithm::kOGGP};
+  const InstanceFingerprint fa = fingerprint_instance(canonicalize(m, options));
 
+  // Same positions, different volumes.
   TrafficMatrix drifted(3, 3);
-  drifted.add(0, 1, 120);  // same positions, different volumes
+  drifted.add(0, 1, 120);
   drifted.add(2, 0, 50);
+  EXPECT_NE(fingerprint_instance(canonicalize(drifted, options)), fa);
 
-  const CanonicalInstance a = canonicalize(m, options);
-  const CanonicalInstance b = canonicalize(drifted, options);
-  const InstanceFingerprint fa = fingerprint_instance(a);
-  const InstanceFingerprint fb = fingerprint_instance(b);
-  EXPECT_TRUE(a.same_shape(b));
-  EXPECT_EQ(a.weight_distance(b), 20);
-  EXPECT_EQ(fa.shape, fb.shape);
-  EXPECT_NE(fa.full, fb.full);
-
-  // Any solver-option change is a different shape (and full) fingerprint:
-  // cached results are only reusable under identical options.
+  // Any solver-option change is a different fingerprint: cached results
+  // are only reusable under identical options.
   SolverOptions other_k = options;
   other_k.k = 5;
-  const InstanceFingerprint fk = fingerprint_instance(canonicalize(m, other_k));
-  EXPECT_NE(fk.shape, fa.shape);
-  EXPECT_NE(fk.full, fa.full);
+  EXPECT_NE(fingerprint_instance(canonicalize(m, other_k)), fa);
 
-  // A different position with identical total volume is a different shape.
+  // A different position with identical volumes.
   TrafficMatrix moved(3, 3);
   moved.add(0, 2, 100);
   moved.add(2, 0, 50);
-  const InstanceFingerprint fm =
-      fingerprint_instance(canonicalize(moved, options));
-  EXPECT_NE(fm.shape, fa.shape);
+  EXPECT_NE(fingerprint_instance(canonicalize(moved, options)), fa);
 }
 
-TEST(SolveCacheTest, WarmNearMissMatchesColdSolveOnGoldenCorpus) {
-  // The load-bearing warm-path property: a near-miss solve (warm-seeded
-  // from the nearest cached shape sibling) must emit the same schedule an
-  // unseeded solve of the same instance would — same bytes, same makespan —
-  // and the schedule must validate. Proven across the golden corpus.
+TEST(SolveCacheTest, DriftedRequestIsSolvedColdOnGoldenCorpus) {
+  // A request with every volume drifted from a cached one is an ordinary
+  // miss: it is solved cold, emits the schedule a direct solve of the same
+  // instance emits — same bytes, same makespan — and the schedule
+  // validates. Checked across the golden corpus.
   const char* corpus[] = {"golden_02.graph", "golden_03.graph",
                           "golden_07.graph", "golden_09.graph",
                           "golden_11.graph", "golden_13.graph"};
   obs::MetricsRegistry registry;
-  obs::Journal journal(4096);
   obs::ScopedTelemetry telemetry(&registry, nullptr);
-  obs::ScopedJournal scoped_journal(&journal);
+  const auto misses = [&registry] {
+    std::uint64_t count = 0;
+    for (const auto& [name, value] : registry.snapshot().counters) {
+      if (name == "service.cache.misses") count = value;
+    }
+    return count;
+  };
 
   SchedulerService daemon;
   std::uint64_t request_id = 0;
@@ -182,20 +178,23 @@ TEST(SolveCacheTest, WarmNearMissMatchesColdSolveOnGoldenCorpus) {
     ASSERT_EQ(daemon.serve_solve(base).served_from, rpc::ServedFrom::kCold)
         << file;
 
-    // Drift every volume by +1: same shape, different full fingerprint.
+    // Drift every volume by +1: same positions, different fingerprint.
     rpc::SolveRequest drifted = base;
     drifted.request_id = ++request_id;
     for (rpc::TrafficEntry& e : drifted.entries) e.bytes += 1;
 
-    const rpc::SolveResponse warm = daemon.serve_solve(drifted);
-    EXPECT_EQ(warm.served_from, rpc::ServedFrom::kWarmNearMiss) << file;
+    const std::uint64_t misses_before = misses();
+    const rpc::SolveResponse served = daemon.serve_solve(drifted);
+    EXPECT_EQ(served.served_from, rpc::ServedFrom::kCold) << file;
+    EXPECT_EQ(misses() - misses_before, 1u) << file;
 
     const BipartiteGraph drifted_graph = graph_of_request(drifted);
     const SolveResult cold = solve_kpbs(
         drifted_graph, {drifted.k, drifted.beta, drifted.algorithm});
-    EXPECT_EQ(warm.schedule_text, schedule_to_string(cold.schedule)) << file;
+    EXPECT_EQ(served.schedule_text, schedule_to_string(cold.schedule))
+        << file;
 
-    const Schedule schedule = schedule_from_string(warm.schedule_text);
+    const Schedule schedule = schedule_from_string(served.schedule_text);
     EXPECT_EQ(schedule.cost(drifted.beta), cold.schedule.cost(drifted.beta))
         << file;
     ScheduleValidatorOptions options;
@@ -206,30 +205,11 @@ TEST(SolveCacheTest, WarmNearMissMatchesColdSolveOnGoldenCorpus) {
         << file;
   }
   daemon.stop();
-
-  // The warm path is observable: near-miss counters, installed-seed
-  // counters and kCacheWarmSeed journal events all fired once per file.
-  std::uint64_t near_misses = 0;
-  std::uint64_t seeds_installed = 0;
-  for (const auto& [name, count] : registry.snapshot().counters) {
-    if (name == "service.cache.near_misses") near_misses = count;
-    if (name == "kpbs.warm_seed.installed") seeds_installed = count;
-  }
-  EXPECT_EQ(near_misses, std::size(corpus));
-  EXPECT_EQ(seeds_installed, std::size(corpus));
-  std::size_t warm_seed_events = 0;
-  for (const obs::JournalEvent& event : journal.snapshot()) {
-    if (event.kind == obs::JournalEventKind::kCacheWarmSeed) {
-      ++warm_seed_events;
-    }
-  }
-  EXPECT_EQ(warm_seed_events, std::size(corpus));
 }
 
 TEST(SolveCacheTest, LfuEvictionDropsTheColdestEntry) {
   const SolverOptions options{2, 1, Algorithm::kOGGP};
-  // Three single-entry instances with distinct *positions* (distinct
-  // shapes), so lookups of an evicted one report a clean miss.
+  // Three single-entry instances with distinct positions.
   TrafficMatrix m1(4, 4), m2(4, 4), m3(4, 4);
   m1.add(0, 0, 10);
   m2.add(1, 1, 10);
@@ -242,52 +222,21 @@ TEST(SolveCacheTest, LfuEvictionDropsTheColdestEntry) {
   const InstanceFingerprint f3 = fingerprint_instance(i3);
 
   SolveCache cache(2);
-  cache.insert_solve(f1, i1, {"s1", 1, 0, 1, 1.0, 101, nullptr});
-  cache.insert_solve(f2, i2, {"s2", 1, 0, 1, 1.0, 102, nullptr});
+  cache.insert_solve(f1, i1, {"s1", 1, 0, 1, 1.0, 101});
+  cache.insert_solve(f2, i2, {"s2", 1, 0, 1, 1.0, 102});
   EXPECT_EQ(cache.entry_count(), 2u);
 
   // Heat up i1; i2 stays at zero hits.
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(cache.lookup(f1, i1).kind, SolveCache::Lookup::Kind::kHit);
+    EXPECT_TRUE(cache.lookup(f1, i1).has_value());
   }
 
   // At capacity the LFU victim is i2, not the recently inserted i3.
-  cache.insert_solve(f3, i3, {"s3", 1, 0, 1, 1.0, 103, nullptr});
+  cache.insert_solve(f3, i3, {"s3", 1, 0, 1, 1.0, 103});
   EXPECT_EQ(cache.entry_count(), 2u);
-  EXPECT_EQ(cache.lookup(f1, i1).kind, SolveCache::Lookup::Kind::kHit);
-  EXPECT_EQ(cache.lookup(f3, i3).kind, SolveCache::Lookup::Kind::kHit);
-  EXPECT_EQ(cache.lookup(f2, i2).kind, SolveCache::Lookup::Kind::kMiss);
-}
-
-TEST(SolveCacheTest, NearMissPrefersTheNearestShapeSibling) {
-  const SolverOptions options{2, 1, Algorithm::kOGGP};
-  TrafficMatrix base(3, 3);
-  base.add(0, 0, 100);
-  base.add(1, 2, 100);
-
-  TrafficMatrix near(3, 3);
-  near.add(0, 0, 110);  // L1 distance 10 + 0
-  near.add(1, 2, 100);
-  TrafficMatrix far(3, 3);
-  far.add(0, 0, 500);  // L1 distance 400 + 300
-  far.add(1, 2, 400);
-
-  const CanonicalInstance bi = canonicalize(base, options);
-  const CanonicalInstance ni = canonicalize(near, options);
-  const CanonicalInstance fi = canonicalize(far, options);
-
-  const auto near_handle = std::make_shared<const Matching>();
-  const auto far_handle = std::make_shared<const Matching>();
-  SolveCache cache(8);
-  cache.insert_solve(fingerprint_instance(ni), ni,
-               {"near", 1, 0, 1, 1.0, 1, near_handle});
-  cache.insert_solve(fingerprint_instance(fi), fi,
-               {"far", 1, 0, 1, 1.0, 2, far_handle});
-
-  const SolveCache::Lookup lookup = cache.lookup(fingerprint_instance(bi), bi);
-  ASSERT_EQ(lookup.kind, SolveCache::Lookup::Kind::kNearMiss);
-  EXPECT_EQ(lookup.warm_seed, near_handle);
-  EXPECT_EQ(lookup.weight_distance, 10);
+  EXPECT_TRUE(cache.lookup(f1, i1).has_value());
+  EXPECT_TRUE(cache.lookup(f3, i3).has_value());
+  EXPECT_FALSE(cache.lookup(f2, i2).has_value());
 }
 
 TEST(SchedulerServiceTest, RateLimitAnswersTypedErrorAndConnectionSurvives) {
@@ -310,6 +259,41 @@ TEST(SchedulerServiceTest, RateLimitAnswersTypedErrorAndConnectionSurvives) {
     EXPECT_EQ(e.response().code, rpc::RpcErrorCode::kRateLimited);
     EXPECT_EQ(e.response().request_id, 2u);
   }
+  daemon.stop();
+}
+
+TEST(SchedulerServiceTest,
+     UnallocatableClusterGetsTypedErrorAndConnectionSurvives) {
+  // The decoder accepts any positive cluster size, but a dense matrix of
+  // INT32_MAX x INT32_MAX cannot be allocated. That must come back as a
+  // typed kInternal error, not end the daemon, and the same session must
+  // then be served normally.
+  SchedulerService daemon;
+  ClientSession session = ClientSession::dial_rpc(daemon.port());
+
+  rpc::SolveRequest huge;
+  huge.request_id = 1;
+  huge.senders = std::numeric_limits<NodeId>::max();
+  huge.receivers = std::numeric_limits<NodeId>::max();
+  huge.entries.push_back({0, 0, 1});
+  try {
+    (void)session.solve(huge);
+    FAIL() << "an unallocatable cluster should get a typed error";
+  } catch (const RpcRemoteError& e) {
+    EXPECT_EQ(e.response().code, rpc::RpcErrorCode::kInternal);
+    EXPECT_EQ(e.response().request_id, 1u);
+  }
+
+  rpc::SolveRequest req =
+      request_from_graph(load_golden("golden_05.graph"), /*k=*/2, /*beta=*/1);
+  req.request_id = 2;
+  const rpc::SolveResponse response = session.solve(req);
+  EXPECT_EQ(response.request_id, 2u);
+  EXPECT_EQ(response.served_from, rpc::ServedFrom::kCold);
+  EXPECT_EQ(response.schedule_text,
+            schedule_to_string(solve_kpbs(graph_of_request(req),
+                                          {req.k, req.beta, req.algorithm})
+                                   .schedule));
   daemon.stop();
 }
 

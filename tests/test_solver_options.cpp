@@ -48,7 +48,6 @@ TEST(SolverOptions, DefaultsAreWarmOggp) {
   EXPECT_EQ(options.k, 1);
   EXPECT_EQ(options.beta, 1);
   EXPECT_EQ(options.algorithm, Algorithm::kOGGP);
-  EXPECT_EQ(options.warm_seed, nullptr);
 }
 
 TEST(SolverOptions, SolveResultFieldsMatchFirstPrinciples) {

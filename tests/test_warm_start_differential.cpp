@@ -5,8 +5,6 @@
 // Figure 6 confirming each bottleneck value), and ScheduleValidator must
 // accept both. A second layer checks the identity at the WRGP peel level
 // (matching edge ids included), which is stricter than schedule equality.
-// The last tests pin cross-instance warm seeds: whatever the seed, the
-// schedule must not change.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -288,68 +286,6 @@ TEST(WarmStartDifferential, MaxWeightAblationFallsBackToCold) {
   expect_identical_schedules(
       oracle::solve(g, 3, 1, Algorithm::kGGPMaxWeight),
       solve_kpbs(g, {3, 1, Algorithm::kGGPMaxWeight}).schedule, "ggp-mw");
-}
-
-// A seed whose surviving edges share an endpoint is not a matching, so
-// counting them must not prove a threshold feasible. Weight-regular with
-// c = 4; the only weight-2 edges of rows 0 and 1 both end in column 0, so
-// threshold 2 is infeasible and the bottleneck is 1.
-TEST(WarmSeed, NonMatchingSeedCannotFakeFeasibility) {
-  BipartiteGraph g(3, 3);
-  const EdgeId r0c0 = g.add_edge(0, 0, 2);
-  g.add_edge(0, 1, 1);
-  g.add_edge(0, 2, 1);
-  const EdgeId r1c0 = g.add_edge(1, 0, 2);
-  g.add_edge(1, 1, 1);
-  g.add_edge(1, 2, 1);
-  const EdgeId r2c1 = g.add_edge(2, 1, 2);
-  g.add_edge(2, 2, 2);
-  Weight c = 0;
-  ASSERT_TRUE(g.is_weight_regular(&c));
-  ASSERT_EQ(c, 4);
-
-  PeelingContext ctx;
-  ctx.seed(Matching{{r0c0, r1c0, r2c1}});
-  Matching m;
-  ASSERT_NO_THROW(m = ctx.bottleneck_perfect(g));
-  EXPECT_TRUE(is_perfect_matching(g, m));
-  EXPECT_EQ(min_weight(g, m), 1);
-  EXPECT_EQ(m.edges, oracle::bottleneck_perfect_threshold(g).edges);
-}
-
-// The daemon's near-miss path: a same-shape donor (every entry drifted by
-// 0-20) hands its warm handle to the recipient's solve. The seeded solve
-// must not throw and must emit the unseeded solve's bytes.
-TEST(WarmSeed, SameShapeDonorLeavesSchedulesUnchanged) {
-  Rng rng(20260);
-  for (int trial = 0; trial < 3000; ++trial) {
-    const auto n = static_cast<NodeId>(rng.uniform_int(3, 10));
-    BipartiteGraph donor(n, n);
-    BipartiteGraph recipient(n, n);
-    for (NodeId i = 0; i < n; ++i) {
-      for (NodeId j = 0; j < n; ++j) {
-        if (rng.uniform_int(0, 2) == 0) continue;
-        const Weight w = rng.uniform_int(1, 40);
-        donor.add_edge(i, j, w);
-        recipient.add_edge(i, j, w + rng.uniform_int(0, 20));
-      }
-    }
-    if (donor.empty()) continue;
-    SolverOptions options;
-    options.k = static_cast<int>(rng.uniform_int(1, n));
-    options.beta = rng.uniform_int(0, 2);
-    options.algorithm = Algorithm::kOGGP;
-    const std::string context = "trial=" + std::to_string(trial);
-
-    const SolveResult donated = solve_kpbs(donor, options);
-    ASSERT_NE(donated.warm_handle, nullptr) << context;
-    const Schedule unseeded = solve_kpbs(recipient, options).schedule;
-    options.warm_seed = donated.warm_handle;
-    Schedule seeded;
-    ASSERT_NO_THROW(seeded = solve_kpbs(recipient, options).schedule)
-        << context;
-    expect_identical_schedules(unseeded, seeded, context);
-  }
 }
 
 }  // namespace

@@ -51,7 +51,7 @@
 //             [--journal-capacity=8192]
 //       Runs the long-lived scheduler daemon (service/scheduler_service):
 //       accepts rpc.v2 solve requests on an ephemeral loopback port,
-//       answers from the fingerprint-keyed warm solve cache, and enforces
+//       answers from the fingerprint-keyed solve cache, and enforces
 //       lock-free token-bucket admission. --linger-ms=0 (default) runs
 //       until a client sends the rpc shutdown frame; positive values bound
 //       the lifetime. The port is printed, and published to --port-file
@@ -62,7 +62,7 @@
 //             [--algo=oggp] [--timeout-ms=5000] [--shutdown] [--quiet]
 //       Submits graphs to a live daemon over rpc.v2 (one connection, one
 //       request per graph per repeat) and prints each response's cache
-//       provenance (cold | cache_hit | warm_near_miss), service time and
+//       provenance (cold | cache_hit), service time and
 //       quality ratio. --shutdown sends the shutdown frame after the last
 //       response. Exits non-zero on typed rpc errors.
 //
@@ -540,15 +540,13 @@ int cmd_daemon(Flags& flags) {
 
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t near = 0;
   for (const auto& [name, count] : registry.snapshot().counters) {
     if (name == "service.cache.hits") hits = count;
     if (name == "service.cache.misses") misses = count;
-    if (name == "service.cache.near_misses") near = count;
   }
   std::cout << "served " << daemon.requests_served()
             << " request(s): " << hits << " cache hit(s), " << misses
-            << " miss(es) (" << near << " warm-seeded), "
+            << " miss(es), "
             << daemon.cache().entry_count() << " entries cached\n";
 
   if (!journal_out.empty()) {
