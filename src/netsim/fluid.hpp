@@ -7,6 +7,16 @@
 // every flow completion. This is the *idealized* steady state of many
 // long-lived TCP flows.
 //
+// One simulation builds its constraint structure once and keeps it across
+// flow completions: a constraint exists only for a node that carries a
+// flow, lists only its active flows, and a filling round visits only the
+// constraints that still have an unfrozen flow. Every rate, completion time
+// and recomputation count is bit-identical to a from-scratch fill over all
+// flows and all n1 + n2 + 1 constraints (the test oracle in
+// tests/oracle/fluid_oracle.hpp; docs/PERF.md, "The fluid simulator").
+// Inputs are checked once, up front: per-node card overrides must be empty
+// or exactly n1 / n2 long, fairness weights finite and > 0.
+//
 // Real TCP under heavy oversubscription additionally loses goodput to
 // drops, retransmissions and window hunting, and behaves nondeterministically
 // (the paper observed up to 10% run-to-run variance). Two knobs model that:
@@ -59,8 +69,9 @@ struct FluidResult {
 };
 
 /// (Weighted) max-min fair rates for `flows` on `p` (exposed for tests).
-/// `backbone_bps_override` <= 0 means "use p.backbone_bps"; empty `weights`
-/// means all flows weigh 1 (classic max-min fairness).
+/// `backbone_bps_override` <= 0 means "use p.backbone_bps"; empty `active`
+/// means every flow is active (an inactive flow gets rate 0); empty
+/// `weights` means all flows weigh 1 (classic max-min fairness).
 std::vector<double> max_min_rates(const Platform& p,
                                   const std::vector<Flow>& flows,
                                   const std::vector<char>& active,

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <numeric>
+#include <string>
 
 namespace redist {
 namespace {
@@ -233,6 +235,48 @@ TEST(Fluid, HeterogeneousOverrideSizeChecked) {
   Platform p = small_platform();
   p.t1_per_node = {100};  // wrong size for n1 = 2
   EXPECT_THROW(simulate_fluid(p, {Flow{1, 0, 10}}), Error);
+}
+
+// The message of the redist::Error `f` throws ("" if it throws none).
+template <typename F>
+std::string error_of(F&& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Fluid, HeterogeneousOverrideTooLongRejected) {
+  Platform p = small_platform();
+  p.t1_per_node = {100, 100, 100};  // n1 = 2
+  EXPECT_NE(error_of([&] { simulate_fluid(p, {Flow{1, 0, 10}}); })
+                .find("t1_per_node must be empty or hold n1 = 2 entries"),
+            std::string::npos);
+  p.t1_per_node.clear();
+  p.t2_per_node = {100, 100, 100};  // n2 = 2
+  EXPECT_NE(error_of([&] { max_min_rates(p, {Flow{1, 0, 10}}, {}); })
+                .find("t2_per_node must be empty or hold n2 = 2 entries"),
+            std::string::npos);
+}
+
+TEST(Fluid, HeterogeneousOverrideTooShortRejectedWhenUnread) {
+  Platform p = small_platform();
+  p.t1_per_node = {100};  // n1 = 2, and no flow leaves sender 1
+  EXPECT_THROW(simulate_fluid(p, {Flow{0, 0, 10}}), Error);
+}
+
+TEST(Fluid, RejectsNonPositiveWeights) {
+  const Platform p = small_platform();
+  const std::vector<Flow> flows{Flow{0, 0, 1}, Flow{1, 1, 1}};
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_NE(error_of([&] { max_min_rates(p, flows, {}, 0, {1.0, bad}); })
+                  .find("fairness weight must be finite and > 0"),
+              std::string::npos)
+        << "weight " << bad;
+  }
 }
 
 TEST(Fluid, RejectsMismatchedWeightVector) {
