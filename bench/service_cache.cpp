@@ -1,6 +1,7 @@
 // Scheduler-daemon cache benchmark: cold solve vs exact cache hit through
 // SchedulerService::serve_solve. Emits BENCH_service_cache.json (diffed by
-// scripts/bench_diff.py).
+// scripts/bench_diff.py), with a host block: cores, compiler, build type
+// and the git revision the build was configured from.
 //
 //   service_cache [--n=48] [--edges=1200] [--max-weight=1000]
 //                 [--instances=6] [--k=8] [--beta=1] [--repeat=5]
@@ -17,6 +18,7 @@
 #include <iostream>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "redist.hpp"
@@ -46,6 +48,16 @@ BipartiteGraph dense_instance(std::uint64_t seed, NodeId n, int edges,
     g.add_edge(left, right, rng.uniform_int(1, max_weight));
   }
   return g;
+}
+
+std::string compiler() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
 }
 
 rpc::SolveRequest request_from_graph(const BipartiteGraph& g, int k,
@@ -145,6 +157,11 @@ int main(int argc, char** argv) {
     if (!os) throw Error("cannot write: " + out);
     os << "{\n"
        << "  \"bench\": \"service_cache\",\n"
+       << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"compiler\": " << obs::json_quote(compiler())
+       << ", \"build_type\": " << obs::json_quote(REDIST_BENCH_BUILD_TYPE)
+       << ", \"git_rev\": " << obs::json_quote(REDIST_BENCH_GIT_REV)
+       << "},\n"
        << "  \"config\": {\"n\": " << n << ", \"edges\": " << edges
        << ", \"max_weight\": " << max_weight << ", \"instances\": "
        << instances << ", \"k\": " << k << ", \"beta\": " << beta

@@ -32,7 +32,11 @@ void TrafficMatrix::set(NodeId i, NodeId j, Bytes bytes) {
 
 void TrafficMatrix::add(NodeId i, NodeId j, Bytes bytes) {
   REDIST_CHECK_MSG(bytes >= 0, "negative traffic: " << bytes);
-  data_[index(i, j)] += bytes;
+  Bytes& cell = data_[index(i, j)];
+  Bytes sum = 0;
+  REDIST_CHECK_MSG(!__builtin_add_overflow(cell, bytes, &sum),
+                   "traffic at (" << i << ", " << j << ") overflows");
+  cell = sum;
 }
 
 Bytes TrafficMatrix::total() const {
@@ -55,15 +59,27 @@ BipartiteGraph TrafficMatrix::to_graph(double bytes_per_time_unit) const {
     for (NodeId j = 0; j < n2_; ++j) {
       const Bytes b = data_[index(i, j)];
       if (b > 0) {
-        const auto w = static_cast<Weight>(
-            std::ceil(static_cast<double>(b) / bytes_per_time_unit));
-        g.add_edge(i, j, w > 0 ? w : 1);
+        const double w =
+            std::ceil(static_cast<double>(b) / bytes_per_time_unit);
+        REDIST_CHECK_MSG(w < 0x1p63, "duration of " << b << " bytes at "
+                                                    << bytes_per_time_unit
+                                                    << " per unit overflows");
+        g.add_edge(i, j, w >= 1 ? static_cast<Weight>(w) : 1);
       }
     }
   }
   return g;
 }
 
-BipartiteGraph TrafficMatrix::to_graph_bytes() const { return to_graph(1.0); }
+BipartiteGraph TrafficMatrix::to_graph_bytes() const {
+  BipartiteGraph g(n1_, n2_);
+  for (NodeId i = 0; i < n1_; ++i) {
+    for (NodeId j = 0; j < n2_; ++j) {
+      const Bytes b = data_[index(i, j)];
+      if (b > 0) g.add_edge(i, j, b);
+    }
+  }
+  return g;
+}
 
 }  // namespace redist

@@ -38,8 +38,8 @@ class TrafficMatrix {
   /// time-unit length in seconds.
   BipartiteGraph to_graph(double bytes_per_time_unit) const;
 
-  /// Builds the communication graph keeping raw byte counts as weights
-  /// (speed folded in later); convenient when t == 1 unit.
+  /// Builds the communication graph keeping raw byte counts as weights,
+  /// exactly (speed folded in later); convenient when t == 1 unit.
   BipartiteGraph to_graph_bytes() const;
 
  private:

@@ -44,12 +44,22 @@ namespace {
 // reject every truncated or oversized payload with redist::Error, never
 // read out of bounds.
 
-template <typename T>
-void put(std::vector<char>& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
+/// A traffic entry on the wire: i32 sender | i32 receiver | i64 bytes.
+constexpr std::size_t kEntryBytes = 16;
+
+/// Grows `out` by the `size` bytes of one encoding and returns where they
+/// start: each encoder sizes its buffer once, then `put`s in place.
+char* grow(std::vector<char>& out, std::size_t size) {
   const std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &value, sizeof(T));
+  out.resize(at + size);
+  return out.data() + at;
+}
+
+template <typename T>
+char* put(char* at, T value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::memcpy(at, &value, sizeof(T));
+  return at + sizeof(T);
 }
 
 class Reader {
@@ -93,13 +103,12 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-void put_string(std::vector<char>& out, const std::string& s) {
+char* put_string(char* at, const std::string& s) {
   REDIST_CHECK_MSG(s.size() <= std::numeric_limits<std::uint32_t>::max(),
                    "rpc: string too large to encode");
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  const std::size_t at = out.size();
-  out.resize(at + s.size());
-  std::memcpy(out.data() + at, s.data(), s.size());
+  at = put<std::uint32_t>(at, static_cast<std::uint32_t>(s.size()));
+  std::memcpy(at, s.data(), s.size());
+  return at + s.size();
 }
 
 Algorithm decode_algorithm(std::uint8_t raw) {
@@ -130,7 +139,7 @@ std::uint8_t encode_algorithm(Algorithm a) {
 }  // namespace
 
 void encode_hello(std::vector<char>& out, std::uint32_t version) {
-  put<std::uint32_t>(out, version);
+  put<std::uint32_t>(grow(out, 4), version);
 }
 
 std::uint32_t decode_hello(const std::vector<char>& payload) {
@@ -141,20 +150,22 @@ std::uint32_t decode_hello(const std::vector<char>& payload) {
 }
 
 void encode_solve_request(std::vector<char>& out, const SolveRequest& req) {
-  put<std::uint64_t>(out, req.request_id);
-  put<std::int32_t>(out, req.k);
-  put<std::int64_t>(out, req.beta);
-  put<std::uint8_t>(out, encode_algorithm(req.algorithm));
-  put<std::int32_t>(out, req.senders);
-  put<std::int32_t>(out, req.receivers);
   REDIST_CHECK_MSG(
       req.entries.size() <= std::numeric_limits<std::uint32_t>::max(),
       "rpc: too many traffic entries to encode");
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(req.entries.size()));
+  char* at = grow(out, 8 + 4 + 8 + 1 + 4 + 4 + 4 +
+                           kEntryBytes * req.entries.size());
+  at = put<std::uint64_t>(at, req.request_id);
+  at = put<std::int32_t>(at, req.k);
+  at = put<std::int64_t>(at, req.beta);
+  at = put<std::uint8_t>(at, encode_algorithm(req.algorithm));
+  at = put<std::int32_t>(at, req.senders);
+  at = put<std::int32_t>(at, req.receivers);
+  at = put<std::uint32_t>(at, static_cast<std::uint32_t>(req.entries.size()));
   for (const TrafficEntry& e : req.entries) {
-    put<std::int32_t>(out, e.sender);
-    put<std::int32_t>(out, e.receiver);
-    put<std::int64_t>(out, e.bytes);
+    at = put<std::int32_t>(at, e.sender);
+    at = put<std::int32_t>(at, e.receiver);
+    at = put<std::int64_t>(at, e.bytes);
   }
 }
 
@@ -173,9 +184,8 @@ SolveRequest decode_solve_request(const std::vector<char>& payload) {
     throw Error("rpc: cluster sizes must be >= 1");
   }
   const auto count = r.get<std::uint32_t>("request.entry_count");
-  // Each entry takes 16 payload bytes; reject counts the remaining payload
-  // cannot possibly hold before reserving anything (fuzz resilience).
-  constexpr std::size_t kEntryBytes = 16;
+  // Reject counts the remaining payload cannot possibly hold before
+  // reserving anything (fuzz resilience).
   if (r.remaining() / kEntryBytes < count) {
     throw Error("rpc: entry count exceeds payload");
   }
@@ -197,15 +207,17 @@ SolveRequest decode_solve_request(const std::vector<char>& payload) {
 }
 
 void encode_solve_response(std::vector<char>& out, const SolveResponse& resp) {
-  put<std::uint64_t>(out, resp.request_id);
-  put<std::uint64_t>(out, resp.solve_id);
-  put<std::uint8_t>(out, static_cast<std::uint8_t>(resp.served_from));
-  put<double>(out, resp.solve_ms);
-  put<std::int64_t>(out, resp.lb_min_steps);
-  put<std::int64_t>(out, resp.lb_num);
-  put<std::int64_t>(out, resp.lb_den);
-  put<double>(out, resp.evaluation_ratio);
-  put_string(out, resp.schedule_text);
+  char* at = grow(out, 8 + 8 + 1 + 8 + 8 + 8 + 8 + 8 + 4 +
+                           resp.schedule_text.size());
+  at = put<std::uint64_t>(at, resp.request_id);
+  at = put<std::uint64_t>(at, resp.solve_id);
+  at = put<std::uint8_t>(at, static_cast<std::uint8_t>(resp.served_from));
+  at = put<double>(at, resp.solve_ms);
+  at = put<std::int64_t>(at, resp.lb_min_steps);
+  at = put<std::int64_t>(at, resp.lb_num);
+  at = put<std::int64_t>(at, resp.lb_den);
+  at = put<double>(at, resp.evaluation_ratio);
+  put_string(at, resp.schedule_text);
 }
 
 SolveResponse decode_solve_response(const std::vector<char>& payload) {
@@ -230,9 +242,10 @@ SolveResponse decode_solve_response(const std::vector<char>& payload) {
 }
 
 void encode_error_response(std::vector<char>& out, const ErrorResponse& err) {
-  put<std::uint64_t>(out, err.request_id);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(err.code));
-  put_string(out, err.message);
+  char* at = grow(out, 8 + 4 + 4 + err.message.size());
+  at = put<std::uint64_t>(at, err.request_id);
+  at = put<std::uint32_t>(at, static_cast<std::uint32_t>(err.code));
+  put_string(at, err.message);
 }
 
 ErrorResponse decode_error_response(const std::vector<char>& payload) {

@@ -194,13 +194,9 @@ void SchedulerService::handle_connection(TcpStream stream) {
 rpc::SolveResponse SchedulerService::serve_solve(
     const rpc::SolveRequest& request) {
   const Stopwatch timer;
-  TrafficMatrix matrix(request.senders, request.receivers);
-  for (const rpc::TrafficEntry& entry : request.entries) {
-    matrix.add(entry.sender, entry.receiver, entry.bytes);
-  }
   const SolverOptions options{request.k, request.beta, request.algorithm};
-
-  CanonicalInstance instance = canonicalize(matrix, options);
+  CanonicalInstance instance = canonicalize(
+      request.senders, request.receivers, request.entries, options);
   const InstanceFingerprint fp = fingerprint_instance(instance);
   std::optional<CachedSolve> cached = cache_.lookup(fp, instance);
 
@@ -208,7 +204,7 @@ rpc::SolveResponse SchedulerService::serve_solve(
   response.request_id = request.request_id;
   response.served_from = rpc::ServedFrom::kCacheHit;
   if (!cached) {
-    const SolveResult solved = solve_kpbs(matrix.to_graph_bytes(), options);
+    const SolveResult solved = solve_kpbs(demand_graph(instance), options);
     cached = CachedSolve{
         .schedule_text = schedule_to_string(solved.schedule),
         .lb_min_steps = solved.lower_bound.min_steps,

@@ -82,8 +82,8 @@ class SchedulerService {
 
   /// Serves one already-decoded request — cache lookup, possibly a solve,
   /// cache fill. Exposed for in-process tests (the socket handler calls
-  /// exactly this); throws redist::Error on solver failure, and whatever
-  /// the allocator throws for a cluster too large to hold.
+  /// exactly this); throws redist::Error on an invalid instance (see
+  /// canonicalize and demand_graph) or a solver failure.
   rpc::SolveResponse serve_solve(const rpc::SolveRequest& request);
 
  private:

@@ -101,6 +101,84 @@ TEST(Rpc, ErrorCodeNamesAreStable) {
                "warm_near_miss");
 }
 
+/// Lower-case hex of an encoding, for comparing with pinned bytes.
+std::string hex(const std::vector<char>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(Rpc, WireBytesArePinned) {
+  // rpc.v2 is a wire contract: these encodings must not change without a
+  // kRpcProtocolVersion bump. Each encoder appends to what `out` holds.
+  rpc::SolveRequest req;
+  req.request_id = 0x0102030405060708ULL;
+  req.k = 3;
+  req.beta = 5;
+  req.algorithm = Algorithm::kGGP;
+  req.senders = 3;
+  req.receivers = 4;
+  req.entries = {{0, 1, 10}, {2, 3, 0x1122334455667788LL}, {1, 0, 1}};
+  std::vector<char> request;
+  rpc::encode_solve_request(request, req);
+  EXPECT_EQ(hex(request),
+            "0807060504030201"  // request_id
+            "03000000"          // k
+            "0500000000000000"  // beta
+            "00"                // algorithm (GGP)
+            "03000000"          // senders
+            "04000000"          // receivers
+            "03000000"          // entry count
+            "00000000" "01000000" "0a00000000000000"
+            "02000000" "03000000" "8877665544332211"
+            "01000000" "00000000" "0100000000000000");
+
+  rpc::SolveResponse resp;
+  resp.request_id = 42;
+  resp.solve_id = 0xdeadbeefULL;
+  resp.served_from = rpc::ServedFrom::kCacheHit;
+  resp.solve_ms = 1.5;
+  resp.lb_min_steps = 3;
+  resp.lb_num = 7;
+  resp.lb_den = 2;
+  resp.evaluation_ratio = 1.25;
+  resp.schedule_text = "schedule 1\n";
+  std::vector<char> response;
+  rpc::encode_solve_response(response, resp);
+  EXPECT_EQ(hex(response),
+            "2a00000000000000"  // request_id
+            "efbeadde00000000"  // solve_id
+            "01"                // served_from (cache_hit)
+            "000000000000f83f"  // solve_ms 1.5
+            "0300000000000000"  // lb_min_steps
+            "0700000000000000"  // lb_num
+            "0200000000000000"  // lb_den
+            "000000000000f43f"  // evaluation_ratio 1.25
+            "0b000000"          // schedule_text length
+            "7363686564756c6520310a");
+
+  rpc::ErrorResponse err;
+  err.request_id = 9;
+  err.code = rpc::RpcErrorCode::kRateLimited;
+  err.message = "retry later";
+  std::vector<char> error;
+  rpc::encode_error_response(error, err);
+  EXPECT_EQ(hex(error),
+            "0900000000000000"  // request_id
+            "03000000"          // code (rate_limited)
+            "0b000000"          // message length
+            "7265747279206c61746572");
+
+  std::vector<char> hello{'x'};
+  rpc::encode_hello(hello, rpc::kRpcProtocolVersion);
+  EXPECT_EQ(hex(hello), "78" "02000000");
+}
+
 TEST(Rpc, HandshakeAndSolveRoundTripOverSocket) {
   service::SchedulerService daemon;
   ClientSession session = ClientSession::dial_rpc(daemon.port());

@@ -1,10 +1,11 @@
-// SchedulerService + SolveCache semantics: exact cache hits are
-// bit-identical replays of the original solve, a request with drifted
-// volumes is a plain miss solved cold (checked against direct solves over
-// the golden corpus), LFU eviction keeps the hot entries, admission
-// control and unservable requests answer typed errors on a connection
-// that stays usable, and a concurrent submit storm over real sockets is
-// data-race-free (the TSan job runs this file).
+// SchedulerService + SolveCache semantics: the key built from wire entries
+// and its demand graph equal the dense matrix's (differential over random
+// entry lists), exact cache hits are bit-identical replays of the original
+// solve, a request with drifted volumes is a plain miss solved cold
+// (checked against direct solves over the golden corpus), LFU eviction
+// keeps the hot entries, admission control and unservable requests answer
+// typed errors on a connection that stays usable, and a concurrent submit
+// storm over real sockets is data-race-free (the TSan job runs this file).
 #include "service/scheduler_service.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "graph/graphio.hpp"
 #include "graph/traffic_matrix.hpp"
 #include "kpbs/regularize.hpp"
@@ -71,6 +73,133 @@ BipartiteGraph graph_of_request(const rpc::SolveRequest& req) {
     m.add(e.sender, e.receiver, e.bytes);
   }
   return m.to_graph_bytes();
+}
+
+/// A random instance as wire entries: unsorted, with repeated
+/// (sender, receiver) pairs and zero-byte entries. In-process callers may
+/// send zeros; the rpc decoder refuses them. `dense` gets the same sums.
+std::vector<rpc::TrafficEntry> random_entries(Rng& rng, TrafficMatrix& dense) {
+  std::vector<rpc::TrafficEntry> entries;
+  const auto count =
+      rng.uniform_int(0, 3 * dense.senders() * dense.receivers());
+  for (std::int64_t c = 0; c < count; ++c) {
+    const rpc::TrafficEntry e{
+        static_cast<NodeId>(rng.uniform_int(0, dense.senders() - 1)),
+        static_cast<NodeId>(rng.uniform_int(0, dense.receivers() - 1)),
+        rng.uniform_int(0, 4) == 0 ? 0 : rng.uniform_int(1, 1000)};
+    entries.push_back(e);
+    dense.add(e.sender, e.receiver, e.bytes);
+  }
+  return entries;
+}
+
+TEST(SolveCacheTest, EntriesKeyEqualsTheDenseMatrixKey) {
+  // The daemon keys the wire entries directly; the key (and so the
+  // fingerprint) must be the one the dense matrix of the same sums gives,
+  // whatever the entry order, duplicates and zeros.
+  Rng rng(22);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Up to 24 x 24: positions past one byte, so the sort takes two passes.
+    TrafficMatrix dense(static_cast<NodeId>(rng.uniform_int(1, 24)),
+                        static_cast<NodeId>(rng.uniform_int(1, 24)));
+    std::vector<rpc::TrafficEntry> entries = random_entries(rng, dense);
+    if (trial % 3 == 0) {
+      // Row-major but with duplicates kept: the merge path, pre-sorted.
+      std::stable_sort(entries.begin(), entries.end(),
+                       [](const rpc::TrafficEntry& a,
+                          const rpc::TrafficEntry& b) {
+                         return a.sender != b.sender ? a.sender < b.sender
+                                                     : a.receiver < b.receiver;
+                       });
+    }
+    const SolverOptions options{static_cast<int>(rng.uniform_int(1, 4)), 1,
+                                Algorithm::kOGGP};
+    const CanonicalInstance expected = canonicalize(dense, options);
+    const CanonicalInstance keyed =
+        canonicalize(dense.senders(), dense.receivers(), entries, options);
+    ASSERT_EQ(keyed, expected) << "trial " << trial;
+    EXPECT_EQ(fingerprint_instance(keyed), fingerprint_instance(expected));
+  }
+}
+
+TEST(SolveCacheTest, DemandGraphEqualsToGraphBytesEdgeForEdge) {
+  // A miss solves demand_graph(key); its edge ids, endpoints and weights
+  // must be to_graph_bytes()'s, so cold schedules stay byte-identical.
+  const auto expect_same = [](const BipartiteGraph& graph,
+                              const BipartiteGraph& expected) {
+    ASSERT_EQ(graph.left_count(), expected.left_count());
+    ASSERT_EQ(graph.right_count(), expected.right_count());
+    ASSERT_EQ(graph.edge_count(), expected.edge_count());
+    for (EdgeId e = 0; e < graph.edge_count(); ++e) {
+      EXPECT_EQ(graph.edge(e).left, expected.edge(e).left) << e;
+      EXPECT_EQ(graph.edge(e).right, expected.edge(e).right) << e;
+      EXPECT_EQ(graph.edge(e).weight, expected.edge(e).weight) << e;
+    }
+  };
+  const SolverOptions options{3, 1, Algorithm::kOGGP};
+  Rng rng(23);
+  for (int trial = 0; trial < 100; ++trial) {
+    TrafficMatrix dense(static_cast<NodeId>(rng.uniform_int(1, 9)),
+                        static_cast<NodeId>(rng.uniform_int(1, 9)));
+    const std::vector<rpc::TrafficEntry> entries = random_entries(rng, dense);
+    expect_same(demand_graph(canonicalize(dense.senders(), dense.receivers(),
+                                          entries, options)),
+                dense.to_graph_bytes());
+  }
+  for (const char* file : {"golden_02.graph", "golden_07.graph",
+                           "golden_13.graph"}) {
+    rpc::SolveRequest req = request_from_graph(load_golden(file), 3, 1);
+    std::reverse(req.entries.begin(), req.entries.end());
+    expect_same(demand_graph(canonicalize(req.senders, req.receivers,
+                                          req.entries, options)),
+                graph_of_request(req));
+  }
+}
+
+TEST(SolveCacheTest, HugeSparseRequestIsKeyedWithoutADenseMatrix) {
+  // 65536 x 65536 cells would take 32 GB as a dense matrix; the key and
+  // the demand graph of 1000 entries cost O(m log m) and O(n1 + n2).
+  constexpr NodeId kNodes = 65536;
+  Rng rng(24);
+  std::vector<rpc::TrafficEntry> entries;
+  for (int c = 0; c < 1000; ++c) {
+    entries.push_back({static_cast<NodeId>(rng.uniform_int(0, kNodes - 1)),
+                       static_cast<NodeId>(rng.uniform_int(0, kNodes - 1)),
+                       rng.uniform_int(1, 1000)});
+  }
+  const CanonicalInstance instance =
+      canonicalize(kNodes, kNodes, entries, {4, 1, Algorithm::kOGGP});
+  EXPECT_TRUE(std::is_sorted(instance.cells.begin(), instance.cells.end()));
+  Bytes total = 0;
+  for (const rpc::TrafficEntry& e : entries) total += e.bytes;
+  const BipartiteGraph graph = demand_graph(instance);
+  EXPECT_EQ(graph.left_count(), kNodes);
+  EXPECT_EQ(graph.right_count(), kNodes);
+  EXPECT_EQ(graph.edge_count(), static_cast<EdgeId>(instance.cells.size()));
+  EXPECT_EQ(graph.total_weight(), total);
+}
+
+TEST(SolveCacheTest, ByteCountsPastDoublePrecisionReachTheSchedule) {
+  // 2^53 + 1 bytes used to pass through a double and come back as 2^53:
+  // the schedule must carry every byte the request asked for.
+  constexpr Bytes kPastDouble = (Bytes{1} << 53) + 1;
+  SchedulerService daemon;
+  rpc::SolveRequest req;
+  req.request_id = 1;
+  req.k = 2;
+  req.senders = 2;
+  req.receivers = 2;
+  req.entries = {{0, 0, kPastDouble}, {1, 1, 1}};
+  const Schedule schedule =
+      schedule_from_string(daemon.serve_solve(req).schedule_text);
+  Weight carried = 0;
+  for (const Step& step : schedule.steps()) {
+    for (const Communication& c : step.comms) {
+      if (c.sender == 0 && c.receiver == 0) carried += c.amount;
+    }
+  }
+  EXPECT_EQ(carried, kPastDouble);
+  daemon.stop();
 }
 
 TEST(SolveCacheTest, ExactHitIsBitIdenticalToTheOriginalSolve) {
@@ -264,10 +393,11 @@ TEST(SchedulerServiceTest, RateLimitAnswersTypedErrorAndConnectionSurvives) {
 
 TEST(SchedulerServiceTest,
      UnallocatableClusterGetsTypedErrorAndConnectionSurvives) {
-  // The decoder accepts any positive cluster size, but a dense matrix of
-  // INT32_MAX x INT32_MAX cannot be allocated. That must come back as a
-  // typed kInternal error, not end the daemon, and the same session must
-  // then be served normally.
+  // The decoder accepts any positive cluster size, but INT32_MAX x
+  // INT32_MAX nodes cannot be laid out for a solve (regularization needs
+  // about n1 + n2 node ids). That must come back as a typed kInternal
+  // error, not end the daemon, and the same session must then be served
+  // normally.
   SchedulerService daemon;
   ClientSession session = ClientSession::dial_rpc(daemon.port());
 
@@ -294,6 +424,38 @@ TEST(SchedulerServiceTest,
             schedule_to_string(solve_kpbs(graph_of_request(req),
                                           {req.k, req.beta, req.algorithm})
                                    .schedule));
+  daemon.stop();
+}
+
+TEST(SchedulerServiceTest,
+     OverflowingDuplicateEntriesGetTypedErrorAndConnectionSurvives) {
+  // rpc.v2 sums duplicate (sender, receiver) entries. Two INT64_MAX
+  // entries for one pair sum past any byte count: a typed kInternal
+  // reply, then the same session is served normally.
+  SchedulerService daemon;
+  ClientSession session = ClientSession::dial_rpc(daemon.port());
+  rpc::SolveRequest overflow;
+  overflow.request_id = 1;
+  overflow.senders = 2;
+  overflow.receivers = 2;
+  overflow.entries = {{0, 1, std::numeric_limits<Bytes>::max()},
+                      {1, 0, 5},
+                      {0, 1, std::numeric_limits<Bytes>::max()}};
+  EXPECT_THROW((void)daemon.serve_solve(overflow), Error);
+  try {
+    (void)session.solve(overflow);
+    FAIL() << "an overflowing duplicate sum should get a typed error";
+  } catch (const RpcRemoteError& e) {
+    EXPECT_EQ(e.response().code, rpc::RpcErrorCode::kInternal);
+    EXPECT_EQ(e.response().request_id, 1u);
+  }
+
+  rpc::SolveRequest req =
+      request_from_graph(load_golden("golden_05.graph"), /*k=*/2, /*beta=*/1);
+  req.request_id = 2;
+  const rpc::SolveResponse response = session.solve(req);
+  EXPECT_EQ(response.request_id, 2u);
+  EXPECT_EQ(response.served_from, rpc::ServedFrom::kCold);
   daemon.stop();
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace redist {
 namespace {
 
@@ -73,6 +75,32 @@ TEST(TrafficMatrix, GraphPreservesPairStructure) {
   }
   EXPECT_TRUE(saw01);
   EXPECT_TRUE(saw20);
+}
+
+TEST(TrafficMatrix, ToGraphBytesIsIntegerExact) {
+  // 2^53 + 1 is the first byte count a double cannot hold; the byte graph
+  // must carry it (and INT64_MAX) unrounded.
+  constexpr Bytes kPastDouble = (Bytes{1} << 53) + 1;
+  for (const Bytes bytes : {kPastDouble, std::numeric_limits<Bytes>::max()}) {
+    TrafficMatrix m(2, 2);
+    m.set(1, 0, bytes);
+    const BipartiteGraph g = m.to_graph_bytes();
+    ASSERT_EQ(g.edge_count(), 1);
+    EXPECT_EQ(g.edge(0).weight, bytes);
+  }
+}
+
+TEST(TrafficMatrix, ToGraphRejectsDurationsPastWeight) {
+  TrafficMatrix m(1, 1);
+  m.set(0, 0, std::numeric_limits<Bytes>::max());
+  EXPECT_THROW(m.to_graph(0.5), Error);
+}
+
+TEST(TrafficMatrix, AddRejectsOverflowAndKeepsTheCell) {
+  TrafficMatrix m(1, 1);
+  m.add(0, 0, std::numeric_limits<Bytes>::max());
+  EXPECT_THROW(m.add(0, 0, 1), Error);
+  EXPECT_EQ(m.at(0, 0), std::numeric_limits<Bytes>::max());
 }
 
 }  // namespace
