@@ -4,10 +4,13 @@
 // builds OGGP around the bottleneck (max-min) matching. This harness
 // quantifies the design choice by running the same pipeline with three
 // strategies: arbitrary maximum matching (GGP), maximum-total-weight
-// matching (GGP-MW, Hungarian) and bottleneck matching (OGGP).
+// matching (GGP-MW, Hungarian, through the test oracle's pipeline) and
+// bottleneck matching (OGGP).
 //
 //   ./ablation_matching_strategies [--sims=200] [--seed=1] [--csv]
 #include "bench_util.hpp"
+#include "oracle/bottleneck_oracle.hpp"
+#include "oracle/hungarian.hpp"
 
 int main(int argc, char** argv) {
   using namespace redist;
@@ -43,7 +46,8 @@ int main(int argc, char** argv) {
       const Weight beta = 1;
       const double lb = kpbs_lower_bound(g, k, beta).value_double();
       const Schedule ggp = solve_kpbs(g, {k, beta, Algorithm::kGGP}).schedule;
-      const Schedule mw = solve_kpbs(g, {k, beta, Algorithm::kGGPMaxWeight}).schedule;
+      const Schedule mw =
+          oracle::solve(g, k, beta, max_weight_perfect_matching);
       const Schedule oggp = solve_kpbs(g, {k, beta, Algorithm::kOGGP}).schedule;
       ratio_ggp.add(static_cast<double>(ggp.cost(beta)) / lb);
       ratio_mw.add(static_cast<double>(mw.cost(beta)) / lb);

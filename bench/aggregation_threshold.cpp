@@ -4,6 +4,7 @@
 // network) + scheduled inter-cluster phase (fluid simulation).
 //
 //   ./aggregation_threshold [--seed=1] [--repeats=3] [--csv]
+#include "aggregation/aggregate.hpp"
 #include "bench_util.hpp"
 
 int main(int argc, char** argv) {

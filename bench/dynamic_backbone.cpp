@@ -3,6 +3,7 @@
 //
 //   ./dynamic_backbone [--seed=1] [--repeats=3] [--csv]
 #include "bench_util.hpp"
+#include "dynamic/adaptive.hpp"
 
 int main(int argc, char** argv) {
   using namespace redist;

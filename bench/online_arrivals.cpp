@@ -5,6 +5,7 @@
 //
 //   ./online_arrivals [--seed=1] [--repeats=3] [--csv]
 #include "bench_util.hpp"
+#include "dynamic/online.hpp"
 
 int main(int argc, char** argv) {
   using namespace redist;

@@ -5,6 +5,7 @@
 //   ./dynamic_backbone_demo [--seed=7]
 #include <iostream>
 
+#include "dynamic/adaptive.hpp"
 #include "redist.hpp"
 
 int main(int argc, char** argv) {

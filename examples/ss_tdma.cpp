@@ -48,8 +48,7 @@ int main(int argc, char** argv) {
             << " configurations minimum, "
             << lb.value().to_double() << " slots total\n\n";
 
-  for (const Algorithm algo :
-       {Algorithm::kGGP, Algorithm::kGGPMaxWeight, Algorithm::kOGGP}) {
+  for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
     const Schedule s = solve_kpbs(demand, {transponders, switch_delay, algo}).schedule;
     validate_schedule(demand, s, clamp_k(demand, transponders));
     std::cout << algorithm_name(algo) << ": " << s.step_count()

@@ -8,6 +8,7 @@
 //   ./visualization_steering [--frames=6] [--period=4] [--seed=11]
 #include <iostream>
 
+#include "dynamic/online.hpp"
 #include "redist.hpp"
 
 int main(int argc, char** argv) {

@@ -21,6 +21,10 @@ EdgeId BipartiteGraph::add_edge(NodeId left, NodeId right, Weight weight) {
   check_left(left);
   check_right(right);
   REDIST_CHECK_MSG(weight > 0, "edge weight must be positive, got " << weight);
+  // No node outweighs the total, so a total that fits bounds every sum.
+  Weight total = 0;
+  REDIST_CHECK_MSG(!__builtin_add_overflow(total_weight_, weight, &total),
+                   "edge weight " << weight << " overflows the total weight");
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{left, right, weight});
   adj_left_[static_cast<std::size_t>(left)].push_back(id);
@@ -29,7 +33,7 @@ EdgeId BipartiteGraph::add_edge(NodeId left, NodeId right, Weight weight) {
   weight_right_[static_cast<std::size_t>(right)] += weight;
   degree_left_[static_cast<std::size_t>(left)] += 1;
   degree_right_[static_cast<std::size_t>(right)] += 1;
-  total_weight_ += weight;
+  total_weight_ = total;
   ++alive_edges_;
   return id;
 }

@@ -10,8 +10,6 @@ std::string algorithm_name(Algorithm a) {
       return "GGP";
     case Algorithm::kOGGP:
       return "OGGP";
-    case Algorithm::kGGPMaxWeight:
-      return "GGP-MW";
   }
   return "?";
 }
@@ -19,9 +17,7 @@ std::string algorithm_name(Algorithm a) {
 Algorithm parse_algorithm(const std::string& name) {
   if (name == "ggp" || name == "GGP") return Algorithm::kGGP;
   if (name == "oggp" || name == "OGGP") return Algorithm::kOGGP;
-  if (name == "ggp-mw" || name == "GGP-MW") return Algorithm::kGGPMaxWeight;
-  throw Error("unknown algorithm '" + name +
-              "' (expected ggp, oggp or ggp-mw)");
+  throw Error("unknown algorithm '" + name + "' (expected ggp or oggp)");
 }
 
 SolverOptions solver_options_from_flags(Flags& flags,

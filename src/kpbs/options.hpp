@@ -22,9 +22,8 @@ REDIST_LAYER("kpbs");
 namespace redist {
 
 enum class Algorithm {
-  kGGP,           ///< Generic Graph Peeling (arbitrary perfect matchings).
-  kOGGP,          ///< Optimized GGP (bottleneck perfect matchings).
-  kGGPMaxWeight,  ///< Ablation: peeling with max-total-weight matchings.
+  kGGP,   ///< Generic Graph Peeling (arbitrary perfect matchings).
+  kOGGP,  ///< Optimized GGP (bottleneck perfect matchings).
 };
 
 std::string algorithm_name(Algorithm a);

@@ -35,7 +35,11 @@ Regularized regularize(const BipartiteGraph& g, int k) {
   const Weight c = std::max(w_max, ceil_div(p, k));
 
   // ---- Plan filler edges (fresh node pairs) so that P(G') == c * k. ----
-  Weight filler_total = c * static_cast<Weight>(k) - p;
+  // add_edge checks J's total c * |V1'| as it grows; c * k comes first.
+  Weight filler_total = 0;
+  REDIST_CHECK_MSG(!__builtin_mul_overflow(c, Weight{k}, &filler_total),
+                   "c * k overflows for c = " << c << ", k = " << k);
+  filler_total -= p;
   REDIST_CHECK(filler_total >= 0);
   std::vector<Weight> filler_weights;
   while (filler_total > 0) {

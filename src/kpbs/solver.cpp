@@ -7,7 +7,6 @@
 #include "common/stopwatch.hpp"
 #include "kpbs/regularize.hpp"
 #include "kpbs/wrgp.hpp"
-#include "matching/hungarian.hpp"
 #include "matching/peeling_context.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -21,19 +20,6 @@
 namespace redist {
 
 namespace {
-std::vector<PeelStep> peel_regularized(BipartiteGraph& j, Algorithm algorithm) {
-  // GGP-MW is the Hungarian ablation: a from-scratch matching per step.
-  if (algorithm == Algorithm::kGGPMaxWeight) {
-    return wrgp_peel(j, PerfectMatchingStrategy(max_weight_perfect_matching));
-  }
-  PeelingContext ctx;
-  return wrgp_peel_warm(j,
-                        algorithm == Algorithm::kOGGP
-                            ? WarmStrategy::kBottleneck
-                            : WarmStrategy::kArbitrary,
-                        ctx);
-}
-
 Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
                         Algorithm algorithm) {
   REDIST_CHECK_MSG(beta >= 0, "negative beta");
@@ -69,7 +55,8 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
 
   // Step 2 — regularize; Step 3 — peel.
   Regularized reg = regularize(normalized, k);
-  const std::vector<PeelStep> peels = peel_regularized(reg.graph, algorithm);
+  PeelingContext ctx;
+  const std::vector<PeelStep> peels = wrgp_peel_warm(reg.graph, algorithm, ctx);
 
   // Step 4 — extract real communications with realized amounts.
   {
@@ -106,7 +93,7 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
 #ifdef REDIST_VALIDATE
   // Self-audit: the emitted schedule must satisfy every invariant of the
   // paper, including the 2-approximation bound (Theorem 1 holds for any
-  // perfect-matching strategy, so all three Algorithm variants qualify).
+  // perfect-matching strategy, so GGP and OGGP both qualify).
   ScheduleValidatorOptions audit;
   audit.k = k;
   audit.beta = beta;

@@ -23,11 +23,10 @@ REDIST_LAYER("kpbs");
 namespace redist {
 
 /// Solves K-PBS on `demand` under `options` (see kpbs/options.hpp).
-/// `options.k` is clamped to [1, min(n1, n2)]. GGP and OGGP peel through a
-/// PeelingContext; kGGPMaxWeight runs the Hungarian strategy from scratch
-/// every step. The returned schedule
-/// satisfies validate_schedule(), and the result carries the lower bound,
-/// evaluation ratio and solve latency alongside it.
+/// `options.k` is clamped to [1, min(n1, n2)]. GGP and OGGP both peel
+/// through wrgp_peel_warm. The returned schedule satisfies
+/// validate_schedule(), and the result carries the lower bound, evaluation
+/// ratio and solve latency alongside it.
 REDIST_DETERMINISTIC
 SolveResult solve_kpbs(const BipartiteGraph& demand,
                        const SolverOptions& options);

@@ -79,10 +79,10 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
   return steps;
 }
 
-std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, WarmStrategy strategy,
+std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, Algorithm algorithm,
                                      PeelingContext& ctx) {
   const PerfectMatchingStrategy pick =
-      strategy == WarmStrategy::kBottleneck
+      algorithm == Algorithm::kOGGP
           ? PerfectMatchingStrategy([&ctx](const BipartiteGraph& residual) {
               return ctx.bottleneck_perfect(residual);
             })

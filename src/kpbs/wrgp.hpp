@@ -8,9 +8,9 @@
 // weight-regular, so a perfect matching exists at every iteration (Hall);
 // at least one edge dies per iteration, bounding steps by the edge count.
 //
-// wrgp_peel runs the loop with any matching strategy (solve_kpbs passes
-// the Hungarian one for the GGP-MW ablation). wrgp_peel_warm is the GGP and
-// OGGP path: it threads a PeelingContext through the steps so the
+// wrgp_peel runs the loop with any matching strategy; the test oracle
+// peels with it from scratch. wrgp_peel_warm is solve_kpbs's one path, for
+// GGP and OGGP alike: it threads a PeelingContext through the steps so the
 // previous bottleneck and the solver buffers persist across steps.
 #pragma once
 
@@ -19,6 +19,7 @@
 
 #include "common/contract_annotations.hpp"
 #include "graph/bipartite_graph.hpp"
+#include "kpbs/options.hpp"
 #include "matching/matching.hpp"
 
 REDIST_LAYER("kpbs");
@@ -54,17 +55,12 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
                                 const PerfectMatchingStrategy& strategy,
                                 const PeelObserver& observer = {});
 
-/// Warm-start matching selection for wrgp_peel_warm.
-enum class WarmStrategy {
-  kArbitrary,   ///< GGP: arbitrary perfect matchings (buffer reuse only)
-  kBottleneck,  ///< OGGP: bottleneck matchings, cap probe + widest paths
-};
-
-/// Peels `g` with PeelingContext matchings, reusing matching and weight
-/// state across steps via `ctx`. `ctx` must be fresh (or have last been
-/// used on this same peeling sequence).
+/// Peels `g` with PeelingContext matchings: arbitrary ones for GGP (buffer
+/// reuse only), bottleneck ones for OGGP (cap probe + widest paths),
+/// reusing matching and weight state across steps via `ctx`. `ctx` must be
+/// fresh (or have last been used on this same peeling sequence).
 REDIST_DETERMINISTIC
-std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, WarmStrategy strategy,
+std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, Algorithm algorithm,
                                      PeelingContext& ctx);
 
 }  // namespace redist

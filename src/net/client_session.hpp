@@ -15,7 +15,7 @@
 //    exports.
 //
 // On top of the raw dial it speaks the two application protocols:
-//  * rpc.v2 (net/rpc.hpp) — dial_rpc() performs the Hello/HelloAck version
+//  * rpc.v3 (net/rpc.hpp) — dial_rpc() performs the Hello/HelloAck version
 //    handshake inside the retry budget; solve()/shutdown() frame and
 //    decode typed messages, surfacing server-side ErrorResponses as
 //    RpcRemoteError;
@@ -44,7 +44,7 @@ struct ClientSessionOptions {
   bool nodelay = true;        ///< disable Nagle (request/response traffic)
 };
 
-/// A server-side rpc.v2 failure, rethrown client-side with the typed
+/// A server-side rpc.v3 failure, rethrown client-side with the typed
 /// ErrorResponse attached (code + request echo survive the wire).
 class RpcRemoteError : public Error {
  public:
@@ -74,7 +74,7 @@ class ClientSession {
                             const Handshake& handshake = {},
                             int* retries_out = nullptr);
 
-  /// dial() plus the rpc.v2 Hello/HelloAck version handshake (handshake
+  /// dial() plus the rpc.v3 Hello/HelloAck version handshake (handshake
   /// failures — including a server ErrorResponse{kVersionMismatch} — count
   /// against the retry budget like refused connections).
   static ClientSession dial_rpc(std::uint16_t port,
@@ -92,7 +92,7 @@ class ClientSession {
   /// The dialed stream, for protocols layered above this class.
   TcpStream& stream() { return stream_; }
 
-  /// Sends one rpc.v2 SolveRequest and decodes the reply. Throws
+  /// Sends one rpc.v3 SolveRequest and decodes the reply. Throws
   /// RpcRemoteError when the server answers a typed ErrorResponse, plain
   /// Error on framing violations. Valid on dial_rpc() sessions.
   rpc::SolveResponse solve(const rpc::SolveRequest& request);

@@ -117,8 +117,6 @@ Algorithm decode_algorithm(std::uint8_t raw) {
       return Algorithm::kGGP;
     case 1:
       return Algorithm::kOGGP;
-    case 2:
-      return Algorithm::kGGPMaxWeight;
     default:
       throw Error("rpc: unknown algorithm code " + std::to_string(raw));
   }
@@ -130,8 +128,6 @@ std::uint8_t encode_algorithm(Algorithm a) {
       return 0;
     case Algorithm::kOGGP:
       return 1;
-    case Algorithm::kGGPMaxWeight:
-      return 2;
   }
   throw Error("rpc: unencodable algorithm");
 }
@@ -226,7 +222,7 @@ SolveResponse decode_solve_response(const std::vector<char>& payload) {
   resp.request_id = r.get<std::uint64_t>("response.request_id");
   resp.solve_id = r.get<std::uint64_t>("response.solve_id");
   const auto served = r.get<std::uint8_t>("response.served_from");
-  if (served > static_cast<std::uint8_t>(ServedFrom::kWarmNearMiss)) {
+  if (served > static_cast<std::uint8_t>(ServedFrom::kCacheHit)) {
     throw Error("rpc: unknown served_from code " + std::to_string(served));
   }
   resp.served_from = static_cast<ServedFrom>(served);

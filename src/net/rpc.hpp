@@ -1,8 +1,8 @@
-// redist.rpc.v2 — the versioned wire schema of the scheduler daemon.
+// redist.rpc.v3 — the versioned wire schema of the scheduler daemon.
 //
 // Before this schema the repo's socket entry points each improvised their
 // own ad-hoc line or struct format (the introspection endpoint's bare
-// lines, the mpilite mesh's raw rank integers). rpc.v2 gives solve traffic
+// lines, the mpilite mesh's raw rank integers). rpc.v3 gives solve traffic
 // a typed, versioned contract instead:
 //
 //  * every payload rides the existing length-prefixed frame of
@@ -22,7 +22,7 @@
 // Deprecation path for the bare-line forms: the introspection endpoint
 // (obs/introspect.hpp) keeps accepting its one-line "statusz" requests —
 // they are a human/debug surface, not solve traffic — but new machine
-// clients must speak rpc.v2; docs/SERVICE.md documents the window after
+// clients must speak rpc.v3; docs/SERVICE.md documents the window after
 // which bare-line solve submission (never shipped) stays unsupported and
 // any future introspection-over-rpc migration would bump
 // kRpcProtocolVersion.
@@ -42,8 +42,9 @@ namespace redist::rpc {
 
 /// Protocol generation. Bump on any incompatible wire change; the
 /// handshake rejects mismatches with kVersionMismatch. Version 2 dropped
-/// the matching-engine byte version 1 carried after the algorithm code.
-inline constexpr std::uint32_t kRpcProtocolVersion = 2;
+/// the matching-engine byte version 1 carried after the algorithm code;
+/// version 3 retired algorithm code 2 (GGP-MW) and served_from code 2.
+inline constexpr std::uint32_t kRpcProtocolVersion = 3;
 
 /// Frame tags (the u32 tag slot of net/message.hpp frames).
 enum class RpcTag : std::uint32_t {
@@ -89,8 +90,7 @@ struct SolveRequest {
 enum class ServedFrom : std::uint8_t {
   kCold = 0,          ///< full solve, no cache involvement
   kCacheHit = 1,      ///< exact fingerprint hit, cached result replayed
-  kWarmNearMiss = 2,  ///< never sent (near misses solve cold); decodable
-                      ///< so rpc.v2 stays unchanged on the wire
+  kWarmNearMiss = 2,  ///< never sent; rpc.v3 decoding rejects it
 };
 
 const char* served_from_name(ServedFrom s);

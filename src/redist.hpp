@@ -26,9 +26,7 @@
 #include "graph/graphio.hpp"
 #include "graph/traffic_matrix.hpp"
 
-#include "matching/edge_coloring.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "matching/hungarian.hpp"
 #include "matching/matching.hpp"
 #include "matching/peeling_context.hpp"
 
@@ -46,11 +44,8 @@
 #include "validate/schedule_validator.hpp"
 #include "validate/validation_report.hpp"
 
-#include "baselines/exact.hpp"
 #include "baselines/list_scheduling.hpp"
 #include "baselines/local_search.hpp"
-#include "baselines/coloring.hpp"
-#include "baselines/naive.hpp"
 
 #include "workload/block_cyclic.hpp"
 #include "workload/patterns.hpp"
@@ -65,10 +60,6 @@
 #include "runtime/batch.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/token_bucket.hpp"
-
-#include "aggregation/aggregate.hpp"
-#include "dynamic/adaptive.hpp"
-#include "dynamic/online.hpp"
 
 #include "robust/fault_injector.hpp"
 #include "robust/retry.hpp"

@@ -6,9 +6,9 @@
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "kpbs/regularize.hpp"
-#include "kpbs/wrgp.hpp"
+#include "kpbs/solver.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "matching/hungarian.hpp"
+#include "oracle/hungarian.hpp"
 
 namespace redist::oracle {
 
@@ -124,7 +124,7 @@ Matching bottleneck_perfect_matching(const BipartiteGraph& g) {
 }
 
 Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
-               Algorithm algorithm) {
+               const PerfectMatchingStrategy& strategy) {
   REDIST_CHECK_MSG(beta >= 0, "negative beta");
   Schedule schedule;
   if (demand.empty()) return schedule;
@@ -141,12 +141,6 @@ Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
   }
 
   Regularized reg = regularize(normalized, k);
-  PerfectMatchingStrategy strategy(arbitrary_perfect_matching);
-  if (algorithm == Algorithm::kOGGP) {
-    strategy = bottleneck_perfect_matching;
-  } else if (algorithm == Algorithm::kGGPMaxWeight) {
-    strategy = max_weight_perfect_matching;
-  }
   const std::vector<PeelStep> peels = wrgp_peel(reg.graph, strategy);
 
   std::vector<Weight> remaining(demand_edge.size());
@@ -167,6 +161,21 @@ Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
     if (!step.comms.empty()) schedule.add_step(std::move(step));
   }
   return schedule;
+}
+
+Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
+               Algorithm algorithm) {
+  return solve(demand, k, beta,
+               algorithm == Algorithm::kOGGP
+                   ? PerfectMatchingStrategy(bottleneck_perfect_matching)
+                   : PerfectMatchingStrategy(arbitrary_perfect_matching));
+}
+
+std::vector<NamedSchedule> every_peeling(const BipartiteGraph& demand, int k,
+                                         Weight beta) {
+  return {{"GGP", solve_kpbs(demand, {k, beta, Algorithm::kGGP}).schedule},
+          {"OGGP", solve_kpbs(demand, {k, beta, Algorithm::kOGGP}).schedule},
+          {"GGP-MW", solve(demand, k, beta, max_weight_perfect_matching)}};
 }
 
 }  // namespace redist::oracle

@@ -11,16 +11,21 @@
 //    heaviest-first, re-augment, stop when the matching reaches maximum
 //    cardinality: O(m^2);
 //  * solve — solve_kpbs's pipeline (beta-normalize, regularize, WRGP peel,
-//    extract) with the strategies below instead of PeelingContext.
+//    extract) with a from-scratch strategy instead of PeelingContext; with
+//    max_weight_perfect_matching (oracle/hungarian.hpp) it is GGP-MW.
 //
 // Both bottleneck algorithms return matchings achieving the same (optimal)
 // bottleneck value, and bottleneck_perfect_matching checks that on every
 // call.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "graph/bipartite_graph.hpp"
 #include "kpbs/options.hpp"
 #include "kpbs/schedule.hpp"
+#include "kpbs/wrgp.hpp"
 #include "matching/matching.hpp"
 
 namespace redist::oracle {
@@ -43,8 +48,22 @@ Matching bottleneck_maximal_incremental(const BipartiteGraph& g);
 Matching arbitrary_perfect_matching(const BipartiteGraph& g);
 Matching bottleneck_perfect_matching(const BipartiteGraph& g);
 
+/// solve_kpbs's pipeline peeling with `strategy` from scratch every step.
+Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
+               const PerfectMatchingStrategy& strategy);
+
 /// The schedule solve_kpbs(demand, {k, beta, algorithm}) must produce.
 Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
                Algorithm algorithm);
+
+/// A schedule and the name of the peeling that produced it.
+struct NamedSchedule {
+  std::string name;
+  Schedule schedule;
+};
+
+/// solve_kpbs's GGP and OGGP schedules, then the GGP-MW ablation's.
+std::vector<NamedSchedule> every_peeling(const BipartiteGraph& demand, int k,
+                                         Weight beta);
 
 }  // namespace redist::oracle

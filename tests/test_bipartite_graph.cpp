@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "workload/random_graphs.hpp"
 
@@ -43,6 +45,12 @@ TEST(BipartiteGraph, RejectsBadInputs) {
   EXPECT_THROW(g.add_edge(2, 0, 1), Error);    // left out of range
   EXPECT_THROW(g.add_edge(0, 2, 1), Error);    // right out of range
   EXPECT_THROW(g.add_edge(-1, 0, 1), Error);
+
+  // Weight sums past INT64_MAX; a refused edge leaves the graph as it was.
+  g.add_edge(0, 0, std::numeric_limits<Weight>::max());
+  EXPECT_THROW(g.add_edge(1, 1, (Weight{1} << 53) + 1), Error);
+  EXPECT_EQ(g.edge_count(), 1);
+  g.check_invariants();
 }
 
 TEST(BipartiteGraph, DecreaseWeightAndDeath) {

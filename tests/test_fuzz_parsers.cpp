@@ -230,7 +230,7 @@ TEST(ParserFuzz, MalformedScenariosThrowError) {
 }
 
 // ---------------------------------------------------------------------------
-// rpc.v2 binary codecs (net/rpc.hpp): the daemon decodes these payloads
+// rpc.v3 binary codecs (net/rpc.hpp): the daemon decodes these payloads
 // straight off untrusted sockets, so every decoder must be total — any
 // byte sequence either decodes to an in-domain struct or throws
 // redist::Error. Crashing, hanging or over-reading is a security bug.
@@ -342,7 +342,7 @@ TEST_P(ParserFuzz, RpcSolveResponseRoundTripAndFuzz) {
     rpc::SolveResponse resp;
     resp.request_id = rng.next();
     resp.solve_id = rng.next();
-    resp.served_from = static_cast<rpc::ServedFrom>(rng.uniform_int(0, 2));
+    resp.served_from = static_cast<rpc::ServedFrom>(rng.uniform_int(0, 1));
     resp.solve_ms = static_cast<double>(rng.uniform_int(0, 1000)) / 8.0;
     resp.lb_min_steps = rng.uniform_int(0, 100);
     resp.lb_num = rng.uniform_int(0, 1 << 20);

@@ -1,4 +1,4 @@
-#include "matching/hungarian.hpp"
+#include "oracle/hungarian.hpp"
 
 #include <gtest/gtest.h>
 

@@ -8,6 +8,7 @@
 #include "kpbs/lower_bound.hpp"
 #include "kpbs/regularize.hpp"
 #include "kpbs/solver.hpp"
+#include "oracle/bottleneck_oracle.hpp"
 
 namespace redist {
 namespace {
@@ -43,12 +44,10 @@ TEST(Regression, HeavyLightCycleOggpIsNearOptimal) {
 TEST(Regression, UnitStarWithHugeBeta) {
   BipartiteGraph g(1, 10);
   for (NodeId j = 0; j < 10; ++j) g.add_edge(0, j, 1);
-  for (const Algorithm algo :
-       {Algorithm::kGGP, Algorithm::kOGGP, Algorithm::kGGPMaxWeight}) {
-    const Schedule s = solve_kpbs(g, {10, 1000, algo}).schedule;
+  for (const auto& [name, s] : oracle::every_peeling(g, 10, 1000)) {
     validate_schedule(g, s, 1);
-    EXPECT_EQ(s.step_count(), 10u) << algorithm_name(algo);
-    EXPECT_LT(ratio(g, 10, 1000, algo), 1.01) << algorithm_name(algo);
+    EXPECT_EQ(s.step_count(), 10u) << name;
+    EXPECT_LT(evaluation_ratio(g, s, 10, 1000), 1.01) << name;
   }
 }
 
@@ -61,9 +60,9 @@ TEST(Regression, KOneIsAlwaysOptimal) {
   g.add_edge(2, 0, 9);
   g.add_edge(3, 2, 4);
   g.add_edge(0, 2, 1);
-  for (const Algorithm algo :
-       {Algorithm::kGGP, Algorithm::kOGGP, Algorithm::kGGPMaxWeight}) {
-    EXPECT_DOUBLE_EQ(ratio(g, 1, 3, algo), 1.0) << algorithm_name(algo);
+  for (const auto& [name, s] : oracle::every_peeling(g, 1, 3)) {
+    validate_schedule(g, s, 1);
+    EXPECT_DOUBLE_EQ(evaluation_ratio(g, s, 1, 3), 1.0) << name;
   }
 }
 

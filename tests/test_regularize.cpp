@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/math.hpp"
 #include "common/rng.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -31,6 +33,12 @@ TEST(ClampK, Range) {
 TEST(Regularize, RejectsEmptyGraph) {
   BipartiteGraph g(2, 2);
   EXPECT_THROW(regularize(g, 1), Error);
+}
+
+TEST(Regularize, RejectsWeightsThatOverflow) {
+  BipartiteGraph g(2, 2);  // c = INT64_MAX, so c * k overflows
+  g.add_edge(0, 0, std::numeric_limits<Weight>::max());
+  EXPECT_THROW(regularize(g, 2), Error);
 }
 
 TEST(Regularize, CaseOneNoFillerNeeded) {

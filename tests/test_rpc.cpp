@@ -1,4 +1,4 @@
-// rpc.v2 over real loopback sockets: the Hello/HelloAck version handshake,
+// rpc.v3 over real loopback sockets: the Hello/HelloAck version handshake,
 // typed solve round-trips through ClientSession, first-class error
 // responses (bad requests, version mismatches) that keep the connection
 // usable, and the remote shutdown frame. Codec domain validation is also
@@ -37,8 +37,7 @@ rpc::SolveRequest small_request(std::uint64_t request_id) {
 }
 
 TEST(Rpc, AlgorithmCodesRoundTrip) {
-  for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP,
-                               Algorithm::kGGPMaxWeight}) {
+  for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
     rpc::SolveRequest req = small_request(7);
     req.algorithm = algo;
     std::vector<char> wire;
@@ -79,6 +78,16 @@ TEST(Rpc, DecoderRejectsOutOfDomainRequests) {
     req.entries.push_back({0, 0, 0});  // zero-byte transfer is not an entry
     reject(req);
   }
+  // rpc.v3 retired algorithm code 2 (GGP-MW) and served_from code 2 (warm
+  // near miss). Neither encodes, so patch the byte (layout as pinned below).
+  std::vector<char> request;
+  rpc::encode_solve_request(request, small_request(6));
+  request[8 + 4 + 8] = 2;  // request_id | k | beta | algorithm
+  EXPECT_THROW((void)rpc::decode_solve_request(request), Error);
+  std::vector<char> response;
+  rpc::encode_solve_response(response, rpc::SolveResponse{});
+  response[8 + 8] = 2;  // request_id | solve_id | served_from
+  EXPECT_THROW((void)rpc::decode_solve_response(response), Error);
 }
 
 TEST(Rpc, ErrorCodeNamesAreStable) {
@@ -114,7 +123,7 @@ std::string hex(const std::vector<char>& bytes) {
 }
 
 TEST(Rpc, WireBytesArePinned) {
-  // rpc.v2 is a wire contract: these encodings must not change without a
+  // rpc.v3 is a wire contract: these encodings must not change without a
   // kRpcProtocolVersion bump. Each encoder appends to what `out` holds.
   rpc::SolveRequest req;
   req.request_id = 0x0102030405060708ULL;
@@ -176,7 +185,7 @@ TEST(Rpc, WireBytesArePinned) {
 
   std::vector<char> hello{'x'};
   rpc::encode_hello(hello, rpc::kRpcProtocolVersion);
-  EXPECT_EQ(hex(hello), "78" "02000000");
+  EXPECT_EQ(hex(hello), "78" "03000000");
 }
 
 TEST(Rpc, HandshakeAndSolveRoundTripOverSocket) {
@@ -205,10 +214,10 @@ TEST(Rpc, HandshakeAndSolveRoundTripOverSocket) {
 
 TEST(Rpc, VersionMismatchAnswersTypedErrorAtConnectTime) {
   service::SchedulerService daemon;
-  // Version 1 carried a matching-engine byte in every solve request; a v1
-  // client must be turned away, as must one from the future.
-  ASSERT_EQ(rpc::kRpcProtocolVersion, 2u);
-  for (const std::uint32_t version : {1u, rpc::kRpcProtocolVersion + 41}) {
+  // Version 1 carried a matching-engine byte; version 2 accepted the GGP-MW
+  // algorithm code. Both are turned away, as is a client from the future.
+  ASSERT_EQ(rpc::kRpcProtocolVersion, 3u);
+  for (const std::uint32_t version : {1u, 2u, rpc::kRpcProtocolVersion + 41}) {
     TcpStream stream = TcpStream::connect_loopback(daemon.port());
     stream.set_io_timeout_ms(5000);
 

@@ -429,32 +429,37 @@ TEST(SchedulerServiceTest,
 
 TEST(SchedulerServiceTest,
      OverflowingDuplicateEntriesGetTypedErrorAndConnectionSurvives) {
-  // rpc.v2 sums duplicate (sender, receiver) entries. Two INT64_MAX
-  // entries for one pair sum past any byte count: a typed kInternal
-  // reply, then the same session is served normally.
+  // rpc.v3 sums duplicate (sender, receiver) entries. Two INT64_MAX
+  // entries for one pair sum past any byte count, and two for distinct
+  // pairs overflow the demand graph's total weight. Each gets a typed
+  // kInternal reply, then the same session is served normally.
+  constexpr Bytes kMax = std::numeric_limits<Bytes>::max();
   SchedulerService daemon;
   ClientSession session = ClientSession::dial_rpc(daemon.port());
-  rpc::SolveRequest overflow;
-  overflow.request_id = 1;
-  overflow.senders = 2;
-  overflow.receivers = 2;
-  overflow.entries = {{0, 1, std::numeric_limits<Bytes>::max()},
-                      {1, 0, 5},
-                      {0, 1, std::numeric_limits<Bytes>::max()}};
-  EXPECT_THROW((void)daemon.serve_solve(overflow), Error);
-  try {
-    (void)session.solve(overflow);
-    FAIL() << "an overflowing duplicate sum should get a typed error";
-  } catch (const RpcRemoteError& e) {
-    EXPECT_EQ(e.response().code, rpc::RpcErrorCode::kInternal);
-    EXPECT_EQ(e.response().request_id, 1u);
+  std::uint64_t request_id = 0;
+  for (const std::vector<rpc::TrafficEntry>& entries :
+       {std::vector<rpc::TrafficEntry>{{0, 1, kMax}, {1, 0, 5}, {0, 1, kMax}},
+        std::vector<rpc::TrafficEntry>{{0, 1, kMax}, {1, 0, kMax}}}) {
+    rpc::SolveRequest overflow;
+    overflow.request_id = ++request_id;
+    overflow.senders = 2;
+    overflow.receivers = 2;
+    overflow.entries = entries;
+    EXPECT_THROW((void)daemon.serve_solve(overflow), Error);
+    try {
+      (void)session.solve(overflow);
+      FAIL() << "an overflowing weight sum should get a typed error";
+    } catch (const RpcRemoteError& e) {
+      EXPECT_EQ(e.response().code, rpc::RpcErrorCode::kInternal);
+      EXPECT_EQ(e.response().request_id, request_id);
+    }
   }
 
   rpc::SolveRequest req =
       request_from_graph(load_golden("golden_05.graph"), /*k=*/2, /*beta=*/1);
-  req.request_id = 2;
+  req.request_id = ++request_id;
   const rpc::SolveResponse response = session.solve(req);
-  EXPECT_EQ(response.request_id, 2u);
+  EXPECT_EQ(response.request_id, request_id);
   EXPECT_EQ(response.served_from, rpc::ServedFrom::kCold);
   daemon.stop();
 }

@@ -121,9 +121,10 @@ TEST(SolverOptions, AlgorithmParserCoversTheCliVocabulary) {
   EXPECT_EQ(parse_algorithm("GGP"), Algorithm::kGGP);
   EXPECT_EQ(parse_algorithm("oggp"), Algorithm::kOGGP);
   EXPECT_EQ(parse_algorithm("OGGP"), Algorithm::kOGGP);
-  EXPECT_EQ(parse_algorithm("ggp-mw"), Algorithm::kGGPMaxWeight);
   EXPECT_THROW(parse_algorithm(""), Error);
   EXPECT_THROW(parse_algorithm("simulated-annealing"), Error);
+  // GGP-MW is a test-oracle ablation (oracle/hungarian.hpp), not a solver.
+  EXPECT_THROW(parse_algorithm("ggp-mw"), Error);
 }
 
 Flags make_flags(std::initializer_list<const char*> args) {
@@ -142,12 +143,12 @@ TEST(SolverOptions, FlagsFallBackToCallerDefaults) {
 }
 
 TEST(SolverOptions, FlagsOverrideEveryField) {
-  Flags flags = make_flags({"--k=7", "--beta=5", "--algo=ggp-mw"});
+  Flags flags = make_flags({"--k=7", "--beta=5", "--algo=oggp"});
   const SolverOptions parsed = solver_options_from_flags(
       flags, SolverOptions{1, 1, Algorithm::kGGP});
   EXPECT_EQ(parsed.k, 7);
   EXPECT_EQ(parsed.beta, 5);
-  EXPECT_EQ(parsed.algorithm, Algorithm::kGGPMaxWeight);
+  EXPECT_EQ(parsed.algorithm, Algorithm::kOGGP);
 }
 
 TEST(SolverOptions, FlagsRejectUnknownAlgorithm) {

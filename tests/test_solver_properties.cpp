@@ -10,6 +10,7 @@
 #include "kpbs/lower_bound.hpp"
 #include "kpbs/regularize.hpp"
 #include "kpbs/solver.hpp"
+#include "oracle/bottleneck_oracle.hpp"
 #include "workload/random_graphs.hpp"
 #include "workload/scenario.hpp"
 
@@ -37,15 +38,14 @@ TEST_P(SolverProperties, SchedulesAreFeasibleAndWithinTwiceTheLowerBound) {
     const int k = static_cast<int>(rng.uniform_int(1, 14));
     const LowerBound lb = kpbs_lower_bound(g, k, param.beta);
 
-    for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP, Algorithm::kGGPMaxWeight}) {
-      const Schedule s = solve_kpbs(g, {k, param.beta, algo}).schedule;
+    for (const auto& [name, s] : oracle::every_peeling(g, k, param.beta)) {
       ASSERT_NO_THROW(validate_schedule(g, s, clamp_k(g, k)))
-          << algorithm_name(algo) << " seed=" << param.seed
-          << " trial=" << trial << " k=" << k;
+          << name << " seed=" << param.seed << " trial=" << trial
+          << " k=" << k;
       // 2-approximation guarantee (LB <= OPT, so cost <= 2*LB suffices).
       const Rational cost(s.cost(param.beta));
       ASSERT_LE(cost, Rational(2) * lb.value())
-          << algorithm_name(algo) << " cost " << s.cost(param.beta)
+          << name << " cost " << s.cost(param.beta)
           << " vs 2*LB " << (Rational(2) * lb.value()).to_double()
           << " seed=" << param.seed << " trial=" << trial << " k=" << k;
       // Cost is at least the lower bound (sanity of the bound itself).
@@ -72,10 +72,9 @@ TEST_P(SolverKSweep, WidthNeverExceedsK) {
     config.max_right = 10;
     config.max_edges = 30;
     const BipartiteGraph g = random_bipartite(rng, config);
-    for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP, Algorithm::kGGPMaxWeight}) {
-      const Schedule s = solve_kpbs(g, {k, 1, algo}).schedule;
-      ASSERT_LE(s.max_step_width(),
-                static_cast<std::size_t>(clamp_k(g, k)));
+    for (const auto& [name, s] : oracle::every_peeling(g, k, 1)) {
+      ASSERT_LE(s.max_step_width(), static_cast<std::size_t>(clamp_k(g, k)))
+          << name;
       ASSERT_EQ(s.total_amount(), g.total_weight());
     }
   }

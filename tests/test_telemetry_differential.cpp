@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
+#include "oracle/bottleneck_oracle.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {
@@ -47,20 +48,19 @@ void expect_identical(const Schedule& a, const Schedule& b,
 }
 
 TEST(TelemetryDifferential, MetricsAndTracingDoNotChangeSchedules) {
-  for (const Algorithm algo :
-       {Algorithm::kGGP, Algorithm::kOGGP, Algorithm::kGGPMaxWeight}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      const BipartiteGraph g = instance(seed);
-      const Schedule plain = solve_kpbs(g, {5, 2, algo}).schedule;
-      Schedule instrumented;
-      {
-        obs::MetricsRegistry registry;
-        obs::TraceSession session;
-        obs::ScopedTelemetry scoped(&registry, &session);
-        instrumented = solve_kpbs(g, {5, 2, algo}).schedule;
-      }
-      expect_identical(plain, instrumented,
-                       algorithm_name(algo) + " seed " + std::to_string(seed));
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const BipartiteGraph g = instance(seed);
+    const auto plain = oracle::every_peeling(g, 5, 2);
+    std::vector<oracle::NamedSchedule> instrumented;
+    {
+      obs::MetricsRegistry registry;
+      obs::TraceSession session;
+      obs::ScopedTelemetry scoped(&registry, &session);
+      instrumented = oracle::every_peeling(g, 5, 2);
+    }
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      expect_identical(plain[i].schedule, instrumented[i].schedule,
+                       plain[i].name + " seed " + std::to_string(seed));
     }
   }
 }

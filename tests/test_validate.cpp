@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "kpbs/regularize.hpp"
 #include "kpbs/solver.hpp"
+#include "oracle/bottleneck_oracle.hpp"
 #include "validate/graph_validator.hpp"
 #include "validate/schedule_validator.hpp"
 #include "workload/random_graphs.hpp"
@@ -173,15 +174,12 @@ TEST(ScheduleValidator, AcceptsSolverSchedulesWithBound) {
   for (const BipartiteGraph& g : corpus()) {
     for (const int k : {1, 3, 8}) {
       for (const Weight beta : {Weight{0}, Weight{1}, Weight{10}}) {
-        for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP,
-                                     Algorithm::kGGPMaxWeight}) {
-          const Schedule s = solve_kpbs(g, {k, beta, algo}).schedule;
+        for (const auto& [name, s] : oracle::every_peeling(g, k, beta)) {
           const ValidationReport report =
               make_validator(clamp_k(g, k), beta, /*bound=*/true)
                   .validate(g, s);
-          EXPECT_TRUE(report.ok())
-              << algorithm_name(algo) << " k=" << k << " beta=" << beta
-              << ": " << report.to_string();
+          EXPECT_TRUE(report.ok()) << name << " k=" << k << " beta=" << beta
+                                   << ": " << report.to_string();
         }
       }
     }

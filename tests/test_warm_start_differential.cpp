@@ -133,7 +133,7 @@ TEST(WarmStartDifferential, PeelSequencesIdenticalAtWrgpLevel) {
         wrgp_peel(oracle_g, oracle::bottleneck_perfect_matching);
     PeelingContext ctx;
     const auto warm_steps =
-        wrgp_peel_warm(warm_g, WarmStrategy::kBottleneck, ctx);
+        wrgp_peel_warm(warm_g, Algorithm::kOGGP, ctx);
 
     ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
     for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
@@ -158,7 +158,7 @@ TEST(WarmStartDifferential, ArbitraryPeelSequencesIdentical) {
         wrgp_peel(oracle_g, oracle::arbitrary_perfect_matching);
     PeelingContext ctx;
     const auto warm_steps =
-        wrgp_peel_warm(warm_g, WarmStrategy::kArbitrary, ctx);
+        wrgp_peel_warm(warm_g, Algorithm::kGGP, ctx);
 
     ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
     for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
@@ -200,7 +200,7 @@ TEST(WarmStartDifferential, LargeDistinctWeightsPeelIdentically) {
         wrgp_peel(oracle_g, oracle::bottleneck_perfect_matching);
     PeelingContext ctx;
     const auto warm_steps =
-        wrgp_peel_warm(warm_g, WarmStrategy::kBottleneck, ctx);
+        wrgp_peel_warm(warm_g, Algorithm::kOGGP, ctx);
 
     ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
     for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
@@ -272,20 +272,6 @@ TEST(WarmStartDifferential, WidestPathsMatchOracle) {
   EXPECT_GT(parallel, 0u);
   EXPECT_GT(heaviest, 1'000'000'000);
   EXPECT_GE(largest_deficit, 2u);
-}
-
-// kGGPMaxWeight bypasses PeelingContext: it peels with the Hungarian
-// strategy from scratch every step, exactly as the oracle does.
-TEST(WarmStartDifferential, MaxWeightAblationFallsBackToCold) {
-  Rng rng(31);
-  RandomGraphConfig config;
-  config.max_left = 8;
-  config.max_right = 8;
-  config.max_edges = 24;
-  const BipartiteGraph g = random_bipartite(rng, config);
-  expect_identical_schedules(
-      oracle::solve(g, 3, 1, Algorithm::kGGPMaxWeight),
-      solve_kpbs(g, {3, 1, Algorithm::kGGPMaxWeight}).schedule, "ggp-mw");
 }
 
 }  // namespace

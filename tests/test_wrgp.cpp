@@ -9,11 +9,11 @@
 #include "kpbs/regularize.hpp"
 #include "kpbs/schedule_io.hpp"
 #include "kpbs/solver.hpp"
-#include "matching/hungarian.hpp"
 #include "matching/peeling_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "oracle/bottleneck_oracle.hpp"
+#include "oracle/hungarian.hpp"
 #include "workload/random_graphs.hpp"
 #include "workload/scenario.hpp"
 
@@ -166,7 +166,7 @@ TEST(PeelingContext, SearchIsBoundedByPreviousBottleneck) {
   {
     const obs::ScopedTelemetry scope(&registry, nullptr);
     PeelingContext ctx;
-    steps = wrgp_peel_warm(reg.graph, WarmStrategy::kBottleneck, ctx);
+    steps = wrgp_peel_warm(reg.graph, Algorithm::kOGGP, ctx);
   }
   ASSERT_FALSE(steps.empty());
   const std::uint64_t peel_steps = registry.counter("wrgp.steps").value();

@@ -355,10 +355,10 @@ int rank_of(const std::string& module) {
   static const std::unordered_map<std::string, int> kRanks = {
       {"common", 0},
       {"graph", 1},       {"obs", 1},
-      {"matching", 2},    {"workload", 2}, {"aggregation", 2}, {"robust", 2},
+      {"matching", 2},    {"workload", 2}, {"robust", 2},
       {"kpbs", 3},
       {"runtime", 4},     {"validate", 4}, {"netsim", 4},      {"baselines", 4},
-      {"dynamic", 5},     {"net", 5},
+      {"net", 5},
       {"mpilite", 6},     {"service", 6},
       {"src-root", 90},   // the umbrella header sees every module
   };

@@ -21,7 +21,7 @@
 //                   the determinism set
 //   layering        include edges must point down the module DAG
 //                   (common -> graph/obs -> matching -> kpbs -> runtime/
-//                   validate/netsim -> net/dynamic -> mpilite -> tools);
+//                   validate/netsim -> net -> mpilite -> tools);
 //                   includes inside preprocessor conditionals are exempt
 //                   (e.g. the REDIST_VALIDATE self-audit seam)
 //   include-cycle   the file-level include graph must be acyclic

@@ -4,7 +4,7 @@
 //   generate  --out=FILE [--seed=1] [--max-nodes=40] [--max-edges=400]
 //             [--min-weight=1] [--max-weight=20]
 //       Writes a random instance in the graph text format.
-//   solve     --in=FILE [--k=4] [--beta=1] [--algo=oggp|ggp|ggp-mw]
+//   solve     --in=FILE [--k=4] [--beta=1] [--algo=oggp|ggp]
 //             [--out=FILE] [--quiet] [--metrics-out=FILE] [--trace-out=FILE]
 //       Solves K-PBS, validates the result, prints schedule + stats, and
 //       optionally writes the schedule in the schedule text format.
@@ -50,7 +50,7 @@
 //             [--port-file=FILE] [--journal-out=FILE]
 //             [--journal-capacity=8192]
 //       Runs the long-lived scheduler daemon (service/scheduler_service):
-//       accepts rpc.v2 solve requests on an ephemeral loopback port,
+//       accepts rpc.v3 solve requests on an ephemeral loopback port,
 //       answers from the fingerprint-keyed solve cache, and enforces
 //       lock-free token-bucket admission. --linger-ms=0 (default) runs
 //       until a client sends the rpc shutdown frame; positive values bound
@@ -60,7 +60,7 @@
 //       docs/SERVICE.md.
 //   submit    --port=P --in=FILE[,FILE...] [--repeat=1] [--k=4] [--beta=1]
 //             [--algo=oggp] [--timeout-ms=5000] [--shutdown] [--quiet]
-//       Submits graphs to a live daemon over rpc.v2 (one connection, one
+//       Submits graphs to a live daemon over rpc.v3 (one connection, one
 //       request per graph per repeat) and prints each response's cache
 //       provenance (cold | cache_hit), service time and
 //       quality ratio. --shutdown sends the shutdown frame after the last
@@ -576,7 +576,7 @@ int cmd_submit(Flags& flags) {
   const std::vector<std::string> paths = split_list(in);
   if (paths.empty()) throw Error("submit requires at least one graph file");
 
-  // One rpc.v2 request per graph, reused across repeats: repeats after the
+  // One rpc.v3 request per graph, reused across repeats: repeats after the
   // first should come back as cache hits, which is the whole point.
   std::vector<rpc::SolveRequest> requests;
   requests.reserve(paths.size());
