@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "common/contract_annotations.hpp"
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
 
@@ -23,6 +24,7 @@ namespace redist {
 /// Partitions the alive edges of `g` into exactly max_degree(g) matchings.
 /// Every alive edge id appears in exactly one returned matching.
 /// Returns an empty vector for an empty graph.
+REDIST_DETERMINISTIC
 std::vector<Matching> bipartite_edge_coloring(const BipartiteGraph& g);
 
 }  // namespace redist

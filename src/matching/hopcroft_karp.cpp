@@ -137,9 +137,11 @@ Matching HopcroftKarp::augment_to_maximum() {
   }
   obs::TraceSession* const trace = obs::trace();
 
-  std::uint64_t phase = 0;
-  while (bfs_layers()) {
+  for (std::uint64_t phase = 0;; ++phase) {
+    // The span covers the BFS layering too. When the BFS finds no
+    // augmenting path, the span holds just that BFS and carries no args.
     obs::TraceSpan phase_span(trace, "hk.phase");
+    if (!bfs_layers()) break;
     std::uint64_t paths = 0;
     for (NodeId v = 0; v < g_->left_count(); ++v) {
       if (match_left_[static_cast<std::size_t>(v)] == kNoEdge) {
@@ -154,7 +156,6 @@ Matching HopcroftKarp::augment_to_maximum() {
       phase_span.arg("phase", phase);
       phase_span.arg("paths", paths);
     }
-    ++phase;
     if (paths == 0) break;
   }
   Matching result;

@@ -364,8 +364,9 @@ TEST(Analyze, RuleListingCoversEveryRule) {
 }
 
 TEST(Analyze, TusFromCompileCommandsStripsRootAndForeignEntries) {
-  const auto tus = redist::analyze::tus_from_compile_commands(
-      fixture_root("compile_commands.json"), "/repo");
+  const auto tus = redist::analyze::read_compile_commands(
+                       fixture_root("compile_commands.json"), "/repo")
+                       .tus;
   const std::vector<std::string> expected = {"src/kpbs/det.cpp",
                                              "tools/analyze/core.cpp"};
   EXPECT_EQ(tus, expected);
@@ -380,9 +381,46 @@ TEST(Analyze, TusFromCompileCommandsAcceptsRelativeRoot) {
                     << (cwd / "src/kpbs/a.cpp").generic_string()
                     << "\"},\n {\"file\": \"/elsewhere/b.cpp\"}]\n";
   const std::vector<std::string> expected = {"src/kpbs/a.cpp"};
-  EXPECT_EQ(redist::analyze::tus_from_compile_commands(db, "."), expected);
-  EXPECT_EQ(redist::analyze::tus_from_compile_commands(db, "./src/.."),
+  EXPECT_EQ(redist::analyze::read_compile_commands(db, ".").tus, expected);
+  EXPECT_EQ(redist::analyze::read_compile_commands(db, "./src/..").tus,
             expected);
+}
+
+TEST(Analyze, IncludeRootsFromCompileCommandsReachAStudyContract) {
+  // colorer.hpp sits behind the database's bench/studies -I root only, so
+  // its contract and its body exist for the analysis only if quoted
+  // includes are resolved against the build's own -I flags.
+  const std::string root = fixture_root("include_roots");
+  const std::string db_path =
+      ::testing::TempDir() + "/include_roots_compile_commands.json";
+  std::ofstream(db_path)
+      << "[{\"directory\": \"" << root << "/build\",\n"
+      << "  \"command\": \"c++ -I" << root << "/src -I " << root
+      << "/bench/studies -I/usr/include -c " << root << "/bench/study.cpp\",\n"
+      << "  \"file\": \"" << root << "/bench/study.cpp\"}]\n";
+  const auto db = redist::analyze::read_compile_commands(db_path, root);
+  EXPECT_EQ(db.tus, std::vector<std::string>{"bench/study.cpp"});
+  EXPECT_EQ(db.include_roots,
+            (std::vector<std::string>{"src", "bench/studies"}));
+
+  Options options;
+  options.include_roots = db.include_roots;
+  const auto sources =
+      redist::analyze::load_closure(root, db.tus, options.include_roots);
+  std::vector<std::string> paths;
+  for (const auto& s : sources) paths.push_back(s.path);
+  EXPECT_EQ(paths, (std::vector<std::string>{
+                       "bench/studies/matching/colorer.hpp",
+                       "bench/study.cpp"}));
+
+  const auto r = redist::analyze::run_analysis(sources, options);
+  EXPECT_NE(r.contracts.find("deterministic study_colorer"),
+            std::string::npos)
+      << r.contracts;
+  const auto det = by_rule(r, "determinism");
+  ASSERT_EQ(det.size(), 1u) << redist::analyze::format_report(r.findings);
+  EXPECT_EQ(det[0].file, "bench/studies/matching/colorer.hpp");
+  EXPECT_TRUE(mentions(det[0], "'rand'"));
 }
 
 TEST(Analyze, LoadClosureChasesQuotedIncludes) {

@@ -323,15 +323,17 @@ std::string normalize(const std::string& path) {
 }
 
 /// Candidate repo-relative paths a quoted include may refer to, in the
-/// order the build's -I flags would try them.
-std::vector<std::string> include_candidates(const std::string& includer,
-                                            const std::string& target) {
+/// order the compiler tries them: the includer's directory, then each
+/// search root.
+std::vector<std::string> include_candidates(
+    const std::string& includer, const std::string& target,
+    const std::vector<std::string>& roots) {
   std::vector<std::string> c;
   const std::string dir = dirname_of(includer);
   if (!dir.empty()) c.push_back(normalize(dir + "/" + target));
-  c.push_back(normalize("src/" + target));
-  c.push_back(normalize(target));
-  c.push_back(normalize("tools/" + target));
+  for (const std::string& root : roots) {
+    c.push_back(normalize(root.empty() ? target : root + "/" + target));
+  }
   return c;
 }
 
@@ -437,9 +439,11 @@ void index_functions(const std::string& path, const std::vector<Token>& toks,
     const std::string& name = toks[i].text;
     if (stmt_keywords().count(name)) continue;
     if (name.rfind("REDIST_", 0) == 0) continue;  // annotation macros
-    if (i > 0 && toks[i - 1].kind == 'p' &&
-        (toks[i - 1].text == "." || toks[i - 1].text == ">")) {
-      continue;  // member access, never a definition
+    // `.` and `->` are member access, never a definition; a lone `>`
+    // closes a template return type (std::vector<Matching> f(...)).
+    if ((i > 0 && tok_is(toks, i - 1, ".")) ||
+        (i > 1 && tok_is(toks, i - 1, ">") && tok_is(toks, i - 2, "-"))) {
+      continue;
     }
     const std::size_t close = match_paren(toks, i + 1);
     if (close >= toks.size()) continue;
@@ -764,8 +768,8 @@ void build_index(Analysis& a) {
   a.edges.resize(a.sources.size());
   for (std::size_t i = 0; i < a.sources.size(); ++i) {
     for (const auto& inc : a.lexed[i].includes) {
-      for (const auto& cand : include_candidates(a.sources[i].path,
-                                                 inc.target)) {
+      for (const auto& cand : include_candidates(
+               a.sources[i].path, inc.target, a.options.include_roots)) {
         auto it = by_path.find(cand);
         if (it != by_path.end()) {
           a.edges[i].push_back({it->second, inc.line, inc.conditional});
@@ -778,10 +782,12 @@ void build_index(Analysis& a) {
   for (std::size_t i = 0; i < a.sources.size(); ++i) {
     const std::string& path = a.sources[i].path;
     index_contracts(path, a.lexed[i].tokens, a.contracts);
-    // Bodies are only indexed under src/ and tools/: test and bench code is
-    // free to use clocks/IO, and its helper names must not shadow library
-    // functions in the call graph.
-    if (path.rfind("src/", 0) == 0 || path.rfind("tools/", 0) == 0)
+    // Bodies are only indexed under src/, tools/ and bench/studies/ (the
+    // library the study benches link): test and bench code is free to use
+    // clocks/IO, and its helper names must not shadow library functions in
+    // the call graph.
+    if (path.rfind("src/", 0) == 0 || path.rfind("tools/", 0) == 0 ||
+        path.rfind("bench/studies/", 0) == 0)
       index_functions(path, a.lexed[i].tokens, a.functions);
   }
 }
@@ -2173,8 +2179,12 @@ AnalysisResult run_analysis(const std::vector<SourceFile>& sources,
   return result;
 }
 
-std::vector<std::string> tus_from_compile_commands(
-    const std::string& json_path, const std::string& root) {
+std::vector<std::string> default_include_roots() {
+  return {"src", "", "tools"};
+}
+
+CompileDatabase read_compile_commands(const std::string& json_path,
+                                      const std::string& root) {
   std::ifstream in(json_path, std::ios::binary);
   if (!in) {
     throw std::runtime_error("cannot read compile_commands: " + json_path);
@@ -2192,30 +2202,63 @@ std::vector<std::string> tus_from_compile_commands(
   const std::string prefix = abs_root.empty() || abs_root.back() == '/'
                                  ? abs_root
                                  : abs_root + "/";
-  std::set<std::string> tus;
-  std::size_t at = 0;
-  while ((at = json.find("\"file\"", at)) != std::string::npos) {
-    at += 6;
-    std::size_t colon = json.find(':', at);
-    if (colon == std::string::npos) break;
-    std::size_t open = json.find('"', colon);
-    if (open == std::string::npos) break;
-    std::string value;
-    std::size_t j = open + 1;
-    while (j < json.size() && json[j] != '"') {
-      if (json[j] == '\\' && j + 1 < json.size()) ++j;
-      value.push_back(json[j++]);
+  // Repo-relative form of a database path; "/" marks one outside root.
+  auto relative = [&](const std::string& path) {
+    if (path + "/" == prefix) return std::string();  // the root itself
+    const std::string rel =
+        path.rfind(prefix, 0) == 0 ? path.substr(prefix.size()) : path;
+    return !rel.empty() && rel[0] == '/' ? std::string("/") : normalize(rel);
+  };
+  // Every string value of `key`, unescaped.
+  auto values_of = [&](const std::string& key) {
+    std::vector<std::string> values;
+    const std::string quoted = "\"" + key + "\"";
+    std::size_t at = 0;
+    while ((at = json.find(quoted, at)) != std::string::npos) {
+      at += quoted.size();
+      const std::size_t colon = json.find(':', at);
+      if (colon == std::string::npos) break;
+      const std::size_t open = json.find('"', colon);
+      if (open == std::string::npos) break;
+      std::string value;
+      std::size_t j = open + 1;
+      while (j < json.size() && json[j] != '"') {
+        if (json[j] == '\\' && j + 1 < json.size()) ++j;
+        value.push_back(json[j++]);
+      }
+      at = j;
+      values.push_back(std::move(value));
     }
-    at = j;
-    if (value.rfind(prefix, 0) == 0) value = value.substr(prefix.size());
-    if (value.empty() || value[0] == '/') continue;  // outside the repo
-    tus.insert(normalize(value));
+    return values;
+  };
+
+  std::set<std::string> tus;
+  for (const std::string& file : values_of("file")) {
+    const std::string rel = relative(file);
+    if (!rel.empty() && rel[0] != '/') tus.insert(rel);
   }
-  return {tus.begin(), tus.end()};
+  CompileDatabase db{{tus.begin(), tus.end()}, {}};
+  for (const std::string& command : values_of("command")) {
+    std::istringstream words(command);
+    std::string word;
+    while (words >> word) {
+      if (word.rfind("-I", 0) != 0) continue;
+      std::string dir = word.substr(2);
+      if (dir.empty() && !(words >> dir)) break;
+      const std::string rel = relative(dir);
+      if (!rel.empty() && rel[0] == '/') continue;  // outside the repo
+      if (std::find(db.include_roots.begin(), db.include_roots.end(), rel) ==
+          db.include_roots.end()) {
+        db.include_roots.push_back(rel);
+      }
+    }
+  }
+  return db;
 }
 
-std::vector<SourceFile> load_closure(const std::string& root,
-                                     const std::vector<std::string>& tus) {
+std::vector<SourceFile> load_closure(
+    const std::string& root, const std::vector<std::string>& tus,
+    const std::vector<std::string>& include_roots) {
   const std::string prefix = root.empty() || root.back() == '/'
                                  ? root
                                  : root + "/";
@@ -2239,7 +2282,8 @@ std::vector<SourceFile> load_closure(const std::string& root,
     if (!slurp(path, &content)) continue;
     const Lexed lexed = lex(content);
     for (const auto& inc : lexed.includes) {
-      for (const auto& cand : include_candidates(path, inc.target)) {
+      for (const auto& cand :
+           include_candidates(path, inc.target, include_roots)) {
         std::ifstream probe(prefix + cand);
         if (probe) {
           queue.push_back(cand);

@@ -1,8 +1,8 @@
 // redist_analyze — the repo's one static-analysis pass.
 //
 // Driven by compile_commands.json: it lexes every translation unit the
-// build actually compiles, follows quoted includes to closure, and checks
-// three structures over that one input —
+// build actually compiles, follows quoted includes to closure (against the
+// build's own -I roots), and checks three structures over that one input —
 //
 //   * an include graph (file- and module-level), checked against the
 //     architecture's layering DAG,
@@ -89,6 +89,11 @@ struct Finding {
   std::string message;
 };
 
+/// Quoted-include search roots, repo-relative ("" is the root itself), for
+/// analyses without a compile database (in-memory sources, the fixtures
+/// under tests/analyze/): src/, the root, tools/.
+std::vector<std::string> default_include_roots();
+
 struct Options {
   /// Empty = all rules; otherwise the subset of rule ids to run.
   std::vector<std::string> rules;
@@ -99,6 +104,8 @@ struct Options {
   bool require_baseline = false;
   /// Where removal findings are anchored (the baseline has no source line).
   std::string baseline_path = "tools/analyze/contracts_baseline.txt";
+  /// Where a quoted include is looked up after the includer's directory.
+  std::vector<std::string> include_roots = default_include_roots();
 };
 
 /// One source file, with its repo-relative '/'-separated path. The path
@@ -130,17 +137,29 @@ std::string rule_description(const std::string& id);
 AnalysisResult run_analysis(const std::vector<SourceFile>& sources,
                             const Options& options);
 
-/// Extracts the repo-relative paths of all translation units listed in a
-/// compile_commands.json whose "file" lies under `root`. Tolerant of the
-/// formatting CMake emits; throws std::runtime_error when unreadable.
-std::vector<std::string> tus_from_compile_commands(
-    const std::string& json_path, const std::string& root);
+/// What the analysis takes from a compile_commands.json, repo-relative:
+/// every translation unit whose "file" lies under the root, and every
+/// directory under the root that a "command" passes as -I, in order of
+/// first appearance (the build's own quoted-include search roots).
+struct CompileDatabase {
+  std::vector<std::string> tus;
+  std::vector<std::string> include_roots;
+};
+
+/// Reads a compile_commands.json. Tolerant of the formatting CMake emits
+/// (absolute paths, -I joined or separate); entries outside `root` are
+/// dropped. Throws std::runtime_error when unreadable.
+CompileDatabase read_compile_commands(const std::string& json_path,
+                                      const std::string& root);
 
 /// Reads `tus` (repo-relative, under `root`) and chases their quoted
-/// includes to a fixed point, returning every reached file exactly once.
-/// Unresolvable targets (system headers) are silently dropped.
-std::vector<SourceFile> load_closure(const std::string& root,
-                                     const std::vector<std::string>& tus);
+/// includes to a fixed point — each tried against the includer's directory,
+/// then against `include_roots` in order — returning every reached file
+/// exactly once. Unresolvable targets (system headers) are silently
+/// dropped.
+std::vector<SourceFile> load_closure(
+    const std::string& root, const std::vector<std::string>& tus,
+    const std::vector<std::string>& include_roots = default_include_roots());
 
 /// `path:line: [rule] message` lines, newline-terminated — the golden
 /// report format (tests/test_analyze.cpp pins it).

@@ -6,7 +6,8 @@
 //
 // Translation units come from the build's compile_commands.json (CMake
 // exports it via CMAKE_EXPORT_COMPILE_COMMANDS); their quoted includes are
-// chased to closure and the whole set analyzed together. Findings print as
+// chased to closure against the build's own -I roots and the whole set
+// analyzed together. Findings print as
 // `path:line: [rule] message` relative to --root. Exit 0 on a clean run,
 // 1 when findings were emitted, 2 on usage or I/O errors.
 //
@@ -109,14 +110,16 @@ int main(int argc, char** argv) {
 
   redist::analyze::AnalysisResult result;
   try {
-    const auto tus =
-        redist::analyze::tus_from_compile_commands(compile_commands, root);
-    if (tus.empty()) {
+    const auto db =
+        redist::analyze::read_compile_commands(compile_commands, root);
+    if (db.tus.empty()) {
       std::cerr << "redist_analyze: no translation units under " << root
                 << " in " << compile_commands << "\n";
       return 2;
     }
-    const auto sources = redist::analyze::load_closure(root, tus);
+    options.include_roots = db.include_roots;
+    const auto sources =
+        redist::analyze::load_closure(root, db.tus, options.include_roots);
     result = redist::analyze::run_analysis(sources, options);
   } catch (const std::exception& e) {
     std::cerr << "redist_analyze: " << e.what() << "\n";

@@ -1,33 +1,34 @@
-// redist_sweep — the scenario × algorithm regression matrix.
+// redist_sweep — the scenario × algorithm quality matrix.
 //
 // Runs every builtin scenario (workload/scenario.hpp) through the solver
 // matrix (GGP, OGGP, the non-preemptive list-scheduling baseline), the
-// batch solver, the netsim executor and — for fault-storm scenarios — the
-// real-socket runtime under a deterministic fault storm, and emits one
+// netsim executor and — for fault-storm scenarios — the real-socket
+// runtime under a deterministic fault storm, and emits one
 // BENCH_sweep_<scenario>.json per scenario:
 //
-//   * evaluation ratio vs. the K-PBS lower bound (mean/max over instances),
-//   * step counts and solve wall time per algorithm,
-//   * batch pool speedup (sequential vs pooled solve_kpbs_batch),
-//   * simulated scheduled vs brute-force seconds on the scenario platform,
-//   * recovery overhead (storm wall time / clean wall time), attempts,
-//     reschedules and injected-fault counts,
+//   * per algorithm: evaluation ratio vs. the K-PBS lower bound (mean/max
+//     over instances), mean step count, and the simulated redistribution
+//     time of its schedule of the first instance next to brute force
+//     (netsim, ideal fluid transport),
+//   * for the storm run: attempts, reschedules, link retries, injected
+//     faults and delivery verification,
 //   * flight-recorder coverage of the storm run: journaled event counts
 //     and the forensic recovery dump path (obs/journal.hpp) when a spliced
 //     recovery wrote one into --out-dir.
 //
-// Quality metrics (ratios, step counts) are bit-deterministic for a fixed
-// spec, so scripts/bench_diff.py can gate them strictly against the
-// committed baselines under bench/baselines/; timing metrics are
-// machine-dependent and gated loosely or not at all (docs/BENCHMARKS.md).
+// Each algorithm solves each instance once; netsim and the storm run reuse
+// those schedules. Ratios, steps and simulated seconds are bit-
+// deterministic for a fixed spec, so scripts/bench_diff.py gates them
+// strictly against the committed baselines (docs/BENCHMARKS.md). Wall-clock
+// timing is bench/e2e's job.
 //
 //   redist_sweep [--scale=1.0] [--out-dir=.] [--scenario=<name>]
-//                [--instances=3] [--repeat=2] [--threads=0]
-//                [--socket=true] [--netsim=true] [--list]
+//                [--instances=2] [--socket=true] [--netsim=true] [--list]
 //
 // The binary exits nonzero if any GGP/OGGP schedule breaks the paper's
-// 2-approximation guarantee or fails validation — the sweep doubles as an
-// end-to-end correctness probe over the adversarial families.
+// 2-approximation guarantee, fails validation, or the storm run fails
+// verification — the sweep doubles as an end-to-end correctness probe over
+// the adversarial families.
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -44,29 +45,13 @@ struct AlgoRow {
   std::string name;
   RunningStats ratio;
   RunningStats steps;
-  double solve_ms = 0;  // best-of-repeat total over the instance pool
-};
-
-struct NetsimRow {
-  bool ran = false;
-  double scheduled_seconds = 0;
-  double bruteforce_seconds = 0;
-};
-
-struct BatchRow {
-  double sequential_ms = 0;
-  double pooled_ms = 0;
-  int threads = 0;
-  double speedup() const {
-    return pooled_ms > 0 ? sequential_ms / pooled_ms : 0;
-  }
+  Schedule first;                   // schedule of the first instance
+  double netsim_seconds = 0;        // `first` run on the scenario platform
+  double netsim_vs_bruteforce = 0;  // netsim_seconds / brute-force seconds
 };
 
 struct RobustRow {
   bool ran = false;
-  double clean_seconds = 0;
-  double storm_seconds = 0;
-  double recovery_overhead = 1.0;
   int attempts = 1;
   int reschedules = 0;
   std::uint64_t link_retries = 0;
@@ -76,22 +61,6 @@ struct RobustRow {
   std::uint64_t journal_dropped = 0;  // ring overflow during the storm
   std::string recovery_dump;          // forensic JSONL path, "" when clean
 };
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '\n') {
-      out += "\\n";
-    } else if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 // Instance pool: the spec re-seeded per instance so the scenario family is
 // sampled, not one fixed matrix.
@@ -107,48 +76,42 @@ std::vector<ScenarioWorkload> build_pool(const ScenarioSpec& spec,
   return pool;
 }
 
-// Solves the whole pool once per repeat and keeps the best total. Quality
-// stats come from the first pass (they are identical on every pass).
+// Solves every instance of the pool once, validating each schedule.
 AlgoRow run_algorithm(const std::string& name, const ScenarioSpec& spec,
                       const std::vector<ScenarioWorkload>& pool,
-                      const std::vector<LowerBound>& bounds, int repeat,
+                      const std::vector<LowerBound>& bounds,
                       bool preemptive) {
   AlgoRow row;
   row.name = name;
-  for (int r = 0; r < repeat; ++r) {
-    Stopwatch timer;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      Schedule schedule;
-      if (preemptive) {
-        const Algorithm algo =
-            name == "GGP" ? Algorithm::kGGP : Algorithm::kOGGP;
-        schedule =
-            solve_kpbs(pool[i].demand, {spec.k, spec.beta, algo}).schedule;
-      } else {
-        schedule = list_schedule(pool[i].demand, spec.k);
-      }
-      if (r == 0) {
-        const double ratio =
-            evaluation_ratio(schedule, bounds[i], spec.beta);
-        row.ratio.add(ratio);
-        row.steps.add(static_cast<double>(schedule.step_count()));
-        validate_schedule(pool[i].demand, schedule,
-                          clamp_k(pool[i].demand, spec.k));
-        if (preemptive && ratio > 2.0) {
-          throw Error(name + " broke the 2-approximation on scenario " +
-                      spec.name + " instance " + std::to_string(i) +
-                      ": ratio " + std::to_string(ratio));
-        }
-      }
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    Schedule schedule;
+    if (preemptive) {
+      const Algorithm algo =
+          name == "GGP" ? Algorithm::kGGP : Algorithm::kOGGP;
+      schedule =
+          solve_kpbs(pool[i].demand, {spec.k, spec.beta, algo}).schedule;
+    } else {
+      schedule = list_schedule(pool[i].demand, spec.k);
     }
-    const double ms = timer.elapsed_ms();
-    if (r == 0 || ms < row.solve_ms) row.solve_ms = ms;
+    const double ratio = evaluation_ratio(schedule, bounds[i], spec.beta);
+    row.ratio.add(ratio);
+    row.steps.add(static_cast<double>(schedule.step_count()));
+    validate_schedule(pool[i].demand, schedule,
+                      clamp_k(pool[i].demand, spec.k));
+    if (preemptive && ratio > 2.0) {
+      throw Error(name + " broke the 2-approximation on scenario " +
+                  spec.name + " instance " + std::to_string(i) +
+                  ": ratio " + std::to_string(ratio));
+    }
+    if (i == 0) row.first = std::move(schedule);
   }
   return row;
 }
 
-NetsimRow run_netsim(const ScenarioSpec& spec, const ScenarioWorkload& w) {
-  NetsimRow row;
+// Executes brute force and each algorithm's first-instance schedule on the
+// scenario platform; returns the brute-force time.
+double run_netsim(const ScenarioSpec& spec, const ScenarioWorkload& w,
+                  std::vector<AlgoRow>& algos) {
   // One solver time unit = one second at nominal card speed; the backbone
   // admits exactly k nominal flows (the paper's constraint (a)/(b) tight).
   const double t_bps = static_cast<double>(spec.bytes_per_unit);
@@ -156,56 +119,27 @@ NetsimRow run_netsim(const ScenarioSpec& spec, const ScenarioWorkload& w) {
       spec.senders, spec.receivers, t_bps, t_bps,
       static_cast<double>(spec.k) * t_bps,
       static_cast<double>(spec.beta), w.t1_scale, w.t2_scale);
-  const Schedule schedule =
-      solve_kpbs(w.demand, {spec.k, spec.beta, Algorithm::kOGGP}).schedule;
-  row.scheduled_seconds =
-      execute_schedule_heterogeneous(
-          platform, w.traffic, schedule,
-          static_cast<double>(spec.bytes_per_unit), w.t1_scale, w.t2_scale)
-          .total_seconds;
-  row.bruteforce_seconds =
+  const double bruteforce_seconds =
       simulate_bruteforce(platform, w.traffic).total_seconds;
-  row.ran = true;
-  return row;
-}
-
-BatchRow run_batch(const ScenarioSpec& spec,
-                   const std::vector<ScenarioWorkload>& pool, int repeat,
-                   int threads) {
-  BatchRow row;
-  row.threads = threads;
-  std::vector<KpbsRequest> requests;
-  requests.reserve(pool.size());
-  for (const ScenarioWorkload& w : pool) {
-    KpbsRequest request;
-    request.demand = w.demand;
-    request.options = SolverOptions{spec.k, spec.beta, Algorithm::kOGGP};
-    requests.push_back(std::move(request));
+  for (AlgoRow& a : algos) {
+    a.netsim_seconds =
+        execute_schedule_heterogeneous(
+            platform, w.traffic, a.first,
+            static_cast<double>(spec.bytes_per_unit), w.t1_scale, w.t2_scale)
+            .total_seconds;
+    a.netsim_vs_bruteforce =
+        bruteforce_seconds > 0 ? a.netsim_seconds / bruteforce_seconds : 0;
   }
-  BatchOptions sequential;
-  sequential.threads = 1;
-  BatchOptions pooled;
-  pooled.threads = threads;
-  for (int r = 0; r < repeat; ++r) {
-    Stopwatch timer;
-    solve_kpbs_batch(requests, sequential);
-    const double seq = timer.elapsed_ms();
-    timer.reset();
-    solve_kpbs_batch(requests, pooled);
-    const double par = timer.elapsed_ms();
-    if (r == 0 || seq < row.sequential_ms) row.sequential_ms = seq;
-    if (r == 0 || par < row.pooled_ms) row.pooled_ms = par;
-  }
-  return row;
+  return bruteforce_seconds;
 }
 
 RobustRow run_fault_storm(const ScenarioSpec& spec,
-                          const ScenarioWorkload& w,
+                          const ScenarioWorkload& w, const Schedule& schedule,
                           const std::string& out_dir) {
   RobustRow row;
-  // Flight recorder for the whole scenario: solver, pool, socket and
-  // recovery events join on the run's solve ID in the BENCH JSON and in
-  // the per-recovery forensic dump.
+  // Flight recorder for the storm run: socket, pool and recovery events
+  // (re-solves included) land in the BENCH JSON and in the per-recovery
+  // forensic dump.
   obs::Journal journal(16384);
   const obs::ScopedJournal scoped_journal(&journal);
   SocketClusterConfig config;
@@ -214,12 +148,6 @@ RobustRow run_fault_storm(const ScenarioSpec& spec,
   config.backbone_bps = 6e6;
   config.chunk_bytes = 4096;
   config.burst_bytes = 8192;
-  const double bytes_per_unit = static_cast<double>(spec.bytes_per_unit);
-  const Schedule schedule =
-      solve_kpbs(w.demand, {spec.k, spec.beta, Algorithm::kOGGP}).schedule;
-
-  const SocketRunResult clean =
-      socket_scheduled(config, w.traffic, schedule, bytes_per_unit);
 
   RobustnessOptions robustness;
   robustness.enabled = true;
@@ -237,20 +165,16 @@ RobustRow run_fault_storm(const ScenarioSpec& spec,
   profile.intensity = spec.storm_intensity;
   robust::arm_storm(injector, profile);
   const robust::ScopedFaultInjection scope(&injector);
-  const SocketRunResult storm =
-      socket_scheduled(config, w.traffic, schedule, bytes_per_unit,
-                       robustness);
+  const SocketRunResult storm = socket_scheduled(
+      config, w.traffic, schedule, static_cast<double>(spec.bytes_per_unit),
+      robustness);
 
   row.ran = true;
-  row.clean_seconds = clean.seconds;
-  row.storm_seconds = storm.seconds;
-  row.recovery_overhead =
-      clean.seconds > 0 ? storm.seconds / clean.seconds : 1.0;
   row.attempts = storm.attempts;
   row.reschedules = storm.reschedules;
   row.link_retries = storm.link_retries;
   row.faults_injected = injector.injected_count();
-  row.verified = clean.verified && storm.verified;
+  row.verified = storm.verified;
   row.journal_events = journal.total_recorded();
   row.journal_dropped = journal.dropped();
   row.recovery_dump = storm.journal_dump_path;
@@ -263,13 +187,13 @@ RobustRow run_fault_storm(const ScenarioSpec& spec,
 
 void write_json(const std::string& path, const ScenarioSpec& spec,
                 double scale, int instances, const std::vector<AlgoRow>& algos,
-                const NetsimRow& netsim, const BatchRow& batch,
+                bool netsim_ran, double bruteforce_seconds,
                 const RobustRow& robust_row) {
   std::ofstream os(path);
   if (!os) throw Error("cannot write: " + path);
   os << "{\n"
      << "  \"bench\": \"sweep\",\n"
-     << "  \"schema\": \"redist.sweep.v1\",\n"
+     << "  \"schema\": \"redist.sweep.v2\",\n"
      << "  \"scenario\": {\"name\": \"" << spec.name << "\", \"kind\": \""
      << scenario_kind_name(spec.kind) << "\", \"seed\": " << spec.seed
      << ", \"senders\": " << spec.senders
@@ -277,39 +201,24 @@ void write_json(const std::string& path, const ScenarioSpec& spec,
      << ", \"k\": " << spec.k << ", \"beta\": " << spec.beta
      << ", \"instances\": " << instances << ", \"scale\": "
      << Table::fmt(scale, 4) << "},\n"
-     << "  \"spec_text\": \"" << json_escape(scenario_to_string(spec))
-     << "\",\n"
+     << "  \"spec_text\": " << obs::json_quote(scenario_to_string(spec))
+     << ",\n"
      << "  \"algorithms\": [\n";
   for (std::size_t i = 0; i < algos.size(); ++i) {
     const AlgoRow& a = algos[i];
     os << "    {\"name\": \"" << a.name << "\", \"evaluation_ratio_mean\": "
        << Table::fmt(a.ratio.mean(), 6) << ", \"evaluation_ratio_max\": "
        << Table::fmt(a.ratio.max(), 6) << ", \"steps_mean\": "
-       << Table::fmt(a.steps.mean(), 3) << ", \"solve_ms\": "
-       << Table::fmt(a.solve_ms, 3) << "}"
+       << Table::fmt(a.steps.mean(), 3) << ", \"netsim_seconds\": "
+       << Table::fmt(a.netsim_seconds, 4) << ", \"netsim_vs_bruteforce\": "
+       << Table::fmt(a.netsim_vs_bruteforce, 4) << "}"
        << (i + 1 < algos.size() ? "," : "") << '\n';
   }
   os << "  ],\n"
-     << "  \"netsim\": {\"ran\": " << (netsim.ran ? "true" : "false")
-     << ", \"scheduled_seconds\": " << Table::fmt(netsim.scheduled_seconds, 4)
-     << ", \"bruteforce_seconds\": "
-     << Table::fmt(netsim.bruteforce_seconds, 4)
-     << ", \"scheduled_vs_bruteforce\": "
-     << Table::fmt(netsim.bruteforce_seconds > 0
-                       ? netsim.scheduled_seconds / netsim.bruteforce_seconds
-                       : 0,
-                   4)
-     << "},\n"
-     << "  \"batch\": {\"instances\": " << instances
-     << ", \"threads\": " << batch.threads << ", \"sequential_ms\": "
-     << Table::fmt(batch.sequential_ms, 3) << ", \"pooled_ms\": "
-     << Table::fmt(batch.pooled_ms, 3) << ", \"pool_speedup\": "
-     << Table::fmt(batch.speedup(), 3) << "},\n"
+     << "  \"netsim\": {\"ran\": " << (netsim_ran ? "true" : "false")
+     << ", \"transport\": \"ideal\", \"bruteforce_seconds\": "
+     << Table::fmt(bruteforce_seconds, 4) << "},\n"
      << "  \"robust\": {\"ran\": " << (robust_row.ran ? "true" : "false")
-     << ", \"recovery_overhead\": "
-     << Table::fmt(robust_row.recovery_overhead, 3)
-     << ", \"clean_seconds\": " << Table::fmt(robust_row.clean_seconds, 3)
-     << ", \"storm_seconds\": " << Table::fmt(robust_row.storm_seconds, 3)
      << ", \"attempts\": " << robust_row.attempts << ", \"reschedules\": "
      << robust_row.reschedules << ", \"link_retries\": "
      << robust_row.link_retries << ", \"faults_injected\": "
@@ -317,8 +226,8 @@ void write_json(const std::string& path, const ScenarioSpec& spec,
      << (robust_row.verified ? "true" : "false") << "},\n"
      << "  \"journal\": {\"events\": " << robust_row.journal_events
      << ", \"dropped\": " << robust_row.journal_dropped
-     << ", \"recovery_dump\": \"" << json_escape(robust_row.recovery_dump)
-     << "\"}\n"
+     << ", \"recovery_dump\": " << obs::json_quote(robust_row.recovery_dump)
+     << "}\n"
      << "}\n";
 }
 
@@ -330,9 +239,7 @@ int main(int argc, char** argv) {
     const double scale = flags.get_double("scale", 1.0);
     const std::string out_dir = flags.get_string("out-dir", ".");
     const std::string only = flags.get_string("scenario", "");
-    const int instances = static_cast<int>(flags.get_int("instances", 3));
-    const int repeat = static_cast<int>(flags.get_int("repeat", 2));
-    const int threads = static_cast<int>(flags.get_int("threads", 0));
+    const int instances = static_cast<int>(flags.get_int("instances", 2));
     const bool with_socket = flags.get_bool("socket", true);
     const bool with_netsim = flags.get_bool("netsim", true);
     const bool list_only = flags.get_bool("list", false);
@@ -348,7 +255,7 @@ int main(int argc, char** argv) {
     }
 
     Table table({"scenario", "algo", "ratio_mean", "ratio_max", "steps_mean",
-                 "solve_ms"});
+                 "netsim_vs_brute"});
     bool matched = false;
     for (const ScenarioSpec& spec : specs) {
       if (!only.empty() && spec.name != only) continue;
@@ -362,42 +269,39 @@ int main(int argc, char** argv) {
       }
 
       std::vector<AlgoRow> algos;
-      algos.push_back(
-          run_algorithm("GGP", spec, pool, bounds, repeat, true));
-      algos.push_back(
-          run_algorithm("OGGP", spec, pool, bounds, repeat, true));
-      algos.push_back(
-          run_algorithm("list", spec, pool, bounds, repeat, false));
+      algos.push_back(run_algorithm("GGP", spec, pool, bounds, true));
+      algos.push_back(run_algorithm("OGGP", spec, pool, bounds, true));
+      algos.push_back(run_algorithm("list", spec, pool, bounds, false));
 
-      NetsimRow netsim;
-      if (with_netsim) netsim = run_netsim(spec, pool.front());
+      double bruteforce_seconds = 0;
+      if (with_netsim) {
+        bruteforce_seconds = run_netsim(spec, pool.front(), algos);
+      }
 
-      const BatchRow batch = run_batch(spec, pool, repeat, threads);
-
+      // The storm replays OGGP's schedule of the first instance.
       RobustRow robust_row;
       if (spec.kind == ScenarioKind::kFaultStorm && with_socket) {
-        robust_row = run_fault_storm(spec, pool.front(), out_dir);
+        robust_row =
+            run_fault_storm(spec, pool.front(), algos[1].first, out_dir);
       }
 
       const std::string path =
           out_dir + "/BENCH_sweep_" + spec.name + ".json";
-      write_json(path, spec, scale, instances, algos, netsim, batch,
-                 robust_row);
+      write_json(path, spec, scale, instances, algos, with_netsim,
+                 bruteforce_seconds, robust_row);
 
       for (const AlgoRow& a : algos) {
         table.add_row({spec.name, a.name, Table::fmt(a.ratio.mean(), 4),
                        Table::fmt(a.ratio.max(), 4),
                        Table::fmt(a.steps.mean(), 1),
-                       Table::fmt(a.solve_ms, 1)});
+                       Table::fmt(a.netsim_vs_bruteforce, 4)});
       }
-      std::cout << "wrote " << path << " (pool_speedup "
-                << Table::fmt(batch.speedup(), 3);
+      std::cout << "wrote " << path;
       if (robust_row.ran) {
-        std::cout << ", recovery_overhead "
-                  << Table::fmt(robust_row.recovery_overhead, 2) << ", "
-                  << robust_row.faults_injected << " faults";
+        std::cout << " (" << robust_row.faults_injected << " faults, "
+                  << robust_row.attempts << " attempt(s))";
       }
-      std::cout << ")\n";
+      std::cout << '\n';
     }
     if (!matched) throw Error("no scenario matches --scenario=" + only);
     std::cout << '\n';
