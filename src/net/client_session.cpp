@@ -1,11 +1,35 @@
 #include "net/client_session.hpp"
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "net/message.hpp"
 
 namespace redist {
+
+namespace {
+
+/// One request/response exchange on an rpc session: sends `payload` under
+/// `tag` and returns the reply payload, which must carry `reply_tag`. A
+/// typed ErrorResponse is rethrown as RpcRemoteError.
+std::vector<char> exchange(TcpStream& stream, rpc::RpcTag tag,
+                           const std::vector<char>& payload,
+                           rpc::RpcTag reply_tag) {
+  send_message(stream, static_cast<std::uint32_t>(tag), payload.data(),
+               payload.size());
+  std::vector<char> reply;
+  const std::uint32_t got = recv_message(stream, reply);
+  if (got == static_cast<std::uint32_t>(rpc::RpcTag::kError)) {
+    throw RpcRemoteError(rpc::decode_error_response(reply));
+  }
+  if (got != static_cast<std::uint32_t>(reply_tag)) {
+    throw Error("rpc: unexpected reply tag " + std::to_string(got));
+  }
+  return reply;
+}
+
+}  // namespace
 
 ClientSession ClientSession::dial(std::uint16_t port,
                                   const ClientSessionOptions& options,
@@ -33,17 +57,8 @@ ClientSession ClientSession::dial_rpc(std::uint16_t port,
       [](TcpStream& stream) {
         std::vector<char> payload;
         rpc::encode_hello(payload, rpc::kRpcProtocolVersion);
-        send_message(stream, static_cast<std::uint32_t>(rpc::RpcTag::kHello),
-                     payload.data(), payload.size());
-        std::vector<char> reply;
-        const std::uint32_t tag = recv_message(stream, reply);
-        if (tag == static_cast<std::uint32_t>(rpc::RpcTag::kError)) {
-          throw RpcRemoteError(rpc::decode_error_response(reply));
-        }
-        if (tag != static_cast<std::uint32_t>(rpc::RpcTag::kHelloAck)) {
-          throw Error("rpc handshake: unexpected tag " + std::to_string(tag));
-        }
-        const std::uint32_t version = rpc::decode_hello(reply);
+        const std::uint32_t version = rpc::decode_hello(exchange(
+            stream, rpc::RpcTag::kHello, payload, rpc::RpcTag::kHelloAck));
         if (version != rpc::kRpcProtocolVersion) {
           throw Error("rpc handshake: server acked version " +
                       std::to_string(version) + ", want " +
@@ -53,52 +68,26 @@ ClientSession ClientSession::dial_rpc(std::uint16_t port,
       retries_out);
 }
 
-std::string ClientSession::fetch(std::uint16_t port, const std::string& target,
-                                 const ClientSessionOptions& options) {
-  ClientSession session = dial(port, options);
-  TcpStream& stream = session.stream();
-  const std::string request = "GET /" + target + " HTTP/1.0\r\n\r\n";
-  stream.send_all(request.data(), request.size());
-  std::string response;
-  try {
-    char c = 0;
-    for (;;) {
-      stream.recv_all(&c, 1);
-      response.push_back(c);
-    }
-  } catch (const TimeoutError&) {
-    throw;  // a stalled server is an error, not end-of-response
-  } catch (const Error&) {
-    // Peer close terminates the response (Connection: close).
-  }
-  const std::string::size_type split = response.find("\r\n\r\n");
-  if (split == std::string::npos) {
-    throw Error("malformed response from port " + std::to_string(port));
-  }
-  return response.substr(split + 4);
-}
-
 rpc::SolveResponse ClientSession::solve(const rpc::SolveRequest& request) {
   std::vector<char> payload;
   rpc::encode_solve_request(payload, request);
-  send_message(stream_,
-               static_cast<std::uint32_t>(rpc::RpcTag::kSolveRequest),
-               payload.data(), payload.size());
-  std::vector<char> reply;
-  const std::uint32_t tag = recv_message(stream_, reply);
-  if (tag == static_cast<std::uint32_t>(rpc::RpcTag::kError)) {
-    throw RpcRemoteError(rpc::decode_error_response(reply));
-  }
-  if (tag != static_cast<std::uint32_t>(rpc::RpcTag::kSolveResponse)) {
-    throw Error("rpc solve: unexpected tag " + std::to_string(tag));
-  }
-  rpc::SolveResponse response = rpc::decode_solve_response(reply);
+  rpc::SolveResponse response = rpc::decode_solve_response(
+      exchange(stream_, rpc::RpcTag::kSolveRequest, payload,
+               rpc::RpcTag::kSolveResponse));
   if (response.request_id != request.request_id) {
     throw Error("rpc solve: response echoes request " +
                 std::to_string(response.request_id) + ", want " +
                 std::to_string(request.request_id));
   }
   return response;
+}
+
+std::string ClientSession::introspect(const std::string& target) {
+  std::vector<char> payload;
+  rpc::encode_introspect_request(payload, target);
+  return rpc::decode_introspect_response(
+      exchange(stream_, rpc::RpcTag::kIntrospectRequest, payload,
+               rpc::RpcTag::kIntrospectResponse));
 }
 
 void ClientSession::shutdown_server() {

@@ -3,7 +3,7 @@
 // Before this class existed the repo had three hand-rolled client dial
 // paths, each with its own connect/retry/deadline policy: the mpilite mesh
 // wiring loop (retrier around connect + rank handshake), the CLI's
-// introspection fetch (no retry at all) and the sweep harness's socket
+// introspection probe (no retry at all) and the sweep harness's socket
 // runs. ClientSession centralizes the policy:
 //
 //  * dial() covers connect + optional application handshake under one
@@ -14,13 +14,11 @@
 //  * the retry count is observable (retries_out) for the metrics the mesh
 //    exports.
 //
-// On top of the raw dial it speaks the two application protocols:
-//  * rpc.v3 (net/rpc.hpp) — dial_rpc() performs the Hello/HelloAck version
-//    handshake inside the retry budget; solve()/shutdown() frame and
-//    decode typed messages, surfacing server-side ErrorResponses as
-//    RpcRemoteError;
-//  * the introspection endpoint's HTTP/1.0 form — fetch() sends one GET
-//    and returns the body (used by `redist_cli inspect` and smoke tests).
+// On top of the raw dial it speaks the scheduler daemon's rpc.v4
+// (net/rpc.hpp): dial_rpc() performs the Hello/HelloAck version handshake
+// inside the retry budget; solve(), introspect() and shutdown_server()
+// frame and decode typed messages, surfacing server-side ErrorResponses as
+// RpcRemoteError.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +42,7 @@ struct ClientSessionOptions {
   bool nodelay = true;        ///< disable Nagle (request/response traffic)
 };
 
-/// A server-side rpc.v3 failure, rethrown client-side with the typed
+/// A server-side rpc failure, rethrown client-side with the typed
 /// ErrorResponse attached (code + request echo survive the wire).
 class RpcRemoteError : public Error {
  public:
@@ -74,17 +72,12 @@ class ClientSession {
                             const Handshake& handshake = {},
                             int* retries_out = nullptr);
 
-  /// dial() plus the rpc.v3 Hello/HelloAck version handshake (handshake
+  /// dial() plus the rpc Hello/HelloAck version handshake (handshake
   /// failures — including a server ErrorResponse{kVersionMismatch} — count
   /// against the retry budget like refused connections).
   static ClientSession dial_rpc(std::uint16_t port,
                                 const ClientSessionOptions& options = {},
                                 int* retries_out = nullptr);
-
-  /// One-shot introspection fetch: dial, send "GET /<target> HTTP/1.0",
-  /// read to server close, return the body after the header blank line.
-  static std::string fetch(std::uint16_t port, const std::string& target,
-                           const ClientSessionOptions& options = {});
 
   ClientSession(ClientSession&&) = default;
   ClientSession& operator=(ClientSession&&) = default;
@@ -92,10 +85,16 @@ class ClientSession {
   /// The dialed stream, for protocols layered above this class.
   TcpStream& stream() { return stream_; }
 
-  /// Sends one rpc.v3 SolveRequest and decodes the reply. Throws
+  /// Sends one rpc SolveRequest and decodes the reply. Throws
   /// RpcRemoteError when the server answers a typed ErrorResponse, plain
   /// Error on framing violations. Valid on dial_rpc() sessions.
   rpc::SolveResponse solve(const rpc::SolveRequest& request);
+
+  /// Asks the daemon for one introspection endpoint ("statusz",
+  /// "journalz?last=16"; obs/introspect.hpp) and returns its body. An
+  /// unknown endpoint or malformed query comes back as RpcRemoteError
+  /// {kBadRequest}. Valid on dial_rpc() sessions.
+  std::string introspect(const std::string& target);
 
   /// Asks the daemon to stop accepting and drain (fire-and-forget frame).
   void shutdown_server();

@@ -78,8 +78,13 @@ class Reader {
     return value;
   }
 
-  std::string get_string(const char* what) {
+  std::string get_string(
+      const char* what,
+      std::size_t max_size = std::numeric_limits<std::uint32_t>::max()) {
     const auto size = get<std::uint32_t>(what);
+    if (size > max_size) {
+      throw Error(std::string("rpc: oversized ") + what);
+    }
     if (payload_.size() - pos_ < size) {
       throw Error(std::string("rpc: truncated payload reading ") + what);
     }
@@ -257,6 +262,31 @@ ErrorResponse decode_error_response(const std::vector<char>& payload) {
   err.message = r.get_string("error.message");
   r.expect_end("error_response");
   return err;
+}
+
+void encode_introspect_request(std::vector<char>& out,
+                               const std::string& target) {
+  put_string(grow(out, 4 + target.size()), target);
+}
+
+std::string decode_introspect_request(const std::vector<char>& payload) {
+  Reader r(payload);
+  std::string target =
+      r.get_string("introspect.target", kMaxIntrospectTargetBytes);
+  r.expect_end("introspect_request");
+  return target;
+}
+
+void encode_introspect_response(std::vector<char>& out,
+                                const std::string& body) {
+  put_string(grow(out, 4 + body.size()), body);
+}
+
+std::string decode_introspect_response(const std::vector<char>& payload) {
+  Reader r(payload);
+  std::string body = r.get_string("introspect.body");
+  r.expect_end("introspect_response");
+  return body;
 }
 
 }  // namespace redist::rpc

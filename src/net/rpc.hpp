@@ -1,9 +1,6 @@
-// redist.rpc.v3 — the versioned wire schema of the scheduler daemon.
+// redist.rpc.v4 — the versioned wire schema of the scheduler daemon.
 //
-// Before this schema the repo's socket entry points each improvised their
-// own ad-hoc line or struct format (the introspection endpoint's bare
-// lines, the mpilite mesh's raw rank integers). rpc.v3 gives solve traffic
-// a typed, versioned contract instead:
+// The daemon's one protocol, for solve traffic and introspection alike:
 //
 //  * every payload rides the existing length-prefixed frame of
 //    net/message.hpp (u32 tag | u64 size | payload, little-endian), with
@@ -18,16 +15,9 @@
 //    functions the malformed-frame fuzzer drives (tests/test_fuzz_parsers);
 //  * error replies are first-class typed responses with stable numeric
 //    codes, not free-text lines.
-//
-// Deprecation path for the bare-line forms: the introspection endpoint
-// (obs/introspect.hpp) keeps accepting its one-line "statusz" requests —
-// they are a human/debug surface, not solve traffic — but new machine
-// clients must speak rpc.v3; docs/SERVICE.md documents the window after
-// which bare-line solve submission (never shipped) stays unsupported and
-// any future introspection-over-rpc migration would bump
-// kRpcProtocolVersion.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,8 +33,13 @@ namespace redist::rpc {
 /// Protocol generation. Bump on any incompatible wire change; the
 /// handshake rejects mismatches with kVersionMismatch. Version 2 dropped
 /// the matching-engine byte version 1 carried after the algorithm code;
-/// version 3 retired algorithm code 2 (GGP-MW) and served_from code 2.
-inline constexpr std::uint32_t kRpcProtocolVersion = 3;
+/// version 3 retired algorithm code 2 (GGP-MW) and served_from code 2;
+/// version 4 added the introspection request/response pair.
+inline constexpr std::uint32_t kRpcProtocolVersion = 4;
+
+/// Longest introspection target the decoder accepts ("journalz?last=N"
+/// needs a few dozen bytes).
+inline constexpr std::size_t kMaxIntrospectTargetBytes = 1024;
 
 /// Frame tags (the u32 tag slot of net/message.hpp frames).
 enum class RpcTag : std::uint32_t {
@@ -54,6 +49,8 @@ enum class RpcTag : std::uint32_t {
   kSolveResponse = 0x5204,  ///< server → client: schedule + provenance
   kError = 0x5205,          ///< server → client: typed failure
   kShutdown = 0x5206,       ///< client → server: stop the daemon
+  kIntrospectRequest = 0x5207,   ///< client → server: endpoint target
+  kIntrospectResponse = 0x5208,  ///< server → client: rendered body
 };
 
 /// Stable numeric error codes (wire contract — append only).
@@ -90,7 +87,7 @@ struct SolveRequest {
 enum class ServedFrom : std::uint8_t {
   kCold = 0,          ///< full solve, no cache involvement
   kCacheHit = 1,      ///< exact fingerprint hit, cached result replayed
-  kWarmNearMiss = 2,  ///< never sent; rpc.v3 decoding rejects it
+  kWarmNearMiss = 2,  ///< never sent; decoding rejects it since rpc.v3
 };
 
 const char* served_from_name(ServedFrom s);
@@ -130,5 +127,17 @@ SolveResponse decode_solve_response(const std::vector<char>& payload);
 
 void encode_error_response(std::vector<char>& out, const ErrorResponse& err);
 ErrorResponse decode_error_response(const std::vector<char>& payload);
+
+/// Introspection request: the endpoint target ("statusz",
+/// "journalz?last=16"; obs/introspect.hpp). The decoder refuses targets
+/// longer than kMaxIntrospectTargetBytes.
+void encode_introspect_request(std::vector<char>& out,
+                               const std::string& target);
+std::string decode_introspect_request(const std::vector<char>& payload);
+
+/// Introspection response: the rendered endpoint body.
+void encode_introspect_response(std::vector<char>& out,
+                                const std::string& body);
+std::string decode_introspect_response(const std::vector<char>& payload);
 
 }  // namespace redist::rpc

@@ -1,10 +1,9 @@
 #include "obs/introspect.hpp"
 
+#include <cstdint>
 #include <sstream>
-#include <utility>
 
 #include "common/error.hpp"
-#include "common/stopwatch.hpp"
 #include "obs/export.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -14,27 +13,9 @@ namespace redist::obs {
 
 namespace {
 
-constexpr std::size_t kMaxRequestBytes = 1024;
-
-/// Extracts the endpoint target from either a bare line ("statusz") or an
-/// HTTP request line ("GET /statusz HTTP/1.1"). Leading '/' is stripped.
-std::string parse_target(std::string_view line) {
-  if (line.size() >= 4 && (line.substr(0, 4) == "GET " ||
-                           line.substr(0, 4) == "get ")) {
-    line.remove_prefix(4);
-    const std::size_t space = line.find(' ');
-    if (space != std::string_view::npos) line = line.substr(0, space);
-  }
-  while (!line.empty() && line.front() == '/') line.remove_prefix(1);
-  while (!line.empty() && (line.back() == '\r' || line.back() == '\n' ||
-                           line.back() == ' ')) {
-    line.remove_suffix(1);
-  }
-  return std::string(line);
-}
-
-/// Parses the `last` query parameter of "journalz?last=N"; 0 on absence or
-/// garbage (0 means "all retained events").
+/// Parses the `last` query parameter of "journalz?last=N"; 0 when absent
+/// (0 means "all retained events"). A value past SIZE_MAX saturates, which
+/// also means all of them. Throws on a value that is not a decimal number.
 std::size_t parse_last_param(std::string_view query) {
   const std::string_view key = "last=";
   std::size_t pos = 0;
@@ -44,10 +25,16 @@ std::size_t parse_last_param(std::string_view query) {
         query.substr(pos, amp == std::string_view::npos ? query.size() - pos
                                                         : amp - pos);
     if (param.substr(0, key.size()) == key) {
+      const std::string_view digits = param.substr(key.size());
+      if (digits.empty() ||
+          digits.find_first_not_of("0123456789") != std::string_view::npos) {
+        throw Error("journalz: last= wants a decimal count, got '" +
+                    std::string(digits) + "'");
+      }
       std::size_t value = 0;
-      for (const char c : param.substr(key.size())) {
-        if (c < '0' || c > '9') return 0;
-        value = value * 10 + static_cast<std::size_t>(c - '0');
+      for (const char c : digits) {
+        const auto d = static_cast<std::size_t>(c - '0');
+        value = value > (SIZE_MAX - d) / 10 ? SIZE_MAX : value * 10 + d;
       }
       return value;
     }
@@ -57,81 +44,12 @@ std::size_t parse_last_param(std::string_view query) {
   return 0;
 }
 
-const char* status_reason(int status) {
-  switch (status) {
-    case 200:
-      return "OK";
-    case 404:
-      return "Not Found";
-    case 400:
-      return "Bad Request";
-    default:
-      return "Error";
-  }
-}
-
 }  // namespace
 
-IntrospectionServer::IntrospectionServer(MetricsRegistry* metrics,
-                                         Journal* journal,
-                                         IntrospectOptions options)
-    : metrics_(metrics),
-      journal_(journal),
-      options_(options),
-      listener_(TcpListener::bind_loopback()),
-      start_ns_(Stopwatch::now_ns()) {
-  listener_.set_accept_timeout_ms(options_.accept_poll_ms);
-  thread_ = std::thread([this] { serve(); });
-}
-
-IntrospectionServer::~IntrospectionServer() { stop(); }
-
-void IntrospectionServer::stop() {
-  stopping_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-void IntrospectionServer::serve() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    try {
-      handle_connection(listener_.accept());
-    } catch (const TimeoutError&) {
-      // Accept poll expired — loop to re-check the stop flag.
-    } catch (const Error&) {
-      // A broken connection must not kill the serving thread.
-    }
-  }
-}
-
-void IntrospectionServer::handle_connection(TcpStream stream) {
-  stream.set_io_timeout_ms(options_.io_timeout_ms);
-  stream.set_nodelay(true);
-
-  std::string line;
-  line.reserve(64);
-  while (line.size() < kMaxRequestBytes) {
-    char c = 0;
-    stream.recv_all(&c, 1);
-    if (c == '\n') break;
-    line.push_back(c);
-  }
-
-  const std::string target = parse_target(line);
-  const Response response = respond(target);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-
-  std::ostringstream os;
-  os << "HTTP/1.0 " << response.status << " " << status_reason(response.status)
-     << "\r\nContent-Type: " << response.content_type
-     << "\r\nContent-Length: " << response.body.size()
-     << "\r\nConnection: close\r\n\r\n"
-     << response.body;
-  const std::string wire = os.str();
-  stream.send_all(wire.data(), wire.size());
-}
-
-IntrospectionServer::Response IntrospectionServer::respond(
-    std::string_view target) const {
+std::string render_introspection(std::string_view target,
+                                 const MetricsRegistry* metrics,
+                                 const Journal* journal, double uptime_ms,
+                                 std::uint64_t requests_served) {
   std::string_view path = target;
   std::string_view query;
   const std::size_t qmark = target.find('?');
@@ -140,33 +58,23 @@ IntrospectionServer::Response IntrospectionServer::respond(
     query = target.substr(qmark + 1);
   }
 
-  Response response;
-  const double uptime_ms =
-      static_cast<double>(Stopwatch::now_ns() - start_ns_) / 1e6;
-
+  std::ostringstream os;
   if (path == "healthz") {
-    std::ostringstream os;
     os << "{\"status\":\"ok\",\"uptime_ms\":" << json_number(uptime_ms)
        << "}\n";
-    response.content_type = "application/json";
-    response.body = os.str();
-    return response;
-  }
-
-  if (path == "statusz") {
-    std::ostringstream os;
+  } else if (path == "statusz") {
     os << "{\"uptime_ms\":" << json_number(uptime_ms);
-    os << ",\"requests_served\":" << requests_served();
-    if (journal_ != nullptr) {
-      const std::uint64_t begun = journal_->solves_begun();
-      const std::uint64_t finished = journal_->solves_finished();
+    os << ",\"requests_served\":" << requests_served;
+    if (journal != nullptr) {
+      const std::uint64_t begun = journal->solves_begun();
+      const std::uint64_t finished = journal->solves_finished();
       os << ",\"solves_begun\":" << begun
          << ",\"solves_finished\":" << finished << ",\"solves_in_flight\":"
          << (begun >= finished ? begun - finished : 0);
-      os << ",\"journal\":{\"head_seq\":" << journal_->head_seq()
-         << ",\"recorded\":" << journal_->total_recorded()
-         << ",\"dropped\":" << journal_->dropped()
-         << ",\"capacity\":" << journal_->capacity() << "}";
+      os << ",\"journal\":{\"head_seq\":" << journal->head_seq()
+         << ",\"recorded\":" << journal->total_recorded()
+         << ",\"dropped\":" << journal->dropped()
+         << ",\"capacity\":" << journal->capacity() << "}";
     } else {
       os << ",\"journal\":null";
     }
@@ -180,8 +88,8 @@ IntrospectionServer::Response IntrospectionServer::respond(
     std::uint64_t cache_evictions = 0;
     std::int64_t cache_entries = 0;
     bool have_cache = false;
-    if (metrics_ != nullptr) {
-      const MetricsSnapshot snapshot = metrics_->snapshot();
+    if (metrics != nullptr) {
+      const MetricsSnapshot snapshot = metrics->snapshot();
       for (const auto& [name, gauge] : snapshot.gauges) {
         if (name == "runtime.pool.queue_depth") {
           queue_depth = gauge.value;
@@ -224,40 +132,25 @@ IntrospectionServer::Response IntrospectionServer::respond(
       os << ",\"cache\":null";
     }
     os << "}\n";
-    response.content_type = "application/json";
-    response.body = os.str();
-    return response;
-  }
-
-  if (path == "metricsz") {
-    std::ostringstream os;
-    if (metrics_ != nullptr) {
-      write_metrics_prometheus(os, *metrics_);
+  } else if (path == "metricsz") {
+    if (metrics != nullptr) {
+      write_metrics_prometheus(os, *metrics);
     } else {
       os << "# no metrics registry installed\n";
     }
-    response.body = os.str();
-    return response;
-  }
-
-  if (path == "journalz") {
-    std::ostringstream os;
-    if (journal_ != nullptr) {
-      std::size_t last = parse_last_param(query);
-      if (last == 0) last = options_.journal_default_last;
-      write_journal_jsonl(os, *journal_, last);
+  } else if (path == "journalz") {
+    const std::size_t last = parse_last_param(query);
+    if (journal != nullptr) {
+      write_journal_jsonl(os, *journal, last);
     } else {
       os << "{\"schema\":\"redist.journal.v1\",\"events\":0,"
             "\"error\":\"no journal installed\"}\n";
     }
-    response.body = os.str();
-    return response;
+  } else {
+    throw Error("unknown endpoint '" + std::string(path) +
+                "'; try healthz, statusz, metricsz, journalz?last=N");
   }
-
-  response.status = 404;
-  response.body = "unknown endpoint; try healthz, statusz, metricsz, "
-                  "journalz?last=N\n";
-  return response;
+  return os.str();
 }
 
 }  // namespace redist::obs

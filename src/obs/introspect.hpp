@@ -1,37 +1,25 @@
-// Live introspection endpoint — healthz / statusz / metricsz / journalz.
+// Introspection endpoint rendering — healthz / statusz / metricsz / journalz.
 //
-// The first wire-visible service seam of the long-lived scheduler daemon
-// (ROADMAP): a tiny request/response server on the src/net loopback socket
-// layer that renders the process's observability state on demand —
+// Renders the process's observability state on demand for the scheduler
+// daemon, which serves it over its own rpc port (service/scheduler_service,
+// net/rpc.hpp kIntrospectRequest):
 //
 //   healthz             liveness: {"status":"ok","uptime_ms":...}
-//   statusz             uptime, solves in flight (journal begun - finished),
-//                       pool queue depth gauge, journal head/dropped
+//   statusz             uptime, requests served, solves in flight (journal
+//                       begun - finished), journal head/dropped, pool
+//                       queue depth gauge, solve-cache section
 //   metricsz            Prometheus-style text exposition of the installed
 //                       MetricsRegistry (see obs/export.hpp)
 //   journalz?last=N     versioned JSONL dump of the flight recorder's last
-//                       N events (all retained events when N is omitted)
-//
-// Requests are a single line: either a plain endpoint name ("statusz\n")
-// or an HTTP/1.0-style request line ("GET /statusz HTTP/1.1"), so both
-// `redist_cli inspect` and curl-equivalent probes work. Responses are
-// minimal HTTP/1.0 (status line, Content-Length, close). Connection I/O is
-// deadline-armed (set_io_timeout_ms) so a stalled client can never wedge
-// the serving thread.
-//
-// NOTE This is the one sanctioned upward dependency from obs onto net in
-// the layering DAG; redist_analyze carries an explicit obs->net allowance
-// scoped to exactly this edge (docs/STATIC_ANALYSIS.md).
+//                       N events (all retained events when N is omitted,
+//                       0, or larger than what the journal retains)
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "common/contract_annotations.hpp"
-#include "net/socket.hpp"
 
 REDIST_LAYER("obs");
 
@@ -40,61 +28,15 @@ namespace redist::obs {
 class Journal;
 class MetricsRegistry;
 
-struct IntrospectOptions {
-  /// Per-connection idle deadline for request read / response write.
-  int io_timeout_ms = 2000;
-  /// accept() wake-up period; bounds stop() latency.
-  int accept_poll_ms = 100;
-  /// journalz event count when the request carries no ?last=N.
-  std::size_t journal_default_last = 0;  // 0 = all retained events
-};
-
-/// Serves introspection requests from a background thread over an
-/// ephemeral loopback port. Both sinks may be nullptr — the endpoints then
-/// report the corresponding surface as uninstalled rather than failing, so
-/// the server is safe to start before telemetry is.
-class IntrospectionServer {
- public:
-  IntrospectionServer(MetricsRegistry* metrics, Journal* journal,
-                      IntrospectOptions options = {});
-  ~IntrospectionServer();
-
-  IntrospectionServer(const IntrospectionServer&) = delete;
-  IntrospectionServer& operator=(const IntrospectionServer&) = delete;
-
-  /// The bound loopback port (ephemeral; valid from construction).
-  std::uint16_t port() const { return listener_.port(); }
-
-  /// Stops accepting, joins the serving thread. Idempotent; the
-  /// destructor calls it.
-  void stop();
-
-  std::uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-
-  /// Renders the response body + status for a request target (e.g.
-  /// "statusz", "journalz?last=8"). Exposed so tests can check endpoint
-  /// content without a socket; the serving loop calls exactly this.
-  struct Response {
-    int status = 200;
-    std::string content_type = "text/plain; charset=utf-8";
-    std::string body;
-  };
-  Response respond(std::string_view target) const;
-
- private:
-  void serve();
-  void handle_connection(TcpStream stream);
-
-  MetricsRegistry* metrics_;
-  Journal* journal_;
-  IntrospectOptions options_;
-  TcpListener listener_;
-  std::uint64_t start_ns_;
-  std::atomic<bool> stopping_{false};
-  std::atomic<std::uint64_t> requests_{0};
-  std::thread thread_;  // joined by stop(); started last in the ctor
-};
+/// Renders the body for a request target such as "statusz" or
+/// "journalz?last=16". Either sink may be nullptr: the endpoints then
+/// report the corresponding surface as uninstalled rather than failing.
+/// `uptime_ms` and `requests_served` are the serving process's own.
+/// Throws redist::Error on an unknown endpoint or a `last` value that is
+/// not a decimal number.
+std::string render_introspection(std::string_view target,
+                                 const MetricsRegistry* metrics,
+                                 const Journal* journal, double uptime_ms,
+                                 std::uint64_t requests_served);
 
 }  // namespace redist::obs

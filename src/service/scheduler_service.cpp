@@ -3,6 +3,7 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "kpbs/schedule_io.hpp"
 #include "kpbs/solver.hpp"
 #include "net/message.hpp"
+#include "obs/introspect.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
@@ -62,6 +64,7 @@ SchedulerService::SchedulerService(SchedulerServiceOptions options)
       cache_(options.cache_capacity),
       admission_(options.admission_rate_rps, options.admission_burst),
       listener_(TcpListener::bind_loopback()),
+      start_ns_(Stopwatch::now_ns()),
       pool_(options.threads) {
   listener_.set_accept_timeout_ms(options_.accept_poll_ms);
   accept_thread_ = std::thread([this] { serve(); });
@@ -138,6 +141,25 @@ void SchedulerService::handle_connection(TcpStream stream) {
         // Policy says no: the fire-and-forget frame is dropped and the
         // connection keeps serving (a reply here would desynchronize the
         // client's request/response pairing).
+        continue;
+      }
+      if (tag == static_cast<std::uint32_t>(rpc::RpcTag::kIntrospectRequest)) {
+        // No admission token and no solve count: inspecting an overloaded
+        // daemon must still work, and must not skew what it reports.
+        std::string body;
+        try {
+          body = obs::render_introspection(
+              rpc::decode_introspect_request(payload), obs::metrics(),
+              obs::journal(),
+              static_cast<double>(Stopwatch::now_ns() - start_ns_) / 1e6,
+              requests_served());
+        } catch (const Error& e) {
+          send_rpc_error(stream, 0, rpc::RpcErrorCode::kBadRequest, e.what());
+          continue;
+        }
+        std::vector<char> reply;
+        rpc::encode_introspect_response(reply, body);
+        send_rpc(stream, rpc::RpcTag::kIntrospectResponse, reply);
         continue;
       }
       if (tag != static_cast<std::uint32_t>(rpc::RpcTag::kSolveRequest)) {

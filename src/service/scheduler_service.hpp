@@ -1,20 +1,24 @@
 // SchedulerService — the long-lived scheduler daemon (ROADMAP north star).
 //
-// Accepts rpc.v3 connections (net/rpc.hpp) on an ephemeral loopback port
-// and serves K-PBS solves from a cache:
+// Accepts rpc.v4 connections (net/rpc.hpp) on an ephemeral loopback port
+// and serves K-PBS solves from a cache, plus introspection of itself:
 //
 //   accept thread ──► ThreadPool ──► per-connection handler
 //                                      │  Hello/HelloAck version handshake
-//                                      │  per-request:
+//                                      │  per solve request:
 //                                      │    admission TokenBucket (lock-free
 //                                      │    CAS, runtime/token_bucket.hpp)
 //                                      │    SolveCache lookup by canonical
 //                                      │    fingerprint (service/fingerprint)
 //                                      │      hit   → cached bytes, no solve
 //                                      │      miss  → solve_kpbs, insert
+//                                      │  per introspection request:
+//                                      │    healthz/statusz/metricsz/journalz
+//                                      │    rendered from the installed obs
+//                                      │    sinks (obs/introspect.hpp)
 //
-// Threading: the accept loop (IntrospectionServer's poll-with-timeout
-// pattern) hands each connection to the pool; a handler occupies its
+// Threading: the accept loop polls accept() with a timeout so it sees the
+// stop flag, and hands each connection to the pool; a handler occupies its
 // worker for the connection's lifetime, so at most `threads` connections
 // are served concurrently and the rest queue in accept backlog + pool
 // queue. All per-connection I/O is deadline-armed: a stalled or idle
@@ -22,9 +26,11 @@
 // also bounds stop() latency to roughly io_timeout_ms.
 //
 // Admission control is a single lock-free global TokenBucket in
-// request units (1 token = 1 request): over-rate requests get the typed
-// ErrorResponse{kRateLimited} and the connection stays usable — clients
-// back off and retry rather than redial.
+// request units (1 token = 1 solve request): over-rate requests get the
+// typed ErrorResponse{kRateLimited} and the connection stays usable —
+// clients back off and retry rather than redial. Introspection requests
+// skip the bucket and are not counted as solve requests, so an overloaded
+// daemon can still be inspected.
 #pragma once
 
 #include <atomic>
@@ -96,6 +102,7 @@ class SchedulerService {
   TcpListener listener_;
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> requests_{0};
+  std::uint64_t start_ns_;  ///< construction time; statusz/healthz uptime
   ThreadPool pool_;      // destructs after the accept thread is joined
   std::thread accept_thread_;  // joined by stop(); started last in the ctor
 };

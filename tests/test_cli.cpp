@@ -2,6 +2,7 @@
 // real files in a temp directory. The binary path comes from CMake via the
 // REDIST_CLI_PATH compile definition.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -54,9 +55,14 @@ TEST(Cli, NoArgumentsShowsUsage) {
 }
 
 TEST(Cli, UnknownSubcommandFails) {
-  const CommandResult r = run_cli("frobnicate");
-  EXPECT_NE(r.status, 0);
-  EXPECT_NE(r.output.find("unknown subcommand"), std::string::npos);
+  // `serve` was the standalone introspection server; the daemon serves
+  // introspection now.
+  for (const char* cmd : {"frobnicate", "serve"}) {
+    const CommandResult r = run_cli(cmd);
+    ASSERT_TRUE(WIFEXITED(r.status)) << cmd;
+    EXPECT_EQ(WEXITSTATUS(r.status), 2) << cmd;
+    EXPECT_NE(r.output.find("unknown subcommand"), std::string::npos) << cmd;
+  }
 }
 
 TEST(Cli, GenerateSolveAnalyzeGanttPipeline) {

@@ -230,7 +230,7 @@ TEST(ParserFuzz, MalformedScenariosThrowError) {
 }
 
 // ---------------------------------------------------------------------------
-// rpc.v3 binary codecs (net/rpc.hpp): the daemon decodes these payloads
+// rpc binary codecs (net/rpc.hpp): the daemon decodes these payloads
 // straight off untrusted sockets, so every decoder must be total — any
 // byte sequence either decodes to an in-domain struct or throws
 // redist::Error. Crashing, hanging or over-reading is a security bug.
@@ -372,6 +372,7 @@ TEST_P(ParserFuzz, RpcSolveResponseRoundTripAndFuzz) {
   }
 }
 
+// The error, hello and introspection-request decoders share one loop.
 TEST_P(ParserFuzz, RpcErrorAndHelloDecodersNeverCrash) {
   Rng rng(GetParam() ^ 0x52C3);
   for (int trial = 0; trial < 200; ++trial) {
@@ -400,6 +401,16 @@ TEST_P(ParserFuzz, RpcErrorAndHelloDecodersNeverCrash) {
       (void)rpc::decode_hello(mutate_bytes(rng, std::move(hello)));
     } catch (const Error&) {
     }
+
+    std::vector<char> introspect;
+    rpc::encode_introspect_request(introspect, err.message);
+    ASSERT_EQ(rpc::decode_introspect_request(introspect), err.message);
+    try {
+      const std::string target = rpc::decode_introspect_request(
+          mutate_bytes(rng, std::move(introspect)));
+      EXPECT_LE(target.size(), rpc::kMaxIntrospectTargetBytes);
+    } catch (const Error&) {
+    }
   }
 }
 
@@ -421,6 +432,28 @@ TEST(ParserFuzz, RpcTruncatedPayloadsThrowError) {
   std::vector<char> padded = wire;
   padded.push_back('\0');
   EXPECT_THROW((void)rpc::decode_solve_request(padded), Error);
+
+  // The introspection request: every strict prefix, a trailing byte and a
+  // target past kMaxIntrospectTargetBytes are all refused.
+  std::vector<char> introspect;
+  rpc::encode_introspect_request(introspect, "journalz?last=16");
+  for (std::size_t cut = 0; cut < introspect.size(); ++cut) {
+    const std::vector<char> prefix(
+        introspect.begin(), introspect.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW((void)rpc::decode_introspect_request(prefix), Error)
+        << "prefix length " << cut;
+  }
+  introspect.push_back('\0');
+  EXPECT_THROW((void)rpc::decode_introspect_request(introspect), Error);
+  std::vector<char> oversized;
+  rpc::encode_introspect_request(
+      oversized, std::string(rpc::kMaxIntrospectTargetBytes + 1, 'x'));
+  EXPECT_THROW((void)rpc::decode_introspect_request(oversized), Error);
+  std::vector<char> longest;
+  rpc::encode_introspect_request(
+      longest, std::string(rpc::kMaxIntrospectTargetBytes, 'x'));
+  EXPECT_EQ(rpc::decode_introspect_request(longest).size(),
+            rpc::kMaxIntrospectTargetBytes);
 }
 
 // Absurd entry counts must be rejected before any allocation is attempted:

@@ -1,7 +1,8 @@
-// The introspection endpoint round-trips over real loopback sockets, the
-// deadline-aware connection handling never lets an idle client wedge the
-// serving thread, and running the full observability stack (metrics +
-// journal + server) changes no schedule byte.
+// Introspection endpoints: the rendered bodies of healthz / statusz /
+// metricsz / journalz against given sinks, the daemon serving them over its
+// rpc port where an idle client can never wedge a single-threaded pool,
+// and running the full observability stack (metrics + journal + served
+// introspection) changes no schedule byte.
 #include "obs/introspect.hpp"
 
 #include <gtest/gtest.h>
@@ -11,59 +12,24 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "kpbs/solver.hpp"
+#include "net/client_session.hpp"
 #include "net/socket.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
+#include "service/scheduler_service.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist::obs {
 namespace {
 
-// One request/response exchange: connect, send the request bytes, read the
-// raw response until the server closes the connection.
-std::string fetch(std::uint16_t port, const std::string& request) {
-  TcpStream stream = TcpStream::connect_loopback(port);
-  stream.set_io_timeout_ms(5000);
-  stream.send_all(request.data(), request.size());
-  std::string response;
-  try {
-    char c = 0;
-    for (;;) {
-      stream.recv_all(&c, 1);
-      response.push_back(c);
-    }
-  } catch (const Error&) {
-    // Peer close ends the response; the server always closes after one
-    // exchange (Connection: close).
-  }
-  return response;
+std::string render(std::string_view target, const MetricsRegistry* metrics,
+                   const Journal* journal) {
+  return render_introspection(target, metrics, journal, /*uptime_ms=*/1.5,
+                              /*requests_served=*/7);
 }
 
-std::string body_of(const std::string& response) {
-  const std::size_t split = response.find("\r\n\r\n");
-  return split == std::string::npos ? std::string()
-                                    : response.substr(split + 4);
-}
-
-TEST(Introspect, HealthzRoundTripsBareLineProtocol) {
-  MetricsRegistry registry;
-  Journal journal(256);
-  IntrospectionServer server(&registry, &journal);
-  ASSERT_GT(server.port(), 0);
-
-  const std::string response = fetch(server.port(), "healthz\n");
-  EXPECT_NE(response.find("HTTP/1.0 200 OK"), std::string::npos);
-  EXPECT_NE(response.find("Content-Type: application/json"),
-            std::string::npos);
-  EXPECT_NE(response.find("Connection: close"), std::string::npos);
-  const std::string body = body_of(response);
-  EXPECT_NE(body.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_NE(body.find("\"uptime_ms\":"), std::string::npos);
-  EXPECT_EQ(server.requests_served(), 1u);
-}
-
-TEST(Introspect, StatuszRoundTripsHttpRequestLine) {
+TEST(Introspect, StatuszCountsSolvesAndPoolDepth) {
   MetricsRegistry registry;
   registry.gauge("runtime.pool.queue_depth").set(3);
   Journal journal(256);
@@ -73,25 +39,27 @@ TEST(Introspect, StatuszRoundTripsHttpRequestLine) {
     journal.record(JournalEventKind::kSolveEnd, 1, 4, 1.0);
     journal.record(JournalEventKind::kSolveBegin, 2, 2);  // still in flight
   }
-  IntrospectionServer server(&registry, &journal);
 
-  const std::string body =
-      body_of(fetch(server.port(), "GET /statusz HTTP/1.1\r\n"));
+  const std::string body = render("statusz", &registry, &journal);
+  EXPECT_NE(body.find("\"uptime_ms\":1.5"), std::string::npos) << body;
+  EXPECT_NE(body.find("\"requests_served\":7"), std::string::npos);
   EXPECT_NE(body.find("\"solves_begun\":2"), std::string::npos);
   EXPECT_NE(body.find("\"solves_finished\":1"), std::string::npos);
   EXPECT_NE(body.find("\"solves_in_flight\":1"), std::string::npos);
   EXPECT_NE(body.find("\"pool_queue_depth\":3"), std::string::npos);
   EXPECT_NE(body.find("\"recorded\":3"), std::string::npos);
+  EXPECT_NE(body.find("\"cache\":null"), std::string::npos);
+
+  const std::string health = render("healthz", nullptr, nullptr);
+  EXPECT_NE(health.find("\"status\":\"ok\""), std::string::npos);
+  EXPECT_NE(health.find("\"uptime_ms\":1.5"), std::string::npos);
 }
 
 TEST(Introspect, MetricszServesPrometheusExposition) {
   MetricsRegistry registry;
   registry.counter("kpbs.solve.count").add(5);
-  IntrospectionServer server(&registry, nullptr);
 
-  const std::string response = fetch(server.port(), "metricsz\n");
-  EXPECT_NE(response.find("Content-Type: text/plain"), std::string::npos);
-  const std::string body = body_of(response);
+  const std::string body = render("metricsz", &registry, nullptr);
   EXPECT_NE(body.find("# TYPE redist_kpbs_solve_count counter"),
             std::string::npos);
   EXPECT_NE(body.find("redist_kpbs_solve_count 5"), std::string::npos);
@@ -102,71 +70,70 @@ TEST(Introspect, JournalzHonorsLastParameter) {
   for (int i = 0; i < 10; ++i) {
     journal.record(JournalEventKind::kPeelStep, i);
   }
-  IntrospectionServer server(nullptr, &journal);
 
-  const std::string body =
-      body_of(fetch(server.port(), "GET /journalz?last=3 HTTP/1.0\r\n"));
+  const std::string body = render("journalz?last=3", nullptr, &journal);
   EXPECT_NE(body.find("\"schema\":\"redist.journal.v1\""), std::string::npos);
   EXPECT_NE(body.find("\"events\":3"), std::string::npos);
   EXPECT_NE(body.find("\"seq\":9"), std::string::npos);
   EXPECT_EQ(body.find("\"seq\":6"), std::string::npos);
 
-  const std::string all = body_of(fetch(server.port(), "journalz\n"));
-  EXPECT_NE(all.find("\"events\":10"), std::string::npos);
+  // No count, a zero count and a count past what the journal retains all
+  // mean every retained event. 2^64 + 1 saturates instead of wrapping to 1.
+  for (const char* target :
+       {"journalz", "journalz?last=0", "journalz?last=11",
+        "journalz?last=18446744073709551617"}) {
+    EXPECT_NE(render(target, nullptr, &journal).find("\"events\":10"),
+              std::string::npos)
+        << target;
+  }
 }
 
 TEST(Introspect, RespondCoversErrorAndUninstalledSurfaces) {
-  IntrospectionServer server(nullptr, nullptr);
+  try {
+    (void)render("nope", nullptr, nullptr);
+    FAIL() << "an unknown endpoint must throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("healthz"), std::string::npos);
+  }
 
-  const IntrospectionServer::Response missing = server.respond("nope");
-  EXPECT_EQ(missing.status, 404);
-  EXPECT_NE(missing.body.find("healthz"), std::string::npos);
+  EXPECT_NE(render("healthz", nullptr, nullptr).find("\"status\":\"ok\""),
+            std::string::npos);
+  EXPECT_NE(render("metricsz", nullptr, nullptr).find("no metrics registry"),
+            std::string::npos);
+  EXPECT_NE(render("journalz", nullptr, nullptr).find("no journal installed"),
+            std::string::npos);
 
-  const IntrospectionServer::Response health = server.respond("healthz");
-  EXPECT_EQ(health.status, 200);
+  // A `last` value that is not a decimal count is a malformed query.
+  for (const char* target :
+       {"journalz?last=banana", "journalz?last=", "journalz?last=-1"}) {
+    EXPECT_THROW((void)render(target, nullptr, nullptr), Error) << target;
+  }
 
-  const IntrospectionServer::Response metrics = server.respond("metricsz");
-  EXPECT_EQ(metrics.status, 200);
-  EXPECT_NE(metrics.body.find("no metrics registry"), std::string::npos);
-
-  const IntrospectionServer::Response journalz = server.respond("journalz");
-  EXPECT_NE(journalz.body.find("no journal installed"), std::string::npos);
-
-  // Garbage ?last= values degrade to "all events", never throw.
-  const IntrospectionServer::Response garbage =
-      server.respond("journalz?last=banana");
-  EXPECT_NE(garbage.body.find("no journal installed"), std::string::npos);
-
-  const IntrospectionServer::Response statusz = server.respond("statusz");
-  EXPECT_EQ(statusz.status, 200);
-  EXPECT_NE(statusz.body.find("\"journal\":null"), std::string::npos);
+  const std::string statusz = render("statusz", nullptr, nullptr);
+  EXPECT_NE(statusz.find("\"journal\":null"), std::string::npos);
+  EXPECT_NE(statusz.find("\"pool_queue_depth\":null"), std::string::npos);
+  EXPECT_NE(statusz.find("\"cache\":null"), std::string::npos);
 }
 
-// Deadline-aware I/O (PR 5): a client that connects and never sends a
-// request is dropped by the per-connection idle deadline instead of
-// wedging the single serving thread — the next real request still gets an
-// answer.
+// Deadline-aware I/O: a client that connects and never sends Hello is
+// dropped by the per-connection idle deadline instead of wedging the
+// daemon's only worker; the next real dial still gets an answer.
 TEST(Introspect, IdleClientCannotWedgeTheServer) {
-  IntrospectOptions options;
+  service::SchedulerServiceOptions options;
+  options.threads = 1;
   options.io_timeout_ms = 200;
-  IntrospectionServer server(nullptr, nullptr, options);
+  service::SchedulerService daemon(options);
 
-  TcpStream idle = TcpStream::connect_loopback(server.port());
+  TcpStream idle = TcpStream::connect_loopback(daemon.port());
   ASSERT_TRUE(idle.valid());
-  // The server is now blocked reading this connection's request line; the
-  // 200ms deadline frees it. fetch()'s own 5s client deadline bounds the
-  // wait for the queued connection below.
-  const std::string response = fetch(server.port(), "healthz\n");
-  EXPECT_NE(response.find("200 OK"), std::string::npos);
-  EXPECT_EQ(server.requests_served(), 1u);
-}
-
-TEST(Introspect, StopIsIdempotentAndPortsAreDistinct) {
-  IntrospectionServer a(nullptr, nullptr);
-  IntrospectionServer b(nullptr, nullptr);
-  EXPECT_NE(a.port(), b.port());
-  a.stop();
-  a.stop();  // second stop is a no-op
+  // The worker is now blocked reading this connection's Hello; the 200ms
+  // deadline frees it. The client's own 5s deadline bounds the wait.
+  ClientSessionOptions client;
+  client.io_timeout_ms = 5000;
+  ClientSession session = ClientSession::dial_rpc(daemon.port(), client);
+  EXPECT_NE(session.introspect("healthz").find("\"status\":\"ok\""),
+            std::string::npos);
+  daemon.stop();
 }
 
 // The full observability stack is observation-only: serving introspection
@@ -191,10 +158,12 @@ TEST(Introspect, FullStackDoesNotChangeSchedules) {
     Journal journal(4096);
     ScopedTelemetry telemetry(&registry, nullptr);
     ScopedJournal scoped_journal(&journal);
-    IntrospectionServer server(&registry, &journal);
+    service::SchedulerService daemon;
     instrumented = solve_kpbs(g, options).schedule;
-    const std::string body = body_of(fetch(server.port(), "statusz\n"));
-    EXPECT_NE(body.find("\"solves_finished\":1"), std::string::npos);
+    ClientSession session = ClientSession::dial_rpc(daemon.port());
+    const std::string body = session.introspect("statusz");
+    EXPECT_NE(body.find("\"solves_finished\":1"), std::string::npos) << body;
+    daemon.stop();
   }
 
   ASSERT_EQ(plain.step_count(), instrumented.step_count());

@@ -1,4 +1,4 @@
-// rpc.v3 over real loopback sockets: the Hello/HelloAck version handshake,
+// rpc.v4 over real loopback sockets: the Hello/HelloAck version handshake,
 // typed solve round-trips through ClientSession, first-class error
 // responses (bad requests, version mismatches) that keep the connection
 // usable, and the remote shutdown frame. Codec domain validation is also
@@ -123,7 +123,7 @@ std::string hex(const std::vector<char>& bytes) {
 }
 
 TEST(Rpc, WireBytesArePinned) {
-  // rpc.v3 is a wire contract: these encodings must not change without a
+  // rpc.v4 is a wire contract: these encodings must not change without a
   // kRpcProtocolVersion bump. Each encoder appends to what `out` holds.
   rpc::SolveRequest req;
   req.request_id = 0x0102030405060708ULL;
@@ -185,7 +185,22 @@ TEST(Rpc, WireBytesArePinned) {
 
   std::vector<char> hello{'x'};
   rpc::encode_hello(hello, rpc::kRpcProtocolVersion);
-  EXPECT_EQ(hex(hello), "78" "03000000");
+  EXPECT_EQ(hex(hello), "78" "04000000");
+
+  std::vector<char> introspect;
+  rpc::encode_introspect_request(introspect, "statusz");
+  EXPECT_EQ(hex(introspect),
+            "07000000"  // target length
+            "7374617475737a");
+  std::vector<char> body;
+  rpc::encode_introspect_response(body, "ok\n");
+  EXPECT_EQ(hex(body),
+            "03000000"  // body length
+            "6f6b0a");
+  EXPECT_EQ(static_cast<std::uint32_t>(rpc::RpcTag::kIntrospectRequest),
+            0x5207u);
+  EXPECT_EQ(static_cast<std::uint32_t>(rpc::RpcTag::kIntrospectResponse),
+            0x5208u);
 }
 
 TEST(Rpc, HandshakeAndSolveRoundTripOverSocket) {
@@ -215,9 +230,11 @@ TEST(Rpc, HandshakeAndSolveRoundTripOverSocket) {
 TEST(Rpc, VersionMismatchAnswersTypedErrorAtConnectTime) {
   service::SchedulerService daemon;
   // Version 1 carried a matching-engine byte; version 2 accepted the GGP-MW
-  // algorithm code. Both are turned away, as is a client from the future.
-  ASSERT_EQ(rpc::kRpcProtocolVersion, 3u);
-  for (const std::uint32_t version : {1u, 2u, rpc::kRpcProtocolVersion + 41}) {
+  // algorithm code; version 3 had no introspection frames. All are turned
+  // away, as is a client from the future.
+  ASSERT_EQ(rpc::kRpcProtocolVersion, 4u);
+  for (const std::uint32_t version :
+       {1u, 2u, 3u, rpc::kRpcProtocolVersion + 41}) {
     TcpStream stream = TcpStream::connect_loopback(daemon.port());
     stream.set_io_timeout_ms(5000);
 

@@ -4,8 +4,10 @@
 // solve, a request with drifted volumes is a plain miss solved cold
 // (checked against direct solves over the golden corpus), LFU eviction
 // keeps the hot entries, admission control and unservable requests answer
-// typed errors on a connection that stays usable, and a concurrent submit
-// storm over real sockets is data-race-free (the TSan job runs this file).
+// typed errors on a connection that stays usable, statusz over the same
+// rpc connection reports the cache and skips admission, and a concurrent
+// submit storm over real sockets is data-race-free (the TSan job runs this
+// file).
 #include "service/scheduler_service.hpp"
 
 #include <gtest/gtest.h>
@@ -27,7 +29,6 @@
 #include "kpbs/schedule_io.hpp"
 #include "kpbs/solver.hpp"
 #include "net/client_session.hpp"
-#include "obs/introspect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "robust/retry.hpp"
@@ -429,7 +430,7 @@ TEST(SchedulerServiceTest,
 
 TEST(SchedulerServiceTest,
      OverflowingDuplicateEntriesGetTypedErrorAndConnectionSurvives) {
-  // rpc.v3 sums duplicate (sender, receiver) entries. Two INT64_MAX
+  // The daemon sums duplicate (sender, receiver) entries. Two INT64_MAX
   // entries for one pair sum past any byte count, and two for distinct
   // pairs overflow the demand graph's total weight. Each gets a typed
   // kInternal reply, then the same session is served normally.
@@ -516,6 +517,8 @@ TEST(SchedulerServiceTest, ConcurrentSubmitStormServesEveryRequest) {
 }
 
 TEST(SchedulerServiceTest, StatuszExposesTheCacheSection) {
+  // The daemon renders statusz from the installed registry and its own
+  // request count, on the rpc connection that also carries solves.
   obs::MetricsRegistry registry;
   obs::ScopedTelemetry telemetry(&registry, nullptr);
 
@@ -526,23 +529,59 @@ TEST(SchedulerServiceTest, StatuszExposesTheCacheSection) {
   (void)daemon.serve_solve(req);
   req.request_id = 2;
   (void)daemon.serve_solve(req);
-  daemon.stop();
 
-  const obs::IntrospectionServer server(&registry, nullptr);
-  const auto response = server.respond("statusz");
-  EXPECT_NE(response.body.find("\"cache\":{"), std::string::npos)
-      << response.body;
-  EXPECT_NE(response.body.find("\"hits\":1"), std::string::npos)
-      << response.body;
-  EXPECT_NE(response.body.find("\"misses\":1"), std::string::npos)
-      << response.body;
-  EXPECT_NE(response.body.find("\"entries\":1"), std::string::npos)
-      << response.body;
+  ClientSession session = ClientSession::dial_rpc(daemon.port());
+  const std::string before = session.introspect("statusz");
+  EXPECT_NE(before.find("\"cache\":{\"entries\":1,\"hits\":1,\"misses\":1"),
+            std::string::npos)
+      << before;
+  EXPECT_NE(before.find("\"requests_served\":0"), std::string::npos)
+      << before;
 
-  // Without any service activity the section reports null, not zeros.
-  const obs::IntrospectionServer bare(nullptr, nullptr);
-  EXPECT_NE(bare.respond("statusz").body.find("\"cache\":null"),
+  req.request_id = 3;
+  EXPECT_EQ(session.solve(req).served_from, rpc::ServedFrom::kCacheHit);
+  const std::string after = session.introspect("statusz");
+  EXPECT_NE(after.find("\"hits\":2"), std::string::npos) << after;
+  EXPECT_NE(after.find("\"requests_served\":1"), std::string::npos) << after;
+
+  // An unknown endpoint is a typed bad request; the session survives it.
+  try {
+    (void)session.introspect("nope");
+    FAIL() << "an unknown endpoint should get a typed error";
+  } catch (const RpcRemoteError& e) {
+    EXPECT_EQ(e.response().code, rpc::RpcErrorCode::kBadRequest);
+  }
+  EXPECT_NE(session.introspect("healthz").find("\"status\":\"ok\""),
             std::string::npos);
+  daemon.stop();
+}
+
+TEST(SchedulerServiceTest, IntrospectionSkipsAdmissionControl) {
+  // With the admission bucket empty, solves are refused but the daemon
+  // still answers statusz, which does not count as a solve request.
+  SchedulerServiceOptions options;
+  options.admission_rate_rps = 1e-6;  // effectively: the burst is all there is
+  options.admission_burst = 1;
+  SchedulerService daemon(options);
+  ClientSession session = ClientSession::dial_rpc(daemon.port());
+
+  rpc::SolveRequest req =
+      request_from_graph(load_golden("golden_05.graph"), /*k=*/2, /*beta=*/1);
+  req.request_id = 1;
+  (void)session.solve(req);  // consumes the burst token
+
+  EXPECT_NE(session.introspect("statusz").find("\"requests_served\":1"),
+            std::string::npos);
+  req.request_id = 2;
+  try {
+    (void)session.solve(req);
+    FAIL() << "second solve should have been rate-limited";
+  } catch (const RpcRemoteError& e) {
+    EXPECT_EQ(e.response().code, rpc::RpcErrorCode::kRateLimited);
+  }
+  EXPECT_NE(session.introspect("statusz").find("\"requests_served\":2"),
+            std::string::npos);
+  daemon.stop();
 }
 
 TEST(SchedulerServiceTest, ServeSolveSurfacesDomainFailuresAsError) {

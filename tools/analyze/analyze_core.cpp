@@ -792,18 +792,6 @@ void build_index(Analysis& a) {
   }
 }
 
-/// Sanctioned exceptions to the strict downward-only rule. Each entry is
-/// one reviewed from->to edge; the introspection endpoint (obs/introspect)
-/// is the sole consumer of the net socket layer from inside obs, so the
-/// flight-recorder/metrics surfaces stay at rank 1 for everyone else.
-bool layering_edge_allowed(const std::string& from_mod,
-                           const std::string& to_mod) {
-  static const std::set<std::pair<std::string, std::string>> kAllowed = {
-      {"obs", "net"},  // IntrospectionServer serves over loopback sockets
-  };
-  return kAllowed.count({from_mod, to_mod}) > 0;
-}
-
 void check_layering(Analysis& a) {
   for (std::size_t i = 0; i < a.sources.size(); ++i) {
     const std::string from_mod = module_of(a.sources[i].path);
@@ -814,7 +802,6 @@ void check_layering(Analysis& a) {
       const std::string to_mod = module_of(a.sources[e.target].path);
       if (to_mod == from_mod) continue;
       if (rank_of(to_mod) < from_rank) continue;
-      if (layering_edge_allowed(from_mod, to_mod)) continue;
       a.add(a.sources[i].path, e.line, "layering",
             "include of \"" + a.sources[e.target].path + "\" points up the "
             "module DAG: '" + from_mod + "' (rank " +

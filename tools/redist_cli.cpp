@@ -31,36 +31,28 @@
 //       matchings, step width <= k, exact coverage of the demanded
 //       weights, makespan consistency (against --makespan when given) and,
 //       with --bound, the 2x lower-bound guarantee. Exits 0 iff valid.
-//   serve     [--solves=4] [--seed=1] [--k=4] [--beta=1] [--algo=oggp]
-//             [--linger-ms=60000] [--port-file=FILE] [--journal-out=FILE]
-//             [--journal-capacity=8192] [--crash-dump=FILE]
-//       Runs N random solves with the full observability stack installed
-//       (metrics registry + flight recorder) and serves
-//       healthz/statusz/metricsz/journalz on an ephemeral loopback port
-//       for --linger-ms. Prints the port (and writes it to --port-file)
-//       so `redist_cli inspect` or curl can probe the live process;
-//       --journal-out dumps the flight recorder as JSONL on exit and
-//       --crash-dump arms the fatal-signal journal dump.
-//   inspect   --port=P [--endpoint=all|healthz|statusz|metricsz|journalz]
-//             [--last=N] [--timeout-ms=2000]
-//       Probes a live serve process over loopback and prints the response
-//       bodies (all four endpoints by default, with section headers).
 //   daemon    [--threads=2] [--cache-capacity=64] [--io-timeout-ms=5000]
 //             [--rate-rps=512] [--burst=64] [--linger-ms=0]
 //             [--port-file=FILE] [--journal-out=FILE]
-//             [--journal-capacity=8192]
+//             [--journal-capacity=8192] [--crash-dump=FILE]
 //       Runs the long-lived scheduler daemon (service/scheduler_service):
-//       accepts rpc.v3 solve requests on an ephemeral loopback port,
-//       answers from the fingerprint-keyed solve cache, and enforces
-//       lock-free token-bucket admission. --linger-ms=0 (default) runs
-//       until a client sends the rpc shutdown frame; positive values bound
-//       the lifetime. The port is printed, and published to --port-file
-//       (write + fsync + atomic rename, only after the listener accepts)
-//       so wrapper scripts never race a half-written file. See
-//       docs/SERVICE.md.
+//       accepts rpc.v4 solve and introspection requests on an ephemeral
+//       loopback port, answers solves from the fingerprint-keyed solve
+//       cache, and enforces lock-free token-bucket admission on them.
+//       --linger-ms=0 (default) runs until a client sends the rpc shutdown
+//       frame; positive values bound the lifetime. The port is printed,
+//       and published to --port-file (write + fsync + atomic rename, only
+//       after the listener accepts) so wrapper scripts never race a
+//       half-written file. --journal-out dumps the flight recorder as
+//       JSONL on exit and --crash-dump arms the fatal-signal journal dump.
+//       See docs/SERVICE.md.
+//   inspect   --port=P [--endpoint=all|healthz|statusz|metricsz|journalz]
+//             [--last=N] [--timeout-ms=2000]
+//       Probes a live daemon over its rpc port and prints the endpoint
+//       bodies (all four by default, with section headers).
 //   submit    --port=P --in=FILE[,FILE...] [--repeat=1] [--k=4] [--beta=1]
 //             [--algo=oggp] [--timeout-ms=5000] [--shutdown] [--quiet]
-//       Submits graphs to a live daemon over rpc.v3 (one connection, one
+//       Submits graphs to a live daemon over rpc.v4 (one connection, one
 //       request per graph per repeat) and prints each response's cache
 //       provenance (cold | cache_hit), service time and
 //       quality ratio. --shutdown sends the shutdown frame after the last
@@ -378,85 +370,10 @@ int cmd_verify(Flags& flags) {
   return 1;
 }
 
-int cmd_serve(Flags& flags) {
-  const int solves = static_cast<int>(flags.get_int("solves", 4));
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const SolverOptions solver = solver_options_from_flags(flags, kCliDefaults);
-  const double linger_ms = flags.get_double("linger-ms", 60000.0);
-  const std::string port_file = flags.get_string("port-file", "");
-  const std::string journal_out = flags.get_string("journal-out", "");
-  const std::size_t journal_capacity =
-      static_cast<std::size_t>(flags.get_int("journal-capacity", 8192));
-  const std::string crash_dump = flags.get_string("crash-dump", "");
-  flags.check_unused();
-
-  obs::MetricsRegistry registry;
-  obs::Journal journal(journal_capacity);
-  obs::ScopedTelemetry telemetry(&registry, nullptr);
-  obs::ScopedJournal scoped_journal(&journal);
-  if (!crash_dump.empty()) obs::install_signal_dump(&journal, crash_dump);
-
-  // Seed the observability surfaces with real solver activity so probes
-  // see live data immediately.
-  Rng rng(seed);
-  RandomGraphConfig config;
-  config.max_left = 16;
-  config.max_right = 16;
-  config.max_edges = 120;
-  config.min_weight = 1;
-  config.max_weight = 20;
-  for (int i = 0; i < solves; ++i) {
-    const BipartiteGraph g = random_bipartite(rng, config);
-    solve_kpbs(g, solver);
-  }
-
-  obs::IntrospectionServer server(&registry, &journal);
-  std::cout << "serving on 127.0.0.1:" << server.port() << " for "
-            << Table::fmt(linger_ms, 0) << " ms ("
-            << solves << " solves journaled)\n"
-            << std::flush;
-  // Published only now, after the IntrospectionServer constructor returned
-  // with its accept loop live — a reader that sees the file can connect
-  // immediately. write_port_file persists (fsync) then renames atomically,
-  // so a crash mid-publish leaves no truncated file behind.
-  if (!port_file.empty()) service::write_port_file(port_file, server.port());
-
-  // Linger in short ticks so SIGTERM-less harnesses can bound our
-  // lifetime precisely via --linger-ms.
-  double remaining = linger_ms;
-  while (remaining > 0) {
-    const double tick = std::min(remaining, 100.0);
-    robust::sleep_ms(tick);
-    remaining -= tick;
-  }
-  server.stop();
-
-  if (!journal_out.empty()) {
-    std::ofstream os(journal_out);
-    if (!os) throw Error("cannot write: " + journal_out);
-    obs::write_journal_jsonl(os, journal);
-    std::cout << "journal written to " << journal_out << '\n';
-  }
-  if (!crash_dump.empty()) obs::uninstall_signal_dump();
-  std::cout << "served " << server.requests_served() << " request(s)\n";
-  return 0;
-}
-
-// One introspection exchange via the shared client dial policy
-// (net/client_session.hpp): connect with retries, send the request line,
-// return the body after the blank header line.
-std::string inspect_fetch(std::uint16_t port, const std::string& target,
-                          int timeout_ms) {
-  ClientSessionOptions options;
-  options.io_timeout_ms = timeout_ms;
-  return ClientSession::fetch(port, target, options);
-}
-
 int cmd_inspect(Flags& flags) {
   const int port = static_cast<int>(flags.get_int("port", 0));
   if (port <= 0 || port > 65535) {
-    throw Error("inspect requires --port=P of a live `redist_cli serve`");
+    throw Error("inspect requires --port=P of a live `redist_cli daemon`");
   }
   const std::string endpoint = flags.get_string("endpoint", "all");
   const std::int64_t last = flags.get_int("last", 0);
@@ -465,30 +382,28 @@ int cmd_inspect(Flags& flags) {
 
   std::string journalz = "journalz";
   if (last > 0) journalz += "?last=" + std::to_string(last);
-
-  const auto probe = [&](const std::string& target) {
-    return inspect_fetch(static_cast<std::uint16_t>(port), target,
-                         timeout_ms);
-  };
+  std::vector<std::string> targets;
   if (endpoint == "all") {
-    for (const std::string& target :
-         {std::string("healthz"), std::string("statusz"),
-          std::string("metricsz"), journalz}) {
-      std::cout << "== " << target << " ==\n" << probe(target);
-    }
-    return 0;
+    targets = {"healthz", "statusz", "metricsz", journalz};
+  } else if (endpoint == "healthz" || endpoint == "statusz" ||
+             endpoint == "metricsz") {
+    targets = {endpoint};
+  } else if (endpoint == "journalz") {
+    targets = {journalz};
+  } else {
+    throw Error("unknown --endpoint: " + endpoint +
+                " (want all|healthz|statusz|metricsz|journalz)");
   }
-  if (endpoint == "healthz" || endpoint == "statusz" ||
-      endpoint == "metricsz") {
-    std::cout << probe(endpoint);
-    return 0;
+
+  ClientSessionOptions options;
+  options.io_timeout_ms = timeout_ms;
+  ClientSession session =
+      ClientSession::dial_rpc(static_cast<std::uint16_t>(port), options);
+  for (const std::string& target : targets) {
+    if (targets.size() > 1) std::cout << "== " << target << " ==\n";
+    std::cout << session.introspect(target);
   }
-  if (endpoint == "journalz") {
-    std::cout << probe(journalz);
-    return 0;
-  }
-  throw Error("unknown --endpoint: " + endpoint +
-              " (want all|healthz|statusz|metricsz|journalz)");
+  return 0;
 }
 
 int cmd_daemon(Flags& flags) {
@@ -505,14 +420,17 @@ int cmd_daemon(Flags& flags) {
   const std::string journal_out = flags.get_string("journal-out", "");
   const std::size_t journal_capacity =
       static_cast<std::size_t>(flags.get_int("journal-capacity", 8192));
+  const std::string crash_dump = flags.get_string("crash-dump", "");
   flags.check_unused();
 
   // Full observability stack for the daemon's lifetime: the cache and the
-  // rpc handlers journal and count through these process-wide sinks.
+  // rpc handlers journal and count through these process-wide sinks, and
+  // introspection requests render them.
   obs::MetricsRegistry registry;
   obs::Journal journal(journal_capacity);
   obs::ScopedTelemetry telemetry(&registry, nullptr);
   obs::ScopedJournal scoped_journal(&journal);
+  if (!crash_dump.empty()) obs::install_signal_dump(&journal, crash_dump);
 
   service::SchedulerService daemon(options);
   std::cout << "daemon on 127.0.0.1:" << daemon.port() << " (threads="
@@ -555,6 +473,7 @@ int cmd_daemon(Flags& flags) {
     obs::write_journal_jsonl(os, journal);
     std::cout << "journal written to " << journal_out << '\n';
   }
+  if (!crash_dump.empty()) obs::uninstall_signal_dump();
   return 0;
 }
 
@@ -576,7 +495,7 @@ int cmd_submit(Flags& flags) {
   const std::vector<std::string> paths = split_list(in);
   if (paths.empty()) throw Error("submit requires at least one graph file");
 
-  // One rpc.v3 request per graph, reused across repeats: repeats after the
+  // One rpc request per graph, reused across repeats: repeats after the
   // first should come back as cache hits, which is the whole point.
   std::vector<rpc::SolveRequest> requests;
   requests.reserve(paths.size());
@@ -664,7 +583,7 @@ int main(int argc, char** argv) {
     if (argc < 2) {
       std::cerr << "usage: redist_cli "
                    "<generate|solve|batch|lb|simulate|analyze|gantt|verify|"
-                   "serve|inspect|daemon|submit> "
+                   "inspect|daemon|submit> "
                    "[--flags...]\n(see the file header for details)\n";
       return 2;
     }
@@ -678,7 +597,6 @@ int main(int argc, char** argv) {
     if (cmd == "analyze") return cmd_analyze(flags);
     if (cmd == "gantt") return cmd_gantt(flags);
     if (cmd == "verify") return cmd_verify(flags);
-    if (cmd == "serve") return cmd_serve(flags);
     if (cmd == "inspect") return cmd_inspect(flags);
     if (cmd == "daemon") return cmd_daemon(flags);
     if (cmd == "submit") return cmd_submit(flags);
