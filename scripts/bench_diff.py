@@ -17,9 +17,6 @@ false), fail outright.  The rest of the file (simulated seconds, storm
 counts, journal block) is context and is not gated; wall-clock timing is
 bench/e2e's job.
 
-A ``BENCH_warm_start.json`` present in both directories is compared by
-``diff_warm_start`` (its docstring lists what is gated there).
-
 Independently of the gated list, every key path present in a baseline
 document but absent from the candidate is reported as a ``WARN`` — the
 gated metrics above are an enumeration, and a bench that silently stops
@@ -37,7 +34,6 @@ import sys
 from pathlib import Path
 
 SWEEP_PREFIX = "BENCH_sweep_"
-WARM_START = "BENCH_warm_start.json"
 
 
 def load(path: Path):
@@ -56,25 +52,17 @@ class Diff:
         self.rows = []  # (metric, baseline, candidate, limit, verdict)
         self.failures = 0
 
-    def check(self, metric, base, cand, *, frac, higher_is_worse, gated=True):
+    def check(self, metric, base, cand, *, frac):
+        """Fails ``cand`` above ``base`` worsened by ``frac`` (higher is
+        worse for every gated metric)."""
         if base is None or cand is None:
             self.rows.append((metric, base, cand, None, "MISSING"))
             self.failures += 1
             return
-        if higher_is_worse:
-            limit = base * (1.0 + frac) if base >= 0 else base * (1.0 - frac)
-            bad = cand > limit
-        else:
-            limit = base * (1.0 - frac)
-            bad = cand < limit
-        if not gated:
-            verdict = "info"
-        elif bad:
-            verdict = "FAIL"
-            self.failures += 1
-        else:
-            verdict = "ok"
-        self.rows.append((metric, base, cand, limit, verdict))
+        limit = base * (1.0 + frac) if base >= 0 else base * (1.0 - frac)
+        bad = cand > limit
+        self.failures += bad
+        self.rows.append((metric, base, cand, limit, "FAIL" if bad else "ok"))
 
     def report(self, header):
         print(header)
@@ -146,8 +134,7 @@ def diff_sweep(base_doc, cand_doc, args):
         cand_a = cand_algos.get(name, {})
         for metric in metrics:
             d.check(f"{name}.{metric}", base_a.get(metric),
-                    cand_a.get(metric), frac=args.strict_frac,
-                    higher_is_worse=True)
+                    cand_a.get(metric), frac=args.strict_frac)
     # A section the baseline ran must run, and a storm run must verify.
     for flag in ("netsim.ran", "robust.ran", "robust.verified"):
         section, key = flag.split(".")
@@ -156,37 +143,6 @@ def diff_sweep(base_doc, cand_doc, args):
             d.rows.append((flag, True, cand_doc.get(section, {}).get(key),
                            None, "FAIL"))
             d.failures += 1
-    return d
-
-
-def diff_warm_start(base_doc, cand_doc, args):
-    """Gates for BENCH_warm_start.json (peeling solve time, batch pool,
-    journal overhead).
-
-    Solve times are wall clock: reported, and gated at the loose tolerance
-    only under ``--check-timing``.  The pool speedup depends on the core
-    count, so it is gated only when both files record the same
-    ``host.nproc``.  The journal overhead is a fraction near zero with its
-    own absolute budget (the bench's ``--check-max-journal-overhead``), so
-    it is reported here, never gated.
-    """
-    d = Diff()
-    base_algos, cand_algos = algo_map(base_doc), algo_map(cand_doc)
-    for name, base_a in base_algos.items():
-        cand_a = cand_algos.get(name, {})
-        d.check(f"{name}.solve_ms", base_a.get("solve_ms"),
-                cand_a.get("solve_ms"), frac=args.loose_frac,
-                higher_is_worse=True, gated=args.check_timing)
-    base_nproc = base_doc.get("host", {}).get("nproc")
-    same_host = base_nproc == cand_doc.get("host", {}).get("nproc")
-    d.check("batch.pool_speedup",
-            base_doc.get("batch", {}).get("pool_speedup"),
-            cand_doc.get("batch", {}).get("pool_speedup"),
-            frac=args.loose_frac, higher_is_worse=False, gated=same_host)
-    d.check("journal.overhead_frac",
-            base_doc.get("journal", {}).get("overhead_frac"),
-            cand_doc.get("journal", {}).get("overhead_frac"),
-            frac=args.loose_frac, higher_is_worse=True, gated=False)
     return d
 
 
@@ -202,12 +158,6 @@ def main(argv=None) -> int:
     p.add_argument("--strict-frac", type=float, default=0.02,
                    help="allowed worsening for deterministic metrics "
                         "(default %(default)s)")
-    p.add_argument("--loose-frac", type=float, default=0.5,
-                   help="allowed worsening for warm_start's machine-"
-                        "dependent metrics (default %(default)s)")
-    p.add_argument("--check-timing", action="store_true",
-                   help="also gate warm_start's wall-clock solve times at "
-                        "the loose tolerance")
     p.add_argument("--fail-on-missing", action="store_true",
                    help="treat baseline keys absent from the candidate as "
                         "failures instead of warnings")
@@ -222,7 +172,7 @@ def main(argv=None) -> int:
         wanted = set(args.scenario)
         baselines = [b for b in baselines
                      if b.name[len(SWEEP_PREFIX):-len(".json")] in wanted]
-    if not baselines and not (args.baseline / WARM_START).exists():
+    if not baselines:
         print(f"error: no {SWEEP_PREFIX}*.json under {args.baseline}",
               file=sys.stderr)
         return 2
@@ -241,16 +191,6 @@ def main(argv=None) -> int:
         total_failures += d.failures
         total_failures += report_coverage(f"scenario {scenario}", base_doc,
                                           cand_doc, args)
-
-    warm_base = args.baseline / WARM_START
-    warm_cand = args.candidate / WARM_START
-    if warm_base.exists() and warm_cand.exists():
-        base_doc, cand_doc = load(warm_base), load(warm_cand)
-        d = diff_warm_start(base_doc, cand_doc, args)
-        d.report("warm_start:")
-        total_failures += d.failures
-        total_failures += report_coverage("warm_start", base_doc, cand_doc,
-                                          args)
 
     if total_failures:
         print(f"bench_diff: {total_failures} regression(s) detected")

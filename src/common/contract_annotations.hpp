@@ -27,7 +27,7 @@
 //                         determinism traversal (and not descended into).
 //                         The reason string is mandatory; use it only where
 //                         nondeterminism cannot alter emitted schedules
-//                         (e.g. sizing a worker pool).
+//                         (e.g. the clock that paces a token bucket).
 //   REDIST_NOBLOCK        the annotated function — and everything reachable
 //                         from it — must not sleep, wait on a condition
 //                         variable, perform socket I/O, or enqueue into the

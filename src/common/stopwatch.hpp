@@ -2,7 +2,7 @@
 // use std::chrono::steady_clock for the same purpose).
 //
 // This is the repo's single timebase: benchmarks (bench/), the CLI, the
-// batch solver and the telemetry subsystem's trace spans (src/obs) all time
+// daemon and the telemetry subsystem's trace spans (src/obs) all time
 // against Stopwatch / Stopwatch::now_ns(), so durations from any of them
 // are directly comparable. Resolution is nanoseconds (steady_clock ticks at
 // ns on every platform we target).

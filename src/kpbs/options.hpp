@@ -1,7 +1,7 @@
 // Unified solver options/result surface.
 //
-// Every way of invoking the K-PBS solvers — single solve, batch, the CLI,
-// benchmarks — shares one options struct and one result struct, so a new
+// Every way of invoking the K-PBS solvers — single solve, the daemon, the
+// CLI, benchmarks — shares one options struct and one result struct, so a new
 // knob lands everywhere at once instead of accreting another positional
 // parameter (the fate of the original positional signature, which rode out
 // its deprecation window and has been removed; tools/redist_analyze bans
@@ -38,9 +38,9 @@ struct SolverOptions {
   Algorithm algorithm = Algorithm::kOGGP;
   /// Flight-recorder identity (obs/journal.hpp): 0 (the default) makes
   /// solve_kpbs allocate a fresh process-unique ID; callers that own a
-  /// larger causal unit (batch requests, robust socket runs re-solving
-  /// residual traffic) pass their own so journal events across layers
-  /// join on one ID. Never feeds back into scheduling.
+  /// larger causal unit (robust socket runs re-solving residual traffic)
+  /// pass their own so journal events across layers join on one ID.
+  /// Never feeds back into scheduling.
   std::uint64_t solve_id = 0;
 };
 

@@ -109,9 +109,9 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
 SolveResult solve_kpbs(const BipartiteGraph& demand,
                        const SolverOptions& options) {
   SolveResult result;
-  // Flight-recorder identity: reuse the caller's ID (batch request, robust
-  // run) or allocate a fresh one, and pin it for every seam below — peel
-  // steps, bottleneck probes and pool events all join on it.
+  // Flight-recorder identity: reuse the caller's ID (a robust socket run)
+  // or allocate a fresh one, and pin it for every seam below — peel steps,
+  // bottleneck probes and pool events all join on it.
   result.solve_id = options.solve_id != 0 ? options.solve_id
                                           : obs::allocate_solve_id();
   const obs::SolveIdScope solve_scope(result.solve_id);

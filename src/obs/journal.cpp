@@ -19,11 +19,10 @@ namespace redist::obs {
 namespace {
 
 constexpr const char* kKindNames[] = {
-    "solve_begin",    "solve_end",  "peel_step",     "ledger_hit",
-    "ledger_miss",    "pool_enqueue", "pool_start",  "pool_finish",
-    "retry",          "fault_injected", "attempt_begin", "attempt_end",
-    "recovery_spliced", "rpc_request", "cache_hit",   "cache_miss",
-    "cache_warm_seed", "cache_evict",
+    "solve_begin",      "solve_end",      "peel_step",     "pool_enqueue",
+    "pool_start",       "pool_finish",    "retry",         "fault_injected",
+    "attempt_begin",    "attempt_end",    "recovery_spliced", "rpc_request",
+    "cache_hit",        "cache_miss",     "cache_evict",
 };
 
 }  // namespace

@@ -14,7 +14,7 @@
 // seams deep in the pipeline (peeling, the pool worker, the socket loop)
 // stamp events without plumbing an argument through every signature.
 // Joining journal events on `solve` therefore reconstructs one solve's
-// story across solver, batch, and socket layers.
+// story across solver, pool, and socket layers.
 //
 // Concurrency: a global relaxed atomic sequence assigns each event a slot;
 // slots are spread over 8 mutex-striped sub-rings (stripe = seq % 8), so
@@ -42,14 +42,14 @@ REDIST_LAYER("obs");
 
 namespace redist::obs {
 
-/// Typed journal events. Kinds are append-only: the JSONL schema exposes
-/// names, not ordinals, so reordering would silently change dumps.
+/// Typed journal events. The JSONL dump and the crash dump write each
+/// kind's name, never its ordinal, so kinds may be added, removed or
+/// reordered without changing a dump; a kind's name is its wire identity
+/// and must not change.
 enum class JournalEventKind : std::uint8_t {
   kSolveBegin,       ///< a=nodes per side, b=alive edges
   kSolveEnd,         ///< a=schedule steps, b=schedule cost, v=evaluation ratio
   kPeelStep,         ///< a=step index, b=matched edges, v=peeled amount
-  kLedgerHit,        ///< retired: never recorded (the weight ledger is gone)
-  kLedgerMiss,       ///< retired: never recorded (the weight ledger is gone)
   kPoolEnqueue,      ///< task queued; a=queue depth after enqueue
   kPoolStart,        ///< worker picked task up; v=wait ms
   kPoolFinish,       ///< task returned; v=run ms
@@ -61,7 +61,6 @@ enum class JournalEventKind : std::uint8_t {
   kRpcRequest,       ///< service request decoded; a=rpc tag, b=payload bytes
   kCacheHit,         ///< exact fingerprint hit; a=entry hit count
   kCacheMiss,        ///< no cached entry; a=entries currently cached
-  kCacheWarmSeed,    ///< retired: never recorded (the warm seed is gone)
   kCacheEvict,       ///< LFU eviction; a=evicted hit count, b=entries left
 };
 

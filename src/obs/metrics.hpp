@@ -3,7 +3,7 @@
 // The registry is the aggregation side of the telemetry subsystem
 // (docs/OBSERVABILITY.md): instrumentation seams in the solver pipeline
 // record into it, exporters (obs/export.hpp) serialize it. Designed for
-// concurrent recording from ThreadPool/batch workers:
+// concurrent recording from ThreadPool workers:
 //
 //  * Counter and Gauge are single relaxed atomics — exact totals under any
 //    interleaving, no locks;

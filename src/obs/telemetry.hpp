@@ -1,7 +1,7 @@
 // Process-wide telemetry install point.
 //
 // The instrumentation seams in the pipeline (solver, WRGP, bottleneck
-// search, Hopcroft–Karp, ThreadPool, batch) read two global sink pointers:
+// search, Hopcroft–Karp, ThreadPool) read two global sink pointers:
 // a MetricsRegistry and a TraceSession. Both default to nullptr — the null
 // sink — so an uninstrumented run pays one relaxed atomic load plus a
 // predictable branch per seam, and recording never allocates or locks.
@@ -9,8 +9,8 @@
 // ScopedTelemetry installs sinks for a region (CLI subcommand, benchmark,
 // test) and restores the previous ones on scope exit. Install before
 // fanning work out: worker threads read the same globals, and the registry
-// and session are themselves thread-safe, so one scope covers a whole
-// solve_kpbs_batch. Installation itself is not synchronized against
+// and session are themselves thread-safe, so one scope covers every solve
+// a ThreadPool runs. Installation itself is not synchronized against
 // concurrent installs from other threads.
 //
 // Telemetry is observation only: no instrument feeds back into scheduling

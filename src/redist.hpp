@@ -57,7 +57,6 @@
 #include "netsim/fluid.hpp"
 #include "netsim/platform.hpp"
 
-#include "runtime/batch.hpp"
 #include "runtime/thread_pool.hpp"
 #include "runtime/token_bucket.hpp"
 

@@ -1,10 +1,10 @@
-// Fixed-size worker pool for CPU-bound fan-out (the batch solver's "many
-// independent instances" serving shape).
+// Fixed-size worker pool. The scheduler daemon serves each connection, and
+// so each solve, on one; it is the only code that runs solves concurrently.
 //
 // Deliberately minimal: submit() enqueues a job, wait_idle() blocks until
 // the queue is drained and every worker is between jobs. Jobs must not
-// throw — wrap the body in try/catch and stash the exception (as
-// solve_kpbs_batch does) if failure is an expected outcome.
+// throw — wrap the body in try/catch and stash the exception (as the
+// daemon's connection handler does) if failure is an expected outcome.
 //
 // Locking discipline is machine-checked: queue_, active_ and stopping_
 // are REDIST_GUARDED_BY(pool_mutex_) and clang -Werror=thread-safety proves
@@ -12,9 +12,6 @@
 // releases the lock around the job body through MutexLock's checked
 // unlock()/lock(), and waits are explicit while-loops because the
 // analysis cannot see into predicate lambdas.
-//
-// Header-only so layers below redist_runtime (the kpbs batch front end) can
-// use it without a link-time cycle between the static libraries.
 #pragma once
 
 #include <deque>

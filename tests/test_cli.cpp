@@ -55,9 +55,10 @@ TEST(Cli, NoArgumentsShowsUsage) {
 }
 
 TEST(Cli, UnknownSubcommandFails) {
-  // `serve` was the standalone introspection server; the daemon serves
-  // introspection now.
-  for (const char* cmd : {"frobnicate", "serve"}) {
+  // `serve` was the standalone introspection server and `batch` a
+  // pre-daemon fan-out; the daemon serves introspection and concurrent
+  // `submit` clients now.
+  for (const char* cmd : {"frobnicate", "serve", "batch"}) {
     const CommandResult r = run_cli(cmd);
     ASSERT_TRUE(WIFEXITED(r.status)) << cmd;
     EXPECT_EQ(WEXITSTATUS(r.status), 2) << cmd;
@@ -205,25 +206,23 @@ TEST(Cli, SolveWritesMetricsCsv) {
   EXPECT_NE(csv.find("wrgp.steps,counter,"), std::string::npos);
 }
 
-TEST(Cli, BatchPrintsSummaryTableAndMetrics) {
-  const std::string graph = temp_dir() + "/batch_g.txt";
-  const std::string metrics = temp_dir() + "/batch_m.json";
-  ASSERT_EQ(run_cli("generate --out=" + graph +
-                    " --seed=13 --max-nodes=8 --max-edges=24")
-                .status,
-            0);
-  const CommandResult batch =
-      run_cli("batch --in=" + graph + "," + graph +
-              " --k=3 --threads=2 --metrics-out=" + metrics);
-  ASSERT_EQ(batch.status, 0) << batch.output;
-  EXPECT_NE(batch.output.find("instance"), std::string::npos);
-  EXPECT_NE(batch.output.find("solve_ms"), std::string::npos);
-  EXPECT_NE(batch.output.find("instances/s"), std::string::npos);
-  const std::string metrics_json = slurp(metrics);
-  EXPECT_NE(metrics_json.find("\"kpbs.batch.instances\": 2"),
-            std::string::npos);
-  EXPECT_NE(metrics_json.find("\"runtime.pool.tasks\": 2"),
-            std::string::npos);
+TEST(Cli, DaemonRejectsNonPositiveCounts) {
+  // Cast unchecked, -1 wraps to SIZE_MAX (a cache that never evicts, a
+  // journal too large to allocate) and 0 threads silently runs one worker.
+  // --linger-ms bounds a daemon that starts anyway.
+  for (const std::string flag :
+       {"--threads=0", "--cache-capacity=-1", "--cache-capacity=0",
+        "--journal-capacity=-1"}) {
+    const CommandResult r = run_cli("daemon --linger-ms=1 " + flag);
+    ASSERT_TRUE(WIFEXITED(r.status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << flag << '\n' << r.output;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(r.output.find(name + " must be a positive count"),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("daemon on"), std::string::npos)
+        << "the listener opened before the flag was rejected: " << r.output;
+  }
 }
 
 TEST(Cli, SimulateReportsBothModes) {

@@ -66,12 +66,26 @@ TEST(ObsJournal, RecordsEventsInSequenceOrder) {
 }
 
 TEST(ObsJournal, KindNamesAreStable) {
-  EXPECT_STREQ(journal_event_kind_name(JournalEventKind::kSolveBegin),
-               "solve_begin");
-  EXPECT_STREQ(journal_event_kind_name(JournalEventKind::kLedgerMiss),
-               "ledger_miss");
-  EXPECT_STREQ(journal_event_kind_name(JournalEventKind::kRecoverySpliced),
-               "recovery_spliced");
+  // Dumps carry these names, so the table is the wire schema: every kind,
+  // in declaration order, and nothing past the last one.
+  constexpr const char* kNames[] = {
+      "solve_begin",   "solve_end",   "peel_step",        "pool_enqueue",
+      "pool_start",    "pool_finish", "retry",            "fault_injected",
+      "attempt_begin", "attempt_end", "recovery_spliced", "rpc_request",
+      "cache_hit",     "cache_miss",  "cache_evict",
+  };
+  constexpr std::size_t kCount = sizeof(kNames) / sizeof(kNames[0]);
+  static_assert(kCount == 15);
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_STREQ(journal_event_kind_name(static_cast<JournalEventKind>(i)),
+                 kNames[i])
+        << "kind " << i;
+  }
+  EXPECT_EQ(static_cast<std::size_t>(JournalEventKind::kCacheEvict),
+            kCount - 1);
+  EXPECT_STREQ(
+      journal_event_kind_name(static_cast<JournalEventKind>(kCount)),
+      "unknown");
 }
 
 TEST(ObsJournal, RingWraparoundRetainsExactlyTheLastCapacityEvents) {

@@ -10,12 +10,12 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "runtime/batch.hpp"
 #include "kpbs/solver.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "oracle/bottleneck_oracle.hpp"
+#include "runtime/thread_pool.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {
@@ -103,38 +103,38 @@ TEST(TelemetryDifferential, WarmOggpRecordsExpectedInstruments) {
 }
 
 TEST(TelemetryDifferential, BatchWithTelemetryMatchesSequentialPlain) {
-  std::vector<KpbsRequest> requests;
+  // A batch of solves fanned out on a ThreadPool, the way the daemon runs
+  // them, under one telemetry scope.
+  const SolverOptions options{4, 1, Algorithm::kOGGP};
+  std::vector<BipartiteGraph> demands;
   for (std::uint64_t seed = 11; seed <= 14; ++seed) {
-    KpbsRequest request;
-    request.demand = instance(seed);
-    request.options = SolverOptions{4, 1, Algorithm::kOGGP};
-    requests.push_back(std::move(request));
+    demands.push_back(instance(seed));
   }
   std::vector<Schedule> plain;
-  plain.reserve(requests.size());
-  for (const KpbsRequest& r : requests) {
-    plain.push_back(solve_kpbs(r.demand, r.options).schedule);
+  plain.reserve(demands.size());
+  for (const BipartiteGraph& g : demands) {
+    plain.push_back(solve_kpbs(g, options).schedule);
   }
 
   obs::MetricsRegistry registry;
   obs::TraceSession session;
-  std::vector<SolveResult> instrumented;
+  std::vector<SolveResult> instrumented(demands.size());
   {
     obs::ScopedTelemetry scoped(&registry, &session);
-    BatchOptions options;
-    options.threads = 3;
-    instrumented = solve_kpbs_batch(requests, options);
+    ThreadPool pool(3);
+    for (std::size_t i = 0; i < demands.size(); ++i) {
+      pool.submit(
+          [&, i] { instrumented[i] = solve_kpbs(demands[i], options); });
+    }
+    pool.wait_idle();
   }
-  ASSERT_EQ(instrumented.size(), requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
+  for (std::size_t i = 0; i < demands.size(); ++i) {
     expect_identical(plain[i], instrumented[i].schedule,
-                     "batch instance " + std::to_string(i));
+                     "pooled instance " + std::to_string(i));
     EXPECT_GE(instrumented[i].solve_ms, 0.0);
   }
-  EXPECT_EQ(registry.counter("kpbs.batch.instances").value(),
-            requests.size());
-  EXPECT_EQ(registry.counter("kpbs.solve.count").value(), requests.size());
-  EXPECT_EQ(registry.counter("runtime.pool.tasks").value(), requests.size());
+  EXPECT_EQ(registry.counter("kpbs.solve.count").value(), demands.size());
+  EXPECT_EQ(registry.counter("runtime.pool.tasks").value(), demands.size());
 }
 
 }  // namespace

@@ -8,12 +8,6 @@
 //             [--out=FILE] [--quiet] [--metrics-out=FILE] [--trace-out=FILE]
 //       Solves K-PBS, validates the result, prints schedule + stats, and
 //       optionally writes the schedule in the schedule text format.
-//   batch     --in=FILE[,FILE...] [--k=4] [--beta=1] [--algo=oggp]
-//             [--threads=0] [--repeat=1] [--metrics-out=FILE]
-//             [--trace-out=FILE]
-//       Solves every instance concurrently on a worker pool (0 threads =
-//       hardware concurrency) and prints a per-instance summary table plus
-//       aggregate throughput.
 //   lb        --in=FILE [--k=4] [--beta=1]
 //       Prints the lower bound decomposition.
 //   simulate  --in=FILE [--k=4] [--beta=1] [--algo=oggp]
@@ -58,16 +52,16 @@
 //       quality ratio. --shutdown sends the shutdown frame after the last
 //       response. Exits non-zero on typed rpc errors.
 //
-// The solve, batch, and verify subcommands accept --metrics-out=FILE (flat
+// The solve and verify subcommands accept --metrics-out=FILE (flat
 // metrics JSON, or CSV when FILE ends in .csv) and --trace-out=FILE (Chrome
 // trace_event JSON for chrome://tracing / Perfetto); see
 // docs/OBSERVABILITY.md for the formats and the metric catalog.
 //
 // Graphs use the text format of graph/graphio.hpp; schedules the format of
 // kpbs/schedule_io.hpp.
-#include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "redist.hpp"
 
@@ -98,6 +92,20 @@ BipartiteGraph load_graph(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw Error("cannot open graph file: " + path);
   return read_graph(in);
+}
+
+// Reads a count flag that must be at least 1 and fit in T. Cast unchecked,
+// a negative value wraps to a huge size and a zero is clamped silently.
+template <typename T>
+T count_flag(Flags& flags, const std::string& name, T def) {
+  const std::int64_t value =
+      flags.get_int(name, static_cast<std::int64_t>(def));
+  if (value < 1 ||
+      static_cast<std::uint64_t>(value) > std::numeric_limits<T>::max()) {
+    throw Error("--" + name + " must be a positive count, got " +
+                std::to_string(value));
+  }
+  return static_cast<T>(value);
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -190,62 +198,6 @@ int cmd_solve(Flags& flags) {
     write_schedule(os, s);
     std::cout << "schedule written to " << out << '\n';
   }
-  telemetry.flush();
-  return 0;
-}
-
-int cmd_batch(Flags& flags) {
-  const std::string in = flags.get_string("in", "");
-  if (in.empty()) throw Error("batch requires --in=FILE[,FILE...]");
-  const SolverOptions solver = solver_options_from_flags(flags, kCliDefaults);
-  const int threads = static_cast<int>(flags.get_int("threads", 0));
-  const int repeat = static_cast<int>(flags.get_int("repeat", 1));
-  CliTelemetry telemetry(flags);
-  flags.check_unused();
-  if (repeat < 1) throw Error("--repeat must be >= 1");
-
-  const std::vector<std::string> paths = split_list(in);
-  if (paths.empty()) throw Error("batch requires at least one graph file");
-  std::vector<KpbsRequest> requests;
-  requests.reserve(paths.size() * static_cast<std::size_t>(repeat));
-  for (int r = 0; r < repeat; ++r) {
-    for (const std::string& path : paths) {
-      KpbsRequest request;
-      request.demand = load_graph(path);
-      request.options = solver;
-      requests.push_back(std::move(request));
-    }
-  }
-
-  BatchOptions options;
-  options.threads = threads;
-  Stopwatch timer;
-  const std::vector<SolveResult> results =
-      solve_kpbs_batch(requests, options);
-  const double seconds = timer.elapsed_seconds();
-
-  // Per-instance summary (first repeat only: later repeats are identical
-  // schedules re-solved for throughput measurement).
-  Table summary({"instance", "steps", "cost", "ratio", "solve_ms"});
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    summary.add_row({paths[i],
-                     Table::fmt(static_cast<std::int64_t>(
-                         results[i].schedule.step_count())),
-                     Table::fmt(static_cast<std::int64_t>(
-                         results[i].schedule.cost(solver.beta))),
-                     Table::fmt(results[i].evaluation_ratio, 4),
-                     Table::fmt(results[i].solve_ms, 3)});
-  }
-  summary.print(std::cout);
-  std::cout << algorithm_name(solver.algorithm) << ": " << results.size()
-            << " instances in "
-            << Table::fmt(seconds * 1e3, 2) << " ms ("
-            << Table::fmt(static_cast<double>(results.size()) /
-                              std::max(seconds, 1e-9),
-                          1)
-            << " instances/s, threads="
-            << (threads > 0 ? std::to_string(threads) : std::string("auto"))
-            << ")\n";
   telemetry.flush();
   return 0;
 }
@@ -408,9 +360,9 @@ int cmd_inspect(Flags& flags) {
 
 int cmd_daemon(Flags& flags) {
   service::SchedulerServiceOptions options;
-  options.threads = static_cast<int>(flags.get_int("threads", 2));
+  options.threads = count_flag<int>(flags, "threads", 2);
   options.cache_capacity =
-      static_cast<std::size_t>(flags.get_int("cache-capacity", 64));
+      count_flag<std::size_t>(flags, "cache-capacity", 64);
   options.io_timeout_ms =
       static_cast<int>(flags.get_int("io-timeout-ms", 5000));
   options.admission_rate_rps = flags.get_double("rate-rps", 512.0);
@@ -419,7 +371,7 @@ int cmd_daemon(Flags& flags) {
   const std::string port_file = flags.get_string("port-file", "");
   const std::string journal_out = flags.get_string("journal-out", "");
   const std::size_t journal_capacity =
-      static_cast<std::size_t>(flags.get_int("journal-capacity", 8192));
+      count_flag<std::size_t>(flags, "journal-capacity", 8192);
   const std::string crash_dump = flags.get_string("crash-dump", "");
   flags.check_unused();
 
@@ -582,7 +534,7 @@ int main(int argc, char** argv) {
   try {
     if (argc < 2) {
       std::cerr << "usage: redist_cli "
-                   "<generate|solve|batch|lb|simulate|analyze|gantt|verify|"
+                   "<generate|solve|lb|simulate|analyze|gantt|verify|"
                    "inspect|daemon|submit> "
                    "[--flags...]\n(see the file header for details)\n";
       return 2;
@@ -591,7 +543,6 @@ int main(int argc, char** argv) {
     Flags flags(argc - 1, argv + 1);
     if (cmd == "generate") return cmd_generate(flags);
     if (cmd == "solve") return cmd_solve(flags);
-    if (cmd == "batch") return cmd_batch(flags);
     if (cmd == "lb") return cmd_lb(flags);
     if (cmd == "simulate") return cmd_simulate(flags);
     if (cmd == "analyze") return cmd_analyze(flags);
