@@ -38,10 +38,15 @@
 // `lock.wait_ns` histogram through a hook the obs layer installs.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <mutex>
 
 #include "common/contract_annotations.hpp"
+#include "common/stopwatch.hpp"
 #include "common/thread_annotations.hpp"
 
 // The runtime sentinel rides along wherever asserts are live or TSan is in
@@ -63,15 +68,6 @@
 #else
 #define REDIST_LOCK_RANK_CHECKS 0
 #endif
-#endif
-
-#if REDIST_LOCK_RANK_CHECKS
-#include <atomic>
-#include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-
-#include "common/stopwatch.hpp"
 #endif
 
 REDIST_LAYER("common");

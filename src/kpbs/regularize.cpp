@@ -7,10 +7,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
-#ifdef REDIST_VALIDATE
-#include "validate/graph_validator.hpp"
-#endif
-
 namespace redist {
 
 int clamp_k(const BipartiteGraph& g, int k) {
@@ -22,13 +18,6 @@ Regularized regularize(const BipartiteGraph& g, int k) {
   REDIST_CHECK_MSG(!g.empty(), "cannot regularize an empty graph");
   k = clamp_k(g, k);
   obs::TraceSpan span(obs::trace(), "regularize");
-
-#ifdef REDIST_VALIDATE
-  // The construction below reads the input's cached aggregates (node
-  // weights, P, W); audit them against a recount before relying on them.
-  GraphValidator::validate(g).throw_if_failed(
-      "regularize() given an inconsistent graph");
-#endif
 
   const Weight p = g.total_weight();
   const Weight w_max = g.max_node_weight();
@@ -154,14 +143,6 @@ Regularized regularize(const BipartiteGraph& g, int k) {
     span.arg("dummy_nodes", dummy_left + dummy_right);
     span.arg("edges_out", out.graph.edge_count());
   }
-
-#ifdef REDIST_VALIDATE
-  // Full contract audit: c-regular equal sides, original + filler weight
-  // exactly c*k, faithful and complete origin mapping, no dummy-dummy or
-  // original-original synthetic edges.
-  GraphValidator::validate_regularized(g, out).throw_if_failed(
-      "regularize() broke its output contract");
-#endif
   return out;
 }
 

@@ -1,10 +1,10 @@
 #include "kpbs/schedule.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "kpbs/schedule_validator.hpp"
 
 namespace redist {
 
@@ -56,96 +56,26 @@ std::string Schedule::to_string() const {
   return os.str();
 }
 
-namespace {
-
-bool validate_impl(const BipartiteGraph& demand, const Schedule& s, int k,
-                   std::string* why) {
-  auto fail = [&](const std::string& message) {
-    if (why != nullptr) *why = message;
+bool schedule_is_valid(const BipartiteGraph& demand, const Schedule& s, int k,
+                       std::string* why) {
+  if (k < 1) {
+    if (why != nullptr) *why = "k must be >= 1";
     return false;
-  };
-  if (k < 1) return fail("k must be >= 1");
-
-  std::map<std::pair<NodeId, NodeId>, Weight> required;
-  for (EdgeId e = 0; e < demand.edge_count(); ++e) {
-    const Edge& edge = demand.edge(e);
-    if (edge.weight > 0) required[{edge.left, edge.right}] += edge.weight;
   }
-
-  std::map<std::pair<NodeId, NodeId>, Weight> delivered;
-  for (std::size_t i = 0; i < s.steps().size(); ++i) {
-    const Step& step = s.steps()[i];
-    if (static_cast<int>(step.comms.size()) > k) {
-      std::ostringstream os;
-      os << "step " << i << " has " << step.comms.size()
-         << " communications > k=" << k;
-      return fail(os.str());
-    }
-    std::vector<char> sender_used(
-        static_cast<std::size_t>(demand.left_count()), 0);
-    std::vector<char> receiver_used(
-        static_cast<std::size_t>(demand.right_count()), 0);
-    for (const Communication& c : step.comms) {
-      std::ostringstream os;
-      if (c.sender < 0 || c.sender >= demand.left_count() || c.receiver < 0 ||
-          c.receiver >= demand.right_count()) {
-        os << "step " << i << ": node ids out of range (" << c.sender << "->"
-           << c.receiver << ")";
-        return fail(os.str());
-      }
-      if (c.amount <= 0) {
-        os << "step " << i << ": non-positive amount " << c.amount;
-        return fail(os.str());
-      }
-      if (sender_used[static_cast<std::size_t>(c.sender)]) {
-        os << "step " << i << ": sender " << c.sender
-           << " violates the 1-port constraint";
-        return fail(os.str());
-      }
-      if (receiver_used[static_cast<std::size_t>(c.receiver)]) {
-        os << "step " << i << ": receiver " << c.receiver
-           << " violates the 1-port constraint";
-        return fail(os.str());
-      }
-      sender_used[static_cast<std::size_t>(c.sender)] = 1;
-      receiver_used[static_cast<std::size_t>(c.receiver)] = 1;
-      delivered[{c.sender, c.receiver}] += c.amount;
-    }
-  }
-
-  for (const auto& [pair, want] : required) {
-    const auto it = delivered.find(pair);
-    const Weight got = (it == delivered.end()) ? 0 : it->second;
-    if (got != want) {
-      std::ostringstream os;
-      os << "pair " << pair.first << "->" << pair.second << " delivered "
-         << got << " of required " << want;
-      return fail(os.str());
-    }
-  }
-  for (const auto& [pair, got] : delivered) {
-    if (!required.count(pair)) {
-      std::ostringstream os;
-      os << "pair " << pair.first << "->" << pair.second << " delivered "
-         << got << " but has no demand";
-      return fail(os.str());
-    }
-  }
-  return true;
+  ScheduleValidatorOptions options;
+  options.k = k;
+  const ValidationReport report =
+      ScheduleValidator(options).validate(demand, s);
+  if (report.ok()) return true;
+  if (why != nullptr) *why = report.violations().front().message;
+  return false;
 }
-
-}  // namespace
 
 void validate_schedule(const BipartiteGraph& demand, const Schedule& s,
                        int k) {
   std::string why;
-  REDIST_CHECK_MSG(validate_impl(demand, s, k, &why),
+  REDIST_CHECK_MSG(schedule_is_valid(demand, s, k, &why),
                    "invalid schedule: " << why);
-}
-
-bool schedule_is_valid(const BipartiteGraph& demand, const Schedule& s, int k,
-                       std::string* why) {
-  return validate_impl(demand, s, k, why);
 }
 
 }  // namespace redist

@@ -69,7 +69,9 @@ class Schedule {
 ///  * every communication amount is positive,
 ///  * per (sender, receiver) pair, the transferred total equals the summed
 ///    weight of the pair's edges in `demand` (preemption may split edges).
-/// Throws redist::Error with a precise message on the first violation.
+/// These are ScheduleValidator's invariants (1)-(3)
+/// (kpbs/schedule_validator.hpp). Throws redist::Error with a precise
+/// message on the first violation.
 void validate_schedule(const BipartiteGraph& demand, const Schedule& s, int k);
 
 /// Non-throwing validation; returns false and fills `why` on failure.

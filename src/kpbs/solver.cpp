@@ -6,16 +6,13 @@
 #include "common/math.hpp"
 #include "common/stopwatch.hpp"
 #include "kpbs/regularize.hpp"
+#include "kpbs/schedule_validator.hpp"
 #include "kpbs/wrgp.hpp"
 #include "matching/peeling_context.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
-
-#ifdef REDIST_VALIDATE
-#include "validate/schedule_validator.hpp"
-#endif
 
 namespace redist {
 
@@ -89,19 +86,6 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
     metrics->histogram("kpbs.solve_ms").record(solve_timer.elapsed_ms());
   }
   if (solve_span) solve_span.arg("steps", schedule.step_count());
-
-#ifdef REDIST_VALIDATE
-  // Self-audit: the emitted schedule must satisfy every invariant of the
-  // paper, including the 2-approximation bound (Theorem 1 holds for any
-  // perfect-matching strategy, so GGP and OGGP both qualify).
-  ScheduleValidatorOptions audit;
-  audit.k = k;
-  audit.beta = beta;
-  audit.check_approximation_bound = true;
-  ScheduleValidator(audit)
-      .validate(demand, schedule)
-      .throw_if_failed("solve_kpbs emitted an invalid schedule");
-#endif
   return schedule;
 }
 }  // namespace
@@ -124,6 +108,15 @@ SolveResult solve_kpbs(const BipartiteGraph& demand,
       solve_schedule(demand, options.k, options.beta, options.algorithm);
   result.solve_ms = timer.elapsed_ms();
   result.lower_bound = kpbs_lower_bound(demand, options.k, options.beta);
+  // Certificate: the schedule must satisfy every invariant of the paper,
+  // including the 2-approximation bound (Theorem 1 holds for any
+  // perfect-matching strategy, so GGP and OGGP both qualify).
+  ScheduleValidatorOptions audit;
+  audit.k = clamp_k(demand, options.k);
+  audit.beta = options.beta;
+  ScheduleValidator(audit)
+      .validate(demand, result.schedule, result.lower_bound)
+      .throw_if_failed("solve_kpbs emitted an invalid schedule");
   const double bound = result.lower_bound.value_double();
   // The lower bound is a ratio of exact integers; it is 0.0 only when the
   // integer numerator is zero, so exact comparison is the correct guard.

@@ -10,7 +10,9 @@
 //  4. extraction: synthetic edges are discarded; real edges emit *realized*
 //     amounts min(step * beta, remaining), so the reported schedule
 //     transfers exactly the demanded totals and rounding never inflates the
-//     measured cost. Steps containing no real communication are dropped.
+//     measured cost. Steps containing no real communication are dropped;
+//  5. certification: the schedule is checked against the demand and the
+//     lower bound (kpbs/schedule_validator.hpp) before it is returned.
 #pragma once
 
 #include "common/contract_annotations.hpp"
@@ -24,9 +26,11 @@ namespace redist {
 
 /// Solves K-PBS on `demand` under `options` (see kpbs/options.hpp).
 /// `options.k` is clamped to [1, min(n1, n2)]. GGP and OGGP both peel
-/// through wrgp_peel_warm. The returned schedule satisfies
-/// validate_schedule(), and the result carries the lower bound, evaluation
-/// ratio and solve latency alongside it.
+/// through wrgp_peel_warm. Every schedule is certified before it is
+/// returned: ScheduleValidator checks 1-port, width <= k, exact coverage,
+/// the makespan recount and cost <= 2 * lower bound, and a violation throws
+/// redist::Error. The result carries the lower bound, evaluation ratio and
+/// solve latency alongside the schedule.
 REDIST_DETERMINISTIC
 SolveResult solve_kpbs(const BipartiteGraph& demand,
                        const SolverOptions& options);

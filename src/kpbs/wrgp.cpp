@@ -6,10 +6,6 @@
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 
-#ifdef REDIST_VALIDATE
-#include "validate/graph_validator.hpp"
-#endif
-
 namespace redist {
 
 std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
@@ -18,8 +14,7 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
   REDIST_CHECK_MSG(g.left_count() == g.right_count(),
                    "WRGP needs equal side sizes, got "
                        << g.left_count() << "x" << g.right_count());
-  Weight c = 0;
-  REDIST_CHECK_MSG(g.is_weight_regular(&c),
+  REDIST_CHECK_MSG(g.is_weight_regular(),
                    "WRGP requires a weight-regular graph");
 
   // Telemetry: one counter handle per peel run, one span per step (the
@@ -65,15 +60,6 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
       step_span.arg("matched_edges", m.edges.size());
     }
     steps.push_back(PeelStep{std::move(m), w});
-
-#ifdef REDIST_VALIDATE
-    // Peeling a uniform amount off a perfect matching must preserve
-    // weight-regularity (the induction that keeps Hall's condition alive);
-    // the residual regular weight drops by exactly w per step.
-    c -= w;
-    GraphValidator::validate_weight_regular(g, c)
-        .throw_if_failed("WRGP residual lost weight-regularity");
-#endif
   }
   if (peel_span) peel_span.arg("steps", steps.size());
   return steps;

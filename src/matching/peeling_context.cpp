@@ -53,12 +53,7 @@ Matching PeelingContext::arbitrary_perfect(const BipartiteGraph& g) {
     hk_.rebind(g);
   }
   ggp_snapshot_ = true;
-  Matching result = hk_.solve();
-#ifdef REDIST_VALIDATE
-  REDIST_CHECK_MSG(result.edges == max_matching(g).edges,
-                   "kept Hopcroft-Karp snapshot diverged from a fresh bind");
-#endif
-  return result;
+  return hk_.solve();
 }
 
 Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
@@ -138,25 +133,6 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   // larger minimum would mean the widest paths stopped below t*.
   REDIST_CHECK_MSG(min_weight(g, result) == t,
                    "warm bottleneck value diverged from threshold " << t);
-#ifdef REDIST_VALIDATE
-  // Bottleneck-optimality certificate: t respects the previous step's
-  // bottleneck, and the next alive weight above t has no perfect matching.
-  REDIST_CHECK_MSG(last_bottleneck_ == 0 || t <= last_bottleneck_,
-                   "bottleneck " << t << " exceeds the previous step's "
-                                 << last_bottleneck_);
-  Weight above = 0;
-  for (const Edge& edge : g.edges()) {
-    if (edge.weight > t && (above == 0 || edge.weight < above)) {
-      above = edge.weight;
-    }
-  }
-  if (above > 0) {
-    hk_.rebind_threshold(g, above);
-    REDIST_CHECK_MSG(hk_.solve().size() < target,
-                     "bottleneck " << t << " is not optimal: threshold "
-                                   << above << " has a perfect matching");
-  }
-#endif
   last_bottleneck_ = t;
   if (search_span) {
     search_span.arg("cap", cap);

@@ -37,12 +37,9 @@
 #include "kpbs/schedule.hpp"
 #include "kpbs/gantt.hpp"
 #include "kpbs/schedule_io.hpp"
+#include "kpbs/schedule_validator.hpp"
 #include "kpbs/solver.hpp"
 #include "kpbs/wrgp.hpp"
-
-#include "validate/graph_validator.hpp"
-#include "validate/schedule_validator.hpp"
-#include "validate/validation_report.hpp"
 
 #include "baselines/list_scheduling.hpp"
 #include "baselines/local_search.hpp"

@@ -1,10 +1,10 @@
-// NEAR MISS: the same upward edge behind a preprocessor conditional is the
-// sanctioned validation seam, exempt from layering (still cycle-checked).
+// MUST FIRE: the same upward edge behind a preprocessor conditional is
+// still an upward edge; no include is exempt from layering.
 #pragma once
 
 #include "common/contract_annotations.hpp"
 
-#ifdef REDIST_VALIDATE
+#ifdef REDIST_FIXTURE_OPTION
 #include "kpbs/sched.hpp"
 #endif
 

@@ -96,23 +96,26 @@ TEST(Analyze, PurityAddsIoSinksDeterminismDoesNot) {
   EXPECT_TRUE(mentions(r.findings[0], "pure_value"));
 }
 
-TEST(Analyze, LayeringRejectsUpwardIncludeButNotConditionalSeam) {
+TEST(Analyze, LayeringRejectsEveryUpwardInclude) {
   const auto r = analyze_fixture(
       "layering",
       {"src/matching/up.hpp", "src/matching/guarded.hpp",
        "src/kpbs/sched.hpp", "src/obs/endpoint.hpp"});
-  ASSERT_EQ(r.findings.size(), 2u)
+  ASSERT_EQ(r.findings.size(), 3u)
       << redist::analyze::format_report(r.findings);
+  // A preprocessor conditional does not hide an upward include.
   EXPECT_EQ(r.findings[0].rule, "layering");
-  EXPECT_EQ(r.findings[0].file, "src/matching/up.hpp");
+  EXPECT_EQ(r.findings[0].file, "src/matching/guarded.hpp");
   EXPECT_TRUE(mentions(r.findings[0], "kpbs"));
+  EXPECT_EQ(r.findings[1].rule, "layering");
+  EXPECT_EQ(r.findings[1].file, "src/matching/up.hpp");
+  EXPECT_TRUE(mentions(r.findings[1], "kpbs"));
   // No upward edge is sanctioned: obs reaching into net fires like any
   // other.
-  EXPECT_EQ(r.findings[1].rule, "layering");
-  EXPECT_EQ(r.findings[1].file, "src/obs/endpoint.hpp");
-  EXPECT_TRUE(mentions(r.findings[1], "'net'"));
-  // The module graph export still records the edge (solid, because up.hpp
-  // makes it unconditional).
+  EXPECT_EQ(r.findings[2].rule, "layering");
+  EXPECT_EQ(r.findings[2].file, "src/obs/endpoint.hpp");
+  EXPECT_TRUE(mentions(r.findings[2], "'net'"));
+  // The module graph export still records the edge.
   EXPECT_NE(r.include_dot.find("\"matching\" -> \"kpbs\""),
             std::string::npos);
 }

@@ -12,13 +12,13 @@
 
 #include "common/error.hpp"
 #include "kpbs/schedule_io.hpp"
+#include "kpbs/schedule_validator.hpp"
 #include "kpbs/solver.hpp"
 #include "net/client_session.hpp"
 #include "net/message.hpp"
 #include "net/socket.hpp"
 #include "robust/retry.hpp"
 #include "service/scheduler_service.hpp"
-#include "validate/schedule_validator.hpp"
 
 namespace redist {
 namespace {

@@ -76,7 +76,8 @@ TEST(Schedule, DetectsUnderDelivery) {
   s.add_step(Step{{{0, 0, 3}, {1, 1, 4}}});  // one unit short on (1,1)
   std::string why;
   EXPECT_FALSE(schedule_is_valid(g, s, 2, &why));
-  EXPECT_NE(why.find("delivered 4 of required 5"), std::string::npos);
+  EXPECT_NE(why.find("transferred 4 of demanded 5 (under-transfer)"),
+            std::string::npos);
 }
 
 TEST(Schedule, DetectsOverDelivery) {

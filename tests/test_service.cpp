@@ -27,6 +27,7 @@
 #include "graph/traffic_matrix.hpp"
 #include "kpbs/regularize.hpp"
 #include "kpbs/schedule_io.hpp"
+#include "kpbs/schedule_validator.hpp"
 #include "kpbs/solver.hpp"
 #include "net/client_session.hpp"
 #include "obs/metrics.hpp"
@@ -34,7 +35,6 @@
 #include "robust/retry.hpp"
 #include "service/fingerprint.hpp"
 #include "service/solve_cache.hpp"
-#include "validate/schedule_validator.hpp"
 
 #ifndef REDIST_TEST_DATA_DIR
 #error "REDIST_TEST_DATA_DIR must point at tests/data"

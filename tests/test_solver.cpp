@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -23,13 +24,19 @@ TEST(Solver, EmptyDemandGivesEmptySchedule) {
 }
 
 TEST(Solver, SingleEdgeSingleStep) {
-  BipartiteGraph g(1, 1);
-  g.add_edge(0, 0, 42);
-  for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
-    const Schedule s = solve_kpbs(g, {1, 1, algo}).schedule;
-    validate_schedule(g, s, 1);
-    EXPECT_EQ(s.step_count(), 1u);
-    EXPECT_EQ(s.total_transmission(), 42);
+  // The second weight puts the lower bound above INT64_MAX / 2, where
+  // doubling it would overflow; the certificate inside solve_kpbs must not.
+  for (const Weight w :
+       {Weight{42}, std::numeric_limits<Weight>::max() / 2 + 3}) {
+    BipartiteGraph g(1, 1);
+    g.add_edge(0, 0, w);
+    for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
+      const SolveResult r = solve_kpbs(g, {1, 1, algo});
+      validate_schedule(g, r.schedule, 1);
+      EXPECT_EQ(r.schedule.step_count(), 1u);
+      EXPECT_EQ(r.schedule.total_transmission(), w);
+      EXPECT_EQ(r.lower_bound.value(), Rational(w + 1));
+    }
   }
 }
 

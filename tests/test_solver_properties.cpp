@@ -11,6 +11,7 @@
 #include "kpbs/regularize.hpp"
 #include "kpbs/solver.hpp"
 #include "oracle/bottleneck_oracle.hpp"
+#include "oracle/graph_validator.hpp"
 #include "workload/random_graphs.hpp"
 #include "workload/scenario.hpp"
 
@@ -22,6 +23,30 @@ struct PropertyCase {
   Weight beta;
   Weight max_weight;
 };
+
+// regularize()'s contract on the beta-normalized graph solve_kpbs builds
+// from `demand`: the input's cached aggregates match a recount from its
+// edges, and the output is c-weight-regular with equal sides, weight c*k
+// and a faithful origin map.
+void expect_regularize_contract(const BipartiteGraph& demand, int k,
+                                Weight beta) {
+  const ValidationReport input = GraphValidator::validate(demand);
+  EXPECT_TRUE(input.ok()) << input.to_string();
+  const Weight unit = std::max<Weight>(1, beta);
+  BipartiteGraph normalized(demand.left_count(), demand.right_count());
+  for (const Edge& edge : demand.edges()) {
+    if (edge.weight > 0) {
+      normalized.add_edge(edge.left, edge.right, ceil_div(edge.weight, unit));
+    }
+  }
+  if (normalized.empty()) return;
+  const ValidationReport recount = GraphValidator::validate(normalized);
+  EXPECT_TRUE(recount.ok()) << recount.to_string();
+  const ValidationReport contract =
+      GraphValidator::validate_regularized(normalized,
+                                           regularize(normalized, k));
+  EXPECT_TRUE(contract.ok()) << contract.to_string();
+}
 
 class SolverProperties : public ::testing::TestWithParam<PropertyCase> {};
 
@@ -37,6 +62,7 @@ TEST_P(SolverProperties, SchedulesAreFeasibleAndWithinTwiceTheLowerBound) {
     const BipartiteGraph g = random_bipartite(rng, config);
     const int k = static_cast<int>(rng.uniform_int(1, 14));
     const LowerBound lb = kpbs_lower_bound(g, k, param.beta);
+    expect_regularize_contract(g, k, param.beta);
 
     for (const auto& [name, s] : oracle::every_peeling(g, k, param.beta)) {
       ASSERT_NO_THROW(validate_schedule(g, s, clamp_k(g, k)))
@@ -165,6 +191,7 @@ TEST_P(ScenarioFamilyProperties, TwoApproximationHoldsAcrossTheFamily) {
     const ScenarioWorkload w = materialize_scenario(spec);
     if (w.demand.alive_edge_count() == 0) continue;
     const LowerBound lb = kpbs_lower_bound(w.demand, spec.k, spec.beta);
+    expect_regularize_contract(w.demand, spec.k, spec.beta);
     for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
       const Schedule s =
           solve_kpbs(w.demand, {spec.k, spec.beta, algo}).schedule;

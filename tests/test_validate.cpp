@@ -9,10 +9,10 @@
 #include "baselines/naive.hpp"
 #include "common/rng.hpp"
 #include "kpbs/regularize.hpp"
+#include "kpbs/schedule_validator.hpp"
 #include "kpbs/solver.hpp"
 #include "oracle/bottleneck_oracle.hpp"
-#include "validate/graph_validator.hpp"
-#include "validate/schedule_validator.hpp"
+#include "oracle/graph_validator.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {

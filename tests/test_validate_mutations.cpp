@@ -11,8 +11,8 @@
 
 #include "common/rng.hpp"
 #include "kpbs/regularize.hpp"
+#include "kpbs/schedule_validator.hpp"
 #include "kpbs/solver.hpp"
-#include "validate/schedule_validator.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {

@@ -12,13 +12,13 @@
 
 #include "common/rng.hpp"
 #include "kpbs/regularize.hpp"
+#include "kpbs/schedule_validator.hpp"
 #include "kpbs/solver.hpp"
 #include "kpbs/wrgp.hpp"
 #include "matching/peeling_context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "oracle/bottleneck_oracle.hpp"
-#include "validate/schedule_validator.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {

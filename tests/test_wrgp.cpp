@@ -13,6 +13,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "oracle/bottleneck_oracle.hpp"
+#include "oracle/graph_validator.hpp"
 #include "oracle/hungarian.hpp"
 #include "workload/random_graphs.hpp"
 #include "workload/scenario.hpp"
@@ -85,6 +86,21 @@ TEST(Wrgp, PreemptionSplitsUnevenEdges) {
   EXPECT_LE(steps.size(), 3u);
 }
 
+// Audits every residual WRGP is about to peel: peeling a uniform amount off
+// a perfect matching keeps the graph weight-regular (the induction that
+// keeps Hall's condition alive), and the regular weight drops by exactly
+// the amount peeled. `*regular_weight` starts at the input's c and ends at
+// 0 once the graph is peeled empty.
+PeelObserver regularity_audit(Weight* regular_weight) {
+  return [regular_weight](const BipartiteGraph& residual, const Matching&,
+                          Weight amount) {
+    const ValidationReport report =
+        GraphValidator::validate_weight_regular(residual, *regular_weight);
+    EXPECT_TRUE(report.ok()) << report.to_string();
+    *regular_weight -= amount;
+  };
+}
+
 class WrgpRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WrgpRandom, PeelsRegularGraphsCompletely) {
@@ -97,8 +113,11 @@ TEST_P(WrgpRandom, PeelsRegularGraphsCompletely) {
     ASSERT_TRUE(g.is_weight_regular(&c));
     const EdgeId m_before = g.alive_edge_count();
 
-    const auto steps = wrgp_peel(g, oracle::arbitrary_perfect_matching);
+    Weight residual = c;
+    const auto steps = wrgp_peel(g, oracle::arbitrary_perfect_matching,
+                                 regularity_audit(&residual));
     EXPECT_TRUE(g.empty());
+    EXPECT_EQ(residual, 0);
     // Step amounts sum to the regular weight (each node busy every step).
     Weight total = 0;
     for (const auto& s : steps) {
@@ -120,8 +139,16 @@ TEST_P(WrgpRandom, BottleneckStrategyNeverMoreStepsOnPermutationStacks) {
     const NodeId n = static_cast<NodeId>(rng.uniform_int(3, 10));
     BipartiteGraph g1 = random_weight_regular(rng, n, 3, 1, 20);
     BipartiteGraph g2 = g1;  // deep copy
-    const auto arbitrary = wrgp_peel(g1, oracle::arbitrary_perfect_matching);
-    const auto bottleneck = wrgp_peel(g2, oracle::bottleneck_perfect_matching);
+    Weight c = 0;
+    ASSERT_TRUE(g1.is_weight_regular(&c));
+    Weight residual1 = c;
+    Weight residual2 = c;
+    const auto arbitrary = wrgp_peel(g1, oracle::arbitrary_perfect_matching,
+                                     regularity_audit(&residual1));
+    const auto bottleneck = wrgp_peel(g2, oracle::bottleneck_perfect_matching,
+                                      regularity_audit(&residual2));
+    EXPECT_EQ(residual1, 0);
+    EXPECT_EQ(residual2, 0);
     Weight ta = 0;
     Weight tb = 0;
     for (const auto& s : arbitrary) ta += s.amount;
@@ -183,9 +210,8 @@ TEST(PeelingContext, SearchIsBoundedByPreviousBottleneck) {
 // OGGP's cap probe is the canonical greedy run at the cap, so when it is
 // feasible it is the step's matching and no replay runs: most sparse_giant
 // steps then run Hopcroft–Karp once. On this instance that takes 3.5
-// phases per step (4.75 with the validate build's optimality certificate);
-// replaying after a feasible cap probe took 5.0 (6.25). The schedule must
-// not move either way.
+// phases per step; replaying after a feasible cap probe took 5.0. The
+// schedule must not move either way.
 TEST(PeelingContext, FeasibleCapProbeIsTheStep) {
   const std::vector<ScenarioSpec> specs = builtin_scenarios(1.0 / 32);
   const auto spec = std::find_if(
@@ -205,7 +231,7 @@ TEST(PeelingContext, FeasibleCapProbeIsTheStep) {
   const std::uint64_t phases = registry.counter("hk.phases").value();
   ASSERT_GT(peel_steps, 0u);
   EXPECT_LE(static_cast<double>(phases) / static_cast<double>(peel_steps),
-            4.9)
+            4.25)
       << phases << " Hopcroft-Karp phases over " << peel_steps << " steps";
   EXPECT_EQ(schedule_to_string(schedule),
             schedule_to_string(

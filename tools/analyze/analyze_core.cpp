@@ -31,7 +31,6 @@ struct Token {
 struct IncludeEdge {
   std::string target;  // literal text between the quotes
   int line = 0;
-  bool conditional = false;  // inside #if/#ifdef/#ifndef at depth > 0
 };
 
 struct AllowDirective {
@@ -112,7 +111,6 @@ Lexed lex(const std::string& src) {
   const std::size_t n = src.size();
   std::size_t i = 0;
   int line = 1;
-  int cond_depth = 0;      // #if/#ifdef/#ifndef nesting
   bool at_line_start = true;
 
   while (i < n) {
@@ -164,9 +162,8 @@ Lexed lex(const std::string& src) {
       continue;
     }
 
-    // Preprocessor directive. Tracks conditional nesting and captures
-    // quoted includes; everything else on the line is skipped with full
-    // comment/string/continuation awareness.
+    // Preprocessor directive. Captures quoted includes; everything else on
+    // the line is skipped with full comment/string/continuation awareness.
     if (c == '#' && at_line_start) {
       const int directive_line = line;
       std::size_t j = i + 1;
@@ -174,16 +171,12 @@ Lexed lex(const std::string& src) {
       std::string name;
       while (j < n && is_ident_char(src[j])) name.push_back(src[j++]);
 
-      if (name == "if" || name == "ifdef" || name == "ifndef") {
-        ++cond_depth;
-      } else if (name == "endif") {
-        if (cond_depth > 0) --cond_depth;
-      } else if (name == "include") {
+      if (name == "include") {
         while (j < n && (src[j] == ' ' || src[j] == '\t')) ++j;
         if (j < n && src[j] == '"') {
           std::string target;
           j = consume_string(src, j, line, &target);
-          out.includes.push_back({target, directive_line, cond_depth > 0});
+          out.includes.push_back({target, directive_line});
         }
       }
 
@@ -350,8 +343,8 @@ std::string module_of(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(0, slash);
 }
 
-/// The layering DAG as ranks: an unconditional include may only point at a
-/// strictly lower rank (or stay inside its own module). Matches the
+/// The layering DAG as ranks: an include may only point at a strictly
+/// lower rank (or stay inside its own module). Matches the
 /// architecture described in DESIGN.md.
 int rank_of(const std::string& module) {
   static const std::unordered_map<std::string, int> kRanks = {
@@ -359,7 +352,7 @@ int rank_of(const std::string& module) {
       {"graph", 1},       {"obs", 1},
       {"matching", 2},    {"workload", 2}, {"robust", 2},
       {"kpbs", 3},
-      {"runtime", 4},     {"validate", 4}, {"netsim", 4},      {"baselines", 4},
+      {"runtime", 4},     {"netsim", 4},   {"baselines", 4},
       {"net", 5},
       {"mpilite", 6},     {"service", 6},
       {"src-root", 90},   // the umbrella header sees every module
@@ -725,7 +718,6 @@ bool exempt_from_sinks(const std::string& path) {
 struct ResolvedInclude {
   std::size_t target;  // index into sources
   int line;
-  bool conditional;
 };
 
 struct Analysis {
@@ -772,7 +764,7 @@ void build_index(Analysis& a) {
                a.sources[i].path, inc.target, a.options.include_roots)) {
         auto it = by_path.find(cand);
         if (it != by_path.end()) {
-          a.edges[i].push_back({it->second, inc.line, inc.conditional});
+          a.edges[i].push_back({it->second, inc.line});
           break;
         }
       }
@@ -798,7 +790,6 @@ void check_layering(Analysis& a) {
     const int from_rank = rank_of(from_mod);
     if (from_rank >= 100) continue;  // tools/tests/bench see everything
     for (const auto& e : a.edges[i]) {
-      if (e.conditional) continue;  // e.g. the REDIST_VALIDATE seam
       const std::string to_mod = module_of(a.sources[e.target].path);
       if (to_mod == from_mod) continue;
       if (rank_of(to_mod) < from_rank) continue;
@@ -1997,30 +1988,23 @@ void check_contract_drift(Analysis& a, const std::string& inventory) {
   }
 }
 
-/// Module-level include graph in DOT; conditional-only edges are dashed.
+/// Module-level include graph in DOT.
 std::string build_dot(const Analysis& a) {
-  // (from, to) -> all-edges-conditional?
-  std::map<std::pair<std::string, std::string>, bool> mod_edges;
+  std::set<std::pair<std::string, std::string>> mod_edges;
   for (std::size_t i = 0; i < a.sources.size(); ++i) {
     const std::string from = module_of(a.sources[i].path);
     if (rank_of(from) >= 100) continue;
     for (const auto& e : a.edges[i]) {
       const std::string to = module_of(a.sources[e.target].path);
       if (to == from || rank_of(to) >= 100) continue;
-      auto [it, fresh] = mod_edges.emplace(std::make_pair(from, to),
-                                           e.conditional);
-      if (!fresh) it->second = it->second && e.conditional;
+      mod_edges.emplace(from, to);
     }
   }
   std::string dot =
       "// Module-level include graph, emitted by redist_analyze --dot.\n"
-      "// Solid edges are unconditional; dashed edges only exist under\n"
-      "// preprocessor conditionals (the REDIST_VALIDATE seam).\n"
       "digraph redist_modules {\n  rankdir=BT;\n  node [shape=box];\n";
-  for (const auto& [edge, conditional] : mod_edges) {
-    dot += "  \"" + edge.first + "\" -> \"" + edge.second + "\"";
-    if (conditional) dot += " [style=dashed]";
-    dot += ";\n";
+  for (const auto& [from, to] : mod_edges) {
+    dot += "  \"" + from + "\" -> \"" + to + "\";\n";
   }
   dot += "}\n";
   return dot;
@@ -2069,9 +2053,9 @@ std::string rule_description(const std::string& id) {
        "REDIST_PURE extends the determinism sink set with I/O and "
        "environment access"},
       {"layering",
-       "unconditional includes must point down the module DAG (common -> "
-       "graph/obs -> matching -> kpbs -> runtime/validate/netsim -> "
-       "net/dynamic -> mpilite)"},
+       "includes must point down the module DAG (common -> graph/obs -> "
+       "matching/workload/robust -> kpbs -> runtime/netsim/baselines -> "
+       "net -> mpilite/service)"},
       {"include-cycle", "the file-level include graph must be acyclic"},
       {"layer-tag",
        "every header under src/<module>/ declares REDIST_LAYER(\"<module>\")"},

@@ -21,9 +21,8 @@
 //                   the determinism set
 //   layering        include edges must point down the module DAG
 //                   (common -> graph/obs -> matching -> kpbs -> runtime/
-//                   validate/netsim -> net -> mpilite -> tools);
-//                   includes inside preprocessor conditionals are exempt
-//                   (e.g. the REDIST_VALIDATE self-audit seam)
+//                   netsim -> net -> mpilite -> tools), preprocessor
+//                   conditionals or not
 //   include-cycle   the file-level include graph must be acyclic
 //   layer-tag       every header under src/ carries REDIST_LAYER("<dir>")
 //   contract-drift  the live annotation set is audited against a checked-
@@ -120,8 +119,8 @@ struct AnalysisResult {
   /// Current contract inventory, one line per entry, sorted — the exact
   /// text `--write-baseline` persists and contract-drift diffs against.
   std::string contracts;
-  /// Module-level include graph in Graphviz DOT (conditional edges are
-  /// dashed) for the CI review artifact.
+  /// Module-level include graph in Graphviz DOT for the CI review
+  /// artifact.
   std::string include_dot;
 };
 
