@@ -35,32 +35,44 @@ void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
   g_ = &g;
   min_weight_ = min_weight;
   const std::vector<Edge>& edges = g.edges();
+  const auto n_left = static_cast<std::size_t>(g.left_count());
   usable_.resize(edges.size());
   usable_ids_.clear();
+  threshold_ids_.clear();
+  arc_begin_.assign(n_left, 0);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     usable_[e] = static_cast<char>(edges[e].weight >= min_weight &&
                                    (mask.empty() || mask[e] != 0));
-    if (usable_[e] != 0) usable_ids_.push_back(static_cast<EdgeId>(e));
+    if (usable_[e] == 0) continue;
+    usable_ids_.push_back(static_cast<EdgeId>(e));
+    ++arc_begin_[static_cast<std::size_t>(edges[e].left)];
+    if (edges[e].weight == min_weight) {
+      threshold_ids_.push_back(static_cast<EdgeId>(e));
+    }
   }
   // Each left node's usable edges, in its adjacency order: the BFS and DFS
-  // scan them exactly as a filtered walk of edges_of_left would.
-  const auto n_left = static_cast<std::size_t>(g.left_count());
-  arc_begin_.resize(n_left);
+  // scan them exactly as a filtered walk of edges_of_left would. Adjacency
+  // lists hold ascending edge ids, so a counting sort of the usable ids by
+  // left node keeps that order without walking any unusable edge.
   arc_end_.resize(n_left);
-  arcs_.clear();
+  std::size_t total = 0;
   for (std::size_t v = 0; v < n_left; ++v) {
-    arc_begin_[v] = arcs_.size();
-    for (EdgeId e : g.edges_of_left(static_cast<NodeId>(v))) {
-      if (usable_[static_cast<std::size_t>(e)] != 0) {
-        arcs_.push_back(Arc{e, edges[static_cast<std::size_t>(e)].right});
-      }
-    }
-    arc_end_[v] = arcs_.size();
+    const std::size_t count = arc_begin_[v];
+    arc_begin_[v] = arc_end_[v] = total;
+    total += count;
+  }
+  arcs_.resize(total);
+  for (const EdgeId e : usable_ids_) {
+    const Edge& edge = edges[static_cast<std::size_t>(e)];
+    arcs_[arc_end_[static_cast<std::size_t>(edge.left)]++] =
+        Arc{e, edge.right};
   }
   match_left_.assign(n_left, kNoEdge);
   mate_of_right_.assign(static_cast<std::size_t>(g.right_count()), kNoNode);
   dist_.assign(n_left, kInf);
   queue_.reserve(n_left);
+  via_arc_.resize(n_left);
+  parent_.resize(n_left);
 }
 
 void HopcroftKarp::drop_dead(const std::vector<EdgeId>& dead) {
@@ -76,9 +88,11 @@ void HopcroftKarp::drop_dead(const std::vector<EdgeId>& dead) {
     }
     arc_end_[u] = kept;
   }
-  std::erase_if(usable_ids_, [this](EdgeId e) {
+  const auto dropped = [this](EdgeId e) {
     return usable_[static_cast<std::size_t>(e)] == 0;
-  });
+  };
+  std::erase_if(usable_ids_, dropped);
+  std::erase_if(threshold_ids_, dropped);
   std::fill(match_left_.begin(), match_left_.end(), kNoEdge);
   std::fill(mate_of_right_.begin(), mate_of_right_.end(), kNoNode);
 }
@@ -126,7 +140,7 @@ bool HopcroftKarp::dfs_augment(NodeId left) {
   return false;
 }
 
-Matching HopcroftKarp::augment_to_maximum() {
+void HopcroftKarp::refresh_counters() {
   obs::MetricsRegistry* const metrics = obs::metrics();
   if (metrics != metrics_src_) {
     metrics_src_ = metrics;
@@ -135,6 +149,18 @@ Matching HopcroftKarp::augment_to_maximum() {
     paths_counter_ =
         metrics != nullptr ? &metrics->counter("hk.augmenting_paths") : nullptr;
   }
+}
+
+Matching HopcroftKarp::matched() const {
+  Matching result;
+  for (const EdgeId e : match_left_) {
+    if (e != kNoEdge) result.edges.push_back(e);
+  }
+  return result;
+}
+
+Matching HopcroftKarp::augment_to_maximum() {
+  refresh_counters();
   obs::TraceSession* const trace = obs::trace();
 
   for (std::uint64_t phase = 0;; ++phase) {
@@ -158,11 +184,7 @@ Matching HopcroftKarp::augment_to_maximum() {
     }
     if (paths == 0) break;
   }
-  Matching result;
-  for (const EdgeId e : match_left_) {
-    if (e != kNoEdge) result.edges.push_back(e);
-  }
-  return result;
+  return matched();
 }
 
 Matching HopcroftKarp::solve() {
@@ -197,7 +219,76 @@ Matching HopcroftKarp::solve_seeded(const Matching& seed) {
     }
     match(edge.left, e, edge.right);
   }
-  return augment_to_maximum();
+  refresh_counters();
+  obs::TraceSpan phase_span(obs::trace(), "hk.phase");
+  queue_.resize(match_left_.size());  // repair() indexes it, one search each
+  const std::uint64_t paths = repair();
+  if (phases_counter_ != nullptr) {
+    phases_counter_->add();
+    paths_counter_->add(paths);
+  }
+  if (phase_span) {
+    phase_span.arg("phase", std::uint64_t{0});
+    phase_span.arg("paths", paths);
+  }
+  return matched();
+}
+
+std::uint64_t HopcroftKarp::repair() {
+  // dist_ holds search stamps here: a left node is reached by the current
+  // search iff its entry equals the stamp. A failed search reaches a set S
+  // whose right neighbours are all matched into S; no later augmenting
+  // path can enter S and leave it, so S's matching never changes and its
+  // nodes are skipped for good (kInf).
+  std::fill(dist_.begin(), dist_.end(), 0);
+  int stamp = 0;
+  std::uint64_t paths = 0;
+  for (std::size_t root = 0; root < match_left_.size(); ++root) {
+    if (match_left_[root] != kNoEdge) continue;
+    ++stamp;
+    std::size_t tail = 0;
+    queue_[tail++] = static_cast<NodeId>(root);
+    dist_[root] = stamp;
+    bool found = false;
+    for (std::size_t head = 0; head < tail && !found; ++head) {
+      const NodeId u = queue_[head];
+      const auto ul = static_cast<std::size_t>(u);
+      for (std::size_t a = arc_begin_[ul]; a < arc_end_[ul]; ++a) {
+        const NodeId next =
+            mate_of_right_[static_cast<std::size_t>(arcs_[a].right)];
+        if (next == kNoNode) {
+          // Flip the path back to the root: each node on it takes the arc
+          // it was offered, freeing the right node its parent takes next.
+          NodeId left = u;
+          std::size_t arc = a;
+          for (;;) {
+            const auto l = static_cast<std::size_t>(left);
+            match(left, arcs_[arc].edge, arcs_[arc].right);
+            if (l == root) break;
+            arc = via_arc_[l];
+            left = parent_[l];
+          }
+          found = true;
+          break;
+        }
+        const auto nl = static_cast<std::size_t>(next);
+        if (dist_[nl] != stamp && dist_[nl] != kInf) {
+          dist_[nl] = stamp;
+          via_arc_[nl] = a;
+          parent_[nl] = u;
+          queue_[tail++] = next;
+        }
+      }
+    }
+    if (found) {
+      ++paths;
+    } else {
+      for (std::size_t i = 0; i < tail; ++i) {
+        dist_[static_cast<std::size_t>(queue_[i])] = kInf;
+      }
+    }
+  }
+  return paths;
 }
 
 Matching max_matching(const BipartiteGraph& g, const std::vector<char>& mask) {

@@ -7,8 +7,12 @@
 //
 // The solver is rebindable: one instance can be pointed at successive
 // graph/mask pairs, reusing its buffers instead of reallocating.
-// PeelingContext rebinds one instance for every cap probe and replay of a
-// WRGP peel; solve_seeded serves the test oracle's Fig. 6 search.
+// PeelingContext rebinds one instance for every cap probe and repair of a
+// WRGP peel. solve() is the cold run (greedy seed, then phases); GGP and
+// OGGP's first probe use it. solve_seeded() is the repair that OGGP's later
+// probes and the test oracle's Fig. 6 search use: it keeps a given partial
+// matching and completes it with one breadth-first augmenting search per
+// free left node.
 //
 // A rebind snapshots the usable edge set (alive, at or above the threshold,
 // permitted by the mask) into a flat per-left-node arc list, kept in each
@@ -18,6 +22,7 @@
 // is the one exception.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/contract_annotations.hpp"
@@ -51,6 +56,12 @@ class HopcroftKarp {
   /// set, identical matchings. Snapshots like rebind().
   void rebind_threshold(const BipartiteGraph& g, Weight min_weight);
 
+  /// The usable edges of the last bind that weigh exactly its threshold
+  /// (1 for rebind()), ascending. Collected by the bind's edge pass.
+  const std::vector<EdgeId>& threshold_edges() const {
+    return threshold_ids_;
+  }
+
   /// Removes the arcs of `dead` from a rebind() snapshot, keeping each
   /// node's other arcs in order, and resets the matching. If weights only
   /// fell since that rebind and `dead` names every edge that died, the
@@ -62,10 +73,13 @@ class HopcroftKarp {
   REDIST_DETERMINISTIC
   Matching solve();
 
-  /// Computes a maximum matching warm-started from `seed`: seed edges that
-  /// are usable (alive, mask-permitted, endpoints free) are pre-matched and
-  /// only the remaining deficit is augmented. The matching *size* always
-  /// equals solve()'s; the edge set may differ.
+  /// Repairs `seed` into a maximum matching: seed edges that are usable
+  /// (alive, mask-permitted, endpoints still free) are taken in order, then
+  /// each free left node, in id order, gets one breadth-first augmenting
+  /// search that stops at the first free right node. By Berge's lemma a
+  /// node with no augmenting path never gains one later, so one pass is
+  /// maximum: the *size* always equals solve()'s, the edge set may differ.
+  /// Counts as one `hk.phases`.
   REDIST_DETERMINISTIC
   Matching solve_seeded(const Matching& seed);
 
@@ -92,12 +106,19 @@ class HopcroftKarp {
     match_left_[static_cast<std::size_t>(left)] = e;
     mate_of_right_[static_cast<std::size_t>(right)] = left;
   }
+  void refresh_counters();
+  Matching matched() const;
   Matching augment_to_maximum();
   bool bfs_layers();
-  /// The peeling inner loop: every cap probe and replay augments through
-  /// here, so it must stay allocation-free (`noalloc` analyzer rule). The
-  /// only allocation left in a probe is the Matching each solve returns;
-  /// rebinds reuse the snapshot and queue buffers.
+  /// solve_seeded's pass over the free left nodes; returns the number of
+  /// augmenting paths applied. Every later probe of an OGGP peel runs it,
+  /// so it allocates nothing (`noalloc` analyzer rule).
+  REDIST_NOALLOC
+  std::uint64_t repair();
+  /// The GGP peel and OGGP's first probe augment through here, so it must
+  /// stay allocation-free (`noalloc` analyzer rule). The only allocation
+  /// left in a probe is the Matching each solve returns; rebinds reuse the
+  /// snapshot and queue buffers.
   REDIST_NOALLOC
   bool dfs_augment(NodeId left);
 
@@ -111,13 +132,21 @@ class HopcroftKarp {
   Weight min_weight_ = 1;               // threshold of the last bind
   std::vector<char> usable_;            // edge id -> usable in the snapshot
   std::vector<EdgeId> usable_ids_;      // usable edge ids, ascending
+  std::vector<EdgeId> threshold_ids_;   // usable ids weighing min_weight_
   std::vector<std::size_t> arc_begin_;  // left node -> first arc
   std::vector<std::size_t> arc_end_;    // left node -> one past its last arc
   std::vector<Arc> arcs_;               // usable edges, grouped by left node
   std::vector<EdgeId> match_left_;      // left node -> matched edge id
   std::vector<NodeId> mate_of_right_;   // right node -> matched left node
-  std::vector<int> dist_;               // BFS layer per left node
-  std::vector<NodeId> queue_;           // BFS queue, reused across phases
+  // BFS layer per left node in solve(); in repair(), the stamp of the
+  // search that reached it, or kInf once a failed search proved it can
+  // never reach a free right node.
+  std::vector<int> dist_;
+  std::vector<NodeId> queue_;           // BFS queue of a phase or a search
+  // repair(): per left node, the arc its search reached it by and that
+  // arc's owner.
+  std::vector<std::size_t> via_arc_;
+  std::vector<NodeId> parent_;
 };
 
 /// One-shot helper: maximum matching of alive edges (optionally masked).

@@ -80,14 +80,22 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   REDIST_CHECK_MSG(cap > 0, "no perfect matching exists (no alive weight "
                             "at or below the cap)");
 
-  // Cap probe: the canonical greedy run at T, so a perfect result is the
-  // step's matching.
+  // Cap probe at T. The first step has no matching to repair and runs the
+  // cold solve; later steps repair the previous matching's survivors, then
+  // take the edges this step would kill.
   Matching result;
   {
     obs::TraceSpan probe_span(obs::trace(), "bottleneck.probe");
     if (metrics != nullptr) metrics->counter("bottleneck.probes").add();
     hk_.rebind_threshold(g, cap);
-    result = hk_.solve();
+    if (last_bottleneck_ > 0) {
+      const std::vector<EdgeId>& dying = hk_.threshold_edges();
+      seed_.edges.assign(kept_.begin(), kept_.end());
+      seed_.edges.insert(seed_.edges.end(), dying.begin(), dying.end());
+      result = hk_.solve_seeded(seed_);
+    } else {
+      result = hk_.solve();
+    }
     if (probe_span) {
       probe_span.arg("threshold", cap);
       probe_span.arg("feasible", result.size() == target);
@@ -118,19 +126,22 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
                                   << d << " of " << target << ")");
       if (widest_counter != nullptr) widest_counter->add();
     }
-    // Canonical replay: a greedy-seeded run at the optimal threshold, so
-    // the returned matching depends on the residual graph alone — the
-    // matching a from-scratch search returns.
+    // The widest-path matching is already perfect with minimum t*. Repair
+    // it at t* behind the weight-t* edges, so the step kills as many edges
+    // as the seed can hold; the repair keeps it perfect inside G_{t*}.
     obs::TraceSpan replay_span(obs::trace(), "bottleneck.replay");
     if (replay_span) replay_span.arg("threshold", t);
     hk_.rebind_threshold(g, t);
-    result = hk_.solve();
+    seed_.edges.assign(hk_.threshold_edges().begin(),
+                       hk_.threshold_edges().end());
+    seed_.edges.insert(seed_.edges.end(), mate_.begin(), mate_.end());
+    result = hk_.solve_seeded(seed_);
   }
   REDIST_CHECK_MSG(result.size() == target,
                    "no perfect matching exists (size "
                        << result.size() << " of " << target << ")");
-  // Search and replay must agree on the bottleneck value: a strictly
-  // larger minimum would mean the widest paths stopped below t*.
+  // A perfect matching inside G_t has minimum >= t; a strictly larger one
+  // would mean the widest paths stopped below t*.
   REDIST_CHECK_MSG(min_weight(g, result) == t,
                    "warm bottleneck value diverged from threshold " << t);
   last_bottleneck_ = t;
@@ -197,11 +208,12 @@ void PeelingContext::before_peel(const BipartiteGraph& g, const Matching& m,
                                  Weight amount) {
   REDIST_CHECK(amount > 0);
   dead_.clear();
+  kept_.clear();
   for (EdgeId e : m.edges) {
     const Weight old_weight = g.edge(e).weight;
     REDIST_CHECK_MSG(old_weight >= amount,
                      "peel amount exceeds residual weight");
-    if (old_weight == amount) dead_.push_back(e);
+    (old_weight == amount ? dead_ : kept_).push_back(e);
   }
 }
 

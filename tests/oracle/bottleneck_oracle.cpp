@@ -1,6 +1,7 @@
 #include "oracle/bottleneck_oracle.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -8,6 +9,7 @@
 #include "kpbs/regularize.hpp"
 #include "kpbs/solver.hpp"
 #include "matching/hopcroft_karp.hpp"
+#include "matching/peeling_context.hpp"
 #include "oracle/hungarian.hpp"
 
 namespace redist::oracle {
@@ -57,6 +59,48 @@ Matching bottleneck_search(const BipartiteGraph& g, std::size_t target) {
     }
   }
   return best;
+}
+
+using Peel = std::function<std::vector<PeelStep>(BipartiteGraph&)>;
+
+Schedule solve_with(const BipartiteGraph& demand, int k, Weight beta,
+                    const Peel& run_peel) {
+  REDIST_CHECK_MSG(beta >= 0, "negative beta");
+  Schedule schedule;
+  if (demand.empty()) return schedule;
+  k = clamp_k(demand, k);
+
+  const Weight unit = std::max<Weight>(1, beta);
+  BipartiteGraph normalized(demand.left_count(), demand.right_count());
+  std::vector<EdgeId> demand_edge;  // normalized edge -> demand edge
+  for (EdgeId e = 0; e < demand.edge_count(); ++e) {
+    if (!demand.alive(e)) continue;
+    const Edge& edge = demand.edge(e);
+    normalized.add_edge(edge.left, edge.right, ceil_div(edge.weight, unit));
+    demand_edge.push_back(e);
+  }
+
+  Regularized reg = regularize(normalized, k);
+  const std::vector<PeelStep> peels = run_peel(reg.graph);
+
+  std::vector<Weight> remaining(demand_edge.size());
+  for (std::size_t i = 0; i < demand_edge.size(); ++i) {
+    remaining[i] = demand.edge(demand_edge[i]).weight;
+  }
+  for (const PeelStep& peel : peels) {
+    Step step;
+    for (EdgeId je : peel.matching.edges) {
+      const EdgeId ne = reg.origin[static_cast<std::size_t>(je)];
+      if (ne == kNoEdge) continue;  // filler or deficit edge
+      const auto idx = static_cast<std::size_t>(ne);
+      const Weight realized = std::min(peel.amount * unit, remaining[idx]);
+      remaining[idx] -= realized;
+      const Edge& src = demand.edge(demand_edge[idx]);
+      step.comms.push_back(Communication{src.left, src.right, realized});
+    }
+    if (!step.comms.empty()) schedule.add_step(std::move(step));
+  }
+  return schedule;
 }
 
 }  // namespace
@@ -123,52 +167,47 @@ Matching bottleneck_perfect_matching(const BipartiteGraph& g) {
   return m;
 }
 
+void check_bottleneck_step(const BipartiteGraph& g, const Matching& m) {
+  REDIST_CHECK_MSG(is_perfect_matching(g, m),
+                   "OGGP step is not a perfect matching (size "
+                       << m.size() << " of " << g.left_count() << ")");
+  const Weight optimum = min_weight(g, bottleneck_perfect_matching(g));
+  REDIST_CHECK_MSG(min_weight(g, m) == optimum,
+                   "OGGP step minimum " << min_weight(g, m)
+                                        << " differs from the optimal "
+                                           "bottleneck "
+                                        << optimum);
+}
+
+std::vector<PeelStep> checked_oggp_peel(BipartiteGraph& g,
+                                        const PeelObserver& observer) {
+  PeelingContext ctx;
+  return wrgp_peel(
+      g,
+      [&ctx](const BipartiteGraph& residual) {
+        return ctx.bottleneck_perfect(residual);
+      },
+      [&](const BipartiteGraph& residual, const Matching& m, Weight amount) {
+        check_bottleneck_step(residual, m);
+        if (observer) observer(residual, m, amount);
+        ctx.before_peel(residual, m, amount);
+      });
+}
+
 Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
                const PerfectMatchingStrategy& strategy) {
-  REDIST_CHECK_MSG(beta >= 0, "negative beta");
-  Schedule schedule;
-  if (demand.empty()) return schedule;
-  k = clamp_k(demand, k);
-
-  const Weight unit = std::max<Weight>(1, beta);
-  BipartiteGraph normalized(demand.left_count(), demand.right_count());
-  std::vector<EdgeId> demand_edge;  // normalized edge -> demand edge
-  for (EdgeId e = 0; e < demand.edge_count(); ++e) {
-    if (!demand.alive(e)) continue;
-    const Edge& edge = demand.edge(e);
-    normalized.add_edge(edge.left, edge.right, ceil_div(edge.weight, unit));
-    demand_edge.push_back(e);
-  }
-
-  Regularized reg = regularize(normalized, k);
-  const std::vector<PeelStep> peels = wrgp_peel(reg.graph, strategy);
-
-  std::vector<Weight> remaining(demand_edge.size());
-  for (std::size_t i = 0; i < demand_edge.size(); ++i) {
-    remaining[i] = demand.edge(demand_edge[i]).weight;
-  }
-  for (const PeelStep& peel : peels) {
-    Step step;
-    for (EdgeId je : peel.matching.edges) {
-      const EdgeId ne = reg.origin[static_cast<std::size_t>(je)];
-      if (ne == kNoEdge) continue;  // filler or deficit edge
-      const auto idx = static_cast<std::size_t>(ne);
-      const Weight realized = std::min(peel.amount * unit, remaining[idx]);
-      remaining[idx] -= realized;
-      const Edge& src = demand.edge(demand_edge[idx]);
-      step.comms.push_back(Communication{src.left, src.right, realized});
-    }
-    if (!step.comms.empty()) schedule.add_step(std::move(step));
-  }
-  return schedule;
+  return solve_with(demand, k, beta, [&strategy](BipartiteGraph& g) {
+    return wrgp_peel(g, strategy);
+  });
 }
 
 Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
                Algorithm algorithm) {
-  return solve(demand, k, beta,
-               algorithm == Algorithm::kOGGP
-                   ? PerfectMatchingStrategy(bottleneck_perfect_matching)
-                   : PerfectMatchingStrategy(arbitrary_perfect_matching));
+  if (algorithm == Algorithm::kOGGP) {
+    return solve_with(demand, k, beta,
+                      [](BipartiteGraph& g) { return checked_oggp_peel(g); });
+  }
+  return solve(demand, k, beta, arbitrary_perfect_matching);
 }
 
 std::vector<NamedSchedule> every_peeling(const BipartiteGraph& demand, int k,

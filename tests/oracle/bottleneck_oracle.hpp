@@ -1,8 +1,8 @@
 // Test oracle for the peeling engine (matching/peeling_context.hpp).
 //
 // Production GGP/OGGP peel through one engine, PeelingContext, which warm
-// starts every bottleneck search from the previous step. This oracle is
-// the from-scratch reference it must agree with, byte for byte:
+// starts every step from the previous one. This oracle is the from-scratch
+// reference it is checked against:
 //
 //  * bottleneck_*_threshold — binary search over the distinct alive
 //    weights, one fresh greedy-seeded Hopcroft–Karp run per probe on the
@@ -11,12 +11,20 @@
 //    heaviest-first, re-augment, stop when the matching reaches maximum
 //    cardinality: O(m^2);
 //  * solve — solve_kpbs's pipeline (beta-normalize, regularize, WRGP peel,
-//    extract) with a from-scratch strategy instead of PeelingContext; with
-//    max_weight_perfect_matching (oracle/hungarian.hpp) it is GGP-MW.
+//    extract) with a given peel; with max_weight_perfect_matching
+//    (oracle/hungarian.hpp) it is GGP-MW.
 //
 // Both bottleneck algorithms return matchings achieving the same (optimal)
 // bottleneck value, and bottleneck_perfect_matching checks that on every
 // call.
+//
+// GGP's step is pinned byte for byte: a from-scratch max_matching. OGGP's
+// step contract is "a perfect matching of the residual whose minimum is the
+// optimal bottleneck t*"; many matchings meet it, and the one taken shapes
+// every later residual, so no from-scratch search predicts the bytes of a
+// warm peel. The OGGP reference is therefore the production peel with
+// every step audited against the from-scratch bottleneck
+// (check_bottleneck_step).
 #pragma once
 
 #include <string>
@@ -48,11 +56,24 @@ Matching bottleneck_maximal_incremental(const BipartiteGraph& g);
 Matching arbitrary_perfect_matching(const BipartiteGraph& g);
 Matching bottleneck_perfect_matching(const BipartiteGraph& g);
 
+/// Throws unless `m` is a perfect matching of `g` whose minimum equals
+/// bottleneck_perfect_matching's on `g` (the optimal bottleneck t*): the
+/// contract of every OGGP step.
+void check_bottleneck_step(const BipartiteGraph& g, const Matching& m);
+
+/// wrgp_peel_warm's OGGP peel of `g` (one fresh PeelingContext, composed as
+/// wrgp_peel_warm composes it) with check_bottleneck_step on every step.
+/// `observer`, if set, runs after each check, before the weights drop.
+std::vector<PeelStep> checked_oggp_peel(BipartiteGraph& g,
+                                        const PeelObserver& observer = {});
+
 /// solve_kpbs's pipeline peeling with `strategy` from scratch every step.
 Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
                const PerfectMatchingStrategy& strategy);
 
-/// The schedule solve_kpbs(demand, {k, beta, algorithm}) must produce.
+/// The schedule solve_kpbs(demand, {k, beta, algorithm}) must produce: for
+/// GGP, the from-scratch peel; for OGGP, checked_oggp_peel's, so every
+/// step is audited.
 Schedule solve(const BipartiteGraph& demand, int k, Weight beta,
                Algorithm algorithm);
 

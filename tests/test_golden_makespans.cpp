@@ -5,7 +5,9 @@
 // from the reference solver. Any change to normalization, regularization,
 // peeling order, matching tie-breaking, or extraction that alters a single
 // schedule shows up here as an exact-value diff — for solve_kpbs and for
-// the test oracle (tests/oracle), which must agree byte for byte.
+// the test oracle (tests/oracle), which must agree byte for byte. The
+// oracle's OGGP peel is production's with every step audited against the
+// optimal bottleneck, so the "cold" rows also check that contract.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -35,11 +37,13 @@ struct GoldenCase {
 
 // Captured from the reference solver; see the generation parameters
 // in docs/PERF.md. golden_01 is a deliberate degenerate corner (one edge).
+// OGGP rows pin the warm-repaired peel's choice among bottleneck-optimal
+// matchings; a change to that choice moves them.
 constexpr GoldenCase kGolden[] = {
     {"golden_01.graph", 3, 1, 1, 3, 1, 3},
     {"golden_02.graph", 4, 1, 16, 83, 12, 79},
     {"golden_03.graph", 4, 2, 24, 528, 20, 520},
-    {"golden_04.graph", 6, 1, 66, 55319, 45, 55298},
+    {"golden_04.graph", 6, 1, 66, 55319, 48, 55301},
     {"golden_05.graph", 2, 0, 4, 6, 4, 6},
     {"golden_06.graph", 1, 5, 14, 511, 14, 511},
     {"golden_07.graph", 8, 1, 82, 236, 27, 181},
@@ -63,8 +67,8 @@ BipartiteGraph load_golden(const std::string& file) {
   return read_graph(in);
 }
 
-// Which solver produces the schedule: the test oracle's from-scratch
-// ("cold") search, or solve_kpbs's warm-started peeling engine.
+// Which solver produces the schedule: the test oracle ("cold": GGP from
+// scratch, OGGP audited step by step), or solve_kpbs's peeling engine.
 enum class SolvePath { kOracle, kProduction };
 
 Schedule solve_with(SolvePath path, const BipartiteGraph& g,

@@ -142,6 +142,28 @@ TEST_P(HopcroftKarpRandom, MatchesBruteForceOptimum) {
   }
 }
 
+// The repair is maximum whatever its seed: a kept seed edge may block the
+// optimum, and the augmenting searches must route around it.
+TEST_P(HopcroftKarpRandom, SeededRepairIsMaximum) {
+  Rng rng(GetParam() + 100);
+  for (int trial = 0; trial < 30; ++trial) {
+    RandomGraphConfig config;
+    config.max_left = 7;
+    config.max_right = 7;
+    config.max_edges = 14;
+    const BipartiteGraph g = random_bipartite(rng, config);
+    Matching seed;
+    for (EdgeId e = 0; e < g.edge_count(); ++e) {
+      if (rng.uniform_int(0, 1) == 0) seed.edges.push_back(e);
+    }
+    std::shuffle(seed.edges.begin(), seed.edges.end(), rng);
+    HopcroftKarp solver(g);
+    const Matching m = solver.solve_seeded(seed);
+    ASSERT_TRUE(is_matching(g, m));
+    ASSERT_EQ(m.size(), brute_force_max_matching(g));
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HopcroftKarpRandom,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
@@ -160,8 +182,15 @@ void fnv_mix(std::uint64_t& h, const Matching& m) {
 }
 
 // Runs one solver through every entry point on a seeded random graph with
-// some edges killed, and fingerprints the matchings it returns.
-std::uint64_t pinned_digest(std::uint64_t seed) {
+// some edges killed, and fingerprints the matchings it returns: `cold`
+// over solve(), `seeded` over solve_seeded() and the right-side lookups
+// after it.
+struct PinnedDigests {
+  std::uint64_t cold = 0xcbf29ce484222325ULL;
+  std::uint64_t seeded = 0xcbf29ce484222325ULL;
+};
+
+PinnedDigests pinned_digests(std::uint64_t seed) {
   Rng rng(seed);
   RandomGraphConfig config;
   config.max_left = 40;
@@ -179,45 +208,57 @@ std::uint64_t pinned_digest(std::uint64_t seed) {
   std::vector<char> mask(static_cast<std::size_t>(g.edge_count()));
   for (std::size_t e = 0; e < mask.size(); ++e) mask[e] = e % 4 != 1;
 
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  PinnedDigests d;
   HopcroftKarp solver(g);
-  fnv_mix(h, solver.solve());
+  fnv_mix(d.cold, solver.solve());
   solver.rebind(g);
-  fnv_mix(h, solver.solve_seeded(seed_matching));
+  fnv_mix(d.seeded, solver.solve_seeded(seed_matching));
   for (Weight threshold = 2; threshold <= 4; ++threshold) {
     solver.rebind_threshold(g, threshold);
-    fnv_mix(h, solver.solve());
+    fnv_mix(d.cold, solver.solve());
     solver.rebind_threshold(g, threshold);
-    fnv_mix(h, solver.solve_seeded(seed_matching));
+    fnv_mix(d.seeded, solver.solve_seeded(seed_matching));
   }
   solver.rebind(g, mask);
-  fnv_mix(h, solver.solve());
+  fnv_mix(d.cold, solver.solve());
   solver.rebind(g, mask);
-  fnv_mix(h, solver.solve_seeded(seed_matching));
+  fnv_mix(d.seeded, solver.solve_seeded(seed_matching));
   for (NodeId v = 0; v < g.right_count(); ++v) {
-    fnv_mix(h, solver.matched_edge_of_right(v));
+    fnv_mix(d.seeded, solver.matched_edge_of_right(v));
   }
-  return h;
+  return d;
 }
 
 // Pins the exact edge ids Hopcroft–Karp returns, not just the matching
-// size. The bottleneck oracle in tests/oracle runs this same class, so a
-// kernel change that moved matchings would move oracle and production
-// together; the digests catch it.
+// size. GGP and OGGP's first probe run solve(), so its digests pin their
+// matchings; OGGP's later probes and the oracle's Fig. 6 search run the
+// solve_seeded() repair, pinned separately.
 TEST(HopcroftKarp, PinnedMatchings) {
-  const std::vector<std::uint64_t> expected = {
-      0x47f2ac9da1958362ULL, 0x5fb34f63eaaf60ddULL, 0xa867764c8b2c7a45ULL,
-      0x5c387592aa2e90fcULL, 0xbdd11412cf3eb61eULL, 0x25a03999cc12cd5aULL,
-      0x9aad6f69d84be001ULL, 0xfeed83d3c15c4911ULL, 0x57afacce78df58f5ULL,
-      0xbe1cf9ef7b676df8ULL, 0xc6b5e25f9dbdb93bULL, 0x1ed34fa9ee021830ULL,
-      0x1863723aaa49ca94ULL, 0x6767a57e9f0b91d0ULL, 0xdd84b3a342bb96a5ULL,
-      0x9688a2d7f3acc5c0ULL, 0xd3d23062b202ae09ULL, 0x70ade176f38c0fe2ULL,
-      0x387c0ee22bf2f623ULL, 0xb0385e47ab1f0bULL,
+  const std::vector<std::uint64_t> cold = {
+      0x3a7f5a471f3911f6ULL, 0xcb0d6fc92a706885ULL, 0xcfb4429785866594ULL,
+      0x694537c67a63d019ULL, 0x8edb7a24765b433bULL, 0xf4dd36d54a4593aaULL,
+      0x1e0c32af23338fb1ULL, 0xe3c6cfa6add14610ULL, 0xab8a047d3f67e0a4ULL,
+      0x3f538f541f5d7ebdULL, 0xadf78d9d964d7d0dULL, 0x0a8b299291f7a717ULL,
+      0x1a793481b1d64da9ULL, 0xf6d1ca55248197b4ULL, 0x6b20ae5cf3d1918fULL,
+      0x661c50b629b7e4a4ULL, 0x931e000ac47399f3ULL, 0x28e22a4179dc4ad9ULL,
+      0xb6b8c7cbf67d6997ULL, 0x10b75da5dafb37cbULL,
+  };
+  const std::vector<std::uint64_t> seeded = {
+      0x996256f8753732e4ULL, 0x12d99f45da92295dULL, 0x3d2211bdf9792d14ULL,
+      0x9c63668c02b84700ULL, 0x73ab44cb0ee3b9b0ULL, 0xd74c9e7be9d1abf4ULL,
+      0x93885ecb9303b589ULL, 0xd151e66725e343fbULL, 0x6e83899a23f5b5d4ULL,
+      0x889e2511e9002c10ULL, 0x3afd0d698cee96f8ULL, 0x1233a40415e88e42ULL,
+      0x213f98a0eb891ab8ULL, 0x1d225b595635e0d9ULL, 0xa9ad9c8a93cc3eafULL,
+      0x0aa348873b763561ULL, 0xf6e8bb4bb038d13bULL, 0x134824dd9c9c1d21ULL,
+      0xa196bf1af9136711ULL, 0x6b1080ddcd636385ULL,
   };
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    const std::uint64_t digest = pinned_digest(seed);
-    EXPECT_EQ(digest, expected[seed - 1])
-        << "seed " << seed << " digest 0x" << std::hex << digest;
+    const PinnedDigests d = pinned_digests(seed);
+    EXPECT_EQ(d.cold, cold[seed - 1])
+        << "seed " << seed << " solve() digest 0x" << std::hex << d.cold;
+    EXPECT_EQ(d.seeded, seeded[seed - 1])
+        << "seed " << seed << " solve_seeded() digest 0x" << std::hex
+        << d.seeded;
   }
 }
 
@@ -262,6 +303,25 @@ TEST(HopcroftKarp, DropDeadMatchesRebind) {
           << "seed " << seed << " round " << round;
     }
   }
+}
+
+// The bind pass collects the usable edges weighing exactly the threshold,
+// the edges an OGGP step at that threshold would kill.
+TEST(HopcroftKarp, ThresholdEdgesAreTheUsableEdgesAtTheThreshold) {
+  BipartiteGraph g(3, 3);
+  g.add_edge(0, 0, 3);
+  g.add_edge(0, 1, 5);
+  const EdgeId dead = g.add_edge(1, 1, 3);
+  g.add_edge(2, 2, 3);
+  g.add_edge(1, 2, 2);
+  g.decrease_weight(dead, 3);
+  HopcroftKarp solver;
+  solver.rebind_threshold(g, 3);
+  EXPECT_EQ(solver.threshold_edges(), (std::vector<EdgeId>{0, 3}));
+  solver.rebind_threshold(g, 4);
+  EXPECT_EQ(solver.threshold_edges(), std::vector<EdgeId>{});
+  solver.rebind(g, {1, 1, 1, 1, 0});
+  EXPECT_EQ(solver.threshold_edges(), std::vector<EdgeId>{});
 }
 
 TEST(HopcroftKarp, DropDeadRejectsAliveEdgesAndThresholdBinds) {

@@ -80,7 +80,8 @@ TEST(SolverOptions, EmptyDemandHasUnitRatio) {
 // The positional overload is gone (deprecation window closed). This pins
 // what replaced the old equivalence check: its (k, beta, algorithm)
 // arguments live in SolverOptions, and solving through them yields the
-// test oracle's schedule.
+// test oracle's schedule: GGP's from-scratch peel, and for OGGP the peel
+// whose every step the oracle audits as perfect and bottleneck-optimal.
 TEST(SolverOptions, RemovedPositionalOverloadSemanticsLiveInOptions) {
   Rng rng(2026);
   RandomGraphConfig config;
@@ -98,6 +99,8 @@ TEST(SolverOptions, RemovedPositionalOverloadSemanticsLiveInOptions) {
   }
 }
 
+// The options surface reaches the audited OGGP peel: every step perfect
+// with the optimal bottleneck, and the evaluation ratio of that schedule.
 TEST(SolverOptions, WarmAndColdEnginesAgreeThroughOptions) {
   Rng rng(4242);
   RandomGraphConfig config;

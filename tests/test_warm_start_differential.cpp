@@ -1,10 +1,11 @@
-// Differential tests for the peeling engine: on hundreds of seeded random
-// instances (varying sizes, k, beta, weight skew), every production
-// GGP/OGGP schedule must be step-for-step identical to the test oracle's
-// (tests/oracle: a from-scratch threshold search per step, with the paper's
-// Figure 6 confirming each bottleneck value), and ScheduleValidator must
-// accept both. A second layer checks the identity at the WRGP peel level
-// (matching edge ids included), which is stricter than schedule equality.
+// Differential tests for the peeling engine on hundreds of seeded random
+// instances (varying sizes, k, beta, weight skew). GGP schedules must be
+// step-for-step identical to the test oracle's from-scratch peel. OGGP
+// steps must keep the paper's contract, checked on every step against the
+// oracle (tests/oracle: a from-scratch threshold search, confirmed by the
+// paper's Figure 6): a perfect matching of the residual whose minimum is
+// the optimal bottleneck. ScheduleValidator must accept every schedule. A
+// second layer checks the peel itself (matching edge ids included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +43,17 @@ void expect_identical_schedules(const Schedule& oracle, const Schedule& got,
   }
 }
 
+void expect_identical_peels(const std::vector<PeelStep>& a,
+                            const std::vector<PeelStep>& b,
+                            const std::string& context) {
+  ASSERT_EQ(a.size(), b.size()) << context;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    EXPECT_EQ(a[s].amount, b[s].amount) << context << " step " << s;
+    EXPECT_EQ(a[s].matching.edges, b[s].matching.edges)
+        << context << " step " << s;
+  }
+}
+
 struct DifferentialCase {
   std::uint64_t seed;
   Weight beta;
@@ -55,7 +67,10 @@ class WarmStartDifferential
     : public ::testing::TestWithParam<DifferentialCase> {};
 
 // Four parameter sets x 60 trials x {GGP, OGGP} = 240 instances compared,
-// every one validated by ScheduleValidator on both paths.
+// every one validated by ScheduleValidator on both paths. oracle::solve is
+// the from-scratch peel for GGP; for OGGP it is production's peel with
+// every step audited against the optimal bottleneck, so equality here says
+// solve_kpbs returns the audited steps.
 TEST_P(WarmStartDifferential, WarmSchedulesMatchColdStepForStep) {
   const DifferentialCase param = GetParam();
   Rng rng(param.seed);
@@ -99,8 +114,8 @@ INSTANTIATE_TEST_SUITE_P(
         DifferentialCase{603, 7, 3, 14, 60, 60},       // many weight ties
         DifferentialCase{604, 2, 200, 8, 30, 60}));    // mid skew, small n
 
-// Larger instances exercise longer peel sequences and deeper binary
-// searches (more warm-start reuse per run).
+// Larger instances exercise longer peel sequences and so longer chains of
+// repairs, each OGGP step audited as above.
 TEST(WarmStartDifferential, LargerInstances) {
   Rng rng(77);
   for (int trial = 0; trial < 3; ++trial) {
@@ -118,9 +133,10 @@ TEST(WarmStartDifferential, LargerInstances) {
   }
 }
 
-// WRGP-level identity: stricter than schedule equality — the peeled
-// matchings must contain the same edge ids in the same order, so even
-// synthetic (filler/deficit) edge choices agree with the oracle.
+// WRGP level: every OGGP step is a perfect matching of its residual whose
+// minimum is the oracle's optimal bottleneck (checked_oggp_peel throws
+// otherwise), and wrgp_peel_warm peels exactly those matchings, edge id for
+// edge id.
 TEST(WarmStartDifferential, PeelSequencesIdenticalAtWrgpLevel) {
   Rng rng(4242);
   for (int trial = 0; trial < 25; ++trial) {
@@ -129,19 +145,12 @@ TEST(WarmStartDifferential, PeelSequencesIdenticalAtWrgpLevel) {
     BipartiteGraph oracle_g = random_weight_regular(rng, n, layers, 1, 50);
     BipartiteGraph warm_g = oracle_g;
 
-    const auto oracle_steps =
-        wrgp_peel(oracle_g, oracle::bottleneck_perfect_matching);
+    const auto oracle_steps = oracle::checked_oggp_peel(oracle_g);
     PeelingContext ctx;
     const auto warm_steps =
         wrgp_peel_warm(warm_g, Algorithm::kOGGP, ctx);
-
-    ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
-    for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
-      EXPECT_EQ(oracle_steps[s].amount, warm_steps[s].amount)
-          << "trial " << trial << " step " << s;
-      EXPECT_EQ(oracle_steps[s].matching.edges, warm_steps[s].matching.edges)
-          << "trial " << trial << " step " << s;
-    }
+    expect_identical_peels(oracle_steps, warm_steps,
+                           "trial " + std::to_string(trial));
   }
 }
 
@@ -159,20 +168,14 @@ TEST(WarmStartDifferential, ArbitraryPeelSequencesIdentical) {
     PeelingContext ctx;
     const auto warm_steps =
         wrgp_peel_warm(warm_g, Algorithm::kGGP, ctx);
-
-    ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
-    for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
-      EXPECT_EQ(oracle_steps[s].amount, warm_steps[s].amount)
-          << "trial " << trial << " step " << s;
-      EXPECT_EQ(oracle_steps[s].matching.edges, warm_steps[s].matching.edges)
-          << "trial " << trial << " step " << s;
-    }
+    expect_identical_peels(oracle_steps, warm_steps,
+                           "trial " + std::to_string(trial));
   }
 }
 
 // Regularized random demands of up to 1e9 bytes per pair: the weights are
-// mostly distinct and pass 1e9, so almost every peel erases a ledger entry
-// and inserts a new one, and no ledger indexed by weight could hold them.
+// mostly distinct and pass 1e9, so the cap probes rarely hit a tie. Every
+// step is audited against the oracle's optimal bottleneck.
 TEST(WarmStartDifferential, LargeDistinctWeightsPeelIdentically) {
   Rng rng(1000000007);
   RandomGraphConfig config;
@@ -196,33 +199,27 @@ TEST(WarmStartDifferential, LargeDistinctWeightsPeelIdentically) {
         std::unique(weights.begin(), weights.end()) - weights.begin());
     heaviest = std::max(heaviest, weights.back());
 
-    const auto oracle_steps =
-        wrgp_peel(oracle_g, oracle::bottleneck_perfect_matching);
+    const auto oracle_steps = oracle::checked_oggp_peel(oracle_g);
     PeelingContext ctx;
     const auto warm_steps =
         wrgp_peel_warm(warm_g, Algorithm::kOGGP, ctx);
-
-    ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
-    for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
-      EXPECT_EQ(oracle_steps[s].amount, warm_steps[s].amount)
-          << "trial " << trial << " step " << s;
-      EXPECT_EQ(oracle_steps[s].matching.edges, warm_steps[s].matching.edges)
-          << "trial " << trial << " step " << s;
-    }
+    expect_identical_peels(oracle_steps, warm_steps,
+                           "trial " + std::to_string(trial));
   }
   EXPECT_GT(2 * distinct, edges);
   EXPECT_GT(heaviest, 1'000'000'000);
 }
 
-// Widest augmenting paths must land on the oracle's threshold, so the
-// replayed matchings match it edge id for edge id. The demands have
-// parallel edges and random weights up to 3e9, and some cap probe must
-// miss by two or more edges, so one step chains several paths (each path
-// is one bottleneck.widest_paths count).
+// Widest augmenting paths must land on the oracle's optimal bottleneck,
+// so every step's minimum equals it. The demands have parallel edges and
+// random weights up to 3e9, and some cap probe must miss by two or more
+// edges, so one step chains several paths (each path is one
+// bottleneck.widest_paths count).
 TEST(WarmStartDifferential, WidestPathsMatchOracle) {
   Rng rng(1709);
   std::size_t parallel = 0;
   std::uint64_t largest_deficit = 0;
+  std::size_t steps = 0;
   Weight heaviest = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const auto n = static_cast<NodeId>(rng.uniform_int(2, 12));
@@ -237,38 +234,22 @@ TEST(WarmStartDifferential, WidestPathsMatchOracle) {
       demand.add_edge(left, right, rng.uniform_int(1, 3'000'000'000));
     }
     const int k = static_cast<int>(rng.uniform_int(1, n));
-    BipartiteGraph oracle_g = regularize(demand, k).graph;
-    BipartiteGraph warm_g = oracle_g;
-    for (const Edge& e : oracle_g.edges()) {
-      heaviest = std::max(heaviest, e.weight);
-    }
+    BipartiteGraph g = regularize(demand, k).graph;
+    for (const Edge& e : g.edges()) heaviest = std::max(heaviest, e.weight);
 
-    const auto oracle_steps =
-        wrgp_peel(oracle_g, oracle::bottleneck_perfect_matching);
     obs::MetricsRegistry registry;
     const obs::ScopedTelemetry scope(&registry, nullptr);
     obs::Counter& widest = registry.counter("bottleneck.widest_paths");
-    PeelingContext ctx;
-    const PerfectMatchingStrategy pick = [&](const BipartiteGraph& g) {
-      const std::uint64_t before = widest.value();
-      Matching picked = ctx.bottleneck_perfect(g);
-      largest_deficit = std::max(largest_deficit, widest.value() - before);
-      return picked;
+    std::uint64_t seen = 0;  // widest paths up to the previous step
+    // The observer runs once per step, after that step's search.
+    const PeelObserver count_paths = [&](const BipartiteGraph&,
+                                         const Matching&, Weight) {
+      largest_deficit = std::max(largest_deficit, widest.value() - seen);
+      seen = widest.value();
     };
-    const PeelObserver peel = [&](const BipartiteGraph& g, const Matching& m,
-                                  Weight amount) {
-      ctx.before_peel(g, m, amount);
-    };
-    const auto warm_steps = wrgp_peel(warm_g, pick, peel);
-
-    ASSERT_EQ(oracle_steps.size(), warm_steps.size()) << "trial " << trial;
-    for (std::size_t s = 0; s < oracle_steps.size(); ++s) {
-      EXPECT_EQ(oracle_steps[s].amount, warm_steps[s].amount)
-          << "trial " << trial << " step " << s;
-      EXPECT_EQ(oracle_steps[s].matching.edges, warm_steps[s].matching.edges)
-          << "trial " << trial << " step " << s;
-    }
+    steps += oracle::checked_oggp_peel(g, count_paths).size();
   }
+  EXPECT_GT(steps, 0u);
   EXPECT_GT(parallel, 0u);
   EXPECT_GT(heaviest, 1'000'000'000);
   EXPECT_GE(largest_deficit, 2u);
