@@ -38,7 +38,8 @@ void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
   const auto n_left = static_cast<std::size_t>(g.left_count());
   usable_.resize(edges.size());
   usable_ids_.clear();
-  threshold_ids_.clear();
+  threshold_ids_.resize(edges.size());
+  threshold_count_ = 0;
   arc_begin_.assign(n_left, 0);
   for (std::size_t e = 0; e < edges.size(); ++e) {
     usable_[e] = static_cast<char>(edges[e].weight >= min_weight &&
@@ -47,7 +48,7 @@ void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
     usable_ids_.push_back(static_cast<EdgeId>(e));
     ++arc_begin_[static_cast<std::size_t>(edges[e].left)];
     if (edges[e].weight == min_weight) {
-      threshold_ids_.push_back(static_cast<EdgeId>(e));
+      threshold_ids_[threshold_count_++] = static_cast<EdgeId>(e);
     }
   }
   // Each left node's usable edges, in its adjacency order: the BFS and DFS
@@ -75,11 +76,13 @@ void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
   parent_.resize(n_left);
 }
 
-void HopcroftKarp::drop_dead(const std::vector<EdgeId>& dead) {
-  REDIST_CHECK_MSG(g_ != nullptr && min_weight_ == 1,
-                   "HopcroftKarp::drop_dead needs a threshold-1 bind");
-  for (EdgeId e : dead) {
-    REDIST_CHECK_MSG(!g_->alive(e), "drop_dead: edge " << e << " is alive");
+void HopcroftKarp::shrink(const std::vector<EdgeId>& fallen,
+                          const std::vector<EdgeId>& joined) {
+  REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::shrink before rebind");
+  for (EdgeId e : fallen) {
+    REDIST_CHECK_MSG(usable_[static_cast<std::size_t>(e)] != 0 &&
+                         g_->edge(e).weight < min_weight_,
+                     "shrink: edge " << e << " did not fall");
     usable_[static_cast<std::size_t>(e)] = 0;
     const auto u = static_cast<std::size_t>(g_->edge(e).left);
     std::size_t kept = arc_begin_[u];
@@ -88,11 +91,27 @@ void HopcroftKarp::drop_dead(const std::vector<EdgeId>& dead) {
     }
     arc_end_[u] = kept;
   }
-  const auto dropped = [this](EdgeId e) {
-    return usable_[static_cast<std::size_t>(e)] == 0;
-  };
-  std::erase_if(usable_ids_, dropped);
-  std::erase_if(threshold_ids_, dropped);
+  // Compact the threshold list, then merge the joined ids in from the back.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < threshold_count_; ++i) {
+    const EdgeId e = threshold_ids_[i];
+    if (usable_[static_cast<std::size_t>(e)] != 0) threshold_ids_[kept++] = e;
+  }
+  threshold_count_ = kept + joined.size();
+  REDIST_CHECK(threshold_count_ <= threshold_ids_.size());
+  for (std::size_t out = threshold_count_, j = joined.size(); j > 0;) {
+    const EdgeId e = joined[j - 1];
+    if (kept > 0 && threshold_ids_[kept - 1] > e) {
+      threshold_ids_[--out] = threshold_ids_[--kept];
+      continue;
+    }
+    REDIST_CHECK_MSG(usable_[static_cast<std::size_t>(e)] != 0 &&
+                         g_->edge(e).weight == min_weight_ &&
+                         (j == 1 || joined[j - 2] < e),
+                     "shrink: edge " << e << " did not join in order");
+    threshold_ids_[--out] = e;
+    --j;
+  }
   std::fill(match_left_.begin(), match_left_.end(), kNoEdge);
   std::fill(mate_of_right_.begin(), mate_of_right_.end(), kNoNode);
 }
@@ -191,9 +210,12 @@ Matching HopcroftKarp::solve() {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::solve before rebind");
   // Seed with a greedy matching: cheap and typically covers most vertices.
   // Same edge-id scan order as greedy_matching, restricted to the usable
-  // edges of the snapshot.
+  // edges of the snapshot. The same pass drops the ids shrink() left.
   const std::vector<Edge>& edges = g_->edges();
+  std::size_t live = 0;
   for (const EdgeId e : usable_ids_) {
+    if (usable_[static_cast<std::size_t>(e)] == 0) continue;
+    usable_ids_[live++] = e;
     const Edge& edge = edges[static_cast<std::size_t>(e)];
     if (match_left_[static_cast<std::size_t>(edge.left)] != kNoEdge ||
         mate_of_right_[static_cast<std::size_t>(edge.right)] != kNoNode) {
@@ -201,6 +223,7 @@ Matching HopcroftKarp::solve() {
     }
     match(edge.left, e, edge.right);
   }
+  usable_ids_.resize(live);
   return augment_to_maximum();
 }
 

@@ -7,22 +7,23 @@
 //
 // The solver is rebindable: one instance can be pointed at successive
 // graph/mask pairs, reusing its buffers instead of reallocating.
-// PeelingContext rebinds one instance for every cap probe and repair of a
-// WRGP peel. solve() is the cold run (greedy seed, then phases); GGP and
-// OGGP's first probe use it. solve_seeded() is the repair that OGGP's later
-// probes and the test oracle's Fig. 6 search use: it keeps a given partial
-// matching and completes it with one breadth-first augmenting search per
-// free left node.
+// PeelingContext keeps one instance through a WRGP peel, shrinking its
+// snapshot between steps. solve() is the cold run (greedy seed, then
+// phases); GGP and OGGP's first probe use it. solve_seeded() is the repair
+// that OGGP's later probes and the test oracle's Fig. 6 search use: it
+// keeps a given partial matching and completes it with one breadth-first
+// augmenting search per free left node.
 //
 // A rebind snapshots the usable edge set (alive, at or above the threshold,
 // permitted by the mask) into a flat per-left-node arc list, kept in each
 // node's adjacency order, so the BFS and DFS walk contiguous arrays and
 // never see an unusable edge. The snapshot is not refreshed: a caller that
-// changes the graph's weights must rebind before solving again; drop_dead()
-// is the one exception.
+// changes the graph's weights must rebind before solving again, or name
+// the edges that crossed the threshold to shrink().
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/contract_annotations.hpp"
@@ -57,16 +58,18 @@ class HopcroftKarp {
   void rebind_threshold(const BipartiteGraph& g, Weight min_weight);
 
   /// The usable edges of the last bind that weigh exactly its threshold
-  /// (1 for rebind()), ascending. Collected by the bind's edge pass.
-  const std::vector<EdgeId>& threshold_edges() const {
-    return threshold_ids_;
+  /// (1 for rebind()), ascending, as shrink() keeps them.
+  std::span<const EdgeId> threshold_edges() const {
+    return {threshold_ids_.data(), threshold_count_};
   }
 
-  /// Removes the arcs of `dead` from a rebind() snapshot, keeping each
-  /// node's other arcs in order, and resets the matching. If weights only
-  /// fell since that rebind and `dead` names every edge that died, the
-  /// result equals a fresh rebind() with the same mask.
-  void drop_dead(const std::vector<EdgeId>& dead);
+  /// Resets the matching, drops the arcs of the snapshot edges `fallen`
+  /// below the threshold and lists the ones `joined` on it (ascending). If
+  /// weights only fell since the bind and the lists name every such edge,
+  /// the result equals a fresh bind (GGP passes only the dead edges).
+  REDIST_NOALLOC
+  void shrink(const std::vector<EdgeId>& fallen,
+              const std::vector<EdgeId>& joined);
 
   /// Computes a maximum matching from a greedy seed. Deterministic: a given
   /// (graph, mask) pair always yields the same matching.
@@ -131,8 +134,9 @@ class HopcroftKarp {
   obs::Counter* paths_counter_ = nullptr;
   Weight min_weight_ = 1;               // threshold of the last bind
   std::vector<char> usable_;            // edge id -> usable in the snapshot
-  std::vector<EdgeId> usable_ids_;      // usable edge ids, ascending
-  std::vector<EdgeId> threshold_ids_;   // usable ids weighing min_weight_
+  std::vector<EdgeId> usable_ids_;      // usable ids ascending; solve() prunes
+  std::vector<EdgeId> threshold_ids_;   // one slot per edge: merge in place
+  std::size_t threshold_count_ = 0;     // ids weighing min_weight_ in front
   std::vector<std::size_t> arc_begin_;  // left node -> first arc
   std::vector<std::size_t> arc_end_;    // left node -> one past its last arc
   std::vector<Arc> arcs_;               // usable edges, grouped by left node

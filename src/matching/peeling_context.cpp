@@ -48,7 +48,7 @@ Matching PeelingContext::arbitrary_perfect(const BipartiteGraph& g) {
   // depends on the greedy seed — so no warm seed here. Only the edges that
   // died leave GGP's usable set, so dropping their arcs is the rebind.
   if (ggp_snapshot_) {
-    hk_.drop_dead(dead_);
+    hk_.shrink(fallen_, joined_);
   } else {
     hk_.rebind(g);
   }
@@ -62,7 +62,6 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   const auto target = static_cast<std::size_t>(g.left_count());
   if (target == 0) return Matching{};
 
-  ggp_snapshot_ = false;
   obs::MetricsRegistry* const metrics = obs::metrics();
   // Looked up every step, so the count is exported even when it stays 0.
   obs::Counter* const widest_counter =
@@ -74,9 +73,17 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   // bottleneck b, any perfect matching M' of the peeled residual was a
   // perfect matching before the peel, with weights at least as large, so
   // min'(M') <= min(M') <= b: T is the largest alive weight <= b.
-  const Weight cap = last_bottleneck_ > 0
-                         ? largest_weight_at_most(g, last_bottleneck_)
-                         : lightest_heaviest_edge(g);
+  // Each step leaves hk_ bound at its b; the peel lowers only matched edges,
+  // and edges outside the snapshot weigh < b. So the snapshot shrunk by
+  // before_peel()'s lists is G_b, and while it holds a weight-b edge, T = b.
+  const bool reused = last_bottleneck_ > 0 && !ggp_snapshot_ &&
+                      hk_.threshold_edges().size() + joined_.size() > leaving_;
+  ggp_snapshot_ = false;
+  if (reused) hk_.shrink(fallen_, joined_);
+  const Weight cap = reused                 ? last_bottleneck_
+                     : last_bottleneck_ > 0 ? largest_weight_at_most(
+                                                  g, last_bottleneck_)
+                                            : lightest_heaviest_edge(g);
   REDIST_CHECK_MSG(cap > 0, "no perfect matching exists (no alive weight "
                             "at or below the cap)");
 
@@ -87,9 +94,9 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   {
     obs::TraceSpan probe_span(obs::trace(), "bottleneck.probe");
     if (metrics != nullptr) metrics->counter("bottleneck.probes").add();
-    hk_.rebind_threshold(g, cap);
+    if (!reused) hk_.rebind_threshold(g, cap);
     if (last_bottleneck_ > 0) {
-      const std::vector<EdgeId>& dying = hk_.threshold_edges();
+      const std::span<const EdgeId> dying = hk_.threshold_edges();
       seed_.edges.assign(kept_.begin(), kept_.end());
       seed_.edges.insert(seed_.edges.end(), dying.begin(), dying.end());
       result = hk_.solve_seeded(seed_);
@@ -98,6 +105,7 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
     }
     if (probe_span) {
       probe_span.arg("threshold", cap);
+      probe_span.arg("reused", reused);
       probe_span.arg("feasible", result.size() == target);
       probe_span.arg("deficit", target - result.size());
     }
@@ -145,6 +153,9 @@ Matching PeelingContext::bottleneck_perfect(const BipartiteGraph& g) {
   REDIST_CHECK_MSG(min_weight(g, result) == t,
                    "warm bottleneck value diverged from threshold " << t);
   last_bottleneck_ = t;
+  if (metrics != nullptr && (!reused || t < cap)) {  // the cap, the replay
+    metrics->counter("bottleneck.rebinds").add((reused ? 0U : 1U) + (t < cap));
+  }
   if (search_span) {
     search_span.arg("cap", cap);
     search_span.arg("bottleneck", t);
@@ -207,14 +218,22 @@ Weight PeelingContext::widest_augment(const BipartiteGraph& g, Weight t) {
 void PeelingContext::before_peel(const BipartiteGraph& g, const Matching& m,
                                  Weight amount) {
   REDIST_CHECK(amount > 0);
-  dead_.clear();
+  const Weight floor = ggp_snapshot_ ? 1 : last_bottleneck_;
+  fallen_.clear();
+  joined_.clear();
   kept_.clear();
+  leaving_ = 0;
   for (EdgeId e : m.edges) {
     const Weight old_weight = g.edge(e).weight;
     REDIST_CHECK_MSG(old_weight >= amount,
                      "peel amount exceeds residual weight");
-    (old_weight == amount ? dead_ : kept_).push_back(e);
+    if (old_weight == floor) ++leaving_;
+    const Weight rest = old_weight - amount;
+    if (rest > 0) kept_.push_back(e);
+    if (rest < floor) fallen_.push_back(e);
+    if (rest == floor && !ggp_snapshot_) joined_.push_back(e);
   }
+  std::sort(joined_.begin(), joined_.end());
 }
 
 }  // namespace redist

@@ -1,44 +1,34 @@
 // The peeling engine behind GGP and OGGP (WRGP's matching selection).
 //
 // Consecutive WRGP steps differ only by the edges the previous step
-// clamped, so a from-scratch bottleneck search per step repeats almost all
-// of its work. PeelingContext persists the reusable state:
+// clamped, so PeelingContext carries the reusable state across them:
 //
-//  * the previous step's bottleneck, which caps the next step's search:
-//    peeling only lowers weights, so a step's optimal bottleneck never
-//    exceeds the previous one;
+//  * the previous step's bottleneck b, which caps the next step's search
+//    (peeling only lowers weights, so the optimum never rises);
 //  * the previous step's matched edges that survived its peel, which seed
 //    OGGP's next probe;
-//  * one rebindable Hopcroft–Karp solver, reused across steps. GGP keeps
-//    its snapshot: only edges that die leave GGP's usable set, and
-//    before_peel() names them, so the next step drops their arcs instead
-//    of rebinding;
-//  * the widest-path search's and the repair seed's buffers, so steps
-//    after the first allocate nothing there.
+//  * one Hopcroft–Karp solver whose snapshot follows the peel: before_peel()
+//    names the matched edges that fell below its threshold (1 for GGP, b
+//    for OGGP) or landed on it, and the next step shrinks the snapshot by
+//    them instead of rebinding. OGGP rebinds only when the threshold falls;
+//  * the widest-path search's and the repair seed's buffers.
 //
 // An OGGP step is any perfect matching of the residual whose minimum edge
-// weight is the optimal bottleneck t* (PAPER.md §1, Fig. 6); which of those
-// matchings is taken is left open. A step runs the paper's Fig. 6 from the
-// top down: a cap probe at an upper bound T on t* (the largest alive weight
-// at or below the previous bottleneck; on the first step, the lightest of
-// the nodes' heaviest edges), then, if the probe is not perfect, widest
-// augmenting paths from its maximum matching until t reaches t*.
+// weight is the optimal bottleneck t* (PAPER.md §1, Fig. 6). A step runs
+// Fig. 6 from the top down: a cap probe at an upper bound T on t* (the
+// largest alive weight <= b; on the first step, the lightest of the nodes'
+// heaviest edges) repairs the previous step's surviving edges, then the
+// edges weighing exactly T, with HopcroftKarp::solve_seeded (the first
+// step runs the cold solve). A perfect probe is the step. Otherwise widest
+// augmenting paths from its matching find t*, and one repair at t* seeded
+// with the weight-t* edges first and the widest-path matching after them
+// gives the step. O(m + d·m log n) per step for a deficit of d, plus the
+// repair's searches.
 //
-// Consecutive steps differ only in the edges that died, so the probe
-// repairs the previous matching instead of matching from scratch: the
-// first step's probe is the cold Hopcroft–Karp run, every later probe is
-// HopcroftKarp::solve_seeded from the previous step's surviving edges,
-// then the edges weighing exactly T (those this step would kill). A
-// perfect probe is the step. Otherwise, once the widest paths find t*, one
-// more repair at t* seeded with the weight-t* edges first and the widest-
-// path matching after them gives the step. O(m + d·m log n) per step for a
-// deficit of d, plus the repair's searches.
-//
-// A context follows one graph through its peel: the cap, the previous
-// matching and the GGP snapshot are carried over from the previous step of
-// that graph. GGP keeps the cold run, so its matchings stay max_matching's.
-// tests/oracle checks every OGGP step against a from-scratch threshold
-// search and the paper's Fig. 6: perfect, with the optimal minimum.
+// A context follows one graph through its peel. GGP keeps the cold run, so
+// its matchings stay max_matching's. tests/oracle checks every OGGP step
+// against a from-scratch threshold search and the paper's Fig. 6: perfect,
+// with the optimal minimum.
 #pragma once
 
 #include <utility>
@@ -70,9 +60,9 @@ class PeelingContext {
   Matching bottleneck_perfect(const BipartiteGraph& g);
 
   /// Records that `amount` is about to be peeled off every edge of `m`: the
-  /// edges that die (for GGP's snapshot) and the ones that survive (OGGP's
-  /// next seed). Must be called *before* the weights drop, once per step,
-  /// with the matching this context returned for the step.
+  /// edges that leave or join the solver's snapshot, and the ones that
+  /// survive (OGGP's next seed). Must be called *before* the weights drop,
+  /// once per step, with the matching this context returned for the step.
   REDIST_DETERMINISTIC
   void before_peel(const BipartiteGraph& g, const Matching& m, Weight amount);
 
@@ -84,8 +74,12 @@ class PeelingContext {
   Weight widest_augment(const BipartiteGraph& g, Weight t);
 
   HopcroftKarp hk_;             // rebindable solver (reused buffers)
-  std::vector<EdgeId> dead_;    // GGP: edges the last peel killed
-  std::vector<EdgeId> kept_;    // OGGP: edges the last peel left alive
+  // The last peel's matched edges against hk_'s threshold: below it, on it
+  // (OGGP, ascending), alive (OGGP's seed), and how many weighed exactly it.
+  std::vector<EdgeId> fallen_;
+  std::vector<EdgeId> joined_;
+  std::vector<EdgeId> kept_;
+  std::size_t leaving_ = 0;
   Matching seed_;               // OGGP: the repair's seed, reused
   bool ggp_snapshot_ = false;   // hk_ holds GGP's bind of this graph
   Weight last_bottleneck_ = 0;  // previous step's bottleneck; 0 = none

@@ -176,17 +176,6 @@ void SchedulerService::handle_connection(TcpStream stream) {
                        "daemon is draining");
         return;
       }
-      // Admission control: one token per request from the global lock-free
-      // bucket. Rejection keeps the connection alive — the client backs
-      // off and retries without redialing.
-      if (!admission_.try_acquire(1)) {
-        if (metrics != nullptr) {
-          metrics->counter("service.rate_limited").add();
-        }
-        send_rpc_error(stream, request_id, rpc::RpcErrorCode::kRateLimited,
-                       "admission rate exceeded; retry later");
-        continue;
-      }
       rpc::SolveRequest request;
       try {
         request = rpc::decode_solve_request(payload);
@@ -199,6 +188,11 @@ void SchedulerService::handle_connection(TcpStream stream) {
         std::vector<char> body;
         rpc::encode_solve_response(body, response);
         send_rpc(stream, rpc::RpcTag::kSolveResponse, body);
+      } catch (const AdmissionRefused& e) {
+        // The connection stays alive: the client backs off and retries
+        // without redialing.
+        send_rpc_error(stream, request.request_id,
+                       rpc::RpcErrorCode::kRateLimited, e.what());
       } catch (const std::exception& e) {
         // Not only redist::Error: a request the decoder accepts can still
         // be too large to allocate (std::length_error, std::bad_alloc),
@@ -226,6 +220,14 @@ rpc::SolveResponse SchedulerService::serve_solve(
   response.request_id = request.request_id;
   response.served_from = rpc::ServedFrom::kCacheHit;
   if (!cached) {
+    // Admission control: one token per solver run from the global
+    // lock-free bucket. A hit costs no token and is never refused.
+    if (!admission_.try_acquire(1)) {
+      if (obs::MetricsRegistry* const metrics = obs::metrics()) {
+        metrics->counter("service.rate_limited").add();
+      }
+      throw AdmissionRefused("admission rate exceeded; retry later");
+    }
     const SolveResult solved = solve_kpbs(demand_graph(instance), options);
     cached = CachedSolve{
         .schedule_text = schedule_to_string(solved.schedule),

@@ -6,12 +6,13 @@
 //   accept thread ──► ThreadPool ──► per-connection handler
 //                                      │  Hello/HelloAck version handshake
 //                                      │  per solve request:
-//                                      │    admission TokenBucket (lock-free
-//                                      │    CAS, runtime/token_bucket.hpp)
 //                                      │    SolveCache lookup by canonical
 //                                      │    fingerprint (service/fingerprint)
 //                                      │      hit   → cached bytes, no solve
-//                                      │      miss  → solve_kpbs, insert
+//                                      │      miss  → admission TokenBucket
+//                                      │              (lock-free CAS,
+//                                      │              runtime/token_bucket),
+//                                      │              solve_kpbs, insert
 //                                      │  per introspection request:
 //                                      │    healthz/statusz/metricsz/journalz
 //                                      │    rendered from the installed obs
@@ -25,19 +26,22 @@
 // client trips TimeoutError and the handler closes the connection, which
 // also bounds stop() latency to roughly io_timeout_ms.
 //
-// Admission control is a single lock-free global TokenBucket in
-// request units (1 token = 1 solve request): over-rate requests get the
-// typed ErrorResponse{kRateLimited} and the connection stays usable —
-// clients back off and retry rather than redial. Introspection requests
-// skip the bucket and are not counted as solve requests, so an overloaded
-// daemon can still be inspected.
+// Admission control is a single lock-free global TokenBucket in solver
+// runs (1 token = 1 cache miss solved): a hit costs no token and is never
+// refused, and an over-rate miss gets the typed
+// ErrorResponse{kRateLimited} after its decode, canonicalization and
+// lookup; the connection stays usable — clients back off and retry rather
+// than redial. Introspection requests skip the bucket and are not counted
+// as solve requests, so an overloaded daemon can still be inspected.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 
 #include "common/contract_annotations.hpp"
+#include "common/error.hpp"
 #include "net/rpc.hpp"
 #include "net/socket.hpp"
 #include "runtime/thread_pool.hpp"
@@ -56,6 +60,13 @@ struct SchedulerServiceOptions {
   double admission_rate_rps = 512;  ///< sustained requests/second, global
   Bytes admission_burst = 64;       ///< burst requests before limiting
   bool allow_remote_shutdown = true;  ///< honor rpc kShutdown frames
+};
+
+/// serve_solve found a cache miss while the admission bucket was empty; the
+/// socket handler answers it with kRateLimited.
+class AdmissionRefused : public Error {
+ public:
+  explicit AdmissionRefused(const std::string& what) : Error(what) {}
 };
 
 class SchedulerService {
@@ -86,9 +97,10 @@ class SchedulerService {
 
   const SolveCache& cache() const { return cache_; }
 
-  /// Serves one already-decoded request — cache lookup, possibly a solve,
-  /// cache fill. Exposed for in-process tests (the socket handler calls
-  /// exactly this); throws redist::Error on an invalid instance (see
+  /// Serves one already-decoded request — cache lookup, possibly an
+  /// admitted solve, cache fill. Exposed for in-process tests (the socket
+  /// handler calls exactly this); throws AdmissionRefused on a miss over
+  /// the admission rate, redist::Error on an invalid instance (see
   /// canonicalize and demand_graph) or a solver failure.
   rpc::SolveResponse serve_solve(const rpc::SolveRequest& request);
 

@@ -10,13 +10,20 @@
 // optimal bottleneck, so the "cold" rows also check that contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <numeric>
 #include <string>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "graph/graphio.hpp"
 #include "kpbs/regularize.hpp"
+#include "kpbs/schedule_io.hpp"
 #include "kpbs/solver.hpp"
 #include "oracle/bottleneck_oracle.hpp"
+#include "workload/scenario.hpp"
 
 #ifndef REDIST_TEST_DATA_DIR
 #error "REDIST_TEST_DATA_DIR must point at tests/data"
@@ -102,6 +109,94 @@ TEST(GoldenMakespans, OggpNeverWorseThanGgpOnCorpus) {
   for (const GoldenCase& c : kGolden) {
     EXPECT_LE(c.oggp_cost, c.ggp_cost) << c.file;
     EXPECT_LE(c.oggp_steps, c.ggp_steps) << c.file;
+  }
+}
+
+// FNV-1a over a schedule's text form: equal digests, equal bytes.
+std::uint64_t schedule_digest(const Schedule& schedule) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : schedule_to_string(schedule)) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct PinnedInstance {
+  std::string name;
+  BipartiteGraph demand;
+  int k;
+  Weight beta;
+};
+
+// The golden corpus, seeded sparse_giant demands at 1/32 scale, and dense
+// daemon_mix-shaped instances (48x48, 1200 pairs, bytes U[1, 1000]).
+std::vector<PinnedInstance> pinned_instances() {
+  std::vector<PinnedInstance> out;
+  for (const GoldenCase& c : kGolden) {
+    out.push_back({c.file, load_golden(c.file), c.k, c.beta});
+  }
+  const std::vector<ScenarioSpec> specs = builtin_scenarios(1.0 / 32);
+  const auto giant = std::find_if(
+      specs.begin(), specs.end(),
+      [](const ScenarioSpec& s) { return s.name == "sparse_giant"; });
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    ScenarioSpec spec = *giant;
+    spec.seed = seed;
+    out.push_back({"sparse_giant seed " + std::to_string(seed),
+                   materialize_scenario(spec).demand, spec.k, spec.beta});
+  }
+  constexpr NodeId kNodes = 48;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    std::vector<std::int64_t> pairs(static_cast<std::size_t>(kNodes * kNodes));
+    std::iota(pairs.begin(), pairs.end(), 0);
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    BipartiteGraph demand(kNodes, kNodes);
+    for (std::size_t i = 0; i < 1200; ++i) {
+      demand.add_edge(static_cast<NodeId>(pairs[i] / kNodes),
+                      static_cast<NodeId>(pairs[i] % kNodes),
+                      rng.uniform_int(1, 1000));
+    }
+    out.push_back({"dense48 seed " + std::to_string(seed), std::move(demand),
+                   8, 1});
+  }
+  return out;
+}
+
+// Pins the exact bytes of every GGP and OGGP schedule solve_kpbs returns on
+// the instances above, as captured before the OGGP snapshot followed the
+// threshold: how the peel reuses its solver state must not change them.
+TEST(GoldenMakespans, PinnedScheduleDigests) {
+  const std::vector<std::uint64_t> ggp = {
+      0xe3385f5bb4ae9761ULL, 0x1febe411027ef0a1ULL, 0x816ec8bab18fb756ULL,
+      0x77d0e7c78f07b296ULL, 0x9ce51e71fcbee012ULL, 0x0636f70e7e3ea7e5ULL,
+      0xbe9c82a3c82c16a4ULL, 0xd11fd98869c7e8bfULL, 0x51d4de78be7e063eULL,
+      0xbf5cea9a85c0236fULL, 0xf1a5d96434403751ULL, 0x802d753fd941efc9ULL,
+      0x2c62689d1045630eULL, 0x0dff596cc5055373ULL, 0x0fd6e7757b774ae1ULL,
+      0xa250165477c27d45ULL, 0xfca01f932d08b3dbULL, 0x95073e191a8d9982ULL,
+      0x5336b2d975cbd4ceULL,
+  };
+  const std::vector<std::uint64_t> oggp = {
+      0xe3385f5bb4ae9761ULL, 0xf5d24956c5ee5ab4ULL, 0x16c798d571ba1f4bULL,
+      0xb3eea2a7b18d901aULL, 0xef31d1eb9c468554ULL, 0xa9a3c0483067adcbULL,
+      0xe82eddea826576a0ULL, 0xeed86f2c83bf2d69ULL, 0x5ec41ca1ffc131b4ULL,
+      0x23e2f0cf1932ddf7ULL, 0xb86ed1fdaff94cc8ULL, 0x6a9b0f465779930fULL,
+      0x82effee4d9c22943ULL, 0xff687ca79ccb8e1cULL, 0xee69d04ca0854b18ULL,
+      0xfc84c31f0ad344a7ULL, 0x68c0210ec2e04a77ULL, 0xf7dfe82d82af2d0dULL,
+      0xa46e1534e0699811ULL,
+  };
+  const std::vector<PinnedInstance> instances = pinned_instances();
+  ASSERT_EQ(ggp.size(), instances.size());
+  ASSERT_EQ(oggp.size(), instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const PinnedInstance& inst = instances[i];
+    for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
+      const std::uint64_t digest = schedule_digest(
+          solve_kpbs(inst.demand, {inst.k, inst.beta, algo}).schedule);
+      EXPECT_EQ(digest, (algo == Algorithm::kGGP ? ggp : oggp)[i])
+          << inst.name << (algo == Algorithm::kGGP ? " GGP" : " OGGP")
+          << " digest 0x" << std::hex << digest;
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -30,6 +31,10 @@ std::size_t brute_force_max_matching(const BipartiteGraph& g,
     left_used[l] = right_used[r] = 0;
   }
   return best;
+}
+
+std::vector<EdgeId> ids(std::span<const EdgeId> edges) {
+  return {edges.begin(), edges.end()};
 }
 
 std::size_t brute_force_max_matching(const BipartiteGraph& g) {
@@ -262,10 +267,10 @@ TEST(HopcroftKarp, PinnedMatchings) {
   }
 }
 
-// drop_dead is the one exception to the snapshot contract: once some edges
-// of a rebind() die, dropping their arcs leaves the snapshot a fresh rebind
-// builds, so every later solve() returns the same edge ids. Rounds mimic a
-// GGP peel: solve, kill part of the matching, lower the rest.
+// shrink() follows the snapshot as weights fall. GGP's use of it: once some
+// edges of a rebind() die, dropping their arcs leaves the snapshot a fresh
+// rebind builds, so every later solve() returns the same edge ids. Rounds
+// mimic a GGP peel: solve, kill part of the matching, lower the rest.
 TEST(HopcroftKarp, DropDeadMatchesRebind) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -294,11 +299,61 @@ TEST(HopcroftKarp, DropDeadMatchesRebind) {
           g.decrease_weight(e, 1);
         }
       }
-      kept.drop_dead(dead);
+      kept.shrink(dead, {});
       HopcroftKarp fresh;
       fresh.rebind(g, mask);
       const Matching expected = fresh.solve();
       m = kept.solve();
+      ASSERT_EQ(m.edges, expected.edges)
+          << "seed " << seed << " round " << round;
+    }
+  }
+}
+
+// OGGP's use of shrink(): the snapshot at threshold T follows a peel that
+// lowers matched edges, dropping those that fell below T and adding those
+// that landed on it to the threshold list. After every shrink the list,
+// solve() and solve_seeded() equal a fresh rebind_threshold's at T.
+TEST(HopcroftKarp, ShrinkMatchesRebindThreshold) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    RandomGraphConfig config;
+    config.max_left = 40;
+    config.max_right = 40;
+    config.max_edges = 240;
+    config.max_weight = 9;
+    BipartiteGraph g = random_bipartite(rng, config);
+    const auto threshold = static_cast<Weight>(rng.uniform_int(1, 4));
+    HopcroftKarp kept;
+    kept.rebind_threshold(g, threshold);
+    Matching m = kept.solve();
+    for (int round = 0; round < 8 && !m.edges.empty(); ++round) {
+      std::vector<EdgeId> fallen;
+      std::vector<EdgeId> joined;
+      for (EdgeId e : m.edges) {
+        g.decrease_weight(e, rng.uniform_int(1, g.edge(e).weight));
+        const Weight rest = g.edge(e).weight;
+        if (rest < threshold) fallen.push_back(e);
+        if (rest == threshold) joined.push_back(e);
+      }
+      std::sort(joined.begin(), joined.end());
+      kept.shrink(fallen, joined);
+      HopcroftKarp fresh;
+      fresh.rebind_threshold(g, threshold);
+      ASSERT_EQ(ids(kept.threshold_edges()), ids(fresh.threshold_edges()))
+          << "seed " << seed << " round " << round;
+      Matching expected;
+      if (round % 2 == 0) {
+        expected = fresh.solve();
+        m = kept.solve();
+      } else {
+        Matching seed_matching = m;
+        for (EdgeId e : fresh.threshold_edges()) {
+          seed_matching.edges.push_back(e);
+        }
+        expected = fresh.solve_seeded(seed_matching);
+        m = kept.solve_seeded(seed_matching);
+      }
       ASSERT_EQ(m.edges, expected.edges)
           << "seed " << seed << " round " << round;
     }
@@ -317,24 +372,28 @@ TEST(HopcroftKarp, ThresholdEdgesAreTheUsableEdgesAtTheThreshold) {
   g.decrease_weight(dead, 3);
   HopcroftKarp solver;
   solver.rebind_threshold(g, 3);
-  EXPECT_EQ(solver.threshold_edges(), (std::vector<EdgeId>{0, 3}));
+  EXPECT_EQ(ids(solver.threshold_edges()), (std::vector<EdgeId>{0, 3}));
   solver.rebind_threshold(g, 4);
-  EXPECT_EQ(solver.threshold_edges(), std::vector<EdgeId>{});
+  EXPECT_EQ(ids(solver.threshold_edges()), std::vector<EdgeId>{});
   solver.rebind(g, {1, 1, 1, 1, 0});
-  EXPECT_EQ(solver.threshold_edges(), std::vector<EdgeId>{});
+  EXPECT_EQ(ids(solver.threshold_edges()), std::vector<EdgeId>{});
 }
 
+// shrink() takes only snapshot edges that crossed the threshold: an edge
+// still above it, one the snapshot never held, or a joined edge off the
+// threshold is a caller bug.
 TEST(HopcroftKarp, DropDeadRejectsAliveEdgesAndThresholdBinds) {
   BipartiteGraph g(2, 2);
   const EdgeId light = g.add_edge(0, 0, 1);
-  g.add_edge(1, 1, 2);
+  const EdgeId heavy = g.add_edge(1, 1, 3);
   HopcroftKarp solver(g);
-  EXPECT_THROW(solver.drop_dead({light}), Error);
+  EXPECT_THROW(solver.shrink({light}, {}), Error);
   solver.rebind_threshold(g, 2);
   g.decrease_weight(light, 1);
-  EXPECT_THROW(solver.drop_dead({light}), Error);
+  EXPECT_THROW(solver.shrink({light}, {}), Error);
+  EXPECT_THROW(solver.shrink({}, {heavy}), Error);
   HopcroftKarp unbound;
-  EXPECT_THROW(unbound.drop_dead({}), Error);
+  EXPECT_THROW(unbound.shrink({}, {}), Error);
 }
 
 TEST(HopcroftKarp, LargeBipartiteRegularHasPerfectMatching) {

@@ -3,7 +3,8 @@
 // entry lists), exact cache hits are bit-identical replays of the original
 // solve, a request with drifted volumes is a plain miss solved cold
 // (checked against direct solves over the golden corpus), LFU eviction
-// keeps the hot entries, admission control and unservable requests answer
+// keeps the hot entries, admission control (charged per solver run, so
+// hits are served with the bucket empty) and unservable requests answer
 // typed errors on a connection that stays usable, statusz over the same
 // rpc connection reports the cache and skips admission, and a concurrent
 // submit storm over real sockets is data-race-free (the TSan job runs this
@@ -381,6 +382,9 @@ TEST(SchedulerServiceTest, RateLimitAnswersTypedErrorAndConnectionSurvives) {
   req.request_id = 1;
   EXPECT_EQ(session.solve(req).request_id, 1u);  // consumes the burst token
 
+  // A different instance: a miss needs a solver run, and so a token.
+  req = request_from_graph(load_golden("golden_06.graph"), /*k=*/2,
+                           /*beta=*/1);
   req.request_id = 2;
   try {
     (void)session.solve(req);
@@ -572,6 +576,8 @@ TEST(SchedulerServiceTest, IntrospectionSkipsAdmissionControl) {
 
   EXPECT_NE(session.introspect("statusz").find("\"requests_served\":1"),
             std::string::npos);
+  req = request_from_graph(load_golden("golden_06.graph"), /*k=*/2,
+                           /*beta=*/1);
   req.request_id = 2;
   try {
     (void)session.solve(req);
@@ -581,6 +587,42 @@ TEST(SchedulerServiceTest, IntrospectionSkipsAdmissionControl) {
   }
   EXPECT_NE(session.introspect("statusz").find("\"requests_served\":2"),
             std::string::npos);
+  daemon.stop();
+}
+
+TEST(SchedulerServiceTest, CacheHitIsServedWithTheBucketEmpty) {
+  // A token pays for a solver run, so a hit is served byte-identical even
+  // when the bucket is empty, and only the refused miss counts as limited.
+  obs::MetricsRegistry registry;
+  obs::ScopedTelemetry telemetry(&registry, nullptr);
+  SchedulerServiceOptions options;
+  options.admission_rate_rps = 1e-6;  // effectively: the burst is all there is
+  options.admission_burst = 1;
+  SchedulerService daemon(options);
+  ClientSession session = ClientSession::dial_rpc(daemon.port());
+
+  rpc::SolveRequest req =
+      request_from_graph(load_golden("golden_05.graph"), /*k=*/2, /*beta=*/1);
+  req.request_id = 1;
+  const rpc::SolveResponse cold = session.solve(req);  // the burst token
+  ASSERT_EQ(cold.served_from, rpc::ServedFrom::kCold);
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    req.request_id = id;
+    const rpc::SolveResponse hit = session.solve(req);
+    EXPECT_EQ(hit.request_id, id);
+    EXPECT_EQ(hit.served_from, rpc::ServedFrom::kCacheHit);
+    EXPECT_EQ(hit.schedule_text, cold.schedule_text);
+    EXPECT_EQ(hit.solve_id, cold.solve_id);
+  }
+  EXPECT_EQ(registry.counter("service.rate_limited").value(), 0u);
+
+  rpc::SolveRequest miss =
+      request_from_graph(load_golden("golden_06.graph"), /*k=*/2, /*beta=*/1);
+  miss.request_id = 5;
+  EXPECT_THROW((void)session.solve(miss), RpcRemoteError);
+  EXPECT_EQ(registry.counter("service.rate_limited").value(), 1u);
+  req.request_id = 6;
+  EXPECT_EQ(session.solve(req).schedule_text, cold.schedule_text);
   daemon.stop();
 }
 
