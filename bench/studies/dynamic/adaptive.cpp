@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -40,47 +39,23 @@ BackboneTrace BackboneTrace::constant(double backbone_bps) {
 
 namespace {
 
-// Executes one step's communications as a fluid round at the backbone
-// throughput ruling when the step starts. Amounts are clipped against the
-// residual demand, which is updated in place; pairs for which this is the
-// last scheduled occurrence flush their whole residual (absorbing rounding
-// slack). Returns the step duration (0 for an effectively empty step).
+// Executes one step's pieces as a fluid round at the backbone throughput
+// ruling when the step starts. Returns the step duration (0 for an empty
+// step).
 double execute_step(const Platform& base, const BackboneTrace& trace,
-                    double now, const Step& step, double bytes_per_time_unit,
-                    TrafficMatrix& residual,
-                    const std::map<std::pair<NodeId, NodeId>, std::size_t>*
-                        last_occurrence,
-                    std::size_t step_index, const FluidOptions& options) {
+                    double now, const std::vector<BytePiece>& pieces,
+                    const FluidOptions& options) {
+  if (pieces.empty()) return 0;
   std::vector<Flow> flows;
-  for (const Communication& c : step.comms) {
-    const Bytes have = residual.at(c.sender, c.receiver);
-    const double want =
-        static_cast<double>(c.amount) * bytes_per_time_unit;
-    Bytes send = std::min<Bytes>(have,
-                                 static_cast<Bytes>(std::llround(want)));
-    if (last_occurrence != nullptr) {
-      const auto it = last_occurrence->find({c.sender, c.receiver});
-      if (it != last_occurrence->end() && it->second == step_index) {
-        send = have;  // flush rounding slack on the pair's final chunk
-      }
-    }
-    if (send <= 0) continue;
-    residual.set(c.sender, c.receiver, have - send);
-    flows.push_back(Flow{c.sender, c.receiver, static_cast<double>(send)});
+  for (const BytePiece& piece : pieces) {
+    flows.push_back(Flow{piece.sender, piece.receiver,
+                         static_cast<double>(piece.bytes)});
   }
-  if (flows.empty()) return 0;
   Platform p = base;
   p.backbone_bps = trace.at(now);
   return simulate_fluid(p, flows, options).makespan_seconds +
          base.beta_seconds;
 }
-
-BipartiteGraph residual_graph(const TrafficMatrix& residual,
-                              double bytes_per_time_unit) {
-  return residual.to_graph(bytes_per_time_unit);
-}
-
-bool drained(const TrafficMatrix& m) { return m.total() == 0; }
 
 // Adaptive k policy: floor(T/t) never congests but can waste up to one
 // card's worth of backbone (k*t < T); ceil(T/t) fills the backbone at the
@@ -115,8 +90,6 @@ DynamicRunResult run_static_under_trace(const Platform& base,
                                         Weight beta_units,
                                         Algorithm algorithm,
                                         const FluidOptions& options) {
-  REDIST_CHECK_MSG(bytes_per_time_unit >= 1.0,
-                   "time unit must be worth at least one byte");
   Platform p0 = base;
   p0.backbone_bps = trace.at(0);
   const int k0 = p0.max_k();
@@ -125,23 +98,15 @@ DynamicRunResult run_static_under_trace(const Platform& base,
 
   DynamicRunResult result;
   result.replans = 1;
-  TrafficMatrix residual = traffic;
-  std::map<std::pair<NodeId, NodeId>, std::size_t> last;
-  for (std::size_t s = 0; s < schedule.step_count(); ++s) {
-    for (const Communication& c : schedule.steps()[s].comms) {
-      last[{c.sender, c.receiver}] = s;
-    }
-  }
-  for (std::size_t s = 0; s < schedule.step_count(); ++s) {
+  for (const std::vector<BytePiece>& pieces :
+       plan_bytes(traffic, schedule, bytes_per_time_unit)) {
     const double d =
-        execute_step(base, trace, result.total_seconds, schedule.steps()[s],
-                     bytes_per_time_unit, residual, &last, s, options);
+        execute_step(base, trace, result.total_seconds, pieces, options);
     if (d > 0) {
       result.total_seconds += d;
       ++result.steps;
     }
   }
-  REDIST_CHECK_MSG(drained(residual), "static plan left residual demand");
   return result;
 }
 
@@ -154,8 +119,6 @@ DynamicRunResult run_adaptive_under_trace(const Platform& base,
                                           int replan_period,
                                           const FluidOptions& options) {
   REDIST_CHECK_MSG(replan_period >= 1, "replan_period must be >= 1");
-  REDIST_CHECK_MSG(bytes_per_time_unit >= 1.0,
-                   "time unit must be worth at least one byte");
   DynamicRunResult result;
   TrafficMatrix residual = traffic;
 
@@ -163,23 +126,27 @@ DynamicRunResult run_adaptive_under_trace(const Platform& base,
   const std::size_t max_rounds =
       static_cast<std::size_t>(traffic.nonzero_count()) * 64 + 64;
   std::size_t rounds = 0;
-  while (!drained(residual)) {
+  while (residual.total() > 0) {
     REDIST_CHECK_MSG(++rounds <= max_rounds,
                      "adaptive execution failed to make progress");
     Platform p = base;
     p.backbone_bps = trace.at(result.total_seconds);
     const int k = choose_k(p, options);
-    const BipartiteGraph g = residual_graph(residual, bytes_per_time_unit);
+    const BipartiteGraph g = residual.to_graph(bytes_per_time_unit);
     const Schedule plan = solve_kpbs(g, {k, beta_units, algorithm}).schedule;
     ++result.replans;
     REDIST_CHECK(plan.step_count() > 0);
+    const BytePlan pieces = plan_bytes(residual, plan, bytes_per_time_unit);
     const std::size_t execute =
         std::min<std::size_t>(static_cast<std::size_t>(replan_period),
                               plan.step_count());
     for (std::size_t s = 0; s < execute; ++s) {
+      for (const BytePiece& piece : pieces[s]) {
+        residual.set(piece.sender, piece.receiver,
+                     residual.at(piece.sender, piece.receiver) - piece.bytes);
+      }
       const double d = execute_step(base, trace, result.total_seconds,
-                                    plan.steps()[s], bytes_per_time_unit,
-                                    residual, nullptr, s, options);
+                                    pieces[s], options);
       if (d > 0) {
         result.total_seconds += d;
         ++result.steps;

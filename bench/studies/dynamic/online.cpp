@@ -1,7 +1,6 @@
 #include "dynamic/online.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 
@@ -10,11 +9,8 @@ namespace redist {
 namespace {
 
 void check_batches(const Platform& platform,
-                   const std::vector<ArrivalBatch>& batches,
-                   double bytes_per_time_unit) {
+                   const std::vector<ArrivalBatch>& batches) {
   REDIST_CHECK_MSG(!batches.empty(), "no arrival batches");
-  REDIST_CHECK_MSG(bytes_per_time_unit >= 1.0,
-                   "time unit must be worth at least one byte");
   double prev = -1;
   for (const ArrivalBatch& b : batches) {
     REDIST_CHECK_MSG(b.at_seconds >= 0 && b.at_seconds >= prev,
@@ -34,22 +30,17 @@ void merge_into(TrafficMatrix& pending, const TrafficMatrix& batch) {
   }
 }
 
-// Executes one step of `plan` against `pending`; returns its duration
-// (transmission + beta), or 0 if the step carried nothing.
-double execute_one(const Platform& platform, const Step& step,
-                   double bytes_per_time_unit, TrafficMatrix& pending,
+// Executes one step's pieces; returns its duration (transmission + beta),
+// or 0 for an empty step.
+double execute_one(const Platform& platform,
+                   const std::vector<BytePiece>& pieces,
                    const FluidOptions& options) {
+  if (pieces.empty()) return 0;
   std::vector<Flow> flows;
-  for (const Communication& c : step.comms) {
-    const Bytes have = pending.at(c.sender, c.receiver);
-    const double want = static_cast<double>(c.amount) * bytes_per_time_unit;
-    const Bytes send =
-        std::min<Bytes>(have, static_cast<Bytes>(std::llround(want)));
-    if (send <= 0) continue;
-    pending.set(c.sender, c.receiver, have - send);
-    flows.push_back(Flow{c.sender, c.receiver, static_cast<double>(send)});
+  for (const BytePiece& piece : pieces) {
+    flows.push_back(Flow{piece.sender, piece.receiver,
+                         static_cast<double>(piece.bytes)});
   }
-  if (flows.empty()) return 0;
   return simulate_fluid(platform, flows, options).makespan_seconds +
          platform.beta_seconds;
 }
@@ -61,15 +52,13 @@ OnlineResult run_online(const Platform& platform,
                         double bytes_per_time_unit, Weight beta_units,
                         Algorithm algorithm, int steps_per_plan,
                         const FluidOptions& options) {
-  check_batches(platform, batches, bytes_per_time_unit);
+  check_batches(platform, batches);
   REDIST_CHECK_MSG(steps_per_plan >= 1, "steps_per_plan must be >= 1");
   const int k = platform.max_k();
 
   OnlineResult result;
   TrafficMatrix pending(platform.n1, platform.n2);
   std::size_t next_batch = 0;
-  Bytes total_demand = 0;
-  for (const ArrivalBatch& b : batches) total_demand += b.traffic.total();
 
   const std::size_t max_rounds = batches.size() * 256 + 4096;
   std::size_t rounds = 0;
@@ -93,11 +82,15 @@ OnlineResult run_online(const Platform& platform,
     const BipartiteGraph g = pending.to_graph(bytes_per_time_unit);
     const Schedule plan = solve_kpbs(g, {k, beta_units, algorithm}).schedule;
     ++result.replans;
+    const BytePlan pieces = plan_bytes(pending, plan, bytes_per_time_unit);
     const std::size_t execute = std::min<std::size_t>(
         static_cast<std::size_t>(steps_per_plan), plan.step_count());
     for (std::size_t s = 0; s < execute; ++s) {
-      const double d = execute_one(platform, plan.steps()[s],
-                                   bytes_per_time_unit, pending, options);
+      for (const BytePiece& piece : pieces[s]) {
+        pending.set(piece.sender, piece.receiver,
+                    pending.at(piece.sender, piece.receiver) - piece.bytes);
+      }
+      const double d = execute_one(platform, pieces[s], options);
       if (d > 0) {
         result.total_seconds += d;
         ++result.steps;
@@ -112,7 +105,7 @@ OnlineResult run_batch_sequential(const Platform& platform,
                                   double bytes_per_time_unit,
                                   Weight beta_units, Algorithm algorithm,
                                   const FluidOptions& options) {
-  check_batches(platform, batches, bytes_per_time_unit);
+  check_batches(platform, batches);
   const int k = platform.max_k();
 
   OnlineResult result;
@@ -122,31 +115,15 @@ OnlineResult run_batch_sequential(const Platform& platform,
       result.total_seconds = batch.at_seconds;
     }
     if (batch.traffic.total() == 0) continue;
-    TrafficMatrix pending = batch.traffic;
-    const BipartiteGraph g = pending.to_graph(bytes_per_time_unit);
+    const BipartiteGraph g = batch.traffic.to_graph(bytes_per_time_unit);
     const Schedule plan = solve_kpbs(g, {k, beta_units, algorithm}).schedule;
     ++result.replans;
-    for (const Step& step : plan.steps()) {
-      const double d = execute_one(platform, step, bytes_per_time_unit,
-                                   pending, options);
+    for (const std::vector<BytePiece>& pieces :
+         plan_bytes(batch.traffic, plan, bytes_per_time_unit)) {
+      const double d = execute_one(platform, pieces, options);
       if (d > 0) {
         result.total_seconds += d;
         ++result.steps;
-      }
-    }
-    // Rounding slack: flush anything the plan's integer amounts missed.
-    for (NodeId i = 0; i < pending.senders(); ++i) {
-      for (NodeId j = 0; j < pending.receivers(); ++j) {
-        if (pending.at(i, j) > 0) {
-          Step flush;
-          flush.comms.push_back(Communication{i, j, 1});
-          const double d = execute_one(platform, flush, 1e18, pending,
-                                       options);
-          if (d > 0) {
-            result.total_seconds += d;
-            ++result.steps;
-          }
-        }
       }
     }
   }

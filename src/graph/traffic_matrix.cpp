@@ -52,20 +52,11 @@ int TrafficMatrix::nonzero_count() const {
 }
 
 BipartiteGraph TrafficMatrix::to_graph(double bytes_per_time_unit) const {
-  REDIST_CHECK_MSG(bytes_per_time_unit > 0,
-                   "bytes_per_time_unit must be positive");
   BipartiteGraph g(n1_, n2_);
   for (NodeId i = 0; i < n1_; ++i) {
     for (NodeId j = 0; j < n2_; ++j) {
       const Bytes b = data_[index(i, j)];
-      if (b > 0) {
-        const double w =
-            std::ceil(static_cast<double>(b) / bytes_per_time_unit);
-        REDIST_CHECK_MSG(w < 0x1p63, "duration of " << b << " bytes at "
-                                                    << bytes_per_time_unit
-                                                    << " per unit overflows");
-        g.add_edge(i, j, w >= 1 ? static_cast<Weight>(w) : 1);
-      }
+      if (b > 0) g.add_edge(i, j, time_units(b, bytes_per_time_unit));
     }
   }
   return g;
@@ -80,6 +71,17 @@ BipartiteGraph TrafficMatrix::to_graph_bytes() const {
     }
   }
   return g;
+}
+
+Weight time_units(Bytes bytes, double bytes_per_time_unit) {
+  REDIST_CHECK_MSG(bytes_per_time_unit > 0,
+                   "bytes_per_time_unit must be positive");
+  const double w =
+      std::ceil(static_cast<double>(bytes) / bytes_per_time_unit);
+  REDIST_CHECK_MSG(w < 0x1p63, "duration of " << bytes << " bytes at "
+                                              << bytes_per_time_unit
+                                              << " per unit overflows");
+  return w >= 1 ? static_cast<Weight>(w) : 1;
 }
 
 }  // namespace redist

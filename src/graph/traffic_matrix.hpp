@@ -33,9 +33,9 @@ class TrafficMatrix {
   int nonzero_count() const;
 
   /// Builds the communication graph: one edge per non-zero entry, with
-  /// weight = ceil(bytes / bytes_per_time_unit). `bytes_per_time_unit` is
-  /// t * u where t is the per-communication speed (bytes/s) and u the chosen
-  /// time-unit length in seconds.
+  /// weight time_units(bytes, bytes_per_time_unit). `bytes_per_time_unit`
+  /// is t * u where t is the per-communication speed (bytes/s) and u the
+  /// chosen time-unit length in seconds.
   BipartiteGraph to_graph(double bytes_per_time_unit) const;
 
   /// Builds the communication graph keeping raw byte counts as weights,
@@ -49,5 +49,10 @@ class TrafficMatrix {
   NodeId n2_;
   std::vector<Bytes> data_;
 };
+
+/// The one bytes -> time units conversion: ceil(bytes / bytes_per_time_unit),
+/// at least 1. Throws redist::Error on a non-positive unit or a duration
+/// that overflows a Weight.
+Weight time_units(Bytes bytes, double bytes_per_time_unit);
 
 }  // namespace redist

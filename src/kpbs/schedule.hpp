@@ -9,12 +9,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/contract_annotations.hpp"
 #include "common/types.hpp"
 #include "graph/bipartite_graph.hpp"
+#include "graph/traffic_matrix.hpp"
 
 REDIST_LAYER("kpbs");
 
@@ -63,6 +65,30 @@ class Schedule {
  private:
   std::vector<Step> steps_;
 };
+
+/// One communication of a schedule, in bytes.
+struct BytePiece {
+  NodeId sender = kNoNode;
+  NodeId receiver = kNoNode;
+  Bytes bytes = 0;
+};
+
+/// plan[s][c] is what communication c of step s carries.
+using BytePlan = std::vector<std::vector<BytePiece>>;
+
+/// The one units -> bytes rule (docs/ALGORITHMS.md §5): cuts `traffic`
+/// into the communications of `schedule`, one time unit of pair (i, j)
+/// being worth `unit_bytes(i, j)` bytes. Each pair rounds its cumulative
+/// units down and its last communication carries the rest. Throws
+/// redist::Error on a communication on a pair with no demand left, a
+/// sender or receiver used twice in a step, a non-positive amount, a pair
+/// short of time_units(bytes, unit) units, or a unit under one byte.
+BytePlan plan_bytes(const TrafficMatrix& traffic, const Schedule& schedule,
+                    const std::function<double(NodeId, NodeId)>& unit_bytes);
+
+/// The same with one unit on every pair.
+BytePlan plan_bytes(const TrafficMatrix& traffic, const Schedule& schedule,
+                    double bytes_per_time_unit);
 
 /// Verifies that `s` is a feasible K-PBS solution for `demand`:
 ///  * every step is a matching (1-port) with at most k communications,

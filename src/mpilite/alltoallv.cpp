@@ -1,9 +1,6 @@
 #include "mpilite/alltoallv.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
-#include <map>
 #include <thread>
 
 #include "common/error.hpp"
@@ -19,34 +16,13 @@ constexpr std::uint32_t kCountsTag = 0xA2A00001;
 constexpr std::uint32_t kPlanTag = 0xA2A00002;
 constexpr std::uint32_t kDataTag = 0xA2A00003;
 
-// Piece sizes per (sender, receiver), derived identically on every rank
-// from the broadcast schedule (same clipping rule as the executors).
-std::map<std::pair<NodeId, NodeId>, std::vector<Bytes>> piece_plan(
-    const TrafficMatrix& traffic, const Schedule& schedule,
-    double bytes_per_unit) {
-  std::map<std::pair<NodeId, NodeId>, std::vector<Bytes>> plan;
-  std::map<std::pair<NodeId, NodeId>, Bytes> remaining;
-  for (NodeId i = 0; i < traffic.senders(); ++i) {
-    for (NodeId j = 0; j < traffic.receivers(); ++j) {
-      if (i != j && traffic.at(i, j) > 0) remaining[{i, j}] = traffic.at(i, j);
-    }
-  }
-  for (const Step& step : schedule.steps()) {
-    for (const Communication& c : step.comms) {
-      auto it = remaining.find({c.sender, c.receiver});
-      if (it == remaining.end()) continue;
-      const Bytes send = std::min<Bytes>(
-          it->second,
-          static_cast<Bytes>(std::llround(
-              static_cast<double>(c.amount) * bytes_per_unit)));
-      if (send <= 0) continue;
-      plan[{c.sender, c.receiver}].push_back(send);
-      it->second -= send;
-      if (it->second == 0) remaining.erase(it);
-    }
-  }
-  for (const auto& [pair, bytes] : remaining) plan[pair].push_back(bytes);
-  return plan;
+// Reads `count` int64 values from a received byte buffer.
+std::vector<std::int64_t> decode_counts(const std::vector<char>& bytes,
+                                        std::size_t count) {
+  REDIST_CHECK(bytes.size() == count * sizeof(std::int64_t));
+  std::vector<std::int64_t> values(count);
+  std::memcpy(values.data(), bytes.data(), bytes.size());
+  return values;
 }
 
 }  // namespace
@@ -61,30 +37,40 @@ std::vector<std::vector<char>> scheduled_alltoallv(
   REDIST_CHECK_MSG(options.bytes_per_time_unit >= 1,
                    "bytes_per_time_unit must be >= 1");
 
-  // --- 1. Gather the byte-count matrix at rank 0. -----------------------
-  std::vector<std::int64_t> my_counts(static_cast<std::size_t>(n));
-  for (int j = 0; j < n; ++j) {
-    my_counts[static_cast<std::size_t>(j)] =
-        static_cast<std::int64_t>(send[static_cast<std::size_t>(j)].size());
+  // --- 1. Gather the byte-count matrix at rank 0 and broadcast it, so --
+  // every rank derives the same byte plan. Row i holds rank i's counts.
+  const auto cells = static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
+  std::vector<std::int64_t> counts;
+  for (const std::vector<char>& buffer : send) {
+    counts.push_back(static_cast<std::int64_t>(buffer.size()));
   }
-  std::string plan_text;
-  TrafficMatrix traffic(n, n);
   if (me == 0) {
-    auto fill_row = [&](int rank, const std::int64_t* counts) {
-      for (int j = 0; j < n; ++j) {
-        if (rank != j && counts[j] > 0) {
-          traffic.set(rank, j, counts[j]);
-        }
-      }
-    };
-    fill_row(0, my_counts.data());
     for (int r = 1; r < n; ++r) {
-      const std::vector<char> row = comm.recv(r, kCountsTag);
-      REDIST_CHECK(row.size() == sizeof(std::int64_t) *
-                                     static_cast<std::size_t>(n));
-      fill_row(r, reinterpret_cast<const std::int64_t*>(row.data()));
+      const std::vector<std::int64_t> row = decode_counts(
+          comm.recv(r, kCountsTag), static_cast<std::size_t>(n));
+      counts.insert(counts.end(), row.begin(), row.end());
     }
-    // --- 2. Solve and serialize. ---------------------------------------
+    for (int r = 1; r < n; ++r) {
+      comm.send(r, kPlanTag, counts.data(), cells * sizeof(std::int64_t));
+    }
+  } else {
+    comm.send(0, kCountsTag, counts.data(),
+              counts.size() * sizeof(std::int64_t));
+    counts = decode_counts(comm.recv(0, kPlanTag), cells);
+  }
+  TrafficMatrix traffic(n, n);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      const std::int64_t b =
+          counts[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
+                 static_cast<std::size_t>(j)];
+      if (i != j && b > 0) traffic.set(i, j, b);
+    }
+  }
+
+  // --- 2. Solve at rank 0; 3. broadcast the schedule as text. ------------
+  std::string plan_text;
+  if (me == 0) {
     Schedule schedule;
     if (traffic.total() > 0) {
       const BipartiteGraph g = traffic.to_graph(
@@ -93,91 +79,46 @@ std::vector<std::vector<char>> scheduled_alltoallv(
       schedule = solve_kpbs(g, {k, options.beta, Algorithm::kOGGP}).schedule;
     }
     plan_text = schedule_to_string(schedule);
-    // --- 3. Broadcast the plan (and the matrix rows each rank needs). --
     for (int r = 1; r < n; ++r) {
       comm.send(r, kPlanTag, plan_text.data(), plan_text.size());
-      // Full matrix so every rank derives the same piece plan.
-      std::vector<std::int64_t> flat;
-      flat.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) flat.push_back(traffic.at(i, j));
-      }
-      comm.send(r, kPlanTag, flat.data(),
-                flat.size() * sizeof(std::int64_t));
     }
   } else {
-    comm.send(0, kCountsTag, my_counts.data(),
-              my_counts.size() * sizeof(std::int64_t));
     const std::vector<char> text = comm.recv(0, kPlanTag);
     plan_text.assign(text.begin(), text.end());
-    const std::vector<char> flat = comm.recv(0, kPlanTag);
-    REDIST_CHECK(flat.size() == sizeof(std::int64_t) *
-                                    static_cast<std::size_t>(n) *
-                                    static_cast<std::size_t>(n));
-    const auto* values = reinterpret_cast<const std::int64_t*>(flat.data());
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        const std::int64_t b =
-            values[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-                   static_cast<std::size_t>(j)];
-        if (b > 0) traffic.set(i, j, b);
-      }
-    }
   }
-  const Schedule schedule = schedule_from_string(plan_text);
-  const auto plan = piece_plan(
-      traffic, schedule, static_cast<double>(options.bytes_per_time_unit));
+  const BytePlan plan =
+      plan_bytes(traffic, schedule_from_string(plan_text),
+                 static_cast<double>(options.bytes_per_time_unit));
 
   // --- 4. Execute. -------------------------------------------------------
   std::vector<std::vector<char>> received(static_cast<std::size_t>(n));
   // Self-message: local copy.
   received[static_cast<std::size_t>(me)] = send[static_cast<std::size_t>(me)];
 
-  // Receiver thread: drains every expected piece addressed to me, in
-  // per-sender order (streams preserve it; cross-sender order is free).
+  // Receiver thread: drains the pieces addressed to me in step order (at
+  // most one per step, 1-port).
   std::thread receiver([&]() {
-    for (int src = 0; src < n; ++src) {
-      if (src == me) continue;
-      const auto it = plan.find({src, me});
-      if (it == plan.end()) continue;
-      auto& sink = received[static_cast<std::size_t>(src)];
-      for (std::size_t p = 0; p < it->second.size(); ++p) {
-        const std::vector<char> piece =
-            comm.recv(src, kDataTag, options.recv_shapers,
-                      options.chunk_bytes);
-        sink.insert(sink.end(), piece.begin(), piece.end());
+    for (const std::vector<BytePiece>& pieces : plan) {
+      for (const BytePiece& piece : pieces) {
+        if (piece.receiver != me) continue;
+        const std::vector<char> got = comm.recv(piece.sender, kDataTag);
+        auto& sink = received[static_cast<std::size_t>(piece.sender)];
+        sink.insert(sink.end(), got.begin(), got.end());
       }
     }
   });
 
   // Sender side: step by step, barrier-separated.
-  std::map<std::pair<NodeId, NodeId>, std::size_t> next_piece;
-  std::map<std::pair<NodeId, NodeId>, Bytes> offset;
-  auto send_next_piece = [&](NodeId to) {
-    const std::pair<NodeId, NodeId> key{static_cast<NodeId>(me), to};
-    const auto it = plan.find(key);
-    if (it == plan.end()) return;
-    const std::size_t idx = next_piece[key];
-    if (idx >= it->second.size()) return;
-    const Bytes bytes = it->second[idx];
-    const Bytes off = offset[key];
-    comm.send(static_cast<int>(to), kDataTag,
-              send[static_cast<std::size_t>(to)].data() + off,
-              static_cast<std::size_t>(bytes), options.send_shapers,
-              options.chunk_bytes);
-    next_piece[key] = idx + 1;
-    offset[key] = off + bytes;
-  };
-  for (const Step& step : schedule.steps()) {
-    for (const Communication& c : step.comms) {
-      if (c.sender == me) send_next_piece(c.receiver);
+  std::vector<Bytes> offset(static_cast<std::size_t>(n), 0);
+  for (const std::vector<BytePiece>& pieces : plan) {
+    for (const BytePiece& piece : pieces) {
+      if (piece.sender != me) continue;
+      const auto to = static_cast<std::size_t>(piece.receiver);
+      comm.send(piece.receiver, kDataTag, send[to].data() + offset[to],
+                static_cast<std::size_t>(piece.bytes));
+      offset[to] += piece.bytes;
     }
     comm.barrier();
-  }
-  // Trailing flush pieces (rounding slack), if any.
-  for (const auto& [key, pieces] : plan) {
-    if (key.first != me) continue;
-    while (next_piece[key] < pieces.size()) send_next_piece(key.second);
   }
   receiver.join();
 

@@ -2,13 +2,15 @@
 // paper's conclusion aims for, as a collective on the mpilite runtime.
 //
 // Every rank contributes one buffer per destination rank; the collective
-//  1. gathers the byte-count matrix at rank 0,
+//  1. gathers the byte-count matrix at rank 0 and broadcasts it,
 //  2. solves K-PBS there (OGGP) with the caller's k,
 //  3. broadcasts the schedule (using the text serialization of
 //     kpbs/schedule_io.hpp — the same bytes a file would hold),
 //  4. executes it step by step, separated by full barriers, with each rank
 //     sending at most one and receiving at most one message per step
-//     (1-port; ranks send and receive concurrently — full duplex),
+//     (1-port; ranks send and receive concurrently — full duplex); every
+//     rank cuts the buffers into the same pieces with plan_bytes
+//     (kpbs/schedule.hpp), so the run takes exactly the schedule's steps,
 //  5. reassembles the received fragments per source rank.
 //
 // This is the local-redistribution setting of Section 2.4 (V1 = V2 = the
@@ -30,13 +32,6 @@ struct AlltoallvOptions {
   int k = 0;          ///< max simultaneous communications; 0 = comm size
   Weight beta = 1;    ///< per-step setup weight for the solver
   Bytes bytes_per_time_unit = 65536;  ///< solver granularity
-
-  /// Optional token buckets applied per chunk on this rank's data path
-  /// (e.g. {out-card, backbone} for sends) — the rshaper emulation.
-  /// Caller-owned; may be shared between ranks of one process.
-  std::vector<TokenBucket*> send_shapers;
-  std::vector<TokenBucket*> recv_shapers;
-  Bytes chunk_bytes = 65536;
 };
 
 /// Collective: must be called by every rank of the communicator with

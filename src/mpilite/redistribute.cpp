@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <array>
-#include <cmath>
 #include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <thread>
 #include <utility>
 
@@ -119,68 +117,24 @@ void run_threads(std::size_t n,
   }
 }
 
-struct Piece {
-  NodeId receiver;
-  Bytes offset;  ///< relative to this attempt's stream start for the pair
-  Bytes bytes;
-};
-
-// Which messages one attempt sends: pieces[pair] is the pair's message
-// sizes in send order (the receiver's view), sender_steps[i][s] sender i's
-// messages in step s.
-struct Layout {
-  std::map<PairKey, std::vector<Bytes>> pieces;
-  std::vector<std::vector<std::vector<Piece>>> sender_steps;
-  std::size_t steps = 0;
-};
-
-// Lays `traffic` into the steps of `schedule` (amounts in time units worth
-// `bytes_per_time_unit` bytes, clipped to the matrix). Whatever the
-// schedule leaves over goes into one extra trailing step: for brute force
-// (no schedule) that is every flow, for a schedule only rounding slack.
-Layout layout_sender_steps(const TrafficMatrix& traffic,
-                           const Schedule* schedule,
-                           double bytes_per_time_unit) {
-  std::map<PairKey, Bytes> remaining;
+// The messages of one attempt, step by step: plan_bytes' pieces of
+// `schedule` (amounts in time units worth `bytes_per_time_unit` bytes), or
+// for brute force (no schedule) every flow whole in one step.
+BytePlan attempt_plan(const TrafficMatrix& traffic, const Schedule* schedule,
+                      double bytes_per_time_unit) {
+  if (schedule != nullptr) {
+    return plan_bytes(traffic, *schedule, bytes_per_time_unit);
+  }
+  BytePlan plan(1);
   for (NodeId i = 0; i < traffic.senders(); ++i) {
     for (NodeId j = 0; j < traffic.receivers(); ++j) {
-      if (traffic.at(i, j) > 0) remaining[{i, j}] = traffic.at(i, j);
+      if (traffic.at(i, j) > 0) {
+        plan[0].push_back(BytePiece{i, j, traffic.at(i, j)});
+      }
     }
   }
-  const std::size_t planned =
-      schedule == nullptr ? 0 : schedule->step_count();
-  Layout layout;
-  layout.sender_steps.assign(static_cast<std::size_t>(traffic.senders()),
-                             std::vector<std::vector<Piece>>(planned + 1));
-  std::map<PairKey, Bytes> offset;
-  const auto lay = [&](std::size_t s, const PairKey& key, Bytes bytes) {
-    Bytes& off = offset[key];
-    layout.sender_steps[static_cast<std::size_t>(key.first)][s].push_back(
-        Piece{key.second, off, bytes});
-    layout.pieces[key].push_back(bytes);
-    off += bytes;
-  };
-  for (std::size_t s = 0; s < planned; ++s) {
-    std::set<NodeId> busy;
-    for (const Communication& c : schedule->steps()[s].comms) {
-      REDIST_CHECK_MSG(busy.insert(c.sender).second,
-                       "1-port violation in step " << s);
-      const auto it = remaining.find({c.sender, c.receiver});
-      if (it == remaining.end()) continue;
-      const double want =
-          static_cast<double>(c.amount) * bytes_per_time_unit;
-      const Bytes send = std::min<Bytes>(
-          it->second, static_cast<Bytes>(std::llround(want)));
-      if (send <= 0) continue;
-      lay(s, it->first, send);
-      it->second -= send;
-      if (it->second == 0) remaining.erase(it);
-    }
-  }
-  for (const auto& [key, bytes] : remaining) lay(planned, key, bytes);
-  layout.steps = planned + (remaining.empty() ? 0 : 1);
-  for (auto& steps : layout.sender_steps) steps.resize(layout.steps);
-  return layout;
+  if (plan[0].empty()) plan.clear();
+  return plan;
 }
 
 // Receiver-side drain with a per-pair delivery ledger: one thread per
@@ -189,22 +143,29 @@ Layout layout_sender_steps(const TrafficMatrix& traffic,
 // pattern-verified, so a failed attempt leaves behind the precise resume
 // offset for its pair. A verification failure is unrecoverable
 // (retransmission cannot unconsume wrong bytes) and clears `pattern_ok`.
-void run_receiver(Communicator& comm, NodeId receiver_index, NodeId n1,
-                  const Layout& layout, const SocketClusterConfig& config,
+void run_receiver(Communicator& comm, NodeId receiver_index,
+                  const BytePlan& plan, const SocketClusterConfig& config,
                   Shapers& shapers, const std::map<PairKey, Bytes>& base,
                   std::map<PairKey, Bytes>& ledger,
                   std::atomic<bool>& pattern_ok) {
-  std::vector<NodeId> senders;
-  for (NodeId i = 0; i < n1; ++i) {
-    if (layout.pieces.count({i, receiver_index}) != 0) senders.push_back(i);
+  // Each sender's messages to this receiver, in send order.
+  std::map<NodeId, std::vector<Bytes>> incoming;
+  for (const std::vector<BytePiece>& pieces : plan) {
+    for (const BytePiece& piece : pieces) {
+      if (piece.receiver == receiver_index) {
+        incoming[piece.sender].push_back(piece.bytes);
+      }
+    }
   }
-  run_threads(senders.size(), [&](std::size_t d) {
-    const NodeId i = senders[d];
+  const std::vector<std::pair<NodeId, std::vector<Bytes>>> drains(
+      incoming.begin(), incoming.end());
+  run_threads(drains.size(), [&](std::size_t d) {
+    const auto& [i, sizes] = drains[d];
     const PairKey key{i, receiver_index};
     const Pattern pattern(i, receiver_index);
     Bytes offset = base.at(key);
     Bytes& slot = ledger.at(key);
-    for (const Bytes piece : layout.pieces.at(key)) {
+    for (const Bytes piece : sizes) {
       const std::vector<char> payload = comm.recv(
           static_cast<int>(i), kDataTag,
           {shapers.in[static_cast<std::size_t>(receiver_index)].get()},
@@ -243,7 +204,7 @@ struct AttemptOutcome {
 // peers instead of a hang.
 AttemptOutcome run_attempt(const SocketClusterConfig& config,
                            const TrafficMatrix& residual,
-                           const Layout& layout, bool stepped,
+                           const BytePlan& plan, bool stepped,
                            const MeshOptions& mesh_options,
                            const Stopwatch& clock,
                            std::map<PairKey, Bytes>& ledger,
@@ -270,25 +231,33 @@ AttemptOutcome run_attempt(const SocketClusterConfig& config,
         if (r == 0) outcome.started_s = clock.elapsed_seconds();
         if (r < static_cast<int>(n1)) {
           const NodeId me = static_cast<NodeId>(r);
-          const auto send = [&](const Piece& piece) {
-            send_piece(comm, me, piece.receiver, n1,
-                       base.at({me, piece.receiver}) + piece.offset,
-                       piece.bytes, config, shapers);
-          };
-          for (const auto& step :
-               layout.sender_steps[static_cast<std::size_t>(me)]) {
+          // What this attempt has sent on each of my pairs so far.
+          std::vector<Bytes> sent(static_cast<std::size_t>(n2), 0);
+          for (const std::vector<BytePiece>& pieces : plan) {
+            // My pieces of the step, each with its stream offset.
+            std::vector<std::pair<BytePiece, Bytes>> mine;
+            for (const BytePiece& piece : pieces) {
+              if (piece.sender != me) continue;
+              Bytes& done = sent[static_cast<std::size_t>(piece.receiver)];
+              mine.emplace_back(piece, base.at({me, piece.receiver}) + done);
+              done += piece.bytes;
+            }
+            const auto send = [&](std::size_t p) {
+              send_piece(comm, me, mine[p].first.receiver, n1,
+                         mine[p].second, mine[p].first.bytes, config,
+                         shapers);
+            };
             if (!stepped) {
               // Brute force: one thread per outgoing flow, all at once.
-              run_threads(step.size(),
-                          [&](std::size_t p) { send(step[p]); });
+              run_threads(mine.size(), send);
               continue;
             }
-            for (const Piece& piece : step) send(piece);
+            for (std::size_t p = 0; p < mine.size(); ++p) send(p);
             comm.barrier(sender_group);  // the paper's inter-step barrier
           }
         } else {
-          run_receiver(comm, static_cast<NodeId>(r) - n1, n1, layout,
-                       config, shapers, base, ledger, pattern_ok);
+          run_receiver(comm, static_cast<NodeId>(r) - n1, plan, config,
+                       shapers, base, ledger, pattern_ok);
         }
         comm.barrier();  // synchronized finish
         if (r == 0) outcome.finished_s = clock.elapsed_seconds();
@@ -383,15 +352,15 @@ SocketRunResult run(const SocketClusterConfig& config,
       robustness.enabled ? 1 + robustness.max_reschedules : 1;
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     result.attempts = attempt;
-    const Layout layout =
-        layout_sender_steps(residual, current, bytes_per_time_unit);
+    const BytePlan plan =
+        attempt_plan(residual, current, bytes_per_time_unit);
     AttemptOutcome outcome;
     {
       obs::TraceSpan attempt_span(obs::trace(), "socket.robust.attempt");
       if (attempt_span) attempt_span.arg("attempt", attempt);
       obs::journal_record(obs::JournalEventKind::kAttemptBegin, attempt);
       try {
-        outcome = run_attempt(config, residual, layout, current != nullptr,
+        outcome = run_attempt(config, residual, plan, current != nullptr,
                               mesh_options, clock, ledger, pattern_ok);
       } catch (const Error&) {
         // Mesh wiring failed outright (connect retries exhausted, accept
@@ -409,7 +378,7 @@ SocketRunResult run(const SocketClusterConfig& config,
     }
     if (attempt == 1) started_s = outcome.started_s;
     finished_s = outcome.finished_s;
-    result.steps += layout.steps;
+    result.steps += plan.size();
     result.link_retries += outcome.connect_retries;
     if (!pattern_ok.load()) break;  // wrong bytes cannot be retransmitted
     if (!outcome.error || ledger_total(ledger) == traffic.total()) break;
@@ -420,17 +389,12 @@ SocketRunResult run(const SocketClusterConfig& config,
     robust::sleep_ms(robust::backoff_delay_ms(robustness.attempt_backoff,
                                               attempt, backoff_rng));
     residual = TrafficMatrix(traffic.senders(), traffic.receivers());
-    BipartiteGraph demand(traffic.senders(), traffic.receivers());
     for (const auto& [pair, delivered] : ledger) {
       const Bytes rest = traffic.at(pair.first, pair.second) - delivered;
       REDIST_CHECK_MSG(rest >= 0, "ledger over-delivered a pair");
-      if (rest == 0) continue;
-      residual.set(pair.first, pair.second, rest);
-      demand.add_edge(pair.first, pair.second,
-                      std::max<Weight>(1, static_cast<Weight>(std::ceil(
-                                              static_cast<double>(rest) /
-                                              bytes_per_time_unit))));
+      if (rest > 0) residual.set(pair.first, pair.second, rest);
     }
+    const BipartiteGraph demand = residual.to_graph(bytes_per_time_unit);
     SolverOptions resolve_options = robustness.resolve;
     resolve_options.solve_id = run_id;
     recovery = solve_kpbs(demand, resolve_options).schedule;

@@ -84,13 +84,15 @@ struct SocketRunResult {
 };
 
 /// All flows at once over the socket mesh. Every entry point throws
-/// redist::Error on an invalid config, a schedule that breaks the 1-port
-/// rule, or (unless recovering) a rank's failure.
+/// redist::Error on an invalid config, a schedule that plan_bytes
+/// (kpbs/schedule.hpp) rejects, or (unless recovering) a rank's failure.
 SocketRunResult socket_bruteforce(const SocketClusterConfig& config,
                                   const TrafficMatrix& traffic);
 
 /// Barrier-stepped execution of `schedule` (amounts in time units worth
-/// `bytes_per_time_unit` bytes, clipped to the matrix).
+/// `bytes_per_time_unit` bytes): each communication sends plan_bytes'
+/// piece, so the run takes exactly the schedule's steps. A schedule that
+/// misses or overshoots a pair, or sends on one with no demand, throws.
 SocketRunResult socket_scheduled(const SocketClusterConfig& config,
                                  const TrafficMatrix& traffic,
                                  const Schedule& schedule,

@@ -1,7 +1,6 @@
 #include "netsim/executor.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "common/error.hpp"
 
@@ -29,97 +28,53 @@ ExecutionResult simulate_bruteforce(const Platform& p,
   return result;
 }
 
-namespace {
-
-// Shared stepped-execution loop; `pair_unit(i, j)` is the byte value of one
-// scheduled time unit on pair (i, j).
-template <typename PairUnit>
-ExecutionResult execute_schedule_impl(const Platform& p,
-                                      const TrafficMatrix& traffic,
-                                      const Schedule& schedule,
-                                      PairUnit&& pair_unit,
-                                      const FluidOptions& options) {
-  REDIST_CHECK(traffic.senders() == p.n1 && traffic.receivers() == p.n2);
-
-  std::map<std::pair<NodeId, NodeId>, double> remaining;
-  for (NodeId i = 0; i < p.n1; ++i) {
-    for (NodeId j = 0; j < p.n2; ++j) {
-      const Bytes b = traffic.at(i, j);
-      if (b > 0) remaining[{i, j}] = static_cast<double>(b);
-    }
-  }
-
-  ExecutionResult result;
-  FluidOptions step_options = options;
-  for (const Step& step : schedule.steps()) {
-    std::vector<Flow> flows;
-    for (const Communication& c : step.comms) {
-      auto it = remaining.find({c.sender, c.receiver});
-      REDIST_CHECK_MSG(it != remaining.end(),
-                       "schedule sends on pair "
-                           << c.sender << "->" << c.receiver
-                           << " with no remaining demand");
-      const double want =
-          static_cast<double>(c.amount) * pair_unit(c.sender, c.receiver);
-      const double send = std::min(want, it->second);
-      REDIST_CHECK(send > 0);
-      it->second -= send;
-      if (it->second <= 0) remaining.erase(it);
-      flows.push_back(Flow{c.sender, c.receiver, send});
-      result.bytes_delivered += send;
-    }
-    if (flows.empty()) continue;
-    step_options.seed = options.seed + result.steps * 0x9E3779B9ULL;
-    const FluidResult fluid = simulate_fluid(p, flows, step_options);
-    result.transmission_seconds += fluid.makespan_seconds;
-    result.barrier_seconds += p.beta_seconds;
-    ++result.steps;
-  }
-  REDIST_CHECK_MSG(remaining.empty(),
-                   "schedule left " << remaining.size()
-                                    << " pair(s) with undelivered bytes");
-  result.total_seconds =
-      result.transmission_seconds + result.barrier_seconds;
-  return result;
-}
-
-}  // namespace
-
 ExecutionResult execute_schedule(const Platform& p,
                                  const TrafficMatrix& traffic,
                                  const Schedule& schedule,
                                  double bytes_per_time_unit,
                                  const FluidOptions& options) {
-  REDIST_CHECK(bytes_per_time_unit > 0);
-  return execute_schedule_impl(
-      p, traffic, schedule,
-      [bytes_per_time_unit](NodeId, NodeId) { return bytes_per_time_unit; },
-      options);
+  return execute_schedule_heterogeneous(p, traffic, schedule,
+                                        bytes_per_time_unit, {}, {}, options);
 }
 
 ExecutionResult execute_schedule_heterogeneous(
     const Platform& p, const TrafficMatrix& traffic, const Schedule& schedule,
     double bytes_per_time_unit, const std::vector<double>& t1_scale,
     const std::vector<double>& t2_scale, const FluidOptions& options) {
-  REDIST_CHECK(bytes_per_time_unit > 0);
+  REDIST_CHECK(traffic.senders() == p.n1 && traffic.receivers() == p.n2);
   REDIST_CHECK(t1_scale.empty() ||
                t1_scale.size() == static_cast<std::size_t>(p.n1));
   REDIST_CHECK(t2_scale.empty() ||
                t2_scale.size() == static_cast<std::size_t>(p.n2));
-  if (t1_scale.empty() && t2_scale.empty()) {
-    return execute_schedule(p, traffic, schedule, bytes_per_time_unit,
-                            options);
-  }
   const auto scale_at = [](const std::vector<double>& scale, NodeId v) {
     return scale.empty() ? 1.0 : scale[static_cast<std::size_t>(v)];
   };
-  return execute_schedule_impl(
-      p, traffic, schedule,
-      [&](NodeId i, NodeId j) {
+  const BytePlan plan =
+      plan_bytes(traffic, schedule, [&](NodeId i, NodeId j) {
         return bytes_per_time_unit *
                std::min(scale_at(t1_scale, i), scale_at(t2_scale, j));
-      },
-      options);
+      });
+
+  // Each non-empty step is one fluid simulation plus a barrier.
+  ExecutionResult result;
+  FluidOptions step_options = options;
+  for (const std::vector<BytePiece>& pieces : plan) {
+    if (pieces.empty()) continue;
+    std::vector<Flow> flows;
+    for (const BytePiece& piece : pieces) {
+      flows.push_back(Flow{piece.sender, piece.receiver,
+                           static_cast<double>(piece.bytes)});
+      result.bytes_delivered += static_cast<double>(piece.bytes);
+    }
+    step_options.seed = options.seed + result.steps * 0x9E3779B9ULL;
+    const FluidResult fluid = simulate_fluid(p, flows, step_options);
+    result.transmission_seconds += fluid.makespan_seconds;
+    result.barrier_seconds += p.beta_seconds;
+    ++result.steps;
+  }
+  result.total_seconds =
+      result.transmission_seconds + result.barrier_seconds;
+  return result;
 }
 
 }  // namespace redist

@@ -33,11 +33,8 @@ ExecutionResult simulate_bruteforce(const Platform& p,
                                     const FluidOptions& options = {});
 
 /// Stepped execution of `schedule`, whose communication amounts are in
-/// abstract time units worth `bytes_per_time_unit` bytes each. Per
-/// (sender, receiver) pair at most the traffic-matrix bytes are sent (the
-/// final chunk is truncated, mirroring how a real executor would stop at
-/// end-of-buffer); the function checks that the schedule covers the matrix
-/// exactly and throws otherwise.
+/// abstract time units worth `bytes_per_time_unit` bytes each, cut into
+/// bytes by plan_bytes (kpbs/schedule.hpp); throws what plan_bytes throws.
 ExecutionResult execute_schedule(const Platform& p,
                                  const TrafficMatrix& traffic,
                                  const Schedule& schedule,
@@ -45,11 +42,11 @@ ExecutionResult execute_schedule(const Platform& p,
                                  const FluidOptions& options = {});
 
 /// Heterogeneous variant (scenario matrix, workload/scenario.hpp): demand
-/// weights were built as ceil(bytes / (bytes_per_time_unit * pair_speed))
-/// with pair_speed = min(t1_scale[i], t2_scale[j]), so one scheduled time
-/// unit of pair (i, j) is worth bytes_per_time_unit * pair_speed bytes.
-/// This overload undoes that per pair; empty scale vectors mean 1.0
-/// everywhere (then it is exactly the homogeneous overload).
+/// weights were built as time_units(bytes, bytes_per_time_unit *
+/// pair_speed) with pair_speed = min(t1_scale[i], t2_scale[j]), so one
+/// scheduled time unit of pair (i, j) is worth bytes_per_time_unit *
+/// pair_speed bytes. Empty scale vectors mean 1.0 everywhere (then it is
+/// exactly the homogeneous overload).
 ExecutionResult execute_schedule_heterogeneous(
     const Platform& p, const TrafficMatrix& traffic, const Schedule& schedule,
     double bytes_per_time_unit, const std::vector<double>& t1_scale,

@@ -50,15 +50,6 @@ std::vector<double> heterogeneous_scales(Rng& rng, NodeId nodes,
   return scale;
 }
 
-// Demand weight of one pair: transfer duration in abstract units at the
-// pair's relative speed (min of the two endpoint cards; 1.0 = nominal).
-Weight demand_weight(Bytes bytes, Bytes bytes_per_unit, double pair_speed) {
-  const double units =
-      static_cast<double>(bytes) /
-      (static_cast<double>(bytes_per_unit) * pair_speed);
-  return std::max<Weight>(1, static_cast<Weight>(std::ceil(units)));
-}
-
 }  // namespace
 
 std::string scenario_kind_name(ScenarioKind kind) {
@@ -176,8 +167,10 @@ ScenarioWorkload materialize_scenario(const ScenarioSpec& spec) {
         speed = std::min(out.t1_scale[static_cast<std::size_t>(i)],
                          out.t2_scale[static_cast<std::size_t>(j)]);
       }
-      out.demand.add_edge(i, j, demand_weight(bytes, spec.bytes_per_unit,
-                                              speed));
+      out.demand.add_edge(
+          i, j,
+          time_units(bytes,
+                     static_cast<double>(spec.bytes_per_unit) * speed));
     }
   }
   return out;

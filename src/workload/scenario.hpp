@@ -100,9 +100,10 @@ struct ScenarioWorkload {
 };
 
 /// Deterministically materializes `spec` (validates it first). The demand
-/// weight of pair (i, j) is ceil(bytes / (bytes_per_unit * pair_speed))
-/// where pair_speed = min(t1_scale[i], t2_scale[j]) — heterogeneity folds
-/// into the durations the solver actually schedules.
+/// weight of pair (i, j) is time_units(bytes, bytes_per_unit * pair_speed)
+/// (graph/traffic_matrix.hpp) where pair_speed = min(t1_scale[i],
+/// t2_scale[j]) — heterogeneity folds into the durations the solver
+/// actually schedules.
 ScenarioWorkload materialize_scenario(const ScenarioSpec& spec);
 
 /// Serialization: a line-oriented text format mirroring graphio —

@@ -226,29 +226,51 @@ ExecutionResult simulate_bruteforce(const Platform& p,
   return result;
 }
 
+namespace {
+
+// floor(units * unit) for products below 2^53: the fused multiply-add
+// gives the sign of the rounding error of the plain product.
+Bytes floor_product(Weight units, double unit) {
+  const double x = static_cast<double>(units);
+  const double f = std::floor(x * unit);
+  return static_cast<Bytes>(std::fma(x, unit, -f) < 0 ? f - 1 : f);
+}
+
+}  // namespace
+
 ExecutionResult execute_schedule(const Platform& p,
                                  const TrafficMatrix& traffic,
                                  const Schedule& schedule,
                                  double bytes_per_time_unit,
                                  const FluidOptions& options) {
-  std::map<std::pair<NodeId, NodeId>, double> remaining;
-  for (NodeId i = 0; i < p.n1; ++i) {
-    for (NodeId j = 0; j < p.n2; ++j) {
-      const Bytes b = traffic.at(i, j);
-      if (b > 0) remaining[{i, j}] = static_cast<double>(b);
+  // Each pair rounds its cumulative units down to whole bytes and its last
+  // communication carries the rest.
+  using Pair = std::pair<NodeId, NodeId>;
+  std::map<Pair, Weight> units_left;
+  for (const Step& step : schedule.steps()) {
+    for (const Communication& c : step.comms) {
+      units_left[{c.sender, c.receiver}] += c.amount;
     }
   }
+  std::map<Pair, Weight> units_done;
+  std::map<Pair, Bytes> sent;
   ExecutionResult result;
   FluidOptions step_options = options;
   for (const Step& step : schedule.steps()) {
     std::vector<Flow> flows;
     for (const Communication& c : step.comms) {
-      auto it = remaining.find({c.sender, c.receiver});
-      REDIST_CHECK(it != remaining.end());
-      const double send = std::min(
-          static_cast<double>(c.amount) * bytes_per_time_unit, it->second);
-      it->second -= send;
-      if (it->second <= 0) remaining.erase(it);
+      const Pair pair{c.sender, c.receiver};
+      const Bytes total = traffic.at(c.sender, c.receiver);
+      units_done[pair] += c.amount;
+      units_left[pair] -= c.amount;
+      const Bytes upto =
+          units_left[pair] == 0
+              ? total
+              : std::min(total, floor_product(units_done[pair],
+                                              bytes_per_time_unit));
+      REDIST_CHECK(upto > sent[pair]);
+      const double send = static_cast<double>(upto - sent[pair]);
+      sent[pair] = upto;
       flows.push_back(Flow{c.sender, c.receiver, send});
       result.bytes_delivered += send;
     }
@@ -259,7 +281,11 @@ ExecutionResult execute_schedule(const Platform& p,
     result.barrier_seconds += p.beta_seconds;
     ++result.steps;
   }
-  REDIST_CHECK(remaining.empty());
+  for (NodeId i = 0; i < p.n1; ++i) {
+    for (NodeId j = 0; j < p.n2; ++j) {
+      REDIST_CHECK((sent[{i, j}] == traffic.at(i, j)));
+    }
+  }
   result.total_seconds = result.transmission_seconds + result.barrier_seconds;
   return result;
 }

@@ -11,7 +11,9 @@
 //  * simulate_fluid — calls it once per event, twice under the congestion
 //    model (the offered-load fill with an infinite backbone);
 //  * simulate_bruteforce / execute_schedule — netsim/executor.cpp's stepping
-//    over the oracle's simulate_fluid.
+//    over the oracle's simulate_fluid; execute_schedule re-derives the byte
+//    pieces of kpbs/schedule.hpp's plan_bytes on its own (cumulative units
+//    rounded down, the pair's last communication carrying the rest).
 #pragma once
 
 #include <vector>

@@ -151,7 +151,7 @@ TEST(SocketRedistribute, ScheduledDeliversAndVerifies) {
   const SocketRunResult r = socket_scheduled(test_cluster(), traffic, s, bpu);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.bytes_delivered, traffic.total());
-  EXPECT_GE(r.steps, s.step_count());
+  EXPECT_EQ(r.steps, s.step_count());
 }
 
 // The redistribution runtime's two modes on small hand-sized inputs: a
@@ -178,7 +178,7 @@ TEST(RuntimeEngine, ScheduledDeliversExactlyTheMatrix) {
   const SocketRunResult r = socket_scheduled(test_cluster(), traffic, s, bpu);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.bytes_delivered, traffic.total());
-  EXPECT_GE(r.steps, s.step_count());
+  EXPECT_EQ(r.steps, s.step_count());
 }
 
 TEST(SocketRedistribute, SparseTrafficWithIdleNodes) {
@@ -320,6 +320,33 @@ TEST(SocketRedistribute, RejectsOnePortViolation) {
   EXPECT_THROW(
       socket_scheduled(test_cluster(), traffic, s, 4000.0, recovering),
       Error);
+}
+
+// Every communication sends its plan_bytes piece (kpbs/schedule.hpp): a
+// schedule that sends on a pair without demand, or falls short of a
+// pair's bytes, is refused rather than skipped or topped up with an extra
+// trailing step.
+TEST(SocketRedistribute, RejectsCommunicationOnAPhantomPair) {
+  TrafficMatrix traffic(2, 2);
+  traffic.set(0, 0, 4000);
+  Schedule s;
+  s.add_step(Step{{{0, 0, 1}, {1, 1, 1}}});  // nothing to send on 1->1
+  EXPECT_THROW(socket_scheduled(test_cluster(), traffic, s, 4000.0), Error);
+  RobustnessOptions recovering;
+  recovering.enabled = true;
+  recovering.resolve = SolverOptions{1, 0, Algorithm::kGGP};
+  EXPECT_THROW(
+      socket_scheduled(test_cluster(), traffic, s, 4000.0, recovering),
+      Error);
+}
+
+TEST(SocketRedistribute, RejectsScheduleShortOfTheMatrix) {
+  TrafficMatrix traffic(2, 2);
+  traffic.set(0, 0, 4000);
+  traffic.set(1, 1, 8000);  // two units, scheduled one
+  Schedule s;
+  s.add_step(Step{{{0, 0, 1}, {1, 1, 1}}});
+  EXPECT_THROW(socket_scheduled(test_cluster(), traffic, s, 4000.0), Error);
 }
 
 }  // namespace
