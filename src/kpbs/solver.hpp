@@ -26,7 +26,7 @@ namespace redist {
 
 /// Solves K-PBS on `demand` under `options` (see kpbs/options.hpp).
 /// `options.k` is clamped to [1, min(n1, n2)]. GGP and OGGP both peel
-/// through wrgp_peel_warm. Every schedule is certified before it is
+/// through wrgp_peel_deferred. Every schedule is certified before it is
 /// returned: ScheduleValidator checks 1-port, width <= k, exact coverage,
 /// the makespan recount and cost <= 2 * lower bound, and a violation throws
 /// redist::Error. The result carries the lower bound, evaluation ratio and

@@ -8,6 +8,43 @@
 
 namespace redist {
 
+namespace {
+
+// Telemetry shared by both peels: one counter handle per peel run, one span
+// per step (the per-step "how long / how much was clamped" breakdown the
+// paper's step counts are compared against).
+class StepRecorder {
+ public:
+  StepRecorder() {
+    if (obs::MetricsRegistry* const metrics = obs::metrics()) {
+      steps_ = &metrics->counter("wrgp.steps");
+      amounts_ = &metrics->histogram("wrgp.peel_amount",
+                                     obs::default_amount_bounds());
+    }
+  }
+
+  void record(obs::TraceSpan& span, std::size_t step, std::size_t matched,
+              Weight w) {
+    if (steps_ != nullptr) steps_->add();
+    if (amounts_ != nullptr) amounts_->record(static_cast<double>(w));
+    obs::journal_record(obs::JournalEventKind::kPeelStep,
+                        static_cast<std::int64_t>(step),
+                        static_cast<std::int64_t>(matched),
+                        static_cast<double>(w));
+    if (span) {
+      span.arg("step", step);
+      span.arg("amount", w);
+      span.arg("matched_edges", matched);
+    }
+  }
+
+ private:
+  obs::Counter* steps_ = nullptr;
+  obs::Histogram* amounts_ = nullptr;
+};
+
+}  // namespace
+
 std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
                                 const PerfectMatchingStrategy& strategy,
                                 const PeelObserver& observer) {
@@ -16,26 +53,14 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
                        << g.left_count() << "x" << g.right_count());
   REDIST_CHECK_MSG(g.is_weight_regular(),
                    "WRGP requires a weight-regular graph");
-
-  // Telemetry: one counter handle per peel run, one span per step (the
-  // per-step "how long / how much was clamped" breakdown the paper's step
-  // counts are compared against).
-  obs::MetricsRegistry* const metrics = obs::metrics();
-  obs::Counter* const steps_counter =
-      metrics != nullptr ? &metrics->counter("wrgp.steps") : nullptr;
-  obs::Histogram* const amount_hist =
-      metrics != nullptr
-          ? &metrics->histogram("wrgp.peel_amount",
-                                obs::default_amount_bounds())
-          : nullptr;
+  StepRecorder recorder;
   obs::TraceSpan peel_span(obs::trace(), "wrgp_peel");
 
   std::vector<PeelStep> steps;
   // Upper bound on iterations: one edge dies per step.
   const EdgeId max_iterations = g.edge_count() + 1;
-  EdgeId iterations = 0;
   while (!g.empty()) {
-    REDIST_CHECK_MSG(++iterations <= max_iterations,
+    REDIST_CHECK_MSG(static_cast<EdgeId>(steps.size()) < max_iterations,
                      "WRGP failed to make progress");
     obs::TraceSpan step_span(obs::trace(), "wrgp.step");
     Matching m = strategy(g);
@@ -46,38 +71,32 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
     REDIST_CHECK(w > 0);
     if (observer) observer(g, m, w);
     for (EdgeId e : m.edges) g.decrease_weight(e, w);
-    if (steps_counter != nullptr) steps_counter->add();
-    if (amount_hist != nullptr) {
-      amount_hist->record(static_cast<double>(w));
-    }
-    obs::journal_record(obs::JournalEventKind::kPeelStep,
-                        static_cast<std::int64_t>(iterations - 1),
-                        static_cast<std::int64_t>(m.edges.size()),
-                        static_cast<double>(w));
-    if (step_span) {
-      step_span.arg("step", iterations - 1);
-      step_span.arg("amount", w);
-      step_span.arg("matched_edges", m.edges.size());
-    }
+    recorder.record(step_span, steps.size(), m.edges.size(), w);
     steps.push_back(PeelStep{std::move(m), w});
   }
   if (peel_span) peel_span.arg("steps", steps.size());
   return steps;
 }
 
-std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, Algorithm algorithm,
-                                     PeelingContext& ctx) {
-  const PerfectMatchingStrategy pick =
-      algorithm == Algorithm::kOGGP
-          ? PerfectMatchingStrategy([&ctx](const BipartiteGraph& residual) {
-              return ctx.bottleneck_perfect(residual);
-            })
-          : PerfectMatchingStrategy([&ctx](const BipartiteGraph& residual) {
-              return ctx.arbitrary_perfect(residual);
-            });
-  return wrgp_peel(g, pick,
-                   [&ctx](const BipartiteGraph& residual, const Matching& m,
-                          Weight amount) { ctx.before_peel(residual, m, amount); });
+void wrgp_peel_deferred(BipartiteGraph& g, Algorithm algorithm,
+                        NodeId real_left, NodeId real_right,
+                        const RealStepSink& sink) {
+  StepRecorder recorder;
+  obs::TraceSpan peel_span(obs::trace(), "wrgp_peel");
+  PeelingContext ctx;
+  ctx.start(g, algorithm == Algorithm::kOGGP, real_left, real_right);
+  std::size_t steps = 0;
+  for (; ctx.peeling(); ++steps) {
+    REDIST_CHECK_MSG(static_cast<EdgeId>(steps) < g.edge_count(),
+                     "WRGP failed to make progress");
+    obs::TraceSpan step_span(obs::trace(), "wrgp.step");
+    const Weight w = ctx.step();
+    recorder.record(step_span, steps,
+                    static_cast<std::size_t>(g.left_count()), w);
+    sink(w, ctx.real_edges());
+  }
+  REDIST_CHECK_MSG(g.empty(), "the peel left weight on the graph");
+  if (peel_span) peel_span.arg("steps", steps);
 }
 
 }  // namespace redist

@@ -8,13 +8,15 @@
 // weight-regular, so a perfect matching exists at every iteration (Hall);
 // at least one edge dies per iteration, bounding steps by the edge count.
 //
-// wrgp_peel runs the loop with any matching strategy; the test oracle
-// peels with it from scratch. wrgp_peel_warm is solve_kpbs's one path, for
-// GGP and OGGP alike: it threads a PeelingContext through the steps so the
-// previous bottleneck and the solver buffers persist across steps.
+// wrgp_peel runs the loop one step at a time with any matching strategy
+// and writes every matched edge; the test oracle peels with it. The peel
+// solve_kpbs runs, for GGP and OGGP alike, is wrgp_peel_deferred: a
+// PeelingContext owns its state and defers the decrements, so a step costs
+// what changed and emits only its real edges (see peeling_context.hpp).
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/contract_annotations.hpp"
@@ -25,8 +27,6 @@
 REDIST_LAYER("kpbs");
 
 namespace redist {
-
-class PeelingContext;
 
 /// One peeled step: the matching used and the uniform amount transmitted on
 /// each of its edges.
@@ -55,12 +55,17 @@ std::vector<PeelStep> wrgp_peel(BipartiteGraph& g,
                                 const PerfectMatchingStrategy& strategy,
                                 const PeelObserver& observer = {});
 
-/// Peels `g` with PeelingContext matchings: arbitrary ones for GGP (buffer
-/// reuse only), bottleneck ones for OGGP (cap probe + widest paths),
-/// reusing matching and weight state across steps via `ctx`. `ctx` must be
-/// fresh (or have last been used on this same peeling sequence).
+/// Receives one step of wrgp_peel_deferred: its amount and its real
+/// matched edges, by left node.
+using RealStepSink = std::function<void(Weight, std::span<const EdgeId>)>;
+
+/// Peels `g` (mutated down to empty) with GGP's arbitrary or OGGP's
+/// bottleneck matchings, the steps wrgp_peel would take with a
+/// PeelingContext's per-step strategies. The edges between the first
+/// `real_left` left and `real_right` right nodes are real.
 REDIST_DETERMINISTIC
-std::vector<PeelStep> wrgp_peel_warm(BipartiteGraph& g, Algorithm algorithm,
-                                     PeelingContext& ctx);
+void wrgp_peel_deferred(BipartiteGraph& g, Algorithm algorithm,
+                        NodeId real_left, NodeId real_right,
+                        const RealStepSink& sink);
 
 }  // namespace redist

@@ -59,7 +59,7 @@ void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
   std::size_t total = 0;
   for (std::size_t v = 0; v < n_left; ++v) {
     const std::size_t count = arc_begin_[v];
-    arc_begin_[v] = arc_end_[v] = total;
+    arc_begin_[v] = arc_end_[v] = static_cast<std::uint32_t>(total);
     total += count;
   }
   arcs_.resize(total);
@@ -68,66 +68,65 @@ void HopcroftKarp::bind(const BipartiteGraph& g, Weight min_weight,
     arcs_[arc_end_[static_cast<std::size_t>(edge.left)]++] =
         Arc{e, edge.right};
   }
-  match_left_.assign(n_left, kNoEdge);
-  mate_of_right_.assign(static_cast<std::size_t>(g.right_count()), kNoNode);
-  dist_.assign(n_left, kInf);
-  queue_.reserve(n_left);
+  match_left_.resize(n_left);
+  mate_of_right_.resize(static_cast<std::size_t>(g.right_count()));
+  changes_.resize(n_left);
+  noted_.assign(n_left, 0);
+  epoch_ = 0;
+  dist_.resize(n_left);
+  queue_.resize(n_left);
+  seen_.assign(n_left, 0);
+  stamp_ = 0;
   via_arc_.resize(n_left);
   parent_.resize(n_left);
+  roots_.resize(n_left);
+  seeds_.resize(total);
+  reset();
 }
 
-void HopcroftKarp::shrink(const std::vector<EdgeId>& fallen,
-                          const std::vector<EdgeId>& joined) {
+void HopcroftKarp::reset() {
+  std::fill(match_left_.begin(), match_left_.end(), kNoEdge);
+  std::fill(mate_of_right_.begin(), mate_of_right_.end(), kNoNode);
+  size_ = 0;
+  ++epoch_;
+  change_count_ = 0;
+}
+
+void HopcroftKarp::shrink(std::span<const EdgeId> fallen) {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::shrink before rebind");
-  for (EdgeId e : fallen) {
+  ++epoch_;
+  change_count_ = 0;
+  for (const EdgeId e : fallen) {
+    const Edge& edge = g_->edge(e);
     REDIST_CHECK_MSG(usable_[static_cast<std::size_t>(e)] != 0 &&
-                         g_->edge(e).weight < min_weight_,
+                         edge.weight < min_weight_,
                      "shrink: edge " << e << " did not fall");
     usable_[static_cast<std::size_t>(e)] = 0;
-    const auto u = static_cast<std::size_t>(g_->edge(e).left);
-    std::size_t kept = arc_begin_[u];
+    const auto u = static_cast<std::size_t>(edge.left);
+    std::uint32_t kept = arc_begin_[u];
     for (std::size_t a = arc_begin_[u]; a < arc_end_[u]; ++a) {
       if (arcs_[a].edge != e) arcs_[kept++] = arcs_[a];
     }
     arc_end_[u] = kept;
-  }
-  // Compact the threshold list, then merge the joined ids in from the back.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < threshold_count_; ++i) {
-    const EdgeId e = threshold_ids_[i];
-    if (usable_[static_cast<std::size_t>(e)] != 0) threshold_ids_[kept++] = e;
-  }
-  threshold_count_ = kept + joined.size();
-  REDIST_CHECK(threshold_count_ <= threshold_ids_.size());
-  for (std::size_t out = threshold_count_, j = joined.size(); j > 0;) {
-    const EdgeId e = joined[j - 1];
-    if (kept > 0 && threshold_ids_[kept - 1] > e) {
-      threshold_ids_[--out] = threshold_ids_[--kept];
-      continue;
+    if (match_left_[u] == e) {
+      match(edge.left, kNoEdge, edge.right);
+      --size_;
     }
-    REDIST_CHECK_MSG(usable_[static_cast<std::size_t>(e)] != 0 &&
-                         g_->edge(e).weight == min_weight_ &&
-                         (j == 1 || joined[j - 2] < e),
-                     "shrink: edge " << e << " did not join in order");
-    threshold_ids_[--out] = e;
-    --j;
   }
-  std::fill(match_left_.begin(), match_left_.end(), kNoEdge);
-  std::fill(mate_of_right_.begin(), mate_of_right_.end(), kNoNode);
 }
 
 bool HopcroftKarp::bfs_layers() {
-  queue_.clear();
+  std::size_t tail = 0;
   for (std::size_t v = 0; v < match_left_.size(); ++v) {
     if (match_left_[v] == kNoEdge) {
       dist_[v] = 0;
-      queue_.push_back(static_cast<NodeId>(v));
+      queue_[tail++] = static_cast<NodeId>(v);
     } else {
       dist_[v] = kInf;
     }
   }
   bool found_free_right = false;
-  for (std::size_t head = 0; head < queue_.size(); ++head) {
+  for (std::size_t head = 0; head < tail; ++head) {
     const auto u = static_cast<std::size_t>(queue_[head]);
     for (std::size_t a = arc_begin_[u]; a < arc_end_[u]; ++a) {
       const NodeId next =
@@ -136,7 +135,7 @@ bool HopcroftKarp::bfs_layers() {
         found_free_right = true;
       } else if (dist_[static_cast<std::size_t>(next)] == kInf) {
         dist_[static_cast<std::size_t>(next)] = dist_[u] + 1;
-        queue_.push_back(next);
+        queue_[tail++] = next;
       }
     }
   }
@@ -159,7 +158,8 @@ bool HopcroftKarp::dfs_augment(NodeId left) {
   return false;
 }
 
-void HopcroftKarp::refresh_counters() {
+void HopcroftKarp::count_phase(obs::TraceSpan& span, std::uint64_t phase,
+                               std::uint64_t paths) {
   obs::MetricsRegistry* const metrics = obs::metrics();
   if (metrics != metrics_src_) {
     metrics_src_ = metrics;
@@ -168,9 +168,17 @@ void HopcroftKarp::refresh_counters() {
     paths_counter_ =
         metrics != nullptr ? &metrics->counter("hk.augmenting_paths") : nullptr;
   }
+  if (phases_counter_ != nullptr) {
+    phases_counter_->add();
+    paths_counter_->add(paths);
+  }
+  if (span) {
+    span.arg("phase", phase);
+    span.arg("paths", paths);
+  }
 }
 
-Matching HopcroftKarp::matched() const {
+Matching HopcroftKarp::matching() const {
   Matching result;
   for (const EdgeId e : match_left_) {
     if (e != kNoEdge) result.edges.push_back(e);
@@ -178,10 +186,17 @@ Matching HopcroftKarp::matched() const {
   return result;
 }
 
-Matching HopcroftKarp::augment_to_maximum() {
-  refresh_counters();
-  obs::TraceSession* const trace = obs::trace();
+void HopcroftKarp::take(EdgeId e) {
+  const Edge& edge = g_->edges()[static_cast<std::size_t>(e)];
+  if (match_left_[static_cast<std::size_t>(edge.left)] == kNoEdge &&
+      mate_of_right_[static_cast<std::size_t>(edge.right)] == kNoNode) {
+    match(edge.left, e, edge.right);
+    ++size_;
+  }
+}
 
+void HopcroftKarp::augment_to_maximum() {
+  obs::TraceSession* const trace = obs::trace();
   for (std::uint64_t phase = 0;; ++phase) {
     // The span covers the BFS layering too. When the BFS finds no
     // augmenting path, the span holds just that BFS and carries no args.
@@ -193,85 +208,90 @@ Matching HopcroftKarp::augment_to_maximum() {
         if (dfs_augment(v)) ++paths;
       }
     }
-    if (phases_counter_ != nullptr) {
-      phases_counter_->add();
-      paths_counter_->add(paths);
-    }
-    if (phase_span) {
-      phase_span.arg("phase", phase);
-      phase_span.arg("paths", paths);
-    }
+    size_ += paths;
+    count_phase(phase_span, phase, paths);
     if (paths == 0) break;
   }
-  return matched();
 }
 
-Matching HopcroftKarp::solve() {
+std::size_t HopcroftKarp::maximize() {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::solve before rebind");
+  reset();
   // Seed with a greedy matching: cheap and typically covers most vertices.
   // Same edge-id scan order as greedy_matching, restricted to the usable
   // edges of the snapshot. The same pass drops the ids shrink() left.
-  const std::vector<Edge>& edges = g_->edges();
   std::size_t live = 0;
   for (const EdgeId e : usable_ids_) {
     if (usable_[static_cast<std::size_t>(e)] == 0) continue;
     usable_ids_[live++] = e;
-    const Edge& edge = edges[static_cast<std::size_t>(e)];
-    if (match_left_[static_cast<std::size_t>(edge.left)] != kNoEdge ||
-        mate_of_right_[static_cast<std::size_t>(edge.right)] != kNoNode) {
-      continue;
-    }
-    match(edge.left, e, edge.right);
+    take(e);
   }
-  usable_ids_.resize(live);
-  return augment_to_maximum();
+  usable_ids_.erase(usable_ids_.begin() + static_cast<std::ptrdiff_t>(live),
+                    usable_ids_.end());
+  augment_to_maximum();
+  return size_;
 }
 
 Matching HopcroftKarp::solve_seeded(const Matching& seed) {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::solve before rebind");
-  const std::vector<Edge>& edges = g_->edges();
+  reset();
   for (EdgeId e : seed.edges) {
-    if (e < 0 || static_cast<std::size_t>(e) >= edges.size() ||
-        usable_[static_cast<std::size_t>(e)] == 0) {
-      continue;
+    if (e >= 0 && static_cast<std::size_t>(e) < usable_.size() &&
+        usable_[static_cast<std::size_t>(e)] != 0) {
+      take(e);
     }
-    const Edge& edge = edges[static_cast<std::size_t>(e)];
-    if (match_left_[static_cast<std::size_t>(edge.left)] != kNoEdge ||
-        mate_of_right_[static_cast<std::size_t>(edge.right)] != kNoNode) {
-      continue;
-    }
-    match(edge.left, e, edge.right);
   }
-  refresh_counters();
+  std::size_t free = 0;
+  for (std::size_t v = 0; v < match_left_.size(); ++v) {
+    if (match_left_[v] == kNoEdge) roots_[free++] = static_cast<NodeId>(v);
+  }
   obs::TraceSpan phase_span(obs::trace(), "hk.phase");
-  queue_.resize(match_left_.size());  // repair() indexes it, one search each
-  const std::uint64_t paths = repair();
-  if (phases_counter_ != nullptr) {
-    phases_counter_->add();
-    paths_counter_->add(paths);
-  }
-  if (phase_span) {
-    phase_span.arg("phase", std::uint64_t{0});
-    phase_span.arg("paths", paths);
-  }
-  return matched();
+  count_phase(phase_span, 0, repair({roots_.data(), free}));
+  return matching();
 }
 
-std::uint64_t HopcroftKarp::repair() {
-  // dist_ holds search stamps here: a left node is reached by the current
+std::size_t HopcroftKarp::complete(std::span<const NodeId> free_left) {
+  REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::complete before rebind");
+  const std::vector<Edge>& edges = g_->edges();
+  std::size_t count = 0;
+  for (const NodeId u : free_left) {
+    const auto l = static_cast<std::size_t>(u);
+    for (std::size_t a = arc_begin_[l]; a < arc_end_[l]; ++a) {
+      if (edges[static_cast<std::size_t>(arcs_[a].edge)].weight ==
+              min_weight_ &&
+          mate_of_right_[static_cast<std::size_t>(arcs_[a].right)] ==
+              kNoNode) {
+        seeds_[count++] = arcs_[a].edge;
+      }
+    }
+  }
+  const auto end = seeds_.begin() + static_cast<std::ptrdiff_t>(count);
+  std::sort(seeds_.begin(), end);
+  std::for_each(seeds_.begin(), end, [this](EdgeId e) { take(e); });
+  obs::TraceSpan phase_span(obs::trace(), "hk.phase");
+  count_phase(phase_span, 0, repair(free_left));
+  return size_;
+}
+
+std::uint64_t HopcroftKarp::repair(std::span<const NodeId> roots) {
+  // seen_ holds search stamps: a left node is reached by the current
   // search iff its entry equals the stamp. A failed search reaches a set S
   // whose right neighbours are all matched into S; no later augmenting
   // path can enter S and leave it, so S's matching never changes and its
-  // nodes are skipped for good (kInf).
-  std::fill(dist_.begin(), dist_.end(), 0);
-  int stamp = 0;
+  // nodes are skipped for the rest of this repair (`dead`).
+  if (stamp_ > UINT32_MAX - roots.size() - 2) {  // stamps would wrap
+    std::fill(seen_.begin(), seen_.end(), 0);
+    stamp_ = 0;
+  }
+  const std::uint32_t dead = ++stamp_;
   std::uint64_t paths = 0;
-  for (std::size_t root = 0; root < match_left_.size(); ++root) {
+  for (const NodeId root_id : roots) {
+    const auto root = static_cast<std::size_t>(root_id);
     if (match_left_[root] != kNoEdge) continue;
-    ++stamp;
+    const std::uint32_t stamp = ++stamp_;
     std::size_t tail = 0;
-    queue_[tail++] = static_cast<NodeId>(root);
-    dist_[root] = stamp;
+    queue_[tail++] = root_id;
+    seen_[root] = stamp;
     bool found = false;
     for (std::size_t head = 0; head < tail && !found; ++head) {
       const NodeId u = queue_[head];
@@ -295,9 +315,9 @@ std::uint64_t HopcroftKarp::repair() {
           break;
         }
         const auto nl = static_cast<std::size_t>(next);
-        if (dist_[nl] != stamp && dist_[nl] != kInf) {
-          dist_[nl] = stamp;
-          via_arc_[nl] = a;
+        if (seen_[nl] != stamp && seen_[nl] != dead) {
+          seen_[nl] = stamp;
+          via_arc_[nl] = static_cast<std::uint32_t>(a);
           parent_[nl] = u;
           queue_[tail++] = next;
         }
@@ -305,9 +325,10 @@ std::uint64_t HopcroftKarp::repair() {
     }
     if (found) {
       ++paths;
+      ++size_;
     } else {
       for (std::size_t i = 0; i < tail; ++i) {
-        dist_[static_cast<std::size_t>(queue_[i])] = kInf;
+        seen_[static_cast<std::size_t>(queue_[i])] = dead;
       }
     }
   }

@@ -179,6 +179,19 @@ void check_bottleneck_step(const BipartiteGraph& g, const Matching& m) {
                                         << optimum);
 }
 
+std::vector<PeelStep> per_step_peel(BipartiteGraph& g, Algorithm algorithm) {
+  PeelingContext ctx;
+  return wrgp_peel(
+      g,
+      [&ctx, algorithm](const BipartiteGraph& residual) {
+        return algorithm == Algorithm::kOGGP ? ctx.bottleneck_perfect(residual)
+                                             : ctx.arbitrary_perfect(residual);
+      },
+      [&ctx](const BipartiteGraph& residual, const Matching& m, Weight amount) {
+        ctx.before_peel(residual, m, amount);
+      });
+}
+
 std::vector<PeelStep> checked_oggp_peel(BipartiteGraph& g,
                                         const PeelObserver& observer) {
   PeelingContext ctx;

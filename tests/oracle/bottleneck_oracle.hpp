@@ -61,8 +61,14 @@ Matching bottleneck_perfect_matching(const BipartiteGraph& g);
 /// contract of every OGGP step.
 void check_bottleneck_step(const BipartiteGraph& g, const Matching& m);
 
-/// wrgp_peel_warm's OGGP peel of `g` (one fresh PeelingContext, composed as
-/// wrgp_peel_warm composes it) with check_bottleneck_step on every step.
+/// wrgp_peel driven by one fresh PeelingContext's per-step strategies
+/// (bottleneck_perfect for OGGP, arbitrary_perfect for GGP, before_peel as
+/// the observer), as bench/e2e layers.cpp composes them: the per-step form
+/// of the engine solve_kpbs runs deferred.
+std::vector<PeelStep> per_step_peel(BipartiteGraph& g, Algorithm algorithm);
+
+/// per_step_peel's OGGP peel of `g` with check_bottleneck_step on every
+/// step.
 /// `observer`, if set, runs after each check, before the weights drop.
 std::vector<PeelStep> checked_oggp_peel(BipartiteGraph& g,
                                         const PeelObserver& observer = {});

@@ -24,6 +24,7 @@
 #include "kpbs/solver.hpp"
 #include "oracle/bottleneck_oracle.hpp"
 #include "workload/scenario.hpp"
+#include "workload/uniform_traffic.hpp"
 
 #ifndef REDIST_TEST_DATA_DIR
 #error "REDIST_TEST_DATA_DIR must point at tests/data"
@@ -160,12 +161,27 @@ std::vector<PinnedInstance> pinned_instances() {
     out.push_back({"dense48 seed " + std::to_string(seed), std::move(demand),
                    8, 1});
   }
+  // bench/e2e socket_mesh's shape (4x4 all pairs, 1-10 units, k = 2) and a
+  // paper testbed shape (10x10, k = 3) with beta > 1.
+  Rng mesh_rng(11);
+  out.push_back({"socket_mesh 4x4",
+                 uniform_all_pairs_traffic(mesh_rng, 4, 4, 1'000'000,
+                                           10'000'000)
+                     .to_graph(1e6),
+                 2, 1});
+  Rng testbed_rng(12);
+  out.push_back({"testbed 10x10 beta 8",
+                 uniform_all_pairs_traffic(testbed_rng, 10, 10, 10'000'000,
+                                           100'000'000)
+                     .to_graph(1e6),
+                 3, 8});
   return out;
 }
 
 // Pins the exact bytes of every GGP and OGGP schedule solve_kpbs returns on
 // the instances above, as captured before the OGGP snapshot followed the
-// threshold: how the peel reuses its solver state must not change them.
+// threshold (the socket_mesh and testbed rows: before the peel was
+// deferred): how the peel reuses its solver state must not change them.
 TEST(GoldenMakespans, PinnedScheduleDigests) {
   const std::vector<std::uint64_t> ggp = {
       0xe3385f5bb4ae9761ULL, 0x1febe411027ef0a1ULL, 0x816ec8bab18fb756ULL,
@@ -174,7 +190,7 @@ TEST(GoldenMakespans, PinnedScheduleDigests) {
       0xbf5cea9a85c0236fULL, 0xf1a5d96434403751ULL, 0x802d753fd941efc9ULL,
       0x2c62689d1045630eULL, 0x0dff596cc5055373ULL, 0x0fd6e7757b774ae1ULL,
       0xa250165477c27d45ULL, 0xfca01f932d08b3dbULL, 0x95073e191a8d9982ULL,
-      0x5336b2d975cbd4ceULL,
+      0x5336b2d975cbd4ceULL, 0xfff71729ea0e5157ULL, 0x52703d2dd05675c1ULL,
   };
   const std::vector<std::uint64_t> oggp = {
       0xe3385f5bb4ae9761ULL, 0xf5d24956c5ee5ab4ULL, 0x16c798d571ba1f4bULL,
@@ -183,7 +199,7 @@ TEST(GoldenMakespans, PinnedScheduleDigests) {
       0x23e2f0cf1932ddf7ULL, 0xb86ed1fdaff94cc8ULL, 0x6a9b0f465779930fULL,
       0x82effee4d9c22943ULL, 0xff687ca79ccb8e1cULL, 0xee69d04ca0854b18ULL,
       0xfc84c31f0ad344a7ULL, 0x68c0210ec2e04a77ULL, 0xf7dfe82d82af2d0dULL,
-      0xa46e1534e0699811ULL,
+      0xa46e1534e0699811ULL, 0xcf5b42e5f94040a0ULL, 0xaec7ac73c356ac3cULL,
   };
   const std::vector<PinnedInstance> instances = pinned_instances();
   ASSERT_EQ(ggp.size(), instances.size());

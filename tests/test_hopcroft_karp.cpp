@@ -299,7 +299,7 @@ TEST(HopcroftKarp, DropDeadMatchesRebind) {
           g.decrease_weight(e, 1);
         }
       }
-      kept.shrink(dead, {});
+      kept.shrink(dead);
       HopcroftKarp fresh;
       fresh.rebind(g, mask);
       const Matching expected = fresh.solve();
@@ -311,9 +311,10 @@ TEST(HopcroftKarp, DropDeadMatchesRebind) {
 }
 
 // OGGP's use of shrink(): the snapshot at threshold T follows a peel that
-// lowers matched edges, dropping those that fell below T and adding those
-// that landed on it to the threshold list. After every shrink the list,
-// solve() and solve_seeded() equal a fresh rebind_threshold's at T.
+// lowers matched edges, dropping those that fell below T and keeping the
+// rest of the matching. After every shrink, solve() equals a fresh
+// rebind_threshold's at T, and complete() equals the fresh bind's
+// solve_seeded() seeded with the kept matching, then its weight-T edges.
 TEST(HopcroftKarp, ShrinkMatchesRebindThreshold) {
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     Rng rng(seed);
@@ -329,30 +330,29 @@ TEST(HopcroftKarp, ShrinkMatchesRebindThreshold) {
     Matching m = kept.solve();
     for (int round = 0; round < 8 && !m.edges.empty(); ++round) {
       std::vector<EdgeId> fallen;
-      std::vector<EdgeId> joined;
       for (EdgeId e : m.edges) {
         g.decrease_weight(e, rng.uniform_int(1, g.edge(e).weight));
-        const Weight rest = g.edge(e).weight;
-        if (rest < threshold) fallen.push_back(e);
-        if (rest == threshold) joined.push_back(e);
+        if (g.edge(e).weight < threshold) fallen.push_back(e);
       }
-      std::sort(joined.begin(), joined.end());
-      kept.shrink(fallen, joined);
+      kept.shrink(fallen);
       HopcroftKarp fresh;
       fresh.rebind_threshold(g, threshold);
-      ASSERT_EQ(ids(kept.threshold_edges()), ids(fresh.threshold_edges()))
-          << "seed " << seed << " round " << round;
       Matching expected;
       if (round % 2 == 0) {
         expected = fresh.solve();
         m = kept.solve();
       } else {
-        Matching seed_matching = m;
+        Matching seed_matching = kept.matching();
         for (EdgeId e : fresh.threshold_edges()) {
           seed_matching.edges.push_back(e);
         }
+        std::vector<NodeId> free_left;
+        for (NodeId v = 0; v < g.left_count(); ++v) {
+          if (kept.matched_edge_of_left(v) == kNoEdge) free_left.push_back(v);
+        }
         expected = fresh.solve_seeded(seed_matching);
-        m = kept.solve_seeded(seed_matching);
+        EXPECT_EQ(kept.complete(free_left), expected.size());
+        m = kept.matching();
       }
       ASSERT_EQ(m.edges, expected.edges)
           << "seed " << seed << " round " << round;
@@ -379,21 +379,20 @@ TEST(HopcroftKarp, ThresholdEdgesAreTheUsableEdgesAtTheThreshold) {
   EXPECT_EQ(ids(solver.threshold_edges()), std::vector<EdgeId>{});
 }
 
-// shrink() takes only snapshot edges that crossed the threshold: an edge
-// still above it, one the snapshot never held, or a joined edge off the
-// threshold is a caller bug.
+// shrink() takes only snapshot edges that fell below the threshold: an
+// edge still above it or one the snapshot never held is a caller bug.
 TEST(HopcroftKarp, DropDeadRejectsAliveEdgesAndThresholdBinds) {
   BipartiteGraph g(2, 2);
   const EdgeId light = g.add_edge(0, 0, 1);
   const EdgeId heavy = g.add_edge(1, 1, 3);
   HopcroftKarp solver(g);
-  EXPECT_THROW(solver.shrink({light}, {}), Error);
+  EXPECT_THROW(solver.shrink(std::vector<EdgeId>{light}), Error);
   solver.rebind_threshold(g, 2);
   g.decrease_weight(light, 1);
-  EXPECT_THROW(solver.shrink({light}, {}), Error);
-  EXPECT_THROW(solver.shrink({}, {heavy}), Error);
+  EXPECT_THROW(solver.shrink(std::vector<EdgeId>{light}), Error);
+  EXPECT_THROW(solver.shrink(std::vector<EdgeId>{heavy}), Error);
   HopcroftKarp unbound;
-  EXPECT_THROW(unbound.shrink({}, {}), Error);
+  EXPECT_THROW(unbound.shrink({}), Error);
 }
 
 TEST(HopcroftKarp, LargeBipartiteRegularHasPerfectMatching) {

@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 
 #include "kpbs/lower_bound.hpp"
@@ -21,6 +22,24 @@ TEST(Solver, EmptyDemandGivesEmptySchedule) {
   const Schedule s = solve_kpbs(g, {2, 1, Algorithm::kGGP}).schedule;
   EXPECT_EQ(s.step_count(), 0u);
   EXPECT_EQ(s.cost(1), 0);
+}
+
+// A demand within beta of INT64_MAX: the realized amount must come out
+// without multiplying the step's units by beta, which would overflow. The
+// only failure left is the lower bound's own overflow check.
+TEST(Solver, RealizedAmountDoesNotOverflowNearInt64Max) {
+  BipartiteGraph g(1, 1);
+  g.add_edge(0, 0, std::numeric_limits<Weight>::max() - 1);
+  for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
+    try {
+      solve_kpbs(g, {1, 1000, algo});
+      ADD_FAILURE() << "the lower bound does not fit in 64 bits";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("rational overflow"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(Solver, SingleEdgeSingleStep) {

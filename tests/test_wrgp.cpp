@@ -192,8 +192,7 @@ TEST(PeelingContext, SearchIsBoundedByPreviousBottleneck) {
   std::vector<PeelStep> steps;
   {
     const obs::ScopedTelemetry scope(&registry, nullptr);
-    PeelingContext ctx;
-    steps = wrgp_peel_warm(reg.graph, Algorithm::kOGGP, ctx);
+    steps = oracle::per_step_peel(reg.graph, Algorithm::kOGGP);
   }
   ASSERT_FALSE(steps.empty());
   const std::uint64_t peel_steps = registry.counter("wrgp.steps").value();
