@@ -26,8 +26,13 @@ Weight Schedule::total_transmission() const {
 
 Weight Schedule::cost(Weight beta) const {
   REDIST_CHECK_MSG(beta >= 0, "negative beta");
-  return total_transmission() +
-         beta * static_cast<Weight>(steps_.size());
+  Weight cost = 0;
+  for (const Step& s : steps_) {
+    REDIST_CHECK_MSG(!__builtin_add_overflow(cost, s.duration(), &cost) &&
+                         !__builtin_add_overflow(cost, beta, &cost),
+                     "schedule cost overflows");
+  }
+  return cost;
 }
 
 Weight Schedule::total_amount() const {

@@ -182,7 +182,11 @@ ValidationReport ScheduleValidator::audit(const BipartiteGraph& demand,
       sender = stamp;
       receiver = stamp;
     }
-    recomputed += options_.beta + longest;
+    REDIST_CHECK_MSG(!__builtin_add_overflow(recomputed, longest,
+                                             &recomputed) &&
+                         !__builtin_add_overflow(recomputed, options_.beta,
+                                                 &recomputed),
+                     "schedule cost overflows at step " << i);
   }
 
   // (3) Coverage: fold the demanded and the delivered amounts per pair,
