@@ -44,17 +44,6 @@ BipartiteGraph read_graph(std::istream& is) {
   return g;
 }
 
-std::string graph_to_string(const BipartiteGraph& g) {
-  std::ostringstream os;
-  write_graph(os, g);
-  return os.str();
-}
-
-BipartiteGraph graph_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_graph(is);
-}
-
 std::string graph_to_dot(const BipartiteGraph& g, const std::string& name) {
   std::ostringstream os;
   os << "graph " << name << " {\n  rankdir=LR;\n";

@@ -22,10 +22,6 @@ void write_graph(std::ostream& os, const BipartiteGraph& g);
 /// Parses the text format; throws redist::Error on malformed input.
 BipartiteGraph read_graph(std::istream& is);
 
-/// Round-trip convenience.
-std::string graph_to_string(const BipartiteGraph& g);
-BipartiteGraph graph_from_string(const std::string& text);
-
 /// GraphViz DOT rendering (left nodes `l0..`, right nodes `r0..`,
 /// edge labels = weights).
 std::string graph_to_dot(const BipartiteGraph& g,

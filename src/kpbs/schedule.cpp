@@ -43,12 +43,6 @@ Weight Schedule::total_amount() const {
   return sum;
 }
 
-std::size_t Schedule::max_step_width() const {
-  std::size_t w = 0;
-  for (const Step& s : steps_) w = std::max(w, s.comms.size());
-  return w;
-}
-
 std::string Schedule::to_string() const {
   std::ostringstream os;
   os << "schedule with " << steps_.size() << " step(s)\n";

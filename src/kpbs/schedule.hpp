@@ -56,9 +56,6 @@ class Schedule {
   /// Total amount transferred over all steps and communications.
   Weight total_amount() const;
 
-  /// Largest number of simultaneous communications in any step.
-  std::size_t max_step_width() const;
-
   /// Human-readable dump.
   std::string to_string() const;
 

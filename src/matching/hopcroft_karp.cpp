@@ -218,8 +218,8 @@ std::size_t HopcroftKarp::maximize() {
   REDIST_CHECK_MSG(g_ != nullptr, "HopcroftKarp::solve before rebind");
   reset();
   // Seed with a greedy matching: cheap and typically covers most vertices.
-  // Same edge-id scan order as greedy_matching, restricted to the usable
-  // edges of the snapshot. The same pass drops the ids shrink() left.
+  // Usable edges are taken in ascending id order, each when both its ends
+  // are free. The same pass drops the ids shrink() left.
   std::size_t live = 0;
   for (const EdgeId e : usable_ids_) {
     if (usable_[static_cast<std::size_t>(e)] == 0) continue;
@@ -338,11 +338,6 @@ std::uint64_t HopcroftKarp::repair(std::span<const NodeId> roots) {
 Matching max_matching(const BipartiteGraph& g, const std::vector<char>& mask) {
   HopcroftKarp solver(g, mask);
   return solver.solve();
-}
-
-std::size_t max_matching_size(const BipartiteGraph& g,
-                              const std::vector<char>& mask) {
-  return max_matching(g, mask).size();
 }
 
 }  // namespace redist

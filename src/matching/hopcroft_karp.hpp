@@ -202,9 +202,4 @@ REDIST_DETERMINISTIC
 Matching max_matching(const BipartiteGraph& g,
                       const std::vector<char>& mask = {});
 
-/// One-shot helper: size of the maximum matching.
-REDIST_DETERMINISTIC
-std::size_t max_matching_size(const BipartiteGraph& g,
-                              const std::vector<char>& mask = {});
-
 }  // namespace redist

@@ -37,30 +37,4 @@ Weight min_weight(const BipartiteGraph& g, const Matching& m) {
   return w;
 }
 
-Weight max_weight(const BipartiteGraph& g, const Matching& m) {
-  Weight w = 0;
-  for (EdgeId e : m.edges) w = std::max(w, g.edge(e).weight);
-  return w;
-}
-
-Matching greedy_matching(const BipartiteGraph& g,
-                         const std::vector<char>& mask) {
-  Matching result;
-  std::vector<char> left_used(static_cast<std::size_t>(g.left_count()), 0);
-  std::vector<char> right_used(static_cast<std::size_t>(g.right_count()), 0);
-  for (EdgeId e = 0; e < g.edge_count(); ++e) {
-    if (!g.alive(e)) continue;
-    if (!mask.empty() && !mask[static_cast<std::size_t>(e)]) continue;
-    const Edge& edge = g.edge(e);
-    if (left_used[static_cast<std::size_t>(edge.left)] ||
-        right_used[static_cast<std::size_t>(edge.right)]) {
-      continue;
-    }
-    left_used[static_cast<std::size_t>(edge.left)] = 1;
-    right_used[static_cast<std::size_t>(edge.right)] = 1;
-    result.edges.push_back(e);
-  }
-  return result;
-}
-
 }  // namespace redist

@@ -34,14 +34,4 @@ bool is_perfect_matching(const BipartiteGraph& g, const Matching& m);
 REDIST_PURE
 Weight min_weight(const BipartiteGraph& g, const Matching& m);
 
-/// Largest edge weight in the matching (the step duration W(M)); 0 if empty.
-REDIST_PURE
-Weight max_weight(const BipartiteGraph& g, const Matching& m);
-
-/// Greedy maximal matching over alive edges honoring an optional mask
-/// (mask[e] == 0 excludes edge e). Used to seed Hopcroft–Karp.
-REDIST_DETERMINISTIC
-Matching greedy_matching(const BipartiteGraph& g,
-                         const std::vector<char>& mask = {});
-
 }  // namespace redist

@@ -453,14 +453,6 @@ SocketRunResult socket_bruteforce(const SocketClusterConfig& config,
 SocketRunResult socket_scheduled(const SocketClusterConfig& config,
                                  const TrafficMatrix& traffic,
                                  const Schedule& schedule,
-                                 double bytes_per_time_unit) {
-  return run(config, traffic, &schedule, bytes_per_time_unit,
-             RobustnessOptions{});
-}
-
-SocketRunResult socket_scheduled(const SocketClusterConfig& config,
-                                 const TrafficMatrix& traffic,
-                                 const Schedule& schedule,
                                  double bytes_per_time_unit,
                                  const RobustnessOptions& robustness) {
   return run(config, traffic, &schedule, bytes_per_time_unit, robustness);

@@ -13,9 +13,9 @@
 // cluster C2. Receivers compare every delivered byte with the pair's
 // deterministic pattern stream before reporting success.
 //
-// All three entry points run one attempt runner: an attempt wires a fresh
-// mesh and sends over it, brute force or barrier-stepped. With robustness
-// enabled (the recovering overload of socket_scheduled) a failed attempt —
+// Both entry points run one attempt runner: an attempt wires a fresh mesh
+// and sends over it, brute force or barrier-stepped. With robustness
+// enabled (RobustnessOptions::enabled on socket_scheduled) a failed attempt —
 // a reset link, a stalled peer tripping the idle deadline — is followed by
 // another: receivers keep a per-pair delivery ledger at completed-message
 // granularity, and the runtime rebuilds the residual traffic matrix from
@@ -44,9 +44,9 @@ struct SocketClusterConfig {
   Bytes burst_bytes = 32768; ///< bucket size
 };
 
-/// Robustness knobs for the recovering socket_scheduled overload. Disabled
-/// by default: one attempt, no idle deadline and the first rank error
-/// rethrown, exactly what the other entry points do.
+/// Robustness knobs of socket_scheduled. Disabled by default: one attempt,
+/// no idle deadline and the first rank error rethrown, exactly what
+/// socket_bruteforce does.
 struct RobustnessOptions {
   bool enabled = false;
   /// Idle deadline on every link socket and on accept during wiring; must
@@ -93,18 +93,12 @@ SocketRunResult socket_bruteforce(const SocketClusterConfig& config,
 /// `bytes_per_time_unit` bytes): each communication sends plan_bytes'
 /// piece, so the run takes exactly the schedule's steps. A schedule that
 /// misses or overshoots a pair, or sends on one with no demand, throws.
-SocketRunResult socket_scheduled(const SocketClusterConfig& config,
-                                 const TrafficMatrix& traffic,
-                                 const Schedule& schedule,
-                                 double bytes_per_time_unit);
-
-/// Recovering variant: with robustness.enabled, failed attempts are
-/// followed by residual re-solve + splice (see file header); with it
-/// disabled this is exactly the overload above.
+/// With robustness.enabled, failed attempts are followed by residual
+/// re-solve + splice (see file header).
 SocketRunResult socket_scheduled(const SocketClusterConfig& config,
                                  const TrafficMatrix& traffic,
                                  const Schedule& schedule,
                                  double bytes_per_time_unit,
-                                 const RobustnessOptions& robustness);
+                                 const RobustnessOptions& robustness = {});
 
 }  // namespace redist

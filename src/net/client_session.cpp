@@ -38,7 +38,7 @@ ClientSession ClientSession::dial(std::uint16_t port,
   robust::Retrier retrier(options.retry);
   TcpStream stream = retrier.run([&]() {
     TcpStream fresh = TcpStream::connect_loopback(port);
-    if (options.nodelay) fresh.set_nodelay(true);
+    fresh.set_nodelay(true);
     fresh.set_io_timeout_ms(options.io_timeout_ms);
     // The handshake runs inside the attempt: a stream that connected but
     // failed its application handshake is discarded and redialed whole.

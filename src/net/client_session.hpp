@@ -9,8 +9,9 @@
 //  * dial() covers connect + optional application handshake under one
 //    robust::Retrier — a failed handshake redials from scratch, exactly
 //    the mesh's semantics (a half-handshaken connection is useless);
-//  * every dialed stream comes back with nodelay and the idle deadline
-//    already armed, so no call site can forget either;
+//  * every dialed stream comes back with TCP_NODELAY set (request/response
+//    traffic must not wait on Nagle) and the idle deadline already armed,
+//    so no call site can forget either;
 //  * the retry count is observable (retries_out) for the metrics the mesh
 //    exports.
 //
@@ -39,7 +40,6 @@ namespace redist {
 struct ClientSessionOptions {
   robust::RetryPolicy retry;  ///< covers connect + handshake per attempt
   int io_timeout_ms = 2000;   ///< idle deadline armed on the dialed stream
-  bool nodelay = true;        ///< disable Nagle (request/response traffic)
 };
 
 /// A server-side rpc failure, rethrown client-side with the typed

@@ -53,14 +53,4 @@ std::uint32_t recv_message(TcpStream& stream, std::vector<char>& payload,
   return header.tag;
 }
 
-void recv_message_expect(TcpStream& stream, std::uint32_t expected_tag,
-                         std::vector<char>& payload,
-                         const std::vector<TokenBucket*>& shapers,
-                         Bytes chunk) {
-  const std::uint32_t tag = recv_message(stream, payload, shapers, chunk);
-  REDIST_CHECK_MSG(tag == expected_tag, "expected message tag "
-                                            << expected_tag << ", got "
-                                            << tag);
-}
-
 }  // namespace redist

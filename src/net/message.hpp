@@ -39,10 +39,4 @@ std::uint32_t recv_message(TcpStream& stream, std::vector<char>& payload,
                            const std::vector<TokenBucket*>& shapers = {},
                            Bytes chunk = 65536);
 
-/// recv_message that also verifies the tag matches.
-void recv_message_expect(TcpStream& stream, std::uint32_t expected_tag,
-                         std::vector<char>& payload,
-                         const std::vector<TokenBucket*>& shapers = {},
-                         Bytes chunk = 65536);
-
 }  // namespace redist

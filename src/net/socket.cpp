@@ -175,13 +175,6 @@ void TcpStream::set_nodelay(bool on) {
   }
 }
 
-void TcpStream::set_send_buffer(int bytes) {
-  if (::setsockopt(socket_.fd(), SOL_SOCKET, SO_SNDBUF, &bytes,
-                   sizeof(bytes)) != 0) {
-    throw_errno("setsockopt(SO_SNDBUF)");
-  }
-}
-
 TcpListener TcpListener::bind_loopback(int backlog) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket");

@@ -71,10 +71,6 @@ class TcpStream {
   void set_io_timeout_ms(int timeout_ms) { io_timeout_ms_ = timeout_ms; }
   int io_timeout_ms() const { return io_timeout_ms_; }
 
-  /// Shrinks the kernel send buffer (SO_SNDBUF); used by deadline tests to
-  /// make a non-draining peer observable with small payloads.
-  void set_send_buffer(int bytes);
-
  private:
   /// poll()s for `events` under the armed deadline; throws TimeoutError on
   /// expiry. No-op when no deadline is armed.

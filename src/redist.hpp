@@ -42,7 +42,6 @@
 #include "kpbs/wrgp.hpp"
 
 #include "baselines/list_scheduling.hpp"
-#include "baselines/local_search.hpp"
 
 #include "workload/block_cyclic.hpp"
 #include "workload/patterns.hpp"

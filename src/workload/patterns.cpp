@@ -1,9 +1,6 @@
 #include "workload/patterns.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <numeric>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -34,21 +31,6 @@ TrafficMatrix hotspot_traffic(Rng& rng, NodeId senders, NodeId receivers,
   return m;
 }
 
-TrafficMatrix permutation_traffic(Rng& rng, NodeId nodes, Bytes min_bytes,
-                                  Bytes max_bytes) {
-  REDIST_CHECK(nodes >= 1);
-  REDIST_CHECK(min_bytes >= 1 && min_bytes <= max_bytes);
-  std::vector<NodeId> perm(static_cast<std::size_t>(nodes));
-  std::iota(perm.begin(), perm.end(), 0);
-  std::shuffle(perm.begin(), perm.end(), rng);
-  TrafficMatrix m(nodes, nodes);
-  for (NodeId i = 0; i < nodes; ++i) {
-    m.set(i, perm[static_cast<std::size_t>(i)],
-          rng.uniform_int(min_bytes, max_bytes));
-  }
-  return m;
-}
-
 TrafficMatrix banded_traffic(std::int64_t rows, Bytes row_bytes,
                              NodeId senders, NodeId receivers) {
   REDIST_CHECK(rows > 0 && row_bytes > 0);
@@ -62,29 +44,6 @@ TrafficMatrix banded_traffic(std::int64_t rows, Bytes row_bytes,
       const std::int64_t overlap =
           std::max<std::int64_t>(0, std::min(hi1, hi2) - std::max(lo1, lo2));
       if (overlap > 0) m.set(i, j, overlap * row_bytes);
-    }
-  }
-  return m;
-}
-
-TrafficMatrix zipf_traffic(Rng& rng, NodeId senders, NodeId receivers,
-                           Bytes max_bytes, double exponent) {
-  REDIST_CHECK(max_bytes >= 1);
-  REDIST_CHECK(exponent > 0);
-  const std::int64_t pairs =
-      static_cast<std::int64_t>(senders) * static_cast<std::int64_t>(receivers);
-  std::vector<std::int64_t> order(static_cast<std::size_t>(pairs));
-  std::iota(order.begin(), order.end(), 0);
-  std::shuffle(order.begin(), order.end(), rng);
-  TrafficMatrix m(senders, receivers);
-  for (std::int64_t rank = 0; rank < pairs; ++rank) {
-    const std::int64_t p = order[static_cast<std::size_t>(rank)];
-    const auto size = static_cast<Bytes>(
-        static_cast<double>(max_bytes) /
-        std::pow(static_cast<double>(rank + 1), exponent));
-    if (size >= 1) {
-      m.set(static_cast<NodeId>(p / receivers),
-            static_cast<NodeId>(p % receivers), size);
     }
   }
   return m;

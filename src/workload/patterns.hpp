@@ -2,13 +2,10 @@
 // workload — the shapes that show up in real code-coupling deployments and
 // exercise different corners of the scheduler:
 //
-//  * hotspot     — one receiver (or sender) absorbs most traffic: stresses
-//                  the 1-port constraint and the W(G) term of the bound;
-//  * permutation — one-to-one exchange: the best case (a single step);
-//  * banded      — 1-D domain-decomposition overlap (M x N coupling), each
-//                  sender talks to a small contiguous window of receivers;
-//  * zipf sizes  — all-pairs with heavy-tailed message sizes: stresses
-//                  preemption (a few giant messages among many small ones).
+//  * hotspot — one receiver (or sender) absorbs most traffic: stresses the
+//              1-port constraint and the W(G) term of the bound;
+//  * banded  — 1-D domain-decomposition overlap (M x N coupling), each
+//              sender talks to a small contiguous window of receivers.
 #pragma once
 
 #include "common/contract_annotations.hpp"
@@ -25,19 +22,9 @@ TrafficMatrix hotspot_traffic(Rng& rng, NodeId senders, NodeId receivers,
                               NodeId hot_receiver, double hot_share,
                               Bytes per_sender_bytes);
 
-/// Random one-to-one pattern (requires senders == receivers); each pair
-/// ships a uniform size in [min_bytes, max_bytes].
-TrafficMatrix permutation_traffic(Rng& rng, NodeId nodes, Bytes min_bytes,
-                                  Bytes max_bytes);
-
 /// 1-D band overlap: `rows` domain rows split contiguously across senders
 /// and receivers; traffic is the row-range intersection times row_bytes.
 TrafficMatrix banded_traffic(std::int64_t rows, Bytes row_bytes,
                              NodeId senders, NodeId receivers);
-
-/// All-pairs with Zipf(s = `exponent`) sizes over `max_bytes`: rank r pair
-/// gets max_bytes / rank^exponent (ranks shuffled).
-TrafficMatrix zipf_traffic(Rng& rng, NodeId senders, NodeId receivers,
-                           Bytes max_bytes, double exponent);
 
 }  // namespace redist

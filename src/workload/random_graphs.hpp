@@ -26,11 +26,4 @@ struct RandomGraphConfig {
 /// matching the traffic-matrix origin of the problem.
 BipartiteGraph random_bipartite(Rng& rng, const RandomGraphConfig& config);
 
-/// Samples a weight-regular graph (for WRGP-specific tests/benches):
-/// overlays `layers` random permutation matchings of n x n, each with one
-/// uniform weight, then merges parallel edges. Every node ends with the
-/// same total weight.
-BipartiteGraph random_weight_regular(Rng& rng, NodeId n, int layers,
-                                     Weight min_weight, Weight max_weight);
-
 }  // namespace redist

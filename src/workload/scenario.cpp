@@ -64,16 +64,6 @@ std::string scenario_kind_name(ScenarioKind kind) {
   throw Error("unknown ScenarioKind");
 }
 
-ScenarioKind parse_scenario_kind(const std::string& name) {
-  for (const ScenarioKind kind :
-       {ScenarioKind::kUniform, ScenarioKind::kHeterogeneous,
-        ScenarioKind::kAsymmetric, ScenarioKind::kHotspot,
-        ScenarioKind::kSparseGiant, ScenarioKind::kFaultStorm}) {
-    if (name == scenario_kind_name(kind)) return kind;
-  }
-  throw Error("unknown scenario kind: " + name);
-}
-
 void ScenarioSpec::validate() const {
   if (name.empty()) throw Error("scenario: name must be non-empty");
   for (const char c : name) {
@@ -191,76 +181,6 @@ std::string scenario_to_string(const ScenarioSpec& spec) {
      << "het_spread " << spec.het_spread << '\n'
      << "storm " << spec.storm_intensity << '\n';
   return os.str();
-}
-
-namespace {
-
-// One strict line: `key` already consumed; reads exactly the listed values
-// and rejects trailing tokens.
-template <typename... Ts>
-void read_values(std::istringstream& line, const std::string& key,
-                 Ts&... values) {
-  ((line >> values), ...);
-  if (line.fail()) throw Error("scenario: malformed value for key: " + key);
-  std::string trailing;
-  if (line >> trailing) {
-    throw Error("scenario: trailing tokens after key: " + key);
-  }
-}
-
-}  // namespace
-
-ScenarioSpec scenario_from_string(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  ScenarioSpec spec;
-  bool saw_header = false;
-  std::unordered_set<std::string> seen;
-  while (std::getline(is, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    if (key.empty()) continue;
-    if (!saw_header) {
-      if (key != "scenario") {
-        throw Error("scenario: expected 'scenario <name>' header");
-      }
-      read_values(ls, key, spec.name);
-      saw_header = true;
-      continue;
-    }
-    if (!seen.insert(key).second) {
-      throw Error("scenario: duplicate key: " + key);
-    }
-    if (key == "kind") {
-      std::string kind;
-      read_values(ls, key, kind);
-      spec.kind = parse_scenario_kind(kind);
-    } else if (key == "seed") {
-      read_values(ls, key, spec.seed);
-    } else if (key == "nodes") {
-      read_values(ls, key, spec.senders, spec.receivers);
-    } else if (key == "edges") {
-      read_values(ls, key, spec.edges);
-    } else if (key == "bytes") {
-      read_values(ls, key, spec.min_bytes, spec.max_bytes,
-                  spec.bytes_per_unit);
-    } else if (key == "solver") {
-      read_values(ls, key, spec.k, spec.beta);
-    } else if (key == "hot_share") {
-      read_values(ls, key, spec.hot_share);
-    } else if (key == "het_spread") {
-      read_values(ls, key, spec.het_spread);
-    } else if (key == "storm") {
-      read_values(ls, key, spec.storm_intensity);
-    } else {
-      throw Error("scenario: unknown key: " + key);
-    }
-  }
-  if (!saw_header) throw Error("scenario: missing 'scenario <name>' header");
-  spec.validate();
-  return spec;
 }
 
 std::vector<ScenarioSpec> builtin_scenarios(double scale) {

@@ -5,10 +5,12 @@
 // clusters only. Real deployments are messier, and the related star-platform
 // work (Marchal–Rehn–Robert–Vivien, see PAPERS.md) shows heterogeneous port
 // throughputs change which scheduler wins. A ScenarioSpec names one
-// adversarial workload family instance — seeded, serializable, reproducible
-// bit-for-bit anywhere — and materialize() turns it into everything below
-// the platform layer: the byte-level traffic matrix, the integer demand
-// graph the solvers consume, and per-node relative card speeds.
+// adversarial workload family instance — seeded, reproducible bit-for-bit
+// anywhere, and printed into every sweep result (spec_text) so a result
+// names the instance it measured — and materialize() turns it into
+// everything below the platform layer: the byte-level traffic matrix, the
+// integer demand graph the solvers consume, and per-node relative card
+// speeds.
 //
 // Families:
 //  * uniform        — the paper's control: all-pairs uniform sizes;
@@ -52,11 +54,10 @@ enum class ScenarioKind {
 };
 
 std::string scenario_kind_name(ScenarioKind kind);
-ScenarioKind parse_scenario_kind(const std::string& name);
 
 /// One named, seeded, fully declarative workload. Everything the sweep
 /// harness and the regression baselines key on comes from here — two specs
-/// that serialize identically materialize identically on every platform.
+/// that print identically materialize identically on every platform.
 struct ScenarioSpec {
   std::string name = "uniform";  ///< unique id; BENCH_sweep_<name>.json
   ScenarioKind kind = ScenarioKind::kUniform;
@@ -106,7 +107,7 @@ struct ScenarioWorkload {
 /// actually schedules.
 ScenarioWorkload materialize_scenario(const ScenarioSpec& spec);
 
-/// Serialization: a line-oriented text format mirroring graphio —
+/// The spec as line-oriented text —
 ///   scenario <name>
 ///   kind <kind-name>
 ///   seed <u64>
@@ -117,10 +118,10 @@ ScenarioWorkload materialize_scenario(const ScenarioSpec& spec);
 ///   hot_share <double>
 ///   het_spread <double>
 ///   storm <double>
-/// Parsing rejects unknown keys, duplicates, trailing garbage and any value
-/// outside its domain with redist::Error (fuzzed in test_fuzz_parsers).
+/// Validates first: an out-of-domain spec throws redist::Error instead of
+/// being written. The sweep records this text as each result's spec_text;
+/// nothing in the library reads it back.
 std::string scenario_to_string(const ScenarioSpec& spec);
-ScenarioSpec scenario_from_string(const std::string& text);
 
 /// The committed scenario matrix driven by tools/redist_sweep and the
 /// regression baselines under bench/baselines/. `scale` in (0, 1] shrinks

@@ -106,7 +106,7 @@ Schedule solve_with(const BipartiteGraph& demand, int k, Weight beta,
 }  // namespace
 
 Matching bottleneck_maximal_threshold(const BipartiteGraph& g) {
-  return bottleneck_search(g, max_matching_size(g));
+  return bottleneck_search(g, max_matching(g).size());
 }
 
 Matching bottleneck_perfect_threshold(const BipartiteGraph& g) {
@@ -124,7 +124,7 @@ Matching bottleneck_maximal_incremental(const BipartiteGraph& g) {
   // Figure 6 of the paper: G'' holds the not-yet-considered edges, G' the
   // considered ones; repeatedly move the heaviest edge of G'' into G' and
   // re-augment the matching of G', stopping when it is maximum in G.
-  const std::size_t target = max_matching_size(g);
+  const std::size_t target = max_matching(g).size();
   Matching m;
   if (target == 0) return m;
 

@@ -611,6 +611,35 @@ TEST(LintMutexGuard, ConstAtomicAndReferencesAreExemptByDefault) {
                   .empty());
 }
 
+// A raw sync type renamed in the same file is still raw: `using` and
+// `typedef` aliases, and aliases of aliases, are resolved.
+TEST(LintMutexGuard, SameFileAliasesOfRawSyncTypesFire) {
+  const auto findings = lint_source("src/runtime/x.hpp",
+                                    "using RawLock = std::mutex;\n"
+                                    "typedef std::condition_variable Cv;\n"
+                                    "class C {\n"
+                                    "  RawLock mu_;\n"
+                                    "  Cv cv_;\n"
+                                    "};\n",
+                                    {"mutex-guard"});
+  ASSERT_EQ(findings.size(), 2u) << redist::analyze::format_report(findings);
+  EXPECT_EQ(findings[0].line, 4);
+  EXPECT_EQ(findings[1].line, 5);
+  // A non-sync alias stays a plain member.
+  EXPECT_TRUE(lint_source("src/runtime/x.hpp",
+                          "using Count = std::int64_t;\n"
+                          "class C {\n"
+                          "  Count n_ = 0;\n"
+                          "};\n",
+                          {"mutex-guard"})
+                  .empty());
+
+  const auto fixture =
+      lint_fixture("mutex_guard", "alias.cpp", only({"mutex-guard"}));
+  ASSERT_EQ(fixture.size(), 3u) << redist::analyze::format_report(fixture);
+  for (const Finding& f : fixture) EXPECT_EQ(f.rule, "mutex-guard");
+}
+
 TEST(LintFloatEq, NullptrComparisonIsNotAFloatCompare) {
   EXPECT_TRUE(
       lint_source("src/kpbs/x.cpp",

@@ -94,7 +94,7 @@ TEST_P(BottleneckRandom, ThresholdAndIncrementalAgree) {
     const Matching b = oracle::bottleneck_maximal_incremental(g);
     ASSERT_TRUE(is_matching(g, a));
     ASSERT_TRUE(is_matching(g, b));
-    const std::size_t target = max_matching_size(g);
+    const std::size_t target = max_matching(g).size();
     ASSERT_EQ(a.size(), target);
     ASSERT_EQ(b.size(), target);
     ASSERT_EQ(min_weight(g, a), min_weight(g, b));
@@ -115,7 +115,7 @@ TEST(Bottleneck, OptimalityAgainstExhaustiveSearch) {
     config.max_edges = 10;
     config.max_weight = 8;
     const BipartiteGraph g = random_bipartite(rng, config);
-    const std::size_t target = max_matching_size(g);
+    const std::size_t target = max_matching(g).size();
     const Matching best = oracle::bottleneck_maximal_threshold(g);
 
     // Exhaustive: enumerate matchings via bitmask over edges.

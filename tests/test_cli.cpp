@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 namespace redist {
 namespace {
@@ -118,6 +119,31 @@ TEST(Cli, VerifyAcceptsSolverOutput) {
               " --k=3 --beta=1 --bound");
   EXPECT_EQ(ok.status, 0) << ok.output;
   EXPECT_NE(ok.output.find("VALID"), std::string::npos);
+}
+
+// A negative --makespan used to switch the claimed-makespan check off and
+// print VALID; a claimed makespan must be one.
+TEST(Cli, VerifyRejectsNegativeMakespan) {
+  const std::string graph = temp_dir() + "/makespan_g.txt";
+  const std::string sched = temp_dir() + "/makespan_s.txt";
+  ASSERT_EQ(run_cli("generate --out=" + graph +
+                    " --seed=7 --max-nodes=8 --max-edges=20")
+                .status,
+            0);
+  ASSERT_EQ(run_cli("solve --in=" + graph + " --k=3 --beta=1 --out=" + sched +
+                    " --quiet")
+                .status,
+            0);
+  for (const std::string value : {"-5", "-1"}) {
+    const CommandResult r =
+        run_cli("verify --in=" + graph + " --schedule=" + sched +
+                " --k=3 --beta=1 --makespan=" + value);
+    ASSERT_TRUE(WIFEXITED(r.status)) << value;
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << value << '\n' << r.output;
+    EXPECT_NE(r.output.find("--makespan must be >= 0"), std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("VALID"), std::string::npos) << r.output;
+  }
 }
 
 TEST(Cli, VerifyRejectsTamperedSchedule) {
@@ -235,6 +261,37 @@ TEST(Cli, SimulateReportsBothModes) {
   ASSERT_EQ(sim.status, 0) << sim.output;
   EXPECT_NE(sim.output.find("brute force:"), std::string::npos);
   EXPECT_NE(sim.output.find("OGGP:"), std::string::npos);
+}
+
+// --k=0 made the default card rate infinite and --t=1e300 a byte count
+// past INT64_MAX; both reached an undefined double-to-integer cast. A
+// negative rate reached the traffic matrix as negative traffic.
+TEST(Cli, SimulateRejectsOutOfDomainRates) {
+  const std::string graph = temp_dir() + "/sim_domain.txt";
+  ASSERT_EQ(run_cli("generate --out=" + graph +
+                    " --seed=2 --max-nodes=5 --max-edges=10")
+                .status,
+            0);
+  const std::pair<const char*, const char*> cases[] = {
+      {"--k=0", "--k must be a positive count"},
+      {"--k=-3", "--k must be a positive count"},
+      {"--t=-5", "--t must be a positive finite rate"},
+      {"--t=0", "--t must be a positive finite rate"},
+      {"--t=inf", "--t must be a positive finite rate"},
+      {"--t=nan", "--t must be a positive finite rate"},
+      {"--backbone=0", "--backbone must be a positive finite rate"},
+      {"--backbone=-1e9", "--backbone must be a positive finite rate"},
+      {"--t=1e300", "overflows the byte count"},
+  };
+  for (const auto& [flag, message] : cases) {
+    const CommandResult r =
+        run_cli("simulate --in=" + graph + " " + flag);
+    ASSERT_TRUE(WIFEXITED(r.status)) << flag;
+    EXPECT_EQ(WEXITSTATUS(r.status), 1) << flag << '\n' << r.output;
+    EXPECT_NE(r.output.find(message), std::string::npos)
+        << flag << '\n' << r.output;
+    EXPECT_EQ(r.output.find("brute force:"), std::string::npos) << r.output;
+  }
 }
 
 TEST(Cli, BadAlgorithmNameFails) {

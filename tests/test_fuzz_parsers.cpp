@@ -1,18 +1,33 @@
-// Deterministic fuzzing of the text parsers (graphs and schedules): random
-// mutations of valid inputs must either parse to something structurally
-// sound or throw redist::Error — never crash, hang or corrupt memory.
+// Deterministic fuzzing of the text parsers (graphs and schedules) and the
+// rpc codecs: random mutations of valid inputs must either parse to
+// something structurally sound or throw redist::Error — never crash, hang
+// or corrupt memory. The scenario-spec writer is fuzzed on its fields.
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "common/rng.hpp"
 #include "graph/graphio.hpp"
 #include "kpbs/schedule_io.hpp"
 #include "kpbs/solver.hpp"
 #include "net/rpc.hpp"
+#include "oracle/scenario_reader.hpp"
 #include "workload/random_graphs.hpp"
 #include "workload/scenario.hpp"
 
 namespace redist {
 namespace {
+
+std::string graph_text(const BipartiteGraph& g) {
+  std::ostringstream os;
+  write_graph(os, g);
+  return os.str();
+}
+
+BipartiteGraph parse_graph(const std::string& text) {
+  std::istringstream is(text);
+  return read_graph(is);
+}
 
 std::string mutate(Rng& rng, std::string text) {
   const int edits = static_cast<int>(rng.uniform_int(1, 6));
@@ -48,9 +63,9 @@ TEST_P(ParserFuzz, GraphParserNeverCrashes) {
   config.max_edges = 20;
   for (int trial = 0; trial < 200; ++trial) {
     const BipartiteGraph g = random_bipartite(rng, config);
-    const std::string mutated = mutate(rng, graph_to_string(g));
+    const std::string mutated = mutate(rng, graph_text(g));
     try {
-      const BipartiteGraph parsed = graph_from_string(mutated);
+      const BipartiteGraph parsed = parse_graph(mutated);
       parsed.check_invariants();  // if it parsed, it must be sound
     } catch (const Error&) {
       // rejected: fine
@@ -140,9 +155,9 @@ TEST_P(ParserFuzz, GraphRoundTripIsIdentity) {
   config.max_edges = 30;
   for (int trial = 0; trial < 100; ++trial) {
     const BipartiteGraph g = random_bipartite(rng, config);
-    const std::string text = graph_to_string(g);
-    const BipartiteGraph parsed = graph_from_string(text);
-    ASSERT_EQ(graph_to_string(parsed), text);
+    const std::string text = graph_text(g);
+    const BipartiteGraph parsed = parse_graph(text);
+    ASSERT_EQ(graph_text(parsed), text);
     ASSERT_EQ(parsed.left_count(), g.left_count());
     ASSERT_EQ(parsed.right_count(), g.right_count());
     ASSERT_EQ(parsed.total_weight(), g.total_weight());
@@ -172,23 +187,92 @@ TEST(ParserFuzz, MalformedSchedulesThrowError) {
   }
 }
 
-// Scenario-spec parser (workload/scenario.hpp): the sweep harness and the
-// committed regression baselines key on these files, so a corrupted spec
-// must never silently materialize a different instance.
+// Scenario specs (workload/scenario.hpp): the sweep records every spec as
+// spec_text, and the committed regression baselines key on it, so the
+// writer must refuse an out-of-domain spec and every text it does write
+// must name its spec exactly (read back with oracle::read_scenario_text).
+//
+// Random field edits of the builtin specs, in and out of each field's
+// domain: scenario_to_string either throws redist::Error (exactly when
+// validate() does) or writes text that reads back to the same fields.
+// The real-valued fields draw from short decimals: the writer prints six
+// significant digits.
 TEST_P(ParserFuzz, ScenarioParserNeverCrashes) {
   Rng rng(GetParam() ^ 0x5CE0);
   const std::vector<ScenarioSpec> specs = builtin_scenarios(0.25);
+  const std::vector<std::string> names = {"x", "sweep-2", "", "Bad Name",
+                                          "a.b"};
+  const std::vector<double> reals = {-0.5, 0.0,  0.25, 0.5, 0.999,
+                                     1.0,  1.5,  4.0,  16.0};
+  const auto pick_real = [&]() {
+    return reals[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(reals.size()) - 1))];
+  };
   for (int trial = 0; trial < 200; ++trial) {
-    const ScenarioSpec& spec =
-        specs[static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(specs.size()) - 1))];
-    const std::string mutated = mutate(rng, scenario_to_string(spec));
-    try {
-      const ScenarioSpec parsed = scenario_from_string(mutated);
-      parsed.validate();  // if it parsed, every field is in-domain
-    } catch (const Error&) {
-      // rejected: fine
+    ScenarioSpec spec = specs[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(specs.size()) - 1))];
+    const int edits = static_cast<int>(rng.uniform_int(1, 3));
+    for (int e = 0; e < edits; ++e) {
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+          spec.name = names[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(names.size()) - 1))];
+          break;
+        case 1:
+          spec.senders = static_cast<NodeId>(rng.uniform_int(-2, 40));
+          break;
+        case 2:
+          spec.receivers = static_cast<NodeId>(rng.uniform_int(-2, 40));
+          break;
+        case 3:
+          spec.edges = static_cast<int>(rng.uniform_int(-5, 2000));
+          break;
+        case 4:
+          spec.min_bytes = rng.uniform_int(-10, 30'000);
+          break;
+        case 5:
+          spec.max_bytes = rng.uniform_int(-10, 30'000);
+          break;
+        case 6:
+          spec.k = static_cast<int>(rng.uniform_int(-1, 8));
+          spec.beta = rng.uniform_int(-2, 5);
+          break;
+        case 7:
+          spec.hot_share = pick_real();
+          break;
+        case 8:
+          spec.het_spread = pick_real();
+          break;
+        default:
+          spec.storm_intensity = pick_real();
+          break;
+      }
     }
+    bool valid = true;
+    try {
+      spec.validate();
+    } catch (const Error&) {
+      valid = false;
+    }
+    if (!valid) {
+      EXPECT_THROW(scenario_to_string(spec), Error) << "trial " << trial;
+      continue;
+    }
+    const std::string text = scenario_to_string(spec);
+    const ScenarioSpec back = oracle::read_scenario_text(text);
+    ASSERT_NO_THROW(back.validate()) << text;
+    ASSERT_EQ(scenario_to_string(back), text);
+    ASSERT_EQ(back.name, spec.name);
+    ASSERT_EQ(back.senders, spec.senders);
+    ASSERT_EQ(back.receivers, spec.receivers);
+    ASSERT_EQ(back.edges, spec.edges);
+    ASSERT_EQ(back.min_bytes, spec.min_bytes);
+    ASSERT_EQ(back.max_bytes, spec.max_bytes);
+    ASSERT_EQ(back.k, spec.k);
+    ASSERT_EQ(back.beta, spec.beta);
+    ASSERT_DOUBLE_EQ(back.hot_share, spec.hot_share);
+    ASSERT_DOUBLE_EQ(back.het_spread, spec.het_spread);
+    ASSERT_DOUBLE_EQ(back.storm_intensity, spec.storm_intensity);
   }
 }
 
@@ -197,35 +281,37 @@ TEST_P(ParserFuzz, ScenarioRoundTripIsIdentity) {
   for (ScenarioSpec spec : builtin_scenarios(0.5)) {
     spec.seed = rng.next();  // any seed must survive the trip
     const std::string text = scenario_to_string(spec);
-    const ScenarioSpec parsed = scenario_from_string(text);
-    ASSERT_EQ(scenario_to_string(parsed), text);  // serialize∘parse fixpoint
+    const ScenarioSpec parsed = oracle::read_scenario_text(text);
+    ASSERT_EQ(scenario_to_string(parsed), text);  // write∘read fixpoint
     ASSERT_EQ(parsed.name, spec.name);
     ASSERT_EQ(parsed.kind, spec.kind);
     ASSERT_EQ(parsed.seed, spec.seed);
   }
 }
 
+// The writer refuses every out-of-domain spec rather than recording it.
 TEST(ParserFuzz, MalformedScenariosThrowError) {
-  const char* cases[] = {
-      "",                                     // empty
-      "scenario",                             // header missing name
-      "kind uniform",                         // missing header line
-      "scenario x\nkind bogus",               // unknown kind
-      "scenario x\nkind uniform extra",       // trailing token
-      "scenario x\nseed 1\nseed 2",           // duplicate key
-      "scenario x\nnodes 4",                  // truncated pair
-      "scenario x\nnodes 0 4",                // out-of-domain size
-      "scenario x\nnodes four 4",             // non-numeric
-      "scenario x\nbytes 10 5 1",             // min > max
-      "scenario x\nsolver 0 1",               // k < 1
-      "scenario x\nhot_share 1.0",            // boundary excluded
-      "scenario x\nhet_spread 0.25",          // spread < 1
-      "scenario x\nstorm 2.0",                // intensity > 1
-      "scenario x\nflavor vanilla",           // unknown key
-      "scenario Bad Name\nkind uniform",      // invalid name charset
+  const std::vector<std::pair<const char*, void (*)(ScenarioSpec&)>> cases = {
+      {"empty name", [](ScenarioSpec& s) { s.name = ""; }},
+      {"invalid name charset", [](ScenarioSpec& s) { s.name = "Bad Name"; }},
+      {"out-of-domain size", [](ScenarioSpec& s) { s.senders = 0; }},
+      {"negative edges", [](ScenarioSpec& s) { s.edges = -1; }},
+      {"min > max",
+       [](ScenarioSpec& s) {
+         s.min_bytes = 10;
+         s.max_bytes = 5;
+       }},
+      {"per-unit < 1", [](ScenarioSpec& s) { s.bytes_per_unit = 0; }},
+      {"k < 1", [](ScenarioSpec& s) { s.k = 0; }},
+      {"negative beta", [](ScenarioSpec& s) { s.beta = -1; }},
+      {"boundary excluded", [](ScenarioSpec& s) { s.hot_share = 1.0; }},
+      {"spread < 1", [](ScenarioSpec& s) { s.het_spread = 0.25; }},
+      {"intensity > 1", [](ScenarioSpec& s) { s.storm_intensity = 2.0; }},
   };
-  for (const char* text : cases) {
-    EXPECT_THROW(scenario_from_string(text), Error) << "input: " << text;
+  for (const auto& [what, corrupt] : cases) {
+    ScenarioSpec spec;
+    corrupt(spec);
+    EXPECT_THROW(scenario_to_string(spec), Error) << what;
   }
 }
 
@@ -485,7 +571,7 @@ TEST(ParserFuzz, PureGarbageIsRejected) {
     for (int c = 0; c < len; ++c) {
       garbage.push_back(static_cast<char>(rng.uniform_int(1, 255)));
     }
-    EXPECT_THROW(graph_from_string(garbage), Error) << "trial " << trial;
+    EXPECT_THROW(parse_graph(garbage), Error) << "trial " << trial;
     EXPECT_THROW(schedule_from_string(garbage), Error) << "trial " << trial;
   }
 }

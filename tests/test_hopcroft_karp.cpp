@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "oracle/weight_regular.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {
@@ -46,7 +47,7 @@ std::size_t brute_force_max_matching(const BipartiteGraph& g) {
 
 TEST(HopcroftKarp, EmptyGraph) {
   BipartiteGraph g(3, 3);
-  EXPECT_EQ(max_matching_size(g), 0u);
+  EXPECT_EQ(max_matching(g).size(), 0u);
 }
 
 TEST(HopcroftKarp, PerfectOnCompleteBipartite) {
@@ -72,7 +73,7 @@ TEST(HopcroftKarp, AugmentingPathIsRequired) {
 TEST(HopcroftKarp, StarGraphMatchesOne) {
   BipartiteGraph g(1, 5);
   for (NodeId j = 0; j < 5; ++j) g.add_edge(0, j, 1);
-  EXPECT_EQ(max_matching_size(g), 1u);
+  EXPECT_EQ(max_matching(g).size(), 1u);
 }
 
 TEST(HopcroftKarp, RespectsMask) {
@@ -94,7 +95,7 @@ TEST(HopcroftKarp, IgnoresDeadEdges) {
   BipartiteGraph g(1, 1);
   const EdgeId e = g.add_edge(0, 0, 1);
   g.decrease_weight(e, 1);
-  EXPECT_EQ(max_matching_size(g), 0u);
+  EXPECT_EQ(max_matching(g).size(), 0u);
 }
 
 TEST(HopcroftKarp, MatchedEdgeAccessors) {

@@ -4,7 +4,7 @@
 
 #include "common/rng.hpp"
 #include "matching/hopcroft_karp.hpp"
-#include "workload/random_graphs.hpp"
+#include "oracle/weight_regular.hpp"
 
 namespace redist {
 namespace {

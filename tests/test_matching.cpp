@@ -45,32 +45,7 @@ TEST(Matching, MinMaxWeight) {
   const BipartiteGraph g = square_graph();
   const Matching m{{1, 2}};
   EXPECT_EQ(min_weight(g, m), 2);
-  EXPECT_EQ(max_weight(g, m), 3);
   EXPECT_EQ(min_weight(g, Matching{}), 0);
-  EXPECT_EQ(max_weight(g, Matching{}), 0);
-}
-
-TEST(Matching, GreedyProducesMaximalMatching) {
-  const BipartiteGraph g = square_graph();
-  const Matching m = greedy_matching(g);
-  EXPECT_TRUE(is_matching(g, m));
-  EXPECT_EQ(m.size(), 2u);  // greedy on K22 finds a perfect matching
-}
-
-TEST(Matching, GreedyHonorsMask) {
-  const BipartiteGraph g = square_graph();
-  std::vector<char> mask(4, 0);
-  mask[1] = 1;  // only edge e1 allowed
-  const Matching m = greedy_matching(g, mask);
-  EXPECT_EQ(m.edges, (std::vector<EdgeId>{1}));
-}
-
-TEST(Matching, GreedySkipsDeadEdges) {
-  BipartiteGraph g = square_graph();
-  g.decrease_weight(0, 1);  // kill e0
-  const Matching m = greedy_matching(g);
-  EXPECT_TRUE(is_matching(g, m));
-  for (EdgeId e : m.edges) EXPECT_TRUE(g.alive(e));
 }
 
 }  // namespace

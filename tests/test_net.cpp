@@ -2,9 +2,11 @@
 
 #include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "net/client_session.hpp"
 #include "net/message.hpp"
 #include "net/socket.hpp"
 #include "common/stopwatch.hpp"
@@ -82,7 +84,7 @@ TEST(Message, FramedRoundTrip) {
   TcpStream client = TcpStream::connect_loopback(listener.port());
   send_message(client, 42, text.data(), text.size());
   std::vector<char> back;
-  recv_message_expect(client, 43, back);
+  EXPECT_EQ(recv_message(client, back), 43u);
   server.join();
   ASSERT_EQ(back.size(), text.size());
   EXPECT_EQ(std::memcmp(back.data(), text.data(), text.size()), 0);
@@ -101,15 +103,26 @@ TEST(Message, EmptyPayload) {
   server.join();
 }
 
+// A reply framed under the wrong tag is refused: the rpc client expects
+// HelloAck to its Hello and gets tag 1.
 TEST(Message, TagMismatchThrows) {
   TcpListener listener = TcpListener::bind_loopback();
   std::thread server([&]() {
     TcpStream peer = listener.accept();
+    std::vector<char> hello;
+    recv_message(peer, hello);
     send_message(peer, 1, "a", 1);
   });
-  TcpStream client = TcpStream::connect_loopback(listener.port());
-  std::vector<char> payload;
-  EXPECT_THROW(recv_message_expect(client, 2, payload), Error);
+  ClientSessionOptions options;
+  options.retry.max_attempts = 1;
+  try {
+    ClientSession::dial_rpc(listener.port(), options);
+    ADD_FAILURE() << "a reply under the wrong tag was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unexpected reply tag 1"),
+              std::string::npos)
+        << e.what();
+  }
   server.join();
 }
 
@@ -162,7 +175,6 @@ TEST(SocketDeadline, SendTimesOutOnNonDrainingPeer) {
     released.wait();
   });
   TcpStream client = TcpStream::connect_loopback(listener.port());
-  client.set_send_buffer(4096);
   client.set_io_timeout_ms(100);
   // Far more than the send buffer plus the peer's receive buffer: once
   // both fill, poll(POLLOUT) must expire instead of blocking forever.

@@ -2,12 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "kpbs/lower_bound.hpp"
 #include "kpbs/solver.hpp"
 
 namespace redist {
 namespace {
+
+// The two shapes below are built here: no workload generates them, and
+// they matter to the solver only as inputs.
+
+// One-to-one exchange (a random permutation), each pair a uniform size in
+// [min_bytes, max_bytes]: the best case, a single step.
+TrafficMatrix permutation_matrix(Rng& rng, NodeId nodes, Bytes min_bytes,
+                                 Bytes max_bytes) {
+  std::vector<NodeId> perm(static_cast<std::size_t>(nodes));
+  std::iota(perm.begin(), perm.end(), 0);
+  std::shuffle(perm.begin(), perm.end(), rng);
+  TrafficMatrix m(nodes, nodes);
+  for (NodeId i = 0; i < nodes; ++i) {
+    m.set(i, perm[static_cast<std::size_t>(i)],
+          rng.uniform_int(min_bytes, max_bytes));
+  }
+  return m;
+}
+
+// All pairs with Zipf sizes: the rank r pair (ranks shuffled) ships
+// max_bytes / r^exponent, a few giant messages among many small ones —
+// the input that stresses preemption.
+TrafficMatrix zipf_matrix(Rng& rng, NodeId nodes, Bytes max_bytes,
+                          double exponent) {
+  std::vector<std::int64_t> order(static_cast<std::size_t>(nodes) *
+                                  static_cast<std::size_t>(nodes));
+  std::iota(order.begin(), order.end(), 0);
+  std::shuffle(order.begin(), order.end(), rng);
+  TrafficMatrix m(nodes, nodes);
+  for (std::size_t rank = 0; rank < order.size(); ++rank) {
+    const auto size = static_cast<Bytes>(
+        static_cast<double>(max_bytes) /
+        std::pow(static_cast<double>(rank + 1), exponent));
+    if (size >= 1) {
+      m.set(static_cast<NodeId>(order[rank] / nodes),
+            static_cast<NodeId>(order[rank] % nodes), size);
+    }
+  }
+  return m;
+}
 
 TEST(Patterns, HotspotConcentratesTraffic) {
   Rng rng(1);
@@ -47,7 +92,7 @@ TEST(Patterns, HotspotStressesSingleReceiverBound) {
 
 TEST(Patterns, PermutationIsOneToOne) {
   Rng rng(4);
-  const TrafficMatrix m = permutation_traffic(rng, 10, 100, 200);
+  const TrafficMatrix m = permutation_matrix(rng, 10, 100, 200);
   for (NodeId i = 0; i < 10; ++i) {
     int row_nonzero = 0;
     for (NodeId j = 0; j < 10; ++j) row_nonzero += (m.at(i, j) > 0);
@@ -62,7 +107,7 @@ TEST(Patterns, PermutationIsOneToOne) {
 
 TEST(Patterns, PermutationSchedulesInOneStep) {
   Rng rng(5);
-  const TrafficMatrix m = permutation_traffic(rng, 6, 50'000, 50'000);
+  const TrafficMatrix m = permutation_matrix(rng, 6, 50'000, 50'000);
   const BipartiteGraph g = m.to_graph(50'000.0);
   const Schedule s = solve_kpbs(g, {6, 1, Algorithm::kOGGP}).schedule;
   validate_schedule(g, s, 6);
@@ -90,7 +135,7 @@ TEST(Patterns, BandedCoversEveryRowOnce) {
 
 TEST(Patterns, ZipfIsHeavyTailed) {
   Rng rng(6);
-  const TrafficMatrix m = zipf_traffic(rng, 8, 8, 1'000'000, 1.2);
+  const TrafficMatrix m = zipf_matrix(rng, 8, 1'000'000, 1.2);
   Bytes biggest = 0;
   for (NodeId i = 0; i < 8; ++i) {
     for (NodeId j = 0; j < 8; ++j) biggest = std::max(biggest, m.at(i, j));
@@ -114,7 +159,7 @@ TEST(Patterns, ZipfIsHeavyTailed) {
 
 TEST(Patterns, ZipfSchedulesValidly) {
   Rng rng(7);
-  const TrafficMatrix m = zipf_traffic(rng, 8, 8, 1'000'000, 1.0);
+  const TrafficMatrix m = zipf_matrix(rng, 8, 1'000'000, 1.0);
   const BipartiteGraph g = m.to_graph(10'000.0);
   for (const Algorithm algo : {Algorithm::kGGP, Algorithm::kOGGP}) {
     const Schedule s = solve_kpbs(g, {3, 1, algo}).schedule;

@@ -1,6 +1,6 @@
 // Scenario-matrix tests (workload/scenario.hpp + robust/storm.hpp): spec
 // validation, bit-determinism of materialization, per-family structural
-// properties, serialization round-trips, the builtin matrix the sweep
+// properties, spec_text round-trips, the builtin matrix the sweep
 // harness keys on, and storm-rule expansion.
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "oracle/scenario_reader.hpp"
 #include "robust/storm.hpp"
 #include "workload/scenario.hpp"
 
@@ -23,14 +24,22 @@ ScenarioSpec builtin(const std::string& name, double scale = 1.0) {
   throw Error("no builtin scenario named " + name);
 }
 
+// The kind line of a spec_text names its kind: every kind has its own
+// one-token name, and reading the name back gives the kind.
 TEST(ScenarioKindNames, RoundTrip) {
+  std::set<std::string> names;
   for (const ScenarioKind kind :
        {ScenarioKind::kUniform, ScenarioKind::kHeterogeneous,
         ScenarioKind::kAsymmetric, ScenarioKind::kHotspot,
         ScenarioKind::kSparseGiant, ScenarioKind::kFaultStorm}) {
-    EXPECT_EQ(parse_scenario_kind(scenario_kind_name(kind)), kind);
+    const std::string name = scenario_kind_name(kind);
+    EXPECT_TRUE(names.insert(name).second) << name;
+    ScenarioSpec spec;
+    spec.kind = kind;
+    EXPECT_EQ(oracle::read_scenario_text(scenario_to_string(spec)).kind,
+              kind);
   }
-  EXPECT_THROW(parse_scenario_kind("bogus"), Error);
+  EXPECT_THROW(scenario_kind_name(static_cast<ScenarioKind>(99)), Error);
 }
 
 TEST(ScenarioSpecValidate, RejectsOutOfDomainFields) {
@@ -208,7 +217,7 @@ TEST(ScenarioFamilies, SparseGiantHitsEdgeTargetAndStaysSparse) {
 TEST(ScenarioSerialization, RoundTripsEveryBuiltin) {
   for (const ScenarioSpec& spec : builtin_scenarios()) {
     const std::string text = scenario_to_string(spec);
-    const ScenarioSpec back = scenario_from_string(text);
+    const ScenarioSpec back = oracle::read_scenario_text(text);
     EXPECT_EQ(back.name, spec.name);
     EXPECT_EQ(back.kind, spec.kind);
     EXPECT_EQ(back.seed, spec.seed);

@@ -28,7 +28,7 @@ TEST(Schedule, CostAccounting) {
   EXPECT_EQ(s.cost(0), 6);
   EXPECT_EQ(s.cost(2), 10);
   EXPECT_EQ(s.total_amount(), 8);
-  EXPECT_EQ(s.max_step_width(), 2u);
+  EXPECT_EQ(s.steps()[0].comms.size(), 2u);
 }
 
 TEST(Schedule, NegativeBetaRejected) {

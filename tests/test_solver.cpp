@@ -79,7 +79,7 @@ TEST(Solver, KOneSerializesEverything) {
   // With k = 1 every step carries one communication; total transmission is
   // the full P(G).
   EXPECT_EQ(s.total_transmission(), 10);
-  EXPECT_EQ(s.max_step_width(), 1u);
+  for (const Step& step : s.steps()) EXPECT_EQ(step.comms.size(), 1u);
 }
 
 TEST(Solver, KIsClampedToMinSide) {

@@ -13,6 +13,7 @@
 #include "kpbs/solver.hpp"
 #include "oracle/bottleneck_oracle.hpp"
 #include "oracle/graph_validator.hpp"
+#include "oracle/weight_regular.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {

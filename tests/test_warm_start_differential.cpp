@@ -20,6 +20,7 @@
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
 #include "oracle/bottleneck_oracle.hpp"
+#include "oracle/weight_regular.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist {

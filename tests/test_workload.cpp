@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "oracle/weight_regular.hpp"
 #include "workload/random_graphs.hpp"
 #include "workload/uniform_traffic.hpp"
 

@@ -15,7 +15,7 @@
 #include "oracle/bottleneck_oracle.hpp"
 #include "oracle/graph_validator.hpp"
 #include "oracle/hungarian.hpp"
-#include "workload/random_graphs.hpp"
+#include "oracle/weight_regular.hpp"
 #include "workload/scenario.hpp"
 
 namespace redist {

@@ -1758,14 +1758,55 @@ struct MemberDecl {
   bool has_parens = false;  // top-level parens at angle depth 0: a function
 };
 
+bool is_raw_sync(const std::string& name) {
+  static const std::unordered_set<std::string> kRawSync = {
+      "mutex",         "shared_mutex",       "recursive_mutex",
+      "timed_mutex",   "condition_variable", "condition_variable_any"};
+  return kRawSync.count(name) != 0;
+}
+
+/// The names this file gives the raw std:: sync types, by `using X = T;`
+/// or `typedef T X;` where T is `std::<raw type>` or an earlier such name.
+/// Aliases declared in another file are not seen.
+std::unordered_set<std::string> raw_sync_aliases(
+    const std::vector<Token>& toks) {
+  std::unordered_set<std::string> aliases;
+  // Index just past a raw sync type starting at k, or 0 if none starts there.
+  const auto raw_type_end = [&](std::size_t k) -> std::size_t {
+    if (k < toks.size() && toks[k].kind == 'i' && aliases.count(toks[k].text))
+      return k + 1;
+    if (k + 3 < toks.size() && toks[k].text == "std" &&
+        tok_is(toks, k + 1, ":") && tok_is(toks, k + 2, ":") &&
+        is_raw_sync(toks[k + 3].text))
+      return k + 4;
+    return 0;
+  };
+  for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (toks[i].kind != 'i') continue;
+    if (toks[i].text == "using" && toks[i + 1].kind == 'i' &&
+        tok_is(toks, i + 2, "=")) {
+      const std::size_t end = raw_type_end(i + 3);
+      if (end != 0 && tok_is(toks, end, ";")) aliases.insert(toks[i + 1].text);
+    } else if (toks[i].text == "typedef") {
+      const std::size_t end = raw_type_end(i + 1);
+      if (end != 0 && end < toks.size() && toks[end].kind == 'i' &&
+          tok_is(toks, end + 1, ";"))
+        aliases.insert(toks[end].text);
+    }
+  }
+  return aliases;
+}
+
 std::size_t lint_class_body(Analysis& a, const std::string& path,
                             const std::vector<Token>& toks, std::size_t begin,
-                            const std::string& class_name);
+                            const std::string& class_name,
+                            const std::unordered_set<std::string>& aliases);
 
 /// If toks[i] opens a class/struct definition, checks its body and returns
 /// the index just past it; otherwise returns i + 1.
 std::size_t lint_maybe_class(Analysis& a, const std::string& path,
-                             const std::vector<Token>& toks, std::size_t i) {
+                             const std::vector<Token>& toks, std::size_t i,
+                             const std::unordered_set<std::string>& aliases) {
   const Token& t = toks[i];
   if (t.kind != 'i' || (t.text != "class" && t.text != "struct")) return i + 1;
   // `template <class T>` parameters are not class definitions.
@@ -1786,12 +1827,14 @@ std::size_t lint_maybe_class(Analysis& a, const std::string& path,
       name = toks[j].text;
   }
   if (j >= toks.size()) return i + 1;
-  return lint_class_body(a, path, toks, j + 1, name.empty() ? "<anon>" : name);
+  return lint_class_body(a, path, toks, j + 1, name.empty() ? "<anon>" : name,
+                         aliases);
 }
 
 std::size_t lint_class_body(Analysis& a, const std::string& path,
                             const std::vector<Token>& toks, std::size_t begin,
-                            const std::string& class_name) {
+                            const std::string& class_name,
+                            const std::unordered_set<std::string>& aliases) {
   std::vector<MemberDecl> members;
   MemberDecl current;
   int angle = 0;
@@ -1818,7 +1861,7 @@ std::size_t lint_class_body(Analysis& a, const std::string& path,
     // Nested class/struct definition: recurse, then skip its trailing ';'.
     if (t.kind == 'i' && (t.text == "class" || t.text == "struct") &&
         current.tokens.empty()) {
-      i = lint_maybe_class(a, path, toks, i);
+      i = lint_maybe_class(a, path, toks, i, aliases);
       if (tok_is(toks, i, ";")) ++i;
       continue;
     }
@@ -1853,9 +1896,6 @@ std::size_t lint_class_body(Analysis& a, const std::string& path,
   static const std::unordered_set<std::string> kSkippedHeads = {
       "using",    "typedef", "friend",   "static", "template",
       "operator", "enum",    "explicit", "virtual"};
-  static const std::unordered_set<std::string> kRawSync = {
-      "mutex",         "shared_mutex",       "recursive_mutex",
-      "timed_mutex",   "condition_variable", "condition_variable_any"};
   bool has_mutex_member = false;
   std::vector<const Token*> unguarded;
   for (const MemberDecl& m : members) {
@@ -1873,7 +1913,8 @@ std::size_t lint_class_body(Analysis& a, const std::string& path,
       if (tk.kind == 'p' && tk.text == "&") reference = true;
       if (tk.text == "Mutex" || tk.text == "CondVar" || tk.text == "MutexLock")
         sync_type = true;
-      if (kRawSync.count(tk.text) && k > 0 && m.tokens[k - 1]->text == ":")
+      if ((is_raw_sync(tk.text) && k > 0 && m.tokens[k - 1]->text == ":") ||
+          (tk.kind == 'i' && aliases.count(tk.text)))
         raw_sync = true;
       if (tk.kind == 'i') name = &tk;
     }
@@ -1904,8 +1945,9 @@ std::size_t lint_class_body(Analysis& a, const std::string& path,
 
 void lint_mutex_guard(Analysis& a, const std::string& path,
                       const std::vector<Token>& toks) {
+  const std::unordered_set<std::string> aliases = raw_sync_aliases(toks);
   for (std::size_t i = 0; i < toks.size();)
-    i = lint_maybe_class(a, path, toks, i);
+    i = lint_maybe_class(a, path, toks, i, aliases);
 }
 
 /// Runs every enabled lint rule over each source inside its path scope.

@@ -11,9 +11,10 @@
 //   lb        --in=FILE [--k=4] [--beta=1]
 //       Prints the lower bound decomposition.
 //   simulate  --in=FILE [--k=4] [--beta=1] [--algo=oggp]
-//             [--t=12500000] [--backbone=1e8]
+//             [--t=12500000/k] [--backbone=12500000]
 //       Solves and executes the schedule on the fluid platform model,
-//       comparing against the brute-force baseline.
+//       comparing against the brute-force baseline. --k >= 1; --t and
+//       --backbone are positive finite bytes/s.
 //   analyze   --in=FILE [--k=4] [--beta=1] [--algo=oggp]
 //       Prints schedule analytics (width, waste, utilization, preemption).
 //   gantt     --in=FILE --out=FILE.svg [--k=4] [--beta=1] [--algo=oggp]
@@ -23,8 +24,9 @@
 //             [--bound] [--metrics-out=FILE] [--trace-out=FILE]
 //       Validates a schedule file against its source graph: 1-port
 //       matchings, step width <= k, exact coverage of the demanded
-//       weights, makespan consistency (against --makespan when given) and,
-//       with --bound, the 2x lower-bound guarantee. Exits 0 iff valid.
+//       weights, makespan consistency (against --makespan when given; it
+//       must be >= 0) and, with --bound, the 2x lower-bound guarantee.
+//       Exits 0 iff valid.
 //   daemon    [--threads=2] [--cache-capacity=64] [--io-timeout-ms=5000]
 //             [--rate-rps=512] [--burst=64] [--linger-ms=0]
 //             [--port-file=FILE] [--journal-out=FILE]
@@ -59,9 +61,11 @@
 //
 // Graphs use the text format of graph/graphio.hpp; schedules the format of
 // kpbs/schedule_io.hpp.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <sstream>
 
 #include "redist.hpp"
 
@@ -106,6 +110,17 @@ T count_flag(Flags& flags, const std::string& name, T def) {
                 std::to_string(value));
   }
   return static_cast<T>(value);
+}
+
+// Reads a rate flag (bytes per second) that must be positive and finite.
+double rate_flag(Flags& flags, const std::string& name, double def) {
+  const double value = flags.get_double(name, def);
+  if (!(value > 0.0) || !std::isfinite(value)) {
+    std::ostringstream os;
+    os << "--" << name << " must be a positive finite rate, got " << value;
+    throw Error(os.str());
+  }
+  return value;
 }
 
 bool ends_with(const std::string& s, const std::string& suffix) {
@@ -223,11 +238,11 @@ int cmd_lb(Flags& flags) {
 int cmd_simulate(Flags& flags) {
   const std::string in = flags.get_string("in", "");
   if (in.empty()) throw Error("simulate requires --in=FILE");
-  const int k = static_cast<int>(flags.get_int("k", 4));
+  const int k = count_flag<int>(flags, "k", 4);
   const Weight beta = flags.get_int("beta", 1);
   const Algorithm algo = parse_algorithm(flags.get_string("algo", "oggp"));
-  const double card = flags.get_double("t", 12'500'000.0 / k);
-  const double backbone = flags.get_double("backbone", 12'500'000.0);
+  const double card = rate_flag(flags, "t", 12'500'000.0 / k);
+  const double backbone = rate_flag(flags, "backbone", 12'500'000.0);
   flags.check_unused();
 
   const BipartiteGraph g = load_graph(in);
@@ -237,9 +252,15 @@ int cmd_simulate(Flags& flags) {
   for (EdgeId e = 0; e < g.edge_count(); ++e) {
     if (!g.alive(e)) continue;
     const Edge& edge = g.edge(e);
-    traffic.add(edge.left, edge.right,
-                static_cast<Bytes>(static_cast<double>(edge.weight) *
-                                   bytes_per_unit));
+    const double bytes = static_cast<double>(edge.weight) * bytes_per_unit;
+    // 2^63: the first double past INT64_MAX; casting it or more is UB.
+    if (!(bytes < 9223372036854775808.0)) {
+      std::ostringstream os;
+      os << "--t=" << card << " times weight " << edge.weight
+         << " overflows the byte count of a message";
+      throw Error(os.str());
+    }
+    traffic.add(edge.left, edge.right, static_cast<Bytes>(bytes));
   }
   Platform p;
   p.n1 = g.left_count();
@@ -291,7 +312,12 @@ int cmd_verify(Flags& flags) {
   }
   const int k = static_cast<int>(flags.get_int("k", 4));
   const Weight beta = flags.get_int("beta", 1);
+  // -1 = no claimed makespan; a given one must be a makespan.
+  const bool claims_makespan = !flags.get_string("makespan", "").empty();
   const Weight makespan = flags.get_int("makespan", -1);
+  if (claims_makespan && makespan < 0) {
+    throw Error("--makespan must be >= 0, got " + std::to_string(makespan));
+  }
   const bool bound = flags.get_bool("bound", false);
   CliTelemetry telemetry(flags);
   flags.check_unused();
