@@ -101,9 +101,9 @@ std::vector<std::vector<char>> scheduled_alltoallv(
     for (const std::vector<BytePiece>& pieces : plan) {
       for (const BytePiece& piece : pieces) {
         if (piece.receiver != me) continue;
-        const std::vector<char> got = comm.recv(piece.sender, kDataTag);
-        auto& sink = received[static_cast<std::size_t>(piece.sender)];
-        sink.insert(sink.end(), got.begin(), got.end());
+        comm.recv_into(piece.sender, kDataTag,
+                       append_to(received[static_cast<std::size_t>(
+                           piece.sender)]));
       }
     }
   });

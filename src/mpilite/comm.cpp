@@ -107,40 +107,50 @@ Mesh::Link& Communicator::link_to(int peer) {
   return *link;
 }
 
-void Communicator::send(int to, std::uint32_t tag, const void* data,
-                        std::size_t size,
-                        const std::vector<TokenBucket*>& shapers,
-                        Bytes chunk) {
+void Communicator::send_frame(int to, std::uint32_t tag, std::uint64_t size,
+                              PayloadSource source,
+                              const std::vector<TokenBucket*>& shapers,
+                              Bytes chunk) {
   Mesh::Link& link = link_to(to);
   MutexLock guard(link.send_mutex);
-  send_message(link.stream, tag, data, size, shapers, chunk);
+  redist::send_frame(link.stream, tag, size, source, shapers, chunk);
 }
 
-std::vector<char> Communicator::recv(int from, std::uint32_t expected_tag,
-                                     const std::vector<TokenBucket*>& shapers,
-                                     Bytes chunk) {
+std::uint64_t Communicator::recv_into(
+    int from, std::uint32_t expected_tag, PayloadSink sink,
+    const std::vector<TokenBucket*>& shapers, Bytes chunk) {
   Mesh::Link& link = link_to(from);
   MutexLock lock(link.recv_mutex);
   for (;;) {
     // Someone may already have parked our message.
     const auto it = link.inbox.find(expected_tag);
     if (it != link.inbox.end() && !it->second.empty()) {
-      std::vector<char> payload = std::move(it->second.front());
+      const std::vector<char> parked = std::move(it->second.front());
       it->second.pop_front();
-      return payload;
+      for (std::size_t at = 0; at < parked.size(); at += chunk) {
+        sink(parked.data() + at, std::min(parked.size() - at,
+                                          static_cast<std::size_t>(chunk)));
+      }
+      return parked.size();
     }
     if (!link.reader_active) {
       // Become the reader: pull the next frame off the wire with the lock
-      // released. The wire failure is captured and rethrown after
-      // re-acquiring, so every lock transition is straight-line code the
-      // thread-safety analysis can verify.
+      // released; a frame for another tag is read whole for the inbox.
+      // The wire failure is captured and rethrown after re-acquiring, so
+      // every lock transition is straight-line code the thread-safety
+      // analysis can verify.
       link.reader_active = true;
       lock.unlock();
-      std::vector<char> payload;
-      std::uint32_t got = 0;
+      MessageHeader header;
+      std::vector<char> foreign;
       std::exception_ptr wire_error;
       try {
-        got = recv_message(link.stream, payload, shapers, chunk);
+        link.stream.recv_all(&header, sizeof(header));
+        recv_payload(link.stream, header.size,
+                     header.tag == expected_tag
+                         ? sink
+                         : PayloadSink(append_to(foreign)),
+                     shapers, chunk);
       } catch (...) {
         wire_error = std::current_exception();
       }
@@ -148,8 +158,8 @@ std::vector<char> Communicator::recv(int from, std::uint32_t expected_tag,
       link.reader_active = false;
       link.recv_cv.notify_all();
       if (wire_error) std::rethrow_exception(wire_error);
-      if (got == expected_tag) return payload;
-      link.inbox[got].push_back(std::move(payload));
+      if (header.tag == expected_tag) return header.size;
+      link.inbox[header.tag].push_back(std::move(foreign));
     } else {
       link.recv_cv.wait(link.recv_mutex);
     }

@@ -101,18 +101,35 @@ class Communicator {
 
   /// Blocking tagged point-to-point. Messages between one pair with one
   /// tag arrive in order; frames with other tags encountered while waiting
-  /// are parked for their eventual receiver (MPI-style tag matching).
+  /// are parked whole for their eventual receiver (MPI-style tag matching).
   /// Note: a parked frame is drained by whichever thread was reading, so
   /// per-chunk receive shaping only applies to frames consumed directly.
+  /// send_frame and recv_into stream; send and recv are whole-buffer forms.
   REDIST_ALLOW_BLOCK(
       "send_mutex is the per-link write token: the wire write and the "
       "shaper sleep happen under it by design, deadline-armed")
+  void send_frame(int to, std::uint32_t tag, std::uint64_t size,
+                  PayloadSource source,
+                  const std::vector<TokenBucket*>& shapers = {},
+                  Bytes chunk = 65536);
   void send(int to, std::uint32_t tag, const void* data, std::size_t size,
             const std::vector<TokenBucket*>& shapers = {},
-            Bytes chunk = 65536);
+            Bytes chunk = 65536) {
+    send_frame(to, tag, size, source_of(data), shapers, chunk);
+  }
+  /// Returns the payload size; a parked frame reaches `sink` in pieces of
+  /// at most `chunk` bytes too.
+  std::uint64_t recv_into(int from, std::uint32_t expected_tag,
+                          PayloadSink sink,
+                          const std::vector<TokenBucket*>& shapers = {},
+                          Bytes chunk = 65536);
   std::vector<char> recv(int from, std::uint32_t expected_tag,
                          const std::vector<TokenBucket*>& shapers = {},
-                         Bytes chunk = 65536);
+                         Bytes chunk = 65536) {
+    std::vector<char> payload;
+    recv_into(from, expected_tag, append_to(payload), shapers, chunk);
+    return payload;
+  }
 
   /// Dissemination barrier over all ranks, or over a subgroup (every
   /// member must pass the same `group`, which must contain this rank).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <array>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -33,12 +32,13 @@ using PairKey = std::pair<NodeId, NodeId>;
 // derive independently, so the receiver verifies content, not just byte
 // counts, and a recovery attempt can resume it at any offset. Byte `index`
 // is (131 i + 31 j + index) mod 256: the stream repeats every 256 bytes, so
-// one block plus one period holds every kPatternBlock-byte window.
-constexpr std::size_t kPatternBlock = 4096;
-
+// a window plus one period holds every window-sized run of it. Senders send
+// chunks straight from it and receivers compare each chunk with it as it
+// arrives, so the window must hold a chunk.
 class Pattern {
  public:
-  Pattern(NodeId i, NodeId j) {
+  Pattern(NodeId i, NodeId j, Bytes window)
+      : bytes_(static_cast<std::size_t>(window) + 256) {
     for (std::size_t k = 0; k < bytes_.size(); ++k) {
       bytes_[k] = static_cast<char>(
           (static_cast<std::size_t>(i) * 131 +
@@ -47,13 +47,13 @@ class Pattern {
     }
   }
 
-  /// The stream from position `index` on, valid for kPatternBlock bytes.
+  /// The stream from position `index` on, valid for a window.
   const char* at(Bytes index) const {
     return bytes_.data() + static_cast<std::size_t>(index % 256);
   }
 
  private:
-  std::array<char, kPatternBlock + 256> bytes_;
+  std::vector<char> bytes_;
 };
 
 struct Shapers {
@@ -74,23 +74,6 @@ struct Shapers {
                                              config.burst_bytes);
   }
 };
-
-void send_piece(Communicator& comm, NodeId sender_index, NodeId receiver,
-                NodeId n1, Bytes offset, Bytes bytes,
-                const SocketClusterConfig& config, Shapers& shapers) {
-  const Pattern pattern(sender_index, receiver);
-  std::vector<char> payload(static_cast<std::size_t>(bytes));
-  for (std::size_t b = 0; b < payload.size(); b += kPatternBlock) {
-    std::memcpy(payload.data() + b,
-                pattern.at(offset + static_cast<Bytes>(b)),
-                std::min(kPatternBlock, payload.size() - b));
-  }
-  comm.send(static_cast<int>(n1 + receiver), kDataTag, payload.data(),
-            payload.size(),
-            {shapers.out[static_cast<std::size_t>(sender_index)].get(),
-             shapers.backbone.get()},
-            config.chunk_bytes);
-}
 
 // Runs body(0 .. n-1) on n threads under the caller's solve ID (the
 // thread_local scope does not cross thread spawns by itself, and socket
@@ -162,27 +145,26 @@ void run_receiver(Communicator& comm, NodeId receiver_index,
   run_threads(drains.size(), [&](std::size_t d) {
     const auto& [i, sizes] = drains[d];
     const PairKey key{i, receiver_index};
-    const Pattern pattern(i, receiver_index);
+    const Pattern pattern(i, receiver_index, config.chunk_bytes);
+    const std::vector<TokenBucket*> in_shapers{
+        shapers.in[static_cast<std::size_t>(receiver_index)].get()};
     Bytes offset = base.at(key);
     Bytes& slot = ledger.at(key);
     for (const Bytes piece : sizes) {
-      const std::vector<char> payload = comm.recv(
+      // Each chunk is compared as it arrives; the frame is read to its end
+      // past a mismatch, so the link stays in step with the sender.
+      bool intact = true;
+      const std::uint64_t size = comm.recv_into(
           static_cast<int>(i), kDataTag,
-          {shapers.in[static_cast<std::size_t>(receiver_index)].get()},
-          config.chunk_bytes);
-      bool intact = static_cast<Bytes>(payload.size()) == piece;
-      for (std::size_t b = 0; intact && b < payload.size();
-           b += kPatternBlock) {
-        intact = std::memcmp(payload.data() + b,
-                             pattern.at(offset + static_cast<Bytes>(b)),
-                             std::min(kPatternBlock, payload.size() - b)) ==
-                 0;
-      }
-      if (!intact) {
+          [&](const char* data, std::size_t n) {
+            intact = intact && std::memcmp(data, pattern.at(offset), n) == 0;
+            offset += static_cast<Bytes>(n);
+          },
+          in_shapers, config.chunk_bytes);
+      if (!intact || size != static_cast<std::uint64_t>(piece)) {
         pattern_ok.store(false);
         throw Error("pattern verification failed");
       }
-      offset += piece;
       slot = offset;
     }
   });
@@ -231,6 +213,9 @@ AttemptOutcome run_attempt(const SocketClusterConfig& config,
         if (r == 0) outcome.started_s = clock.elapsed_seconds();
         if (r < static_cast<int>(n1)) {
           const NodeId me = static_cast<NodeId>(r);
+          const std::vector<TokenBucket*> out_shapers{
+              shapers.out[static_cast<std::size_t>(me)].get(),
+              shapers.backbone.get()};
           // What this attempt has sent on each of my pairs so far.
           std::vector<Bytes> sent(static_cast<std::size_t>(n2), 0);
           for (const std::vector<BytePiece>& pieces : plan) {
@@ -243,9 +228,16 @@ AttemptOutcome run_attempt(const SocketClusterConfig& config,
               done += piece.bytes;
             }
             const auto send = [&](std::size_t p) {
-              send_piece(comm, me, mine[p].first.receiver, n1,
-                         mine[p].second, mine[p].first.bytes, config,
-                         shapers);
+              const BytePiece& piece = mine[p].first;
+              const Bytes offset = mine[p].second;
+              const Pattern pattern(me, piece.receiver,
+                                    std::min(config.chunk_bytes, piece.bytes));
+              const auto source = [&](std::uint64_t at, std::size_t) {
+                return pattern.at(offset + static_cast<Bytes>(at));
+              };
+              comm.send_frame(static_cast<int>(n1 + piece.receiver), kDataTag,
+                              static_cast<std::uint64_t>(piece.bytes), source,
+                              out_shapers, config.chunk_bytes);
             };
             if (!stepped) {
               // Brute force: one thread per outgoing flow, all at once.

@@ -1,7 +1,6 @@
 #include "net/message.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 namespace redist {
 
@@ -15,42 +14,33 @@ void acquire_all(const std::vector<TokenBucket*>& shapers, Bytes n) {
 
 }  // namespace
 
-void send_message(TcpStream& stream, std::uint32_t tag, const void* payload,
-                  std::size_t size, const std::vector<TokenBucket*>& shapers,
-                  Bytes chunk) {
+void send_frame(TcpStream& stream, std::uint32_t tag, std::uint64_t size,
+                PayloadSource source, const std::vector<TokenBucket*>& shapers,
+                Bytes chunk) {
   REDIST_CHECK(chunk > 0);
-  MessageHeader header{tag, static_cast<std::uint64_t>(size)};
+  const MessageHeader header{tag, 0, size};
   stream.send_all(&header, sizeof(header));
-  const char* p = static_cast<const char*>(payload);
-  std::size_t left = size;
-  while (left > 0) {
-    const std::size_t piece =
-        std::min(left, static_cast<std::size_t>(chunk));
+  for (std::uint64_t at = 0; at < size;) {
+    const auto piece = static_cast<std::size_t>(
+        std::min(size - at, static_cast<std::uint64_t>(chunk)));
     acquire_all(shapers, static_cast<Bytes>(piece));
-    stream.send_all(p, piece);
-    p += piece;
-    left -= piece;
+    stream.send_all(source(at, piece), piece);
+    at += piece;
   }
 }
 
-std::uint32_t recv_message(TcpStream& stream, std::vector<char>& payload,
-                           const std::vector<TokenBucket*>& shapers,
-                           Bytes chunk) {
+void recv_payload(TcpStream& stream, std::uint64_t size, PayloadSink sink,
+                  const std::vector<TokenBucket*>& shapers, Bytes chunk) {
   REDIST_CHECK(chunk > 0);
-  MessageHeader header;
-  stream.recv_all(&header, sizeof(header));
-  payload.resize(static_cast<std::size_t>(header.size));
-  char* p = payload.data();
-  std::size_t left = payload.size();
-  while (left > 0) {
-    const std::size_t piece =
-        std::min(left, static_cast<std::size_t>(chunk));
+  char buffer[65536];
+  const auto most = std::min<std::uint64_t>(chunk, sizeof(buffer));
+  for (std::uint64_t at = 0; at < size;) {
+    const auto piece = static_cast<std::size_t>(std::min(size - at, most));
     acquire_all(shapers, static_cast<Bytes>(piece));
-    stream.recv_all(p, piece);
-    p += piece;
-    left -= piece;
+    stream.recv_all(buffer, piece);
+    sink(buffer, piece);
+    at += piece;
   }
-  return header.tag;
 }
 
 }  // namespace redist

@@ -38,6 +38,20 @@ robust::FaultPlan plan_for(robust::FaultSite site) {
   return injector->plan_op(site);
 }
 
+// Failure paths: their error strings are all a stream's I/O allocates.
+[[noreturn]] REDIST_ALLOW_ALLOC("error string of an expired deadline")
+void throw_timeout(const char* what, int timeout_ms) {
+  throw TimeoutError(std::string(what) + " timed out after " +
+                     std::to_string(timeout_ms) + " ms");
+}
+
+[[noreturn]] REDIST_ALLOW_ALLOC("error string of an injected reset")
+void inject_reset(int fd, const char* op, Bytes moved) {
+  ::shutdown(fd, SHUT_RDWR);
+  throw Error(std::string("injected connection reset (") + op + ", after " +
+              std::to_string(moved) + " bytes)");
+}
+
 }  // namespace
 
 Socket::~Socket() { close(); }
@@ -86,10 +100,7 @@ void TcpStream::wait_ready(short events, const char* what) const {
     // Error/hangup conditions fall through to the syscall, which reports
     // the real failure.
     if (ready > 0) return;
-    if (ready == 0) {
-      throw TimeoutError(std::string(what) + " timed out after " +
-                         std::to_string(io_timeout_ms_) + " ms");
-    }
+    if (ready == 0) throw_timeout(what, io_timeout_ms_);
     if (errno != EINTR) throw_errno("poll");
   }
 }
@@ -102,9 +113,7 @@ void TcpStream::send_all(const void* data, std::size_t size) {
   Bytes moved = 0;
   while (size > 0) {
     if (plan.reset && moved >= plan.reset_after) {
-      ::shutdown(socket_.fd(), SHUT_RDWR);
-      throw Error("injected connection reset (send, after " +
-                  std::to_string(moved) + " bytes)");
+      inject_reset(socket_.fd(), "send", moved);
     }
     std::size_t piece = size;
     if (plan.chunk_cap > 0) {
@@ -143,9 +152,7 @@ void TcpStream::recv_all(void* data, std::size_t size) {
   Bytes moved = 0;
   while (size > 0) {
     if (plan.reset && moved >= plan.reset_after) {
-      ::shutdown(socket_.fd(), SHUT_RDWR);
-      throw Error("injected connection reset (recv, after " +
-                  std::to_string(moved) + " bytes)");
+      inject_reset(socket_.fd(), "recv", moved);
     }
     std::size_t piece = size;
     if (plan.chunk_cap > 0) {
@@ -164,6 +171,9 @@ void TcpStream::recv_all(void* data, std::size_t size) {
     p += n;
     moved += n;
     size -= static_cast<std::size_t>(n);
+  }
+  if (plan.corrupt && plan.corrupt_at < moved) {
+    static_cast<char*>(data)[plan.corrupt_at] ^= 0x5A;
   }
 }
 

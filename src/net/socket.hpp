@@ -13,7 +13,7 @@
 //  * fault injection — every connect/send/recv operation consults the
 //    process-wide robust::FaultInjector (nullptr = off, the default) and
 //    applies its plan: refused connections, mid-transfer resets, stalls,
-//    short writes. Compiled in always; costs one branch when disabled.
+//    short writes, corrupted bytes. Compiled in always; one branch off.
 #pragma once
 
 #include <cstddef>

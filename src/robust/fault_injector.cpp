@@ -23,6 +23,8 @@ const char* fault_kind_name(FaultKind kind) {
       return "stall";
     case FaultKind::kShortWrite:
       return "short-write";
+    case FaultKind::kCorrupt:
+      return "corrupt";
   }
   return "?";
 }
@@ -37,6 +39,9 @@ void FaultInjector::add_rule(const FaultRule& rule) {
                    "connect-refuse rules apply to the connect site");
   REDIST_CHECK_MSG(rule.kind != FaultKind::kShortWrite || rule.chunk_cap > 0,
                    "short-write rules need a positive chunk cap");
+  REDIST_CHECK_MSG(rule.kind != FaultKind::kCorrupt ||
+                       rule.site == FaultSite::kRecv,
+                   "corrupt rules apply to the recv site");
   MutexLock lock(inject_mutex_);
   rules_.push_back(ArmedRule{rule, rule.count});
 }
@@ -72,6 +77,10 @@ FaultPlan FaultInjector::plan_op(FaultSite site) {
           plan.chunk_cap = plan.chunk_cap == 0
                                ? rule.chunk_cap
                                : std::min(plan.chunk_cap, rule.chunk_cap);
+          break;
+        case FaultKind::kCorrupt:
+          plan.corrupt = true;
+          plan.corrupt_at = rule.at_bytes;
           break;
       }
     }

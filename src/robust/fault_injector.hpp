@@ -3,10 +3,10 @@
 //
 // The paper's Section 5.2 testbed assumes a well-behaved Ethernet; a
 // production backbone does not. This seam lets tests (and chaos drills)
-// inject the four fault classes a TCP redistribution actually meets —
-// refused connections, mid-transfer resets, stalls, short writes — at the
-// exact syscall sites in src/net, without a kernel module or an unreliable
-// external proxy.
+// inject the fault classes a TCP redistribution actually meets — refused
+// connections, mid-transfer resets, stalls, short writes, corrupted bytes —
+// at the exact syscall sites in src/net, without a kernel module or an
+// unreliable external proxy.
 //
 // Install pattern mirrors obs/telemetry.hpp: a process-wide atomic pointer
 // that defaults to nullptr (injection off), read behind a single branch at
@@ -44,6 +44,7 @@ enum class FaultKind {
   kReset,          ///< connection shut down mid-transfer (peer sees a reset)
   kStall,          ///< operation pauses long enough to trip peer deadlines
   kShortWrite,     ///< syscalls capped to tiny chunks (loop-correctness)
+  kCorrupt,        ///< one received byte flipped (content verification)
 };
 
 const char* fault_kind_name(FaultKind kind);
@@ -58,7 +59,8 @@ struct FaultRule {
   std::uint64_t begin = 0;
   std::uint64_t count = 1;
   double probability = 1.0;
-  Bytes at_bytes = 0;     ///< kReset: shut down after this many bytes moved
+  Bytes at_bytes = 0;     ///< kReset: shut down after this many bytes
+                          ///< moved; kCorrupt: offset of the flipped byte
   double stall_ms = 0;    ///< kStall: pause length
   Bytes chunk_cap = 1;    ///< kShortWrite: max bytes per syscall
 };
@@ -70,9 +72,11 @@ struct FaultPlan {
   Bytes reset_after = 0;
   double stall_ms = 0;      ///< sleep once before the first syscall
   Bytes chunk_cap = 0;      ///< 0 = no cap
+  bool corrupt = false;     ///< recv: flip the byte at `corrupt_at`
+  Bytes corrupt_at = 0;
 
   bool any() const {
-    return refuse || reset || stall_ms > 0 || chunk_cap > 0;
+    return refuse || reset || stall_ms > 0 || chunk_cap > 0 || corrupt;
   }
 };
 
@@ -84,6 +88,8 @@ class FaultInjector {
 
   /// Called once at the top of every guarded operation; counts the
   /// operation and returns the merged plan of every rule that fired.
+  REDIST_ALLOW_ALLOC(
+      "counts and journals a fault that fired; allocates nothing otherwise")
   FaultPlan plan_op(FaultSite site);
 
   /// Total faults fired so far.

@@ -1,6 +1,7 @@
 #include "workload/scenario.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <unordered_set>
@@ -166,6 +167,20 @@ ScenarioWorkload materialize_scenario(const ScenarioSpec& spec) {
   return out;
 }
 
+namespace {
+
+// The shortest text that reads back as exactly `value`, so a spec's text
+// names that spec: six significant digits printed 0.9999999 as 1.
+std::string round_trip(double value) {
+  char text[32];
+  const std::to_chars_result end =
+      std::to_chars(text, text + sizeof(text), value);
+  REDIST_CHECK(end.ec == std::errc());
+  return std::string(text, end.ptr);
+}
+
+}  // namespace
+
 std::string scenario_to_string(const ScenarioSpec& spec) {
   spec.validate();
   std::ostringstream os;
@@ -177,9 +192,9 @@ std::string scenario_to_string(const ScenarioSpec& spec) {
      << "bytes " << spec.min_bytes << ' ' << spec.max_bytes << ' '
      << spec.bytes_per_unit << '\n'
      << "solver " << spec.k << ' ' << spec.beta << '\n'
-     << "hot_share " << spec.hot_share << '\n'
-     << "het_spread " << spec.het_spread << '\n'
-     << "storm " << spec.storm_intensity << '\n';
+     << "hot_share " << round_trip(spec.hot_share) << '\n'
+     << "het_spread " << round_trip(spec.het_spread) << '\n'
+     << "storm " << round_trip(spec.storm_intensity) << '\n';
   return os.str();
 }
 

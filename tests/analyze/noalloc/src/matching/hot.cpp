@@ -35,6 +35,15 @@ void fixture_scan_all(std::vector<int>& out, int x) {
   fixture_buffered(out, x);
 }
 
+// A project function that shares its name with a C library call.
+void recv(std::vector<int>& out, int x) { out.push_back(x); }
+
+REDIST_NOALLOC
+long fixture_syscall(int fd, char* buf) {
+  // NEAR MISS: `::recv` is the C library's, not the project's recv above.
+  return ::recv(fd, buf, 1, 0);
+}
+
 REDIST_NOALLOC
 void fixture_hushed(std::vector<int>& out, int x) {
   // redist-analyze: allow(noalloc) fixture exercises suppression

@@ -265,7 +265,9 @@ TEST(Cli, SimulateReportsBothModes) {
 
 // --k=0 made the default card rate infinite and --t=1e300 a byte count
 // past INT64_MAX; both reached an undefined double-to-integer cast. A
-// negative rate reached the traffic matrix as negative traffic.
+// negative rate reached the traffic matrix as negative traffic. A tiny
+// --t mapped edges to 0 bytes and a tiny --backbone made a step's duration
+// infinite; both died on internal checks instead of a usage error.
 TEST(Cli, SimulateRejectsOutOfDomainRates) {
   const std::string graph = temp_dir() + "/sim_domain.txt";
   ASSERT_EQ(run_cli("generate --out=" + graph +
@@ -282,6 +284,9 @@ TEST(Cli, SimulateRejectsOutOfDomainRates) {
       {"--backbone=0", "--backbone must be a positive finite rate"},
       {"--backbone=-1e9", "--backbone must be a positive finite rate"},
       {"--t=1e300", "overflows the byte count"},
+      {"--t=1e-300", "is less than one byte"},
+      {"--t=0.01", "is less than one byte"},
+      {"--backbone=1e-300", "too slow to simulate"},
   };
   for (const auto& [flag, message] : cases) {
     const CommandResult r =
@@ -291,6 +296,12 @@ TEST(Cli, SimulateRejectsOutOfDomainRates) {
     EXPECT_NE(r.output.find(message), std::string::npos)
         << flag << '\n' << r.output;
     EXPECT_EQ(r.output.find("brute force:"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("check failed"), std::string::npos) << r.output;
+  }
+  // Slow but simulable rates still run.
+  for (const char* flag : {"--t=1", "--backbone=1e-3"}) {
+    const CommandResult r = run_cli("simulate --in=" + graph + " " + flag);
+    EXPECT_EQ(r.status, 0) << flag << '\n' << r.output;
   }
 }
 

@@ -237,6 +237,26 @@ TEST(ScenarioSerialization, RoundTripsEveryBuiltin) {
   }
 }
 
+// Seven significant digits: at the stream's default six, hot_share
+// 0.9999999 printed as 1, outside validate()'s (0, 1), and het_spread
+// 1.0000004 as 1. The text must name the spec exactly.
+TEST(ScenarioSerialization, SevenSignificantDigitsRoundTripExactly) {
+  ScenarioSpec spec;
+  spec.hot_share = 0.9999999;
+  spec.het_spread = 1.0000004;
+  spec.storm_intensity = 0.1234567;
+  const std::string text = scenario_to_string(spec);
+  EXPECT_NE(text.find("hot_share 0.9999999\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("het_spread 1.0000004\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("storm 0.1234567\n"), std::string::npos) << text;
+  const ScenarioSpec back = oracle::read_scenario_text(text);
+  EXPECT_EQ(back.hot_share, spec.hot_share);
+  EXPECT_EQ(back.het_spread, spec.het_spread);
+  EXPECT_EQ(back.storm_intensity, spec.storm_intensity);
+  EXPECT_NO_THROW(back.validate());
+  EXPECT_EQ(scenario_to_string(back), text);
+}
+
 TEST(ScenarioBuiltins, MatrixCoversTheAdversarialFamilies) {
   const std::vector<ScenarioSpec> specs = builtin_scenarios();
   ASSERT_GE(specs.size(), 5u);
@@ -316,6 +336,11 @@ TEST(StormRules, ExpandsEveryFaultClassWithBoundedCounts) {
         EXPECT_EQ(rule.begin, 0u);
         EXPECT_EQ(rule.count, profile.horizon);
         EXPECT_EQ(rule.chunk_cap, profile.short_write_cap);
+        break;
+      case robust::FaultKind::kCorrupt:
+        // A storm must stay recoverable, and wrong bytes cannot be
+        // retransmitted.
+        ADD_FAILURE() << "a storm injected a corrupted byte";
         break;
     }
   }

@@ -685,6 +685,20 @@ std::vector<Sink> body_sinks(const std::vector<Token>& toks,
 }
 
 /// Callee names: every non-keyword identifier directly followed by '('.
+/// A call qualified by the global scope alone (`::recv(`) names a C
+/// library function, never a project one: project code lives in namespace
+/// redist, so it must not resolve to a same-named member like
+/// Communicator::recv.
+bool global_scope_call(const std::vector<Token>& toks, std::size_t i) {
+  if (i < 2 || !tok_is(toks, i - 1, ":") || !tok_is(toks, i - 2, ":")) {
+    return false;
+  }
+  if (i < 3) return true;
+  const Token& before = toks[i - 3];  // `ns::f(` and `T<U>::f(` are scoped
+  return before.kind == 'i' ? stmt_keywords().count(before.text) > 0
+                            : before.text != ">";
+}
+
 std::unordered_set<std::string> body_callees(const std::vector<Token>& toks,
                                              std::size_t begin,
                                              std::size_t end) {
@@ -692,7 +706,8 @@ std::unordered_set<std::string> body_callees(const std::vector<Token>& toks,
   for (std::size_t i = begin; i < end && i + 1 < toks.size(); ++i) {
     if (toks[i].kind == 'i' && tok_is(toks, i + 1, "(") &&
         !stmt_keywords().count(toks[i].text) &&
-        toks[i].text.rfind("REDIST_", 0) != 0) {
+        toks[i].text.rfind("REDIST_", 0) != 0 &&
+        !global_scope_call(toks, i)) {
       out.insert(toks[i].text);
     }
   }

@@ -61,6 +61,7 @@
 //
 // Graphs use the text format of graph/graphio.hpp; schedules the format of
 // kpbs/schedule_io.hpp.
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -260,7 +261,26 @@ int cmd_simulate(Flags& flags) {
          << " overflows the byte count of a message";
       throw Error(os.str());
     }
+    if (!(bytes >= 1.0)) {
+      std::ostringstream os;
+      os << "--t=" << card << " times weight " << edge.weight
+         << " is less than one byte; every message needs at least one";
+      throw Error(os.str());
+    }
     traffic.add(edge.left, edge.right, static_cast<Bytes>(bytes));
+  }
+  // A flow can run far below the slower rate (shared links, unfair TCP
+  // weights, congestion), so the whole matrix at that rate must take at
+  // most 1e100 s: every simulated duration then stays finite and every
+  // rate far above underflow.
+  const double slowest_s =
+      static_cast<double>(traffic.total()) / std::min(card, backbone);
+  if (!(slowest_s <= 1e100)) {
+    std::ostringstream os;
+    os << "--t=" << card << " and --backbone=" << backbone
+       << " are too slow to simulate: " << traffic.total()
+       << " bytes take " << slowest_s << " s at the slower rate (limit 1e100)";
+    throw Error(os.str());
   }
   Platform p;
   p.n1 = g.left_count();
