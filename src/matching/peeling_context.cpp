@@ -157,12 +157,12 @@ Weight PeelingContext::select_ggp() {
     hk_.shrink({fallen_.data(), fallen_count_});
     hk_.maximize();
   }
-  const Weight t = enroll_matching();
+  last_bottleneck_ = enroll_matching();
   const auto n = static_cast<std::size_t>(g_->left_count());
   REDIST_CHECK_MSG(hk_.size() == n,
                    "strategy did not return a perfect matching (size "
                        << hk_.size() << " of " << n << ")");
-  return t;
+  return last_bottleneck_;
 }
 
 Weight PeelingContext::select_oggp() {
@@ -246,24 +246,14 @@ Weight PeelingContext::select_oggp() {
 }
 
 void PeelingContext::advance(Weight t) {
-  REDIST_CHECK_MSG(t > 0 && (!bottleneck_ || t == last_bottleneck_),
+  REDIST_CHECK_MSG(t > 0 && t == last_bottleneck_,
                    "peel amount " << t << " is not the step's minimum");
   clock_ += t;
   stale_ = true;
+  if (!bottleneck_) return;  // enroll_matching() listed GGP's edges
   fallen_count_ = 0;
   real_out_count_ = 0;
   const std::vector<Edge>& edges = g_->edges();
-  if (!bottleneck_) {
-    // Every matched edge was written when the step began: it dies iff it
-    // weighs t.
-    for (NodeId u = 0; u < g_->left_count(); ++u) {
-      const EdgeId e = hk_.matched_edge_of_left(u);
-      const Edge& edge = edges[static_cast<std::size_t>(e)];
-      if (edge.weight == t) fallen_[fallen_count_++] = e;
-      if (real(edge)) real_out_[real_out_count_++] = e;
-    }
-    return;
-  }
   // real_ lists the real edges that joined the matching; drop the ones
   // that have left it since.
   std::size_t kept = 0;
@@ -349,9 +339,25 @@ Weight PeelingContext::enroll_matching() {
     std::fill(due_.begin(), due_.end(), kUnlinked);
   }
   Weight least = kNever;
+  fallen_count_ = real_out_count_ = 0;
   for (NodeId u = 0; u < g_->left_count(); ++u) {
     const EdgeId e = hk_.matched_edge_of_left(u);
-    if (e != kNoEdge) least = std::min(least, enroll(e));
+    if (e == kNoEdge) continue;
+    const Weight w = enroll(e);
+    if (bottleneck_) {
+      least = std::min(least, w);
+      continue;
+    }
+    // GGP's step peels the least weight off every matched edge, and the
+    // ones that weigh it die (flush_matching() ran before the solve, so
+    // the weights are exact). List them and the real edges here, so
+    // advance() need not pass over the matching again.
+    fallen_count_ = w < least ? 0 : fallen_count_;
+    least = std::min(least, w);
+    if (w == least) fallen_[fallen_count_++] = e;
+    if (real(g_->edges()[static_cast<std::size_t>(e)])) {
+      real_out_[real_out_count_++] = e;
+    }
   }
   return least;
 }

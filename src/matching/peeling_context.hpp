@@ -101,8 +101,9 @@ class PeelingContext {
   void bind(const BipartiteGraph& g, bool bottleneck);
   Weight select_ggp();
   Weight select_oggp();
-  /// Advances the clock by the step's amount `t`: lists the matched edges
-  /// that fall below the next threshold, and the step's real edges.
+  /// Advances the clock by the step's amount `t`. For OGGP, lists the
+  /// matched edges that fall below the next threshold and the step's real
+  /// edges.
   void advance(Weight t);
   /// Writes the amount peeled off `e`, matched at left node `u`, since
   /// its last write.
@@ -112,7 +113,8 @@ class PeelingContext {
   /// written every weight.
   REDIST_ALLOW_ALLOC("a rebind is O(|J|), like the scans that precede it")
   void rebuild(Weight threshold, Seed seed);
-  /// Registers a matching a rebind chose; returns its lightest edge.
+  /// Registers a matching a rebind chose; returns its lightest edge. For
+  /// GGP, also lists the step's fallen and real edges.
   Weight enroll_matching();
   /// Registers an edge that joined the matching; returns its weight.
   Weight enroll(EdgeId e);
@@ -139,7 +141,7 @@ class PeelingContext {
   NodeId real_right_ = 0;
   Weight clock_ = 0;            // the amount peeled so far
   Weight regular_ = 0;          // start(): the clock's final value
-  Weight last_bottleneck_ = 0;  // previous step's bottleneck; 0 = none
+  Weight last_bottleneck_ = 0;  // previous step's amount; 0 = none
   Weight threshold_ = 0;        // hk_'s threshold
   std::size_t idle_ = 0;        // unmatched snapshot edges at threshold_
   // Per left node, the clock at which its matched edge was last written,

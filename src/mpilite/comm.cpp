@@ -13,7 +13,8 @@ namespace {
 constexpr std::uint32_t kBarrierTag = 0xB0BA0000;
 }
 
-Mesh::Mesh(int size, const MeshOptions& options) : size_(size) {
+Mesh::Mesh(int size, const MeshOptions& options)
+    : size_(size), deadlines_(options.io_timeout_ms > 0) {
   REDIST_CHECK_MSG(size >= 1, "mesh needs at least one rank");
   links_.resize(static_cast<std::size_t>(size));
   for (auto& row : links_) {
@@ -96,6 +97,15 @@ Mesh::Mesh(int size, const MeshOptions& options) : size_(size) {
 Communicator& Mesh::comm(int rank) {
   REDIST_CHECK_MSG(rank >= 0 && rank < size_, "rank out of range: " << rank);
   return *comms_[static_cast<std::size_t>(rank)];
+}
+
+void Mesh::unblock_ranks() {
+  if (deadlines_) return;
+  for (const auto& row : links_) {
+    for (const auto& link : row) {
+      if (link != nullptr) link->stream.shutdown();
+    }
+  }
 }
 
 Mesh::Link& Communicator::link_to(int peer) {
@@ -190,27 +200,25 @@ void Communicator::barrier(const std::vector<int>& group) {
   }
 }
 
-std::vector<std::exception_ptr> run_ranks_collect(
-    Mesh& mesh, const std::function<void(Communicator&)>& body) {
+void run_ranks(Mesh& mesh, const std::function<void(Communicator&)>& body) {
   std::vector<std::thread> threads;
   std::vector<std::exception_ptr> errors(
       static_cast<std::size_t>(mesh.size()));
+  std::atomic<int> first{-1};  // the rank that failed first
   for (int r = 0; r < mesh.size(); ++r) {
-    threads.emplace_back([&mesh, &body, &errors, r]() {
+    threads.emplace_back([&mesh, &body, &errors, &first, r]() {
       try {
         body(mesh.comm(r));
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
+        int none = -1;
+        if (first.compare_exchange_strong(none, r)) mesh.unblock_ranks();
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  return errors;
-}
-
-void run_ranks(Mesh& mesh, const std::function<void(Communicator&)>& body) {
-  for (const auto& e : run_ranks_collect(mesh, body)) {
-    if (e) std::rethrow_exception(e);
+  if (first.load() >= 0) {
+    std::rethrow_exception(errors[static_cast<std::size_t>(first.load())]);
   }
 }
 

@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <map>
 #include <memory>
@@ -63,6 +62,12 @@ class Mesh {
   /// Communicator of one rank; each must be used by exactly one thread.
   Communicator& comm(int rank);
 
+  /// After a rank failed: without idle deadlines, shuts down every link so
+  /// that ranks blocked on the failed one unwind. With deadlines armed it
+  /// does nothing: they stop the ranks that wait on the failed one, and
+  /// the rest finish what they are sending.
+  void unblock_ranks();
+
  private:
   friend class Communicator;
 
@@ -88,6 +93,7 @@ class Mesh {
   };
 
   int size_ = 0;
+  bool deadlines_ = false;  // MeshOptions::io_timeout_ms > 0
   std::vector<std::unique_ptr<Communicator>> comms_;
   // links_[i][j]: stream rank i uses to talk to rank j (j != i).
   std::vector<std::vector<std::unique_ptr<Link>>> links_;
@@ -147,13 +153,8 @@ class Communicator {
 };
 
 /// Runs `body(comm)` for every rank on its own thread and joins them.
-/// Exceptions from any rank are rethrown (first one wins).
+/// The first rank to throw calls mesh.unblock_ranks(), and its exception
+/// is rethrown once every rank has returned.
 void run_ranks(Mesh& mesh, const std::function<void(Communicator&)>& body);
-
-/// Like run_ranks, but returns each rank's exception (null = success)
-/// instead of rethrowing — the recovery loop in socket_scheduled needs to
-/// see *all* failures, not just the first, to decide what to reschedule.
-std::vector<std::exception_ptr> run_ranks_collect(
-    Mesh& mesh, const std::function<void(Communicator&)>& body);
 
 }  // namespace redist

@@ -205,57 +205,57 @@ AttemptOutcome run_attempt(const SocketClusterConfig& config,
 
   AttemptOutcome outcome;
   const std::uint64_t run_id = obs::SolveIdScope::current();
-  const std::vector<std::exception_ptr> errors =
-      run_ranks_collect(mesh, [&, run_id](Communicator& comm) {
-        const obs::SolveIdScope rank_scope(run_id);
-        const int r = comm.rank();
-        comm.barrier();  // synchronized start
-        if (r == 0) outcome.started_s = clock.elapsed_seconds();
-        if (r < static_cast<int>(n1)) {
-          const NodeId me = static_cast<NodeId>(r);
-          const std::vector<TokenBucket*> out_shapers{
-              shapers.out[static_cast<std::size_t>(me)].get(),
-              shapers.backbone.get()};
-          // What this attempt has sent on each of my pairs so far.
-          std::vector<Bytes> sent(static_cast<std::size_t>(n2), 0);
-          for (const std::vector<BytePiece>& pieces : plan) {
-            // My pieces of the step, each with its stream offset.
-            std::vector<std::pair<BytePiece, Bytes>> mine;
-            for (const BytePiece& piece : pieces) {
-              if (piece.sender != me) continue;
-              Bytes& done = sent[static_cast<std::size_t>(piece.receiver)];
-              mine.emplace_back(piece, base.at({me, piece.receiver}) + done);
-              done += piece.bytes;
-            }
-            const auto send = [&](std::size_t p) {
-              const BytePiece& piece = mine[p].first;
-              const Bytes offset = mine[p].second;
-              const Pattern pattern(me, piece.receiver,
-                                    std::min(config.chunk_bytes, piece.bytes));
-              const auto source = [&](std::uint64_t at, std::size_t) {
-                return pattern.at(offset + static_cast<Bytes>(at));
-              };
-              comm.send_frame(static_cast<int>(n1 + piece.receiver), kDataTag,
-                              static_cast<std::uint64_t>(piece.bytes), source,
-                              out_shapers, config.chunk_bytes);
-            };
-            if (!stepped) {
-              // Brute force: one thread per outgoing flow, all at once.
-              run_threads(mine.size(), send);
-              continue;
-            }
-            for (std::size_t p = 0; p < mine.size(); ++p) send(p);
-            comm.barrier(sender_group);  // the paper's inter-step barrier
+  try {
+    run_ranks(mesh, [&, run_id](Communicator& comm) {
+      const obs::SolveIdScope rank_scope(run_id);
+      const int r = comm.rank();
+      comm.barrier();  // synchronized start
+      if (r == 0) outcome.started_s = clock.elapsed_seconds();
+      if (r < static_cast<int>(n1)) {
+        const NodeId me = static_cast<NodeId>(r);
+        const std::vector<TokenBucket*> out_shapers{
+            shapers.out[static_cast<std::size_t>(me)].get(),
+            shapers.backbone.get()};
+        // What this attempt has sent on each of my pairs so far.
+        std::vector<Bytes> sent(static_cast<std::size_t>(n2), 0);
+        for (const std::vector<BytePiece>& pieces : plan) {
+          // My pieces of the step, each with its stream offset.
+          std::vector<std::pair<BytePiece, Bytes>> mine;
+          for (const BytePiece& piece : pieces) {
+            if (piece.sender != me) continue;
+            Bytes& done = sent[static_cast<std::size_t>(piece.receiver)];
+            mine.emplace_back(piece, base.at({me, piece.receiver}) + done);
+            done += piece.bytes;
           }
-        } else {
-          run_receiver(comm, static_cast<NodeId>(r) - n1, plan, config,
-                       shapers, base, ledger, pattern_ok);
+          const auto send = [&](std::size_t p) {
+            const BytePiece& piece = mine[p].first;
+            const Bytes offset = mine[p].second;
+            const Pattern pattern(me, piece.receiver,
+                                  std::min(config.chunk_bytes, piece.bytes));
+            const auto source = [&](std::uint64_t at, std::size_t) {
+              return pattern.at(offset + static_cast<Bytes>(at));
+            };
+            comm.send_frame(static_cast<int>(n1 + piece.receiver), kDataTag,
+                            static_cast<std::uint64_t>(piece.bytes), source,
+                            out_shapers, config.chunk_bytes);
+          };
+          if (!stepped) {
+            // Brute force: one thread per outgoing flow, all at once.
+            run_threads(mine.size(), send);
+            continue;
+          }
+          for (std::size_t p = 0; p < mine.size(); ++p) send(p);
+          comm.barrier(sender_group);  // the paper's inter-step barrier
         }
-        comm.barrier();  // synchronized finish
-        if (r == 0) outcome.finished_s = clock.elapsed_seconds();
-      });
-  for (const auto& e : errors) {
-    if (e && !outcome.error) outcome.error = e;
+      } else {
+        run_receiver(comm, static_cast<NodeId>(r) - n1, plan, config,
+                     shapers, base, ledger, pattern_ok);
+      }
+      comm.barrier();  // synchronized finish
+      if (r == 0) outcome.finished_s = clock.elapsed_seconds();
+    });
+  } catch (...) {
+    outcome.error = std::current_exception();
   }
   outcome.connect_retries = mesh.connect_retries();
   return outcome;

@@ -185,6 +185,8 @@ void TcpStream::set_nodelay(bool on) {
   }
 }
 
+void TcpStream::shutdown() { ::shutdown(socket_.fd(), SHUT_RDWR); }
+
 TcpListener TcpListener::bind_loopback(int backlog) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) throw_errno("socket");

@@ -66,6 +66,10 @@ class TcpStream {
   /// Disables Nagle's algorithm (small barrier tokens should not wait).
   void set_nodelay(bool on);
 
+  /// Shuts down both directions (shutdown(2)); the descriptor stays open,
+  /// so a thread blocked on it wakes with an error, not a reused fd.
+  void shutdown();
+
   /// Arms an idle deadline on every subsequent send/recv syscall;
   /// <= 0 restores the blocking-forever seed behavior (the default).
   void set_io_timeout_ms(int timeout_ms) { io_timeout_ms_ = timeout_ms; }

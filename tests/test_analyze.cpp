@@ -287,6 +287,26 @@ TEST(Analyze, NoallocDirectChainEscapeAndSuppression) {
   }));
 }
 
+TEST(Analyze, NoallocReportsRecursion) {
+  const auto r = analyze_fixture("noalloc", {"src/matching/recursive.cpp"});
+  const auto allocs = by_rule(r, "noalloc");
+  EXPECT_EQ(r.findings.size(), allocs.size())
+      << redist::analyze::format_report(r.findings);
+  // Expected: the callee that recurses and the root that does. The loop
+  // and the recursion no root reaches stay silent.
+  ASSERT_EQ(allocs.size(), 2u) << redist::analyze::format_report(r.findings);
+  EXPECT_TRUE(std::any_of(allocs.begin(), allocs.end(), [](const Finding& f) {
+    return mentions(f, "recursive call to 'fixture_descend' in "
+                       "'fixture_descend' (reached via 'fixture_search')") &&
+           f.line == 10;
+  })) << redist::analyze::format_report(r.findings);
+  EXPECT_TRUE(std::any_of(allocs.begin(), allocs.end(), [](const Finding& f) {
+    return mentions(f, "recursive call to 'fixture_countdown' in "
+                       "'fixture_countdown', which is reachable from "
+                       "REDIST_NOALLOC 'fixture_countdown'");
+  })) << redist::analyze::format_report(r.findings);
+}
+
 TEST(Analyze, ContractDriftRemovalAdditionAndMissingBaseline) {
   const std::vector<SourceFile> sources = {
       {"src/kpbs/contract.hpp",

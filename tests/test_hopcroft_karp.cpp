@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <span>
@@ -394,6 +396,37 @@ TEST(HopcroftKarp, DropDeadRejectsAliveEdgesAndThresholdBinds) {
   EXPECT_THROW(solver.shrink(std::vector<EdgeId>{heavy}), Error);
   HopcroftKarp unbound;
   EXPECT_THROW(unbound.shrink({}), Error);
+}
+
+// A chain whose greedy seed takes (i, i+1) for every i < n-1 leaves one
+// augmenting path through all n left nodes. The search follows it on a
+// 256 KiB stack: one recursion frame per path node would overflow it
+// whatever the process's stack limit is.
+TEST(HopcroftKarp, LongAugmentingPathNeedsNoDeepStack) {
+  constexpr NodeId kNodes = 20000;
+  BipartiteGraph chain(kNodes, kNodes);
+  for (NodeId i = 0; i + 1 < kNodes; ++i) chain.add_edge(i, i + 1, 1);
+  for (NodeId i = 0; i < kNodes; ++i) chain.add_edge(i, i, 1);
+  struct Run {
+    const BipartiteGraph* g;
+    Matching m;
+  } run{&chain, {}};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, 256 * 1024), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  auto* r = static_cast<Run*>(arg);
+                  r->m = max_matching(*r->g);
+                  return nullptr;
+                },
+                &run),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  EXPECT_TRUE(is_perfect_matching(chain, run.m));
 }
 
 TEST(HopcroftKarp, LargeBipartiteRegularHasPerfectMatching) {

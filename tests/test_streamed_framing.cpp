@@ -290,6 +290,35 @@ TEST(SocketRedistribute, CorruptedByteStopsAtTheLastVerifiedOffset) {
   EXPECT_EQ(injector.op_count(robust::FaultSite::kRecv), 11u);
 }
 
+// Without recovery no idle deadline is armed. The receiver throws on the
+// corrupted second message while the sender waits for it at the finish
+// barrier; the mesh's links are shut down so that the sender unwinds, and
+// the receiver's error, the first, is rethrown.
+TEST(SocketRedistribute, FailedRankWithoutRecoveryThrowsInsteadOfHanging) {
+  TrafficMatrix traffic(1, 1);
+  traffic.set(0, 0, 24000);
+  Schedule s;
+  s.add_step(Step{{{0, 0, 1}}});
+  s.add_step(Step{{{0, 0, 5}}});
+  robust::FaultInjector injector(24);
+  robust::FaultRule rule;
+  rule.kind = robust::FaultKind::kCorrupt;
+  rule.site = robust::FaultSite::kRecv;
+  rule.count = 1000000;
+  rule.at_bytes = 5000;  // only the second message's first chunk is longer
+  injector.add_rule(rule);
+  const robust::ScopedFaultInjection scope(&injector);
+  try {
+    socket_scheduled(fast_cluster(16384), traffic, s, 4000.0,
+                     RobustnessOptions{});
+    ADD_FAILURE() << "a corrupted message did not fail the run";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("pattern verification failed"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- rpc: the wrappers keep the wire bytes -------------------------------
 
 std::vector<char> from_hex(const std::string& hex) {

@@ -1563,17 +1563,35 @@ void check_noalloc(Analysis& a) {
       for (const FunctionDef* f : it->second) {
         if (exempt_from_sinks(f->file)) continue;
         const auto& toks = a.tokens_of(f->file);
+        const std::string where =
+            via.empty() ? "'" + name + "'"
+                        : "'" + name + "' (reached via " + via + ")";
+        const std::string root = "REDIST_NOALLOC '" + c.function + "' (" +
+                                 c.file + ":" + std::to_string(c.line) + ")";
         for (const BodySink& s :
              body_alloc_sinks(toks, f->body_begin, f->body_end)) {
-          const std::string where =
-              via.empty() ? "'" + name + "'"
-                          : "'" + name + "' (reached via " + via + ")";
           a.add(f->file, s.line, "noalloc",
                 "allocation '" + s.ident + "' in " + where +
-                ", which is reachable from REDIST_NOALLOC '" + c.function +
-                "' (" + c.file + ":" + std::to_string(c.line) +
-                "); hoist the allocation out of the hot loop or mark the "
+                ", which is reachable from " + root +
+                "; hoist the allocation out of the hot loop or mark the "
                 "helper REDIST_ALLOW_ALLOC with a reason");
+        }
+        // A call to itself by its bare name: the stack grows as deep as
+        // the input, an allocation no sink above can see. `x.f(`, `p->f(`
+        // and `ns::f(` name some other function.
+        for (std::size_t i = f->body_begin;
+             i < f->body_end && i + 1 < toks.size(); ++i) {
+          if (toks[i].kind == 'i' && toks[i].text == name &&
+              tok_is(toks, i + 1, "(") && !tok_is(toks, i - 1, ".") &&
+              !(tok_is(toks, i - 1, ">") && tok_is(toks, i - 2, "-")) &&
+              !tok_is(toks, i - 1, ":")) {
+            a.add(f->file, toks[i].line, "noalloc",
+                  "recursive call to '" + name + "' in " + where +
+                      ", which is reachable from " + root +
+                      "; its stack grows with the input — loop over a "
+                      "preallocated stack instead");
+            break;
+          }
         }
         const std::string next_via =
             via.empty() ? "'" + name + "'" : via + " -> '" + name + "'";
