@@ -5,12 +5,13 @@
 //
 // Each of 2 * repeat + 1 rounds solves every dense n x n instance three
 // times back to back in rotating order: plain, with the flight recorder
-// installed, and with it plus a MetricsRegistry and a TraceSession made
-// fresh for the solve. A sink run over its neighbouring plain run is one
-// paired ratio; pairing cancels the drift (co-tenant load, clock boost)
-// that separately timed series pick up. Prints each median overhead with
-// its interquartile range; --check-max-journal-overhead=F exits nonzero
-// when the journal's median exceeds F. The all-sinks figure is not gated.
+// (the library's one event stream) installed, and with it plus a
+// MetricsRegistry made fresh for the solve. A sink run over its
+// neighbouring plain run is one paired ratio; pairing cancels the drift
+// (co-tenant load, clock boost) that separately timed series pick up.
+// Prints each median overhead with its interquartile range and the journal
+// events per solve; --check-max-journal-overhead=F exits nonzero when the
+// journal's median exceeds F. The all-sinks figure is not gated.
 #include <algorithm>
 #include <iostream>
 #include <numeric>
@@ -72,22 +73,20 @@ int main(int argc, char** argv) {
     obs::Journal journal(8192);  // real size: wraparound costs included
     SampleSet journal_ratios;
     SampleSet all_sinks_ratios;
-    std::size_t spans = 0;
+    std::uint64_t events = 0;
     for (int r = 0; r < 2 * repeat + 1; ++r) {
       for (std::size_t i = 0; i < pool.size(); ++i) {
         double ms[3] = {0, 0, 0};  // plain, journal, all sinks
         for (int turn = 0; turn < 3; ++turn) {
           const int mode = (turn + r + static_cast<int>(i)) % 3;
           obs::MetricsRegistry registry;
-          obs::TraceSession session;
-          const obs::ScopedJournal scoped_journal(mode == 0 ? nullptr
-                                                            : &journal);
           const obs::ScopedTelemetry scoped(mode == 2 ? &registry : nullptr,
-                                            mode == 2 ? &session : nullptr);
+                                            mode == 0 ? nullptr : &journal);
+          const std::uint64_t recorded = journal.total_recorded();
           const Stopwatch timer;
           solve_kpbs(pool[i], {8, 1, Algorithm::kOGGP});
           ms[mode] = timer.elapsed_ms();
-          if (mode == 2) spans += session.event_count();
+          if (mode == 2) events += journal.total_recorded() - recorded;
         }
         journal_ratios.add(ms[1] / ms[0]);
         all_sinks_ratios.add(ms[2] / ms[0]);
@@ -95,9 +94,9 @@ int main(int argc, char** argv) {
     }
 
     const double journal_overhead = report("journal", journal_ratios);
-    report("journal+metrics+trace", all_sinks_ratios);
-    std::cout << "spans per solve: " << spans / all_sinks_ratios.count()
-              << '\n';
+    report("journal+metrics", all_sinks_ratios);
+    std::cout << "journal events per solve: "
+              << events / all_sinks_ratios.count() << '\n';
     if (max_journal_overhead > 0 && journal_overhead > max_journal_overhead) {
       std::cerr << "FAIL: journal overhead " << journal_overhead
                 << " above allowed " << max_journal_overhead << '\n';

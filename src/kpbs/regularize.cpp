@@ -3,9 +3,8 @@
 #include <algorithm>
 
 #include "common/math.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace redist {
 
@@ -17,7 +16,6 @@ int clamp_k(const BipartiteGraph& g, int k) {
 Regularized regularize(const BipartiteGraph& g, int k) {
   REDIST_CHECK_MSG(!g.empty(), "cannot regularize an empty graph");
   k = clamp_k(g, k);
-  obs::TraceSpan span(obs::trace(), "regularize");
 
   const Weight p = g.total_weight();
   const Weight w_max = g.max_node_weight();
@@ -134,15 +132,7 @@ Regularized regularize(const BipartiteGraph& g, int k) {
         .add(static_cast<std::uint64_t>(
             std::count(out.origin.begin(), out.origin.end(), kNoEdge)));
   }
-  if (span) {
-    span.arg("k", k);
-    span.arg("c", c);
-    span.arg("case", case1 ? std::string_view("W(G)")
-                           : std::string_view("ceil(P/k)"));
-    span.arg("filler_edges", n_filler);
-    span.arg("dummy_nodes", dummy_left + dummy_right);
-    span.arg("edges_out", out.graph.edge_count());
-  }
+  obs::journal_record(obs::JournalEventKind::kRegularized, c, n_filler);
   return out;
 }
 

@@ -12,7 +12,6 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace redist {
 
@@ -27,14 +26,6 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
   // Telemetry (observation only — never feeds back into the schedule).
   obs::MetricsRegistry* const metrics = obs::metrics();
   const Stopwatch solve_timer;
-  obs::TraceSpan solve_span(obs::trace(), "solve_kpbs");
-  if (solve_span) {
-    solve_span.arg("algo", std::string_view(algorithm_name(algorithm)));
-    solve_span.arg("k", k);
-    solve_span.arg("beta", beta);
-    solve_span.arg("nodes", demand.left_count() + demand.right_count());
-    solve_span.arg("edges", demand.alive_edge_count());
-  }
   if (metrics != nullptr) metrics->counter("kpbs.solve.count").add();
 
   // Step 1 — beta-normalization. All weights are expressed in units of
@@ -78,16 +69,12 @@ Schedule solve_schedule(const BipartiteGraph& demand, int k, Weight beta,
         }
         if (!step.comms.empty()) schedule.add_step(std::move(step));
       });
-  {
-    obs::TraceSpan extract_span(obs::trace(), "extract");
-    for (Weight r : remaining) REDIST_CHECK(r == 0);
-  }
+  for (Weight r : remaining) REDIST_CHECK(r == 0);
 
   if (metrics != nullptr) {
     metrics->counter("kpbs.schedule.steps").add(schedule.step_count());
     metrics->histogram("kpbs.solve_ms").record(solve_timer.elapsed_ms());
   }
-  if (solve_span) solve_span.arg("steps", schedule.step_count());
   return schedule;
 }
 }  // namespace

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
-
 namespace redist {
 
 namespace {
@@ -179,24 +176,9 @@ bool HopcroftKarp::dfs_augment(NodeId root) {
   }
 }
 
-void HopcroftKarp::count_phase(obs::TraceSpan& span, std::uint64_t phase,
-                               std::uint64_t paths) {
-  obs::MetricsRegistry* const metrics = obs::metrics();
-  if (metrics != metrics_src_) {
-    metrics_src_ = metrics;
-    phases_counter_ =
-        metrics != nullptr ? &metrics->counter("hk.phases") : nullptr;
-    paths_counter_ =
-        metrics != nullptr ? &metrics->counter("hk.augmenting_paths") : nullptr;
-  }
-  if (phases_counter_ != nullptr) {
-    phases_counter_->add();
-    paths_counter_->add(paths);
-  }
-  if (span) {
-    span.arg("phase", phase);
-    span.arg("paths", paths);
-  }
+void HopcroftKarp::count_into(obs::MetricsRegistry* metrics) {
+  phases_ = obs::counter_or_null(metrics, "hk.phases");
+  paths_ = obs::counter_or_null(metrics, "hk.augmenting_paths");
 }
 
 Matching HopcroftKarp::matching() const {
@@ -217,12 +199,7 @@ void HopcroftKarp::take(EdgeId e) {
 }
 
 void HopcroftKarp::augment_to_maximum() {
-  obs::TraceSession* const trace = obs::trace();
-  for (std::uint64_t phase = 0;; ++phase) {
-    // The span covers the BFS layering too. When the BFS finds no
-    // augmenting path, the span holds just that BFS and carries no args.
-    obs::TraceSpan phase_span(trace, "hk.phase");
-    if (!bfs_layers()) break;
+  while (bfs_layers()) {
     std::uint64_t paths = 0;
     for (NodeId v = 0; v < g_->left_count(); ++v) {
       if (match_left_[static_cast<std::size_t>(v)] == kNoEdge) {
@@ -230,7 +207,8 @@ void HopcroftKarp::augment_to_maximum() {
       }
     }
     size_ += paths;
-    count_phase(phase_span, phase, paths);
+    obs::add_count(phases_);
+    obs::add_count(paths_, paths);
     if (paths == 0) break;
   }
 }
@@ -266,8 +244,8 @@ Matching HopcroftKarp::solve_seeded(const Matching& seed) {
   for (std::size_t v = 0; v < match_left_.size(); ++v) {
     if (match_left_[v] == kNoEdge) roots_[free++] = static_cast<NodeId>(v);
   }
-  obs::TraceSpan phase_span(obs::trace(), "hk.phase");
-  count_phase(phase_span, 0, repair({roots_.data(), free}));
+  obs::add_count(phases_);
+  obs::add_count(paths_, repair({roots_.data(), free}));
   return matching();
 }
 
@@ -289,8 +267,8 @@ std::size_t HopcroftKarp::complete(std::span<const NodeId> free_left) {
   const auto end = seeds_.begin() + static_cast<std::ptrdiff_t>(count);
   std::sort(seeds_.begin(), end);
   std::for_each(seeds_.begin(), end, [this](EdgeId e) { take(e); });
-  obs::TraceSpan phase_span(obs::trace(), "hk.phase");
-  count_phase(phase_span, 0, repair(free_left));
+  obs::add_count(phases_);
+  obs::add_count(paths_, repair(free_left));
   return size_;
 }
 

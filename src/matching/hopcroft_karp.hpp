@@ -32,7 +32,6 @@
 #include "graph/bipartite_graph.hpp"
 #include "matching/matching.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 REDIST_LAYER("matching");
 
@@ -59,6 +58,11 @@ class HopcroftKarp {
   /// per probe. Equivalent to a mask of exactly those edges: identical edge
   /// set, identical matchings. Snapshots like rebind().
   void rebind_threshold(const BipartiteGraph& g, Weight min_weight);
+
+  /// Counts phases and augmenting paths into `metrics`' hk.phases and
+  /// hk.augmenting_paths counters from now on; nullptr counts nothing.
+  /// The registry must outlive every solve that counts into it.
+  void count_into(obs::MetricsRegistry* metrics);
 
   /// The usable edges of the last bind that weigh exactly its threshold
   /// (1 for rebind()), ascending.
@@ -151,10 +155,6 @@ class HopcroftKarp {
   }
   /// Matches `e` if both its endpoints are free.
   void take(EdgeId e);
-  /// Records one phase: the span's args and the hk.* counters.
-  REDIST_ALLOW_ALLOC("telemetry allocates only while it is installed")
-  void count_phase(obs::TraceSpan& span, std::uint64_t phase,
-                   std::uint64_t paths);
   void augment_to_maximum();
   bool bfs_layers();
   /// The augmenting searches of solve_seeded() and complete(), one per
@@ -168,12 +168,9 @@ class HopcroftKarp {
   bool dfs_augment(NodeId root);
 
   const BipartiteGraph* g_ = nullptr;
-  // Telemetry handles, cached per installed registry: the solver sits in the
-  // innermost loops, so it pays one pointer compare per solve instead of a
-  // registry lookup (and nothing at all when telemetry is disabled).
-  obs::MetricsRegistry* metrics_src_ = nullptr;
-  obs::Counter* phases_counter_ = nullptr;
-  obs::Counter* paths_counter_ = nullptr;
+  // count_into()'s counters; null when not counting.
+  obs::Counter* phases_ = nullptr;
+  obs::Counter* paths_ = nullptr;
   Weight min_weight_ = 1;               // threshold of the last bind
   std::vector<char> usable_;            // edge id -> usable in the snapshot
   std::vector<EdgeId> usable_ids_;      // usable ids ascending; solve() prunes

@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 
 namespace redist {
 
@@ -42,35 +41,6 @@ Weight largest_weight_at_most(const BipartiteGraph& g, Weight bound) {
     if (edge.weight <= bound) w = std::max(w, edge.weight);
   }
   return w;
-}
-
-// Probe and search telemetry. Span args and counter lookups allocate, but
-// only while telemetry is installed.
-REDIST_ALLOW_ALLOC("telemetry allocates only while it is installed")
-void record_probe(obs::TraceSpan& span, Weight cap, bool reused,
-                  std::size_t deficit) {
-  if (obs::MetricsRegistry* const metrics = obs::metrics()) {
-    metrics->counter("bottleneck.probes").add();
-  }
-  if (!span) return;
-  span.arg("threshold", cap);
-  span.arg("reused", reused);
-  span.arg("feasible", deficit == 0);
-  span.arg("deficit", deficit);
-}
-
-REDIST_ALLOW_ALLOC("telemetry allocates only while it is installed")
-void record_search(obs::TraceSpan& span, Weight cap, Weight t,
-                   unsigned rebinds, std::uint64_t widest) {
-  if (obs::MetricsRegistry* const metrics = obs::metrics()) {
-    // Looked up every step, so the count is exported even when it stays 0.
-    metrics->counter("bottleneck.widest_paths").add(widest);
-    if (rebinds > 0) metrics->counter("bottleneck.rebinds").add(rebinds);
-  }
-  if (span) {
-    span.arg("cap", cap);
-    span.arg("bottleneck", t);
-  }
 }
 
 }  // namespace
@@ -112,6 +82,12 @@ void PeelingContext::bind(const BipartiteGraph& g, bool bottleneck) {
   // A widest-path search pushes each free left node once, then at most
   // once per arc.
   heap_.resize(n + static_cast<std::size_t>(g.edge_count()));
+  obs::MetricsRegistry* const metrics = obs::metrics();
+  hk_.count_into(metrics);
+  obs::MetricsRegistry* const search = bottleneck ? metrics : nullptr;
+  probes_ = obs::counter_or_null(search, "bottleneck.probes");
+  widest_paths_ = obs::counter_or_null(search, "bottleneck.widest_paths");
+  rebinds_ = obs::counter_or_null(search, "bottleneck.rebinds");
 }
 
 Weight PeelingContext::step() {
@@ -167,7 +143,6 @@ Weight PeelingContext::select_ggp() {
 
 Weight PeelingContext::select_oggp() {
   const auto target = static_cast<std::size_t>(g_->left_count());
-  obs::TraceSpan search_span(obs::trace(), "bottleneck.search.warm");
 
   // The cap T bounds the optimum t* from above. After a step with
   // bottleneck b, any perfect matching M' of the peeled residual was a
@@ -179,33 +154,30 @@ Weight PeelingContext::select_oggp() {
   const Weight b = last_bottleneck_;
   const bool reused = b > 0 && (idle_ > 0 || tight());
   Weight cap = b;
-  {
-    obs::TraceSpan probe_span(obs::trace(), "bottleneck.probe");
-    if (reused) {
-      // Keep the matching minus the fallen edges; complete() seeds the
-      // edges this step would kill, then repairs.
-      const std::span<const EdgeId> fallen(fallen_.data(), fallen_count_);
-      for (std::size_t i = 0; i < fallen.size(); ++i) {
-        free_[i] = g_->edges()[static_cast<std::size_t>(fallen[i])].left;
-        flush(free_[i], fallen[i]);
-      }
-      std::sort(free_.begin(), free_.begin() + static_cast<std::ptrdiff_t>(
-                                                   fallen.size()));
-      hk_.shrink(fallen);
-      hk_.complete({free_.data(), fallen.size()});
-      absorb(hk_.size() == target);
-    } else {
-      // The first step runs the cold solve; later ones repair the previous
-      // matching's survivors, then take the edges this step would kill.
-      flush_matching();
-      cap = b > 0 ? largest_weight_at_most(*g_, b)
-                  : lightest_heaviest_edge(*g_);
-      REDIST_CHECK_MSG(cap > 0, "no perfect matching exists (no alive weight "
-                                "at or below the cap)");
-      rebuild(cap, b > 0 ? Seed::kSurvivors : Seed::kCold);
+  if (reused) {
+    // Keep the matching minus the fallen edges; complete() seeds the
+    // edges this step would kill, then repairs.
+    const std::span<const EdgeId> fallen(fallen_.data(), fallen_count_);
+    for (std::size_t i = 0; i < fallen.size(); ++i) {
+      free_[i] = g_->edges()[static_cast<std::size_t>(fallen[i])].left;
+      flush(free_[i], fallen[i]);
     }
-    record_probe(probe_span, cap, reused, target - hk_.size());
+    std::sort(free_.begin(),
+              free_.begin() + static_cast<std::ptrdiff_t>(fallen.size()));
+    hk_.shrink(fallen);
+    hk_.complete({free_.data(), fallen.size()});
+    absorb(hk_.size() == target);
+  } else {
+    // The first step runs the cold solve; later ones repair the previous
+    // matching's survivors, then take the edges this step would kill.
+    flush_matching();
+    cap = b > 0 ? largest_weight_at_most(*g_, b) : lightest_heaviest_edge(*g_);
+    REDIST_CHECK_MSG(cap > 0,
+                     "no perfect matching exists (no alive weight at or "
+                     "below the cap)");
+    rebuild(cap, b > 0 ? Seed::kSurvivors : Seed::kCold);
   }
+  obs::add_count(probes_);
 
   // Widest augmenting paths from the probe's maximum matching of G_T. The
   // matching stays inside G_{t*} (induction on the paths): G_{t*} has a
@@ -240,8 +212,8 @@ Weight PeelingContext::select_oggp() {
   REDIST_CHECK_MSG(tight(),
                    "warm bottleneck value diverged from threshold " << t);
   last_bottleneck_ = t;
-  record_search(search_span, cap, t, (reused ? 0U : 1U) + (t < cap ? 1U : 0U),
-                widest);
+  obs::add_count(widest_paths_, widest);
+  obs::add_count(rebinds_, (reused ? 0U : 1U) + (t < cap ? 1U : 0U));
   return t;
 }
 
@@ -303,9 +275,6 @@ void PeelingContext::flush_matching() {
 }
 
 void PeelingContext::rebuild(Weight threshold, Seed seed) {
-  obs::TraceSpan replay_span(seed == Seed::kWidest ? obs::trace() : nullptr,
-                             "bottleneck.replay");
-  if (replay_span) replay_span.arg("threshold", threshold);
   seed_.edges.clear();
   for (NodeId u = 0; seed == Seed::kSurvivors && u < g_->left_count(); ++u) {
     const EdgeId e = hk_.matched_edge_of_left(u);

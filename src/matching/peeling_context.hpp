@@ -41,6 +41,10 @@
 // before_peel() drive the same engine one step at a time for wrgp_peel,
 // which writes the weights itself. tests/oracle checks every OGGP step
 // against a from-scratch threshold search and the paper's Fig. 6.
+//
+// A peel counts (bottleneck.*, hk.*) into the MetricsRegistry installed
+// when it binds its graph: in start(), or in a per-step entry point's first
+// call on a graph. That registry must outlive the peel.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +56,7 @@
 #include "graph/bipartite_graph.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "matching/matching.hpp"
+#include "obs/metrics.hpp"
 
 REDIST_LAYER("matching");
 
@@ -134,6 +139,11 @@ class PeelingContext {
   Weight widest_augment(const BipartiteGraph& g, Weight t);
 
   HopcroftKarp hk_;
+  // bottleneck.* counters of the bound peel; null for GGP or without a
+  // registry.
+  obs::Counter* probes_ = nullptr;
+  obs::Counter* widest_paths_ = nullptr;
+  obs::Counter* rebinds_ = nullptr;
   const BipartiteGraph* g_ = nullptr;
   BipartiteGraph* writable_ = nullptr;  // start(): the context writes g_
   bool bottleneck_ = false;

@@ -17,7 +17,6 @@
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "runtime/token_bucket.hpp"
 
 namespace redist {
@@ -297,7 +296,6 @@ SocketRunResult run(const SocketClusterConfig& config,
   check_options(config, bytes_per_time_unit, robustness);
 
   obs::MetricsRegistry* const metrics = obs::metrics();
-  obs::TraceSpan run_span(obs::trace(), "socket.robust");
   if (metrics != nullptr) metrics->counter("robust.run.count").add();
 
   // One flight-recorder ID for the whole run: the initial attempt, every
@@ -347,24 +345,18 @@ SocketRunResult run(const SocketClusterConfig& config,
     const BytePlan plan =
         attempt_plan(residual, current, bytes_per_time_unit);
     AttemptOutcome outcome;
-    {
-      obs::TraceSpan attempt_span(obs::trace(), "socket.robust.attempt");
-      if (attempt_span) attempt_span.arg("attempt", attempt);
-      obs::journal_record(obs::JournalEventKind::kAttemptBegin, attempt);
-      try {
-        outcome = run_attempt(config, residual, plan, current != nullptr,
-                              mesh_options, clock, ledger, pattern_ok);
-      } catch (const Error&) {
-        // Mesh wiring failed outright (connect retries exhausted, accept
-        // deadline): a failed attempt with nothing delivered.
-        outcome.error = std::current_exception();
-      }
-      const bool failed = outcome.error != nullptr;
-      if (attempt_span) attempt_span.arg("failed", failed);
-      obs::journal_record(obs::JournalEventKind::kAttemptEnd, attempt,
-                          failed ? 1 : 0,
-                          static_cast<double>(ledger_total(ledger)));
+    obs::journal_record(obs::JournalEventKind::kAttemptBegin, attempt);
+    try {
+      outcome = run_attempt(config, residual, plan, current != nullptr,
+                            mesh_options, clock, ledger, pattern_ok);
+    } catch (const Error&) {
+      // Mesh wiring failed outright (connect retries exhausted, accept
+      // deadline): a failed attempt with nothing delivered.
+      outcome.error = std::current_exception();
     }
+    obs::journal_record(obs::JournalEventKind::kAttemptEnd, attempt,
+                        outcome.error != nullptr ? 1 : 0,
+                        static_cast<double>(ledger_total(ledger)));
     if (outcome.error && !robustness.enabled) {
       std::rethrow_exception(outcome.error);
     }
@@ -425,12 +417,6 @@ SocketRunResult run(const SocketClusterConfig& config,
         .add(result.link_retries);
     metrics->counter("robust.run.delivered_bytes")
         .add(result.bytes_delivered);
-  }
-  if (run_span) {
-    run_span.arg("attempts", result.attempts);
-    run_span.arg("reschedules", result.reschedules);
-    run_span.arg("delivered", result.bytes_delivered);
-    run_span.arg("verified", result.verified);
   }
   return result;
 }

@@ -2,8 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <map>
 #include <ostream>
+#include <tuple>
 #include <unordered_map>
+
+#include "obs/journal.hpp"
 
 namespace redist::obs {
 
@@ -54,10 +59,90 @@ void write_histogram_json(std::ostream& os, const HistogramSnapshot& h,
   os << "]\n" << indent << "}";
 }
 
-}  // namespace
+enum class Role { kInstant, kBegin, kEnd, kPhase };
 
-void write_chrome_trace(std::ostream& os, const TraceSession& session) {
-  std::vector<TraceEvent> events = session.snapshot();
+// How a journal event renders in the Chrome trace: its span's name and
+// category, its role in the span, and the arg names of its a, b and v
+// slots (nullptr: not shown). Indexed by JournalEventKind, whose comments
+// give the slot meanings; an end kind directly follows its begin kind.
+struct TraceShape {
+  const char* name;
+  const char* cat;
+  Role role;
+  const char* slots[3];
+};
+
+constexpr TraceShape kTraceShapes[] = {
+    {"solve_kpbs", "kpbs", Role::kBegin, {"nodes", "edges"}},
+    {"solve_kpbs", "kpbs", Role::kEnd, {"steps", "cost", "ratio"}},
+    {"wrgp.step", "kpbs", Role::kPhase, {"step", "matched_edges", "amount"}},
+    {"pool_enqueue", "runtime", Role::kInstant, {"depth"}},
+    {"pool.task", "runtime", Role::kBegin, {nullptr, nullptr, "wait_ms"}},
+    {"pool.task", "runtime", Role::kEnd, {nullptr, nullptr, "run_ms"}},
+    {"retry", "robust", Role::kInstant, {"attempt"}},
+    {"fault_injected", "robust", Role::kInstant, {"site", "rules"}},
+    {"socket.robust.attempt", "socket", Role::kBegin, {"attempt"}},
+    {"socket.robust.attempt", "socket", Role::kEnd,
+     {nullptr, "failed", "delivered_bytes"}},
+    {"recovery_spliced", "socket", Role::kInstant,
+     {"attempt", "residual_edges"}},
+    {"rpc_request", "service", Role::kInstant, {"tag", "bytes"}},
+    {"cache_hit", "service", Role::kInstant, {"hits"}},
+    {"cache_miss", "service", Role::kInstant, {"cached"}},
+    {"cache_evict", "service", Role::kInstant, {"hits", "left"}},
+    {"regularize", "kpbs", Role::kPhase, {"c", "filler_edges"}},
+};
+static_assert(std::size(kTraceShapes) ==
+                  static_cast<std::size_t>(JournalEventKind::kRegularized) + 1,
+              "trace shape table out of sync with JournalEventKind");
+
+std::vector<TraceEvent> trace_events(const Journal& journal) {
+  std::vector<TraceEvent> out;
+  // Per (begin kind, thread, solve): the spans begun and not yet ended.
+  // Per (thread, solve): when its last begin or phase event was recorded.
+  std::map<std::tuple<std::size_t, std::uint32_t, std::uint64_t>,
+           std::vector<std::size_t>>
+      open;
+  std::map<std::pair<std::uint32_t, std::uint64_t>, std::uint64_t> phase_end;
+  for (const JournalEvent& e : journal.snapshot()) {
+    const auto kind = static_cast<std::size_t>(e.kind);
+    const TraceShape& shape = kTraceShapes[kind];
+    std::vector<std::size_t>& begun =
+        open[{shape.role == Role::kEnd ? kind - 1 : kind, e.tid, e.solve_id}];
+    TraceEvent* event = nullptr;
+    if (shape.role == Role::kEnd && !begun.empty()) {
+      event = &out[begun.back()];
+      begun.pop_back();
+      event->dur_ns = e.ts_ns - event->ts_ns;
+    } else {
+      event = &out.emplace_back(
+          TraceEvent{shape.name, shape.cat, e.ts_ns, 0, e.tid, {}});
+      if (e.solve_id != 0) {
+        event->args.push_back({"solve", std::to_string(e.solve_id)});
+      }
+      if (shape.role == Role::kBegin) begun.push_back(out.size() - 1);
+    }
+    if (shape.role == Role::kBegin || shape.role == Role::kPhase) {
+      const auto [last, first] =
+          phase_end.try_emplace({e.tid, e.solve_id}, e.ts_ns);
+      if (shape.role == Role::kPhase && !first) {
+        event->ts_ns = last->second;
+        event->dur_ns = e.ts_ns - last->second;
+      }
+      last->second = e.ts_ns;
+    }
+    const std::string values[] = {std::to_string(e.a), std::to_string(e.b),
+                                  json_number(e.v)};
+    for (std::size_t slot = 0; slot < 3; ++slot) {
+      if (shape.slots[slot] != nullptr) {
+        event->args.push_back({shape.slots[slot], values[slot]});
+      }
+    }
+  }
+  return out;
+}
+
+void write_trace_events(std::ostream& os, std::vector<TraceEvent> events) {
   // Stable order: by begin time, outermost (longest) span first on ties, so
   // nesting renders identically run to run under a deterministic clock.
   std::stable_sort(events.begin(), events.end(),
@@ -91,6 +176,16 @@ void write_chrome_trace(std::ostream& os, const TraceSession& session) {
     os << "}" << (i + 1 < events.size() ? "," : "") << "\n";
   }
   os << "]\n}\n";
+}
+
+}  // namespace
+
+void write_chrome_trace(std::ostream& os, const TraceSession& session) {
+  write_trace_events(os, session.snapshot());
+}
+
+void write_chrome_trace(std::ostream& os, const Journal& journal) {
+  write_trace_events(os, trace_events(journal));
 }
 
 void write_metrics_json(std::ostream& os, const MetricsRegistry& registry) {

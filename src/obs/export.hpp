@@ -3,7 +3,11 @@
 //  * write_chrome_trace — Chrome trace_event JSON ("X" complete events);
 //    open the file in chrome://tracing or https://ui.perfetto.dev. Thread
 //    ids are renumbered densely in order of first appearance so the output
-//    is deterministic for a deterministic span stream.
+//    is deterministic for a deterministic event stream. The Journal
+//    overload renders the flight recorder's ring: a begin/end kind pair
+//    (solve, socket attempt, pool task) becomes one span, a regularization
+//    or peel step spans from its solve's previous phase event on the same
+//    thread, and every other event is an instant (zero-length) span.
 //  * write_metrics_json — flat `{"counters": .., "gauges": .., "histograms":
 //    ..}` document under the "redist.metrics.v1" schema tag. Empty
 //    histograms export null mean/min/max/p50/p95/p99 (JSON has no NaN).
@@ -26,7 +30,11 @@ REDIST_LAYER("obs");
 
 namespace redist::obs {
 
+class Journal;
+
 void write_chrome_trace(std::ostream& os, const TraceSession& session);
+
+void write_chrome_trace(std::ostream& os, const Journal& journal);
 
 void write_metrics_json(std::ostream& os, const MetricsRegistry& registry);
 

@@ -22,7 +22,7 @@ constexpr const char* kKindNames[] = {
     "solve_begin",      "solve_end",      "peel_step",     "pool_enqueue",
     "pool_start",       "pool_finish",    "retry",         "fault_injected",
     "attempt_begin",    "attempt_end",    "recovery_spliced", "rpc_request",
-    "cache_hit",        "cache_miss",     "cache_evict",
+    "cache_hit",        "cache_miss",     "cache_evict",   "regularized",
 };
 
 }  // namespace
@@ -31,7 +31,7 @@ const char* journal_event_kind_name(JournalEventKind kind) {
   const auto index = static_cast<std::size_t>(kind);
   constexpr std::size_t kCount = sizeof(kKindNames) / sizeof(kKindNames[0]);
   static_assert(kCount ==
-                    static_cast<std::size_t>(JournalEventKind::kCacheEvict) +
+                    static_cast<std::size_t>(JournalEventKind::kRegularized) +
                         1,
                 "kind name table out of sync with JournalEventKind");
   return index < kCount ? kKindNames[index] : "unknown";
@@ -65,7 +65,7 @@ void Journal::record_for(std::uint64_t solve_id, JournalEventKind kind,
   event.a = a;
   event.b = b;
   event.v = v;
-  event.tid = TraceSession::current_tid();
+  event.tid = thread_index();
   event.kind = kind;
 
   if (kind == JournalEventKind::kSolveBegin) {
@@ -229,10 +229,6 @@ void write_journal_jsonl(std::ostream& os, const Journal& journal,
     static_cast<void>(inserted);
   }
 }
-
-namespace detail {
-std::atomic<Journal*> g_journal{nullptr};
-}  // namespace detail
 
 namespace {
 

@@ -1,12 +1,13 @@
 // Flight recorder — fixed-capacity, striped ring-buffer event journal.
 //
-// Where the metrics registry (obs/metrics.hpp) aggregates and the trace
-// session (obs/trace.hpp) collects unbounded spans, the journal answers the
-// forensic question "what exactly happened around solve #N?": a bounded,
-// always-on ring of typed events (solve begin/end, peel steps, ThreadPool
-// task lifecycle, socket retry/fault/recovery) that can be dumped as
-// versioned JSONL on demand, after a fault-storm recovery
-// (mpilite/redistribute.cpp), or from a fatal-signal handler.
+// The journal is the library's one event stream. Where the metrics registry
+// (obs/metrics.hpp) aggregates, the journal answers the forensic question
+// "what exactly happened around solve #N?": a bounded, always-on ring of
+// typed events (solve begin/end, regularization, peel steps, ThreadPool
+// task lifecycle, socket retry/fault/recovery, cache paths) that can be
+// dumped as versioned JSONL on demand, after a fault-storm recovery
+// (mpilite/redistribute.cpp), or from a fatal-signal handler, and rendered
+// as a Chrome trace (obs/export.hpp).
 //
 // Causality: every event carries a solve ID. IDs are allocated from one
 // process-wide monotone counter (allocate_solve_id) and threaded through
@@ -19,11 +20,12 @@
 // Concurrency: a global relaxed atomic sequence assigns each event a slot;
 // slots are spread over 8 mutex-striped sub-rings (stripe = seq % 8), so
 // concurrent writers contend only 1/8th of the time and the retained set is
-// still exactly the last `capacity()` events in sequence order. Like the
-// telemetry sinks, the journal is null by default: seams pay one relaxed
-// atomic load and a predictable branch when no journal is installed, and
-// recording never feeds back into scheduling (instrumented and
-// uninstrumented runs emit bit-identical schedules).
+// still exactly the last `capacity()` events in sequence order. The journal
+// is installed with the metrics registry through ScopedTelemetry
+// (obs/telemetry.hpp) and is null by default: seams pay one atomic load and
+// a predictable branch when no journal is installed, and recording never
+// feeds back into scheduling (instrumented and uninstrumented runs emit
+// bit-identical schedules).
 #pragma once
 
 #include <atomic>
@@ -37,6 +39,7 @@
 #include "common/contract_annotations.hpp"
 #include "common/sync.hpp"
 #include "common/thread_annotations.hpp"
+#include "obs/telemetry.hpp"
 
 REDIST_LAYER("obs");
 
@@ -62,6 +65,7 @@ enum class JournalEventKind : std::uint8_t {
   kCacheHit,         ///< exact fingerprint hit; a=entry hit count
   kCacheMiss,        ///< no cached entry; a=entries currently cached
   kCacheEvict,       ///< LFU eviction; a=evicted hit count, b=entries left
+  kRegularized,      ///< a=regular weight c, b=filler edges
 };
 
 /// Stable wire name for a kind ("solve_begin", ...).
@@ -76,7 +80,7 @@ struct JournalEvent {
   std::int64_t a = 0;
   std::int64_t b = 0;
   double v = 0.0;
-  std::uint32_t tid = 0;  ///< dense thread index (TraceSession::current_tid)
+  std::uint32_t tid = 0;  ///< dense thread index (obs::thread_index)
   JournalEventKind kind = JournalEventKind::kSolveBegin;
 };
 
@@ -169,36 +173,6 @@ class Journal {
 /// appearance so dumps are stable across runs.
 void write_journal_jsonl(std::ostream& os, const Journal& journal,
                          std::size_t last_n = 0);
-
-// ---------------------------------------------------------------------------
-// Process-wide install point (mirrors obs/telemetry.hpp).
-
-namespace detail {
-extern std::atomic<Journal*> g_journal;
-}  // namespace detail
-
-/// Currently installed journal, or nullptr (flight recording off).
-inline Journal* journal() noexcept {
-  return detail::g_journal.load(std::memory_order_acquire);
-}
-
-/// Installs a journal on construction, restores the previous one on
-/// destruction. Install before fanning work out, like ScopedTelemetry.
-class ScopedJournal {
- public:
-  explicit ScopedJournal(Journal* journal)
-      : previous_(
-            detail::g_journal.exchange(journal, std::memory_order_acq_rel)) {}
-  ~ScopedJournal() {
-    detail::g_journal.store(previous_, std::memory_order_release);
-  }
-
-  ScopedJournal(const ScopedJournal&) = delete;
-  ScopedJournal& operator=(const ScopedJournal&) = delete;
-
- private:
-  Journal* previous_;
-};
 
 /// Null-safe recording helper for instrumentation seams. Follows the
 /// telemetry-guard discipline: one acquire load, one branch, no work when

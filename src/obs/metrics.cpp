@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "obs/trace.hpp"
+#include "obs/telemetry.hpp"
 
 namespace redist::obs {
 
@@ -44,7 +44,7 @@ void Histogram::record(double x) {
   // Stripe by the recording thread's dense index: a thread always hits the
   // same stripe, so single-threaded recording is as cheap as the old
   // one-mutex scheme while concurrent recorders rarely share a lock.
-  Stripe& stripe = stripes_[TraceSession::current_tid() % kStripes];
+  Stripe& stripe = stripes_[thread_index() % kStripes];
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
   MutexLock lock(stripe.hist_mu);

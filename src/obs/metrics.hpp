@@ -186,4 +186,17 @@ class MetricsRegistry {
   Shard shards_[kShards];
 };
 
+/// `registry`'s counter `name`, or nullptr when no registry is given: the
+/// handle a hot path fetches once and counts through with add_count().
+inline Counter* counter_or_null(MetricsRegistry* registry,
+                                std::string_view name) {
+  return registry != nullptr ? &registry->counter(name) : nullptr;
+}
+
+/// Adds `delta` to `counter` unless it is null (no registry installed).
+REDIST_ALLOW_ALLOC("one atomic add; noalloc's closure merges every add()")
+inline void add_count(Counter* counter, std::uint64_t delta = 1) {
+  if (counter != nullptr) counter->add(delta);
+}
+
 }  // namespace redist::obs

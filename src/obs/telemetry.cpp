@@ -6,7 +6,7 @@
 namespace redist::obs::detail {
 
 std::atomic<MetricsRegistry*> g_metrics{nullptr};
-std::atomic<TraceSession*> g_trace{nullptr};
+std::atomic<Journal*> g_journal{nullptr};
 
 }  // namespace redist::obs::detail
 

@@ -1,10 +1,10 @@
 #include "obs/trace.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 
 #include "common/stopwatch.hpp"
+#include "obs/telemetry.hpp"
 
 namespace redist::obs {
 
@@ -32,12 +32,7 @@ std::size_t TraceSession::event_count() const {
   return events_.size();
 }
 
-std::uint32_t TraceSession::current_tid() {
-  static std::atomic<std::uint32_t> next{0};
-  thread_local const std::uint32_t tid =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return tid;
-}
+std::uint32_t TraceSession::current_tid() { return thread_index(); }
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";

@@ -1,14 +1,17 @@
-// Phase tracing — scoped spans collected into a TraceSession and exported
-// as Chrome trace_event JSON (obs/export.hpp; loads in chrome://tracing and
+// Scoped spans collected into a TraceSession and exported as Chrome
+// trace_event JSON (obs/export.hpp; loads in chrome://tracing and
 // https://ui.perfetto.dev).
+//
+// The library itself records no spans: its events go to the flight-recorder
+// journal (obs/journal.hpp), whose Chrome trace shares this file's
+// TraceEvent and the exporter's formatting. A TraceSession is a collector
+// that a caller owns and passes to its own spans explicitly (bench/e2e's
+// per-layer timing); nothing installs one process-wide.
 //
 // A TraceSpan is an RAII scope: construction stamps the begin time,
 // destruction stamps the duration and records one complete ("X") event.
 // Spans nest by wall-clock containment per thread — the exporter does not
-// maintain an explicit tree; Perfetto reconstructs it from ts/dur/tid,
-// which is exactly how the solver pipeline's hierarchy (solve_kpbs >
-// wrgp_peel > wrgp.step > bottleneck.search > bottleneck.probe > hk.phase)
-// is rendered.
+// maintain an explicit tree; Perfetto reconstructs it from ts/dur/tid.
 //
 // The session clock is injectable (tests pin a deterministic counter clock
 // for golden-output comparison); the default shares

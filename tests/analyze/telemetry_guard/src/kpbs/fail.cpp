@@ -1,5 +1,5 @@
 // Analyze fixture (never compiled): must fire telemetry-guard twice.
 void bump() {
   obs::metrics()->counter("x").add();
-  obs::trace()->begin("span");
+  obs::journal()->record(obs::JournalEventKind::kRetry);
 }

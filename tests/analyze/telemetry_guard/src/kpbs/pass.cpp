@@ -3,6 +3,6 @@
 void bump() {
   obs::MetricsRegistry* const metrics = obs::metrics();
   if (metrics != nullptr) metrics->counter("x").add();
-  obs::TraceSession* const trace = obs::trace();
-  if (trace != nullptr) trace->begin("span");
+  obs::Journal* const journal = obs::journal();
+  if (journal != nullptr) journal->record(obs::JournalEventKind::kRetry);
 }

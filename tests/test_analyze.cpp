@@ -512,6 +512,15 @@ TEST_P(LintFixtures, NearMissFixtureStaysClean) {
   EXPECT_TRUE(findings.empty()) << redist::analyze::format_report(findings);
 }
 
+// Both telemetry sinks are guarded: the fixture dereferences obs::metrics()
+// and obs::journal() once each.
+TEST(Analyze, TelemetryGuardCoversMetricsAndJournal) {
+  EXPECT_EQ(lint_fixture("telemetry_guard", "fail.cpp",
+                         only({"telemetry-guard"}))
+                .size(),
+            2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllRules, LintFixtures,
                          ::testing::ValuesIn(kLintRules),
                          [](const auto& info) {

@@ -16,7 +16,6 @@
 #include "kpbs/regularize.hpp"
 #include "matching/hopcroft_karp.hpp"
 #include "obs/metrics.hpp"
-#include "obs/telemetry.hpp"
 #include "oracle/hopcroft_karp_oracle.hpp"
 #include "workload/random_graphs.hpp"
 #include "workload/scenario.hpp"
@@ -24,25 +23,21 @@
 namespace redist {
 namespace {
 
-// Runs the bound solver's solve() under telemetry and checks it against the
+// Runs the bound solver's solve(), counting, and checks it against the
 // reference for the same edge set. Returns the number of checks (1).
 int expect_reference(HopcroftKarp& solver, const BipartiteGraph& g,
                      Weight min_weight, const std::vector<char>& mask,
                      const std::string& what) {
   const oracle::ReferenceMatching want =
       oracle::reference_max_matching(g, min_weight, mask);
-  // One registry for every check: the solver caches its counters per
-  // registry address, which a fresh registry could reuse.
-  static obs::MetricsRegistry registry;
-  obs::Counter& phases = registry.counter("hk.phases");
-  obs::Counter& paths = registry.counter("hk.augmenting_paths");
-  const std::uint64_t phases_before = phases.value();
-  const std::uint64_t paths_before = paths.value();
-  Matching got;
-  {
-    const obs::ScopedTelemetry scoped(&registry, nullptr);
-    got = solver.solve();
-  }
+  // A fresh registry on the stack for every check, often at the address
+  // of the last one: the solver must count into this one.
+  obs::MetricsRegistry registry;
+  solver.count_into(&registry);
+  const Matching got = solver.solve();
+  solver.count_into(nullptr);
+  const std::uint64_t phases = registry.counter("hk.phases").value();
+  const std::uint64_t paths = registry.counter("hk.augmenting_paths").value();
   Matching expected;
   for (NodeId v = 0; v < g.left_count(); ++v) {
     const EdgeId e = want.match_left[static_cast<std::size_t>(v)];
@@ -53,8 +48,8 @@ int expect_reference(HopcroftKarp& solver, const BipartiteGraph& g,
   EXPECT_EQ(got.edges, expected.edges) << what;
   const auto log = solver.changes();
   EXPECT_EQ(std::vector(log.begin(), log.end()), want.changes) << what;
-  EXPECT_EQ(phases.value() - phases_before, want.phases) << what;
-  EXPECT_EQ(paths.value() - paths_before, want.augmenting_paths) << what;
+  EXPECT_EQ(phases, want.phases) << what;
+  EXPECT_EQ(paths, want.augmenting_paths) << what;
   return 1;
 }
 

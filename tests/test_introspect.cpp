@@ -156,8 +156,7 @@ TEST(Introspect, FullStackDoesNotChangeSchedules) {
   {
     MetricsRegistry registry;
     Journal journal(4096);
-    ScopedTelemetry telemetry(&registry, nullptr);
-    ScopedJournal scoped_journal(&journal);
+    ScopedTelemetry telemetry(&registry, &journal);
     service::SchedulerService daemon;
     instrumented = solve_kpbs(g, options).schedule;
     ClientSession session = ClientSession::dial_rpc(daemon.port());

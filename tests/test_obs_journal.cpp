@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "kpbs/solver.hpp"
+#include "obs/export.hpp"
 #include "workload/random_graphs.hpp"
 
 namespace redist::obs {
@@ -72,16 +73,16 @@ TEST(ObsJournal, KindNamesAreStable) {
       "solve_begin",   "solve_end",   "peel_step",        "pool_enqueue",
       "pool_start",    "pool_finish", "retry",            "fault_injected",
       "attempt_begin", "attempt_end", "recovery_spliced", "rpc_request",
-      "cache_hit",     "cache_miss",  "cache_evict",
+      "cache_hit",     "cache_miss",  "cache_evict",      "regularized",
   };
   constexpr std::size_t kCount = sizeof(kNames) / sizeof(kNames[0]);
-  static_assert(kCount == 15);
+  static_assert(kCount == 16);
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_STREQ(journal_event_kind_name(static_cast<JournalEventKind>(i)),
                  kNames[i])
         << "kind " << i;
   }
-  EXPECT_EQ(static_cast<std::size_t>(JournalEventKind::kCacheEvict),
+  EXPECT_EQ(static_cast<std::size_t>(JournalEventKind::kRegularized),
             kCount - 1);
   EXPECT_STREQ(
       journal_event_kind_name(static_cast<JournalEventKind>(kCount)),
@@ -180,12 +181,10 @@ TEST(ObsJournal, AllocateSolveIdIsMonotonic) {
   EXPECT_GT(second, first);
 }
 
-TEST(ObsJournal, ScopedJournalInstallsAndRestores) {
-  EXPECT_EQ(journal(), nullptr);
+TEST(ObsJournal, JournalRecordGoesToTheInstalledJournal) {
   {
     Journal recorder(64);
-    ScopedJournal scoped(&recorder);
-    EXPECT_EQ(journal(), &recorder);
+    const ScopedTelemetry scoped(nullptr, &recorder);
     journal_record(JournalEventKind::kRetry, 1);
     EXPECT_EQ(recorder.total_recorded(), 1u);
   }
@@ -215,9 +214,47 @@ TEST(ObsJournal, GoldenJsonlDump) {
   EXPECT_EQ(os.str(), expected);
 }
 
+// The Chrome trace rendered from the ring: the solve's begin/end pair folds
+// into one span, regularization and each peel step span from the solve's
+// previous phase event, and an event outside any solve is an instant.
+TEST(ObsJournal, GoldenChromeTrace) {
+  Journal journal(64, ticking_clock());
+  {
+    const SolveIdScope scope(3);
+    journal.record(JournalEventKind::kSolveBegin, 4, 6);
+    journal.record(JournalEventKind::kRegularized, 5, 1);
+    journal.record(JournalEventKind::kPeelStep, 0, 2, 1.5);
+    journal.record(JournalEventKind::kPeelStep, 1, 2, 3.5);
+    journal.record(JournalEventKind::kSolveEnd, 2, 10, 1.25);
+  }
+  journal.record(JournalEventKind::kCacheHit, 2);
+  std::ostringstream os;
+  write_chrome_trace(os, journal);
+  const std::string expected =
+      "{\n\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [\n"
+      "{\"name\": \"solve_kpbs\", \"cat\": \"kpbs\", \"ph\": \"X\", "
+      "\"ts\": 0.000, \"dur\": 0.400, \"pid\": 1, \"tid\": 0, \"args\": "
+      "{\"solve\": 3, \"nodes\": 4, \"edges\": 6, \"steps\": 2, \"cost\": 10, "
+      "\"ratio\": 1.25}},\n"
+      "{\"name\": \"regularize\", \"cat\": \"kpbs\", \"ph\": \"X\", "
+      "\"ts\": 0.000, \"dur\": 0.100, \"pid\": 1, \"tid\": 0, \"args\": "
+      "{\"solve\": 3, \"c\": 5, \"filler_edges\": 1}},\n"
+      "{\"name\": \"wrgp.step\", \"cat\": \"kpbs\", \"ph\": \"X\", "
+      "\"ts\": 0.100, \"dur\": 0.100, \"pid\": 1, \"tid\": 0, \"args\": "
+      "{\"solve\": 3, \"step\": 0, \"matched_edges\": 2, \"amount\": 1.5}},\n"
+      "{\"name\": \"wrgp.step\", \"cat\": \"kpbs\", \"ph\": \"X\", "
+      "\"ts\": 0.200, \"dur\": 0.100, \"pid\": 1, \"tid\": 0, \"args\": "
+      "{\"solve\": 3, \"step\": 1, \"matched_edges\": 2, \"amount\": 3.5}},\n"
+      "{\"name\": \"cache_hit\", \"cat\": \"service\", \"ph\": \"X\", "
+      "\"ts\": 0.500, \"dur\": 0.000, \"pid\": 1, \"tid\": 0, \"args\": "
+      "{\"hits\": 2}}\n"
+      "]\n}\n";
+  EXPECT_EQ(os.str(), expected);
+}
+
 TEST(ObsJournal, SolveSeamsRecordCausallyJoinableEvents) {
   Journal journal(4096);
-  const ScopedJournal scoped(&journal);
+  const ScopedTelemetry scoped(nullptr, &journal);
   const BipartiteGraph g = small_instance(7);
   const SolveResult result = solve_kpbs(g, SolverOptions{2, 1});
   ASSERT_GT(result.solve_id, 0u);
@@ -239,7 +276,7 @@ TEST(ObsJournal, SolveSeamsRecordCausallyJoinableEvents) {
 
 TEST(ObsJournal, ExplicitSolveIdIsHonored) {
   Journal journal(256);
-  const ScopedJournal scoped(&journal);
+  const ScopedTelemetry scoped(nullptr, &journal);
   const BipartiteGraph g = small_instance(9);
   SolverOptions options;
   options.solve_id = 424242;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
+#include "obs/journal.hpp"
 #include "obs/telemetry.hpp"
 
 namespace redist::obs {
@@ -206,20 +207,24 @@ TEST(ObsMetrics, PrometheusExposition) {
 
 TEST(ObsMetrics, ScopedTelemetryInstallsAndRestores) {
   EXPECT_EQ(metrics(), nullptr);
-  EXPECT_EQ(trace(), nullptr);
+  EXPECT_EQ(journal(), nullptr);
   {
     MetricsRegistry registry;
-    ScopedTelemetry scoped(&registry, nullptr);
+    Journal recorder(64);
+    ScopedTelemetry scoped(&registry, &recorder);
     EXPECT_EQ(metrics(), &registry);
-    EXPECT_EQ(trace(), nullptr);
+    EXPECT_EQ(journal(), &recorder);
     {
       MetricsRegistry inner;
       ScopedTelemetry nested(&inner, nullptr);
       EXPECT_EQ(metrics(), &inner);
+      EXPECT_EQ(journal(), nullptr);
     }
     EXPECT_EQ(metrics(), &registry);
+    EXPECT_EQ(journal(), &recorder);
   }
   EXPECT_EQ(metrics(), nullptr);
+  EXPECT_EQ(journal(), nullptr);
 }
 
 }  // namespace

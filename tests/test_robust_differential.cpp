@@ -186,7 +186,7 @@ TEST(RobustDifferential, JournalJoinsRobustRunBySolveIdAndDumpsRecovery) {
   const robust::ScopedFaultInjection scope(&injector);
 
   obs::Journal journal(8192);
-  const obs::ScopedJournal scoped_journal(&journal);
+  const obs::ScopedTelemetry telemetry(nullptr, &journal);
   RobustnessOptions robustness = fast_robustness();
   robustness.journal_dir = ::testing::TempDir();
   const SocketRunResult r = socket_scheduled(test_cluster(), in.traffic,

@@ -1,5 +1,5 @@
 // Telemetry must be observation-only: installing a metrics registry and a
-// trace session cannot change a single byte of any schedule, for any
+// journal cannot change a single byte of any schedule, for any
 // algorithm. This pins the "differential" half of
 // the observability contract (docs/OBSERVABILITY.md); the exporters are
 // covered by test_obs_metrics / test_obs_trace.
@@ -11,9 +11,9 @@
 
 #include "common/rng.hpp"
 #include "kpbs/solver.hpp"
+#include "obs/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "obs/trace.hpp"
 #include "oracle/bottleneck_oracle.hpp"
 #include "runtime/thread_pool.hpp"
 #include "workload/random_graphs.hpp"
@@ -54,8 +54,8 @@ TEST(TelemetryDifferential, MetricsAndTracingDoNotChangeSchedules) {
     std::vector<oracle::NamedSchedule> instrumented;
     {
       obs::MetricsRegistry registry;
-      obs::TraceSession session;
-      obs::ScopedTelemetry scoped(&registry, &session);
+      obs::Journal journal;
+      obs::ScopedTelemetry scoped(&registry, &journal);
       instrumented = oracle::every_peeling(g, 5, 2);
     }
     for (std::size_t i = 0; i < plain.size(); ++i) {
@@ -68,43 +68,43 @@ TEST(TelemetryDifferential, MetricsAndTracingDoNotChangeSchedules) {
 TEST(TelemetryDifferential, WarmOggpRecordsExpectedInstruments) {
   const BipartiteGraph g = instance(7);
   obs::MetricsRegistry registry;
-  obs::TraceSession session;
+  obs::Journal journal;
+  SolveResult result;
   {
-    obs::ScopedTelemetry scoped(&registry, &session);
-    solve_kpbs(g, {5, 1, Algorithm::kOGGP}).schedule;
+    obs::ScopedTelemetry scoped(&registry, &journal);
+    result = solve_kpbs(g, {5, 1, Algorithm::kOGGP});
   }
   EXPECT_EQ(registry.counter("kpbs.solve.count").value(), 1u);
   EXPECT_EQ(registry.counter("regularize.calls").value(), 1u);
-  EXPECT_GT(registry.counter("wrgp.steps").value(), 0u);
-  EXPECT_GT(registry.counter("bottleneck.probes").value(), 0u);
+  const std::uint64_t steps = registry.counter("wrgp.steps").value();
+  EXPECT_GT(steps, 0u);
   // The first probe is a cold Hopcroft–Karp run of at least one phase;
   // every later probe is a repair, counted as one phase, so there are at
   // least as many phases as steps.
-  EXPECT_GE(registry.counter("hk.phases").value(),
-            registry.counter("wrgp.steps").value());
+  EXPECT_GE(registry.counter("hk.phases").value(), steps);
   EXPECT_GT(registry.counter("hk.augmenting_paths").value(), 0u);
   // One cap probe per step; the widest-path count is exported even when a
   // solve needs none.
-  EXPECT_EQ(registry.counter("bottleneck.probes").value(),
-            registry.counter("wrgp.steps").value());
+  EXPECT_EQ(registry.counter("bottleneck.probes").value(), steps);
   const obs::MetricsSnapshot snapshot = registry.snapshot();
   EXPECT_NE(std::find_if(snapshot.counters.begin(), snapshot.counters.end(),
                          [](const auto& counter) {
                            return counter.first == "bottleneck.widest_paths";
                          }),
             snapshot.counters.end());
-  EXPECT_GT(session.event_count(), 0u);
 
-  // The trace contains the span vocabulary the docs promise.
-  std::vector<std::string> names;
-  for (const obs::TraceEvent& e : session.snapshot()) names.push_back(e.name);
-  for (const char* required :
-       {"solve_kpbs", "regularize", "wrgp_peel", "wrgp.step",
-        "bottleneck.search.warm", "bottleneck.probe", "bottleneck.replay",
-        "hk.phase", "extract"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), required), names.end())
-        << "missing span " << required;
+  // The journal holds the solve's story in order, all on its solve id:
+  // begin, regularization, one event per peel step, end.
+  std::vector<obs::JournalEventKind> kinds;
+  for (const obs::JournalEvent& e : journal.snapshot()) {
+    EXPECT_EQ(e.solve_id, result.solve_id);
+    kinds.push_back(e.kind);
   }
+  std::vector<obs::JournalEventKind> expected = {
+      obs::JournalEventKind::kSolveBegin, obs::JournalEventKind::kRegularized};
+  expected.insert(expected.end(), steps, obs::JournalEventKind::kPeelStep);
+  expected.push_back(obs::JournalEventKind::kSolveEnd);
+  EXPECT_EQ(kinds, expected);
 }
 
 TEST(TelemetryDifferential, BatchWithTelemetryMatchesSequentialPlain) {
@@ -122,10 +122,10 @@ TEST(TelemetryDifferential, BatchWithTelemetryMatchesSequentialPlain) {
   }
 
   obs::MetricsRegistry registry;
-  obs::TraceSession session;
+  obs::Journal journal;
   std::vector<SolveResult> instrumented(demands.size());
   {
-    obs::ScopedTelemetry scoped(&registry, &session);
+    obs::ScopedTelemetry scoped(&registry, &journal);
     ThreadPool pool(3);
     for (std::size_t i = 0; i < demands.size(); ++i) {
       pool.submit(

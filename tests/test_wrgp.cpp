@@ -273,5 +273,35 @@ TEST(PeelingContext, OneThresholdProbePerStep) {
             schedule_to_string(oracle::solve(demand, 8, 1, Algorithm::kOGGP)));
 }
 
+// One context, rebound for every peel, each peel counting under a fresh
+// MetricsRegistry on the stack, usually at the previous one's address. The
+// counts must land in the registry installed for that peel; a handle kept
+// from an earlier registry writes into freed memory (ASan reports it).
+TEST(PeelingContext, CountsIntoEachPeelsRegistry) {
+  Rng rng(31);
+  std::vector<BipartiteGraph> graphs;
+  for (int i = 0; i < 4; ++i) {
+    const auto n = static_cast<NodeId>(rng.uniform_int(4, 12));
+    BipartiteGraph demand(n, n);
+    for (int e = 0; e < 3 * n; ++e) {
+      demand.add_edge(static_cast<NodeId>(rng.uniform_int(0, n - 1)),
+                      static_cast<NodeId>(rng.uniform_int(0, n - 1)),
+                      rng.uniform_int(1, 50));
+    }
+    graphs.push_back(regularize(demand, 3).graph);
+  }
+  PeelingContext ctx;
+  for (BipartiteGraph& j : graphs) {
+    obs::MetricsRegistry registry;
+    const obs::ScopedTelemetry scope(&registry, nullptr);
+    ctx.start(j, true, j.left_count(), j.right_count());
+    std::uint64_t steps = 0;
+    for (; ctx.peeling(); ++steps) ctx.step();
+    ASSERT_GT(steps, 0u);
+    EXPECT_EQ(registry.counter("bottleneck.probes").value(), steps);
+    EXPECT_GE(registry.counter("hk.phases").value(), steps);
+  }
+}
+
 }  // namespace
 }  // namespace redist

@@ -1755,10 +1755,10 @@ void lint_float_eq(Analysis& a, const std::string& path,
 
 void lint_telemetry_guard(Analysis& a, const std::string& path,
                           const std::vector<Token>& toks) {
-  // obs : : (metrics|trace) ( ) - >
+  // obs : : (metrics|journal) ( ) - >
   for (std::size_t i = 3; i + 4 < toks.size(); ++i) {
     const std::string& sink = toks[i].text;
-    if (toks[i].kind != 'i' || (sink != "metrics" && sink != "trace"))
+    if (toks[i].kind != 'i' || (sink != "metrics" && sink != "journal"))
       continue;
     if (toks[i - 3].kind != 'i' || toks[i - 3].text != "obs" ||
         !tok_is(toks, i - 2, ":") || !tok_is(toks, i - 1, ":") ||
@@ -2162,7 +2162,7 @@ std::string rule_description(const std::string& id) {
        "no ==/!= against float literals or double-valued cost names in "
        "src/ or tools/; schedule costs compare exactly only as integers"},
       {"telemetry-guard",
-       "never dereference obs::metrics()/obs::trace() inline in src/, "
+       "never dereference obs::metrics()/obs::journal() inline in src/, "
        "tools/ or bench/; bind to a pointer and null-check"},
       {"mutex-guard",
        "no raw std::mutex members in src/ or tools/ (use redist::Mutex), and "

@@ -54,7 +54,7 @@
 //   float-eq           ==/!= where an operand is a float literal or a
 //                      conventionally-double name (ratio/seconds/_ms/...)
 //                      [src/, tools/]
-//   telemetry-guard    obs::metrics()->… / obs::trace()->… dereferenced
+//   telemetry-guard    obs::metrics()->… / obs::journal()->… dereferenced
 //                      without a null check [src/, tools/, bench/]
 //   mutex-guard        raw std::mutex members, and unannotated mutable
 //                      members of a class that holds a Mutex/CondVar

@@ -55,9 +55,10 @@
 //       response. Exits non-zero on typed rpc errors.
 //
 // The solve and verify subcommands accept --metrics-out=FILE (flat
-// metrics JSON, or CSV when FILE ends in .csv) and --trace-out=FILE (Chrome
-// trace_event JSON for chrome://tracing / Perfetto); see
-// docs/OBSERVABILITY.md for the formats and the metric catalog.
+// metrics JSON, or CSV when FILE ends in .csv) and --trace-out=FILE (the
+// flight-recorder journal as Chrome trace_event JSON for chrome://tracing /
+// Perfetto); see docs/OBSERVABILITY.md for the formats and the metric
+// catalog.
 //
 // Graphs use the text format of graph/graphio.hpp; schedules the format of
 // kpbs/schedule_io.hpp.
@@ -131,15 +132,15 @@ bool ends_with(const std::string& s, const std::string& suffix) {
 
 // Consumes --metrics-out / --trace-out, installs process-wide telemetry
 // sinks for the lifetime of the object, and writes the export files on
-// flush(). With neither flag given the null sinks stay installed and the
-// solve paths record nothing.
+// flush(); the trace renders the journal. With neither flag given the null
+// sinks stay installed and the solve paths record nothing.
 class CliTelemetry {
  public:
   explicit CliTelemetry(Flags& flags)
       : metrics_path_(flags.get_string("metrics-out", "")),
         trace_path_(flags.get_string("trace-out", "")),
         scoped_(metrics_path_.empty() ? nullptr : &registry_,
-                trace_path_.empty() ? nullptr : &session_) {}
+                trace_path_.empty() ? nullptr : &journal_) {}
 
   void flush() const {
     if (!metrics_path_.empty()) {
@@ -155,7 +156,7 @@ class CliTelemetry {
     if (!trace_path_.empty()) {
       std::ofstream os(trace_path_);
       if (!os) throw Error("cannot write: " + trace_path_);
-      obs::write_chrome_trace(os, session_);
+      obs::write_chrome_trace(os, journal_);
       std::cout << "trace written to " << trace_path_ << '\n';
     }
   }
@@ -164,7 +165,7 @@ class CliTelemetry {
   std::string metrics_path_;
   std::string trace_path_;
   obs::MetricsRegistry registry_;
-  obs::TraceSession session_;
+  obs::Journal journal_;
   obs::ScopedTelemetry scoped_;
 };
 
@@ -426,8 +427,7 @@ int cmd_daemon(Flags& flags) {
   // introspection requests render them.
   obs::MetricsRegistry registry;
   obs::Journal journal(journal_capacity);
-  obs::ScopedTelemetry telemetry(&registry, nullptr);
-  obs::ScopedJournal scoped_journal(&journal);
+  obs::ScopedTelemetry telemetry(&registry, &journal);
   if (!crash_dump.empty()) obs::install_signal_dump(&journal, crash_dump);
 
   service::SchedulerService daemon(options);

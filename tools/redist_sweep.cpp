@@ -141,7 +141,7 @@ RobustRow run_fault_storm(const ScenarioSpec& spec,
   // (re-solves included) land in the BENCH JSON and in the per-recovery
   // forensic dump.
   obs::Journal journal(16384);
-  const obs::ScopedJournal scoped_journal(&journal);
+  const obs::ScopedTelemetry telemetry(nullptr, &journal);
   SocketClusterConfig config;
   config.card_out_bps = 3e6;
   config.card_in_bps = 3e6;
